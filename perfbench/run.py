@@ -1,16 +1,20 @@
 """Runs one benchmark workload in this process and prints its metrics.
 
-    python3 perfbench/run.py --workload mlp5k-rho1 --seed 1 --seconds 28 --trace 0
+    python3 perfbench/run.py --workload mlp5k-rho1 --seed 1 --seconds 20 --trace 0
 
 Run it from the root of a checkout: it imports ``admmnet`` from ``src/``
 there and nowhere else. BLAS is pinned to one thread before numpy loads.
 
-A run sets its data up several times (SETUP_REPS; generate from the seed,
-write, read back), then makes CALLS identical training calls, each from
-the same initial state. Every call must repeat the first bit for bit.
-Epoch times pool over the calls, and time to target is the median over
-them: calls spread over the run rest less on one stretch of a machine
-whose speed drifts by 10-30% over seconds to minutes. ``--trace 1`` wraps the package's public functions
+A run sets its data up SETUP_REPS times (generate from the seed, write,
+read back), then makes identical training calls, each from the same
+initial state and of the workload's fixed epoch count, as many as fill
+``--seconds`` at the workload's nominal epoch time. A workload with
+several data sets per run sets each up at least twice and splits the
+calls evenly among them. Every call must repeat the first call on its
+data bit for bit. Epoch times pool over the calls, and time to target
+is the median over them: calls spread over the run rest less on one
+stretch of a machine whose speed drifts by 10-30% over seconds to
+minutes. ``--trace 1`` wraps the package's public functions
 (see tracer.py) and reports per-layer metrics instead of end-to-end ones;
 end-to-end numbers come from untraced runs only.
 
@@ -32,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import math
 import platform
 import resource
 import shutil
@@ -49,9 +54,9 @@ import tracer as tracing
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-# The SBM generator takes about 6 s per graph, so graphs are set up twice.
-SETUP_REPS = {"images": 3, "graph": 2}
-CALLS = 4
+# Set-ups per run; setup_s is their median. One set-up of the images takes
+# 0.2 s, so a single slow stretch of the machine could set it alone.
+SETUP_REPS = 5
 
 # name, unit, better: the end-to-end metrics in BENCHMARK.json.
 END_TO_END = [
@@ -212,24 +217,24 @@ def training_call(wl, w, data, epochs: int, tracer) -> Call:
     return Call(start=start, end=end, stamps=stamps, traces=traces, error=error, recorder=recorder)
 
 
-def set_up(wl, w, seed: int, tracer, out: Outcome):
-    """Repeated set-ups in a scratch directory of the checkout; returns the
-    data of the last one, its recorder and the set-up times."""
-    recorder = tracing.Recorder() if tracer else None
+def set_up(wl, w, data_seed: int, reps: int, tracer, recorder, times: list, out: Outcome):
+    """Sets one data set up ``reps`` times in a scratch directory of the
+    checkout, appending each set-up time to ``times``; returns the data of
+    the last set-up, or None when a check failed."""
     work_root = HERE / "_work"
     work_root.mkdir(exist_ok=True)
-    scratch = tempfile.mkdtemp(prefix=f"{w.name}-{seed}-", dir=work_root)
-    times, digests, data = [], [], None
+    scratch = tempfile.mkdtemp(prefix=f"{w.name}-{data_seed}-", dir=work_root)
+    digests, data = [], None
     try:
-        for rep in range(SETUP_REPS[w.data]):
+        for rep in range(reps):
             if tracer:
                 tracer.recorder = recorder
             t0 = time.perf_counter()
             try:
-                data = wl.setup(w, seed, os.path.join(scratch, f"rep{rep}"))
+                data = wl.setup(w, data_seed, os.path.join(scratch, f"rep{rep}"))
             except wl.SetupMismatch as exc:
                 out.problems.append(f"set-up: {exc}")
-                return None, recorder, times
+                return None
             finally:
                 if tracer:
                     tracer.recorder = None
@@ -245,36 +250,50 @@ def set_up(wl, w, seed: int, tracer, out: Outcome):
             pass  # another run still uses it
     if len(set(digests)) != 1:
         out.problems.append("set-up: the same seed gave different data")
-    return data, recorder, times
+        return None
+    return data
 
 
 def run_workload(wl, w, seed: int, seconds: float, tracer) -> Outcome:
-    """``wl`` is the workloads module, imported once the package is found."""
-    out = Outcome()
-    data, setup_rec, setup_times = set_up(wl, w, seed, tracer, out)
-    if data is None:
-        return out
-    epochs = w.epochs_for(seconds, CALLS)
-    out.attempted = CALLS * epochs
-    calls = [training_call(wl, w, data, epochs, tracer) for _ in range(CALLS)]
-    first = calls[0]
+    """``wl`` is the workloads module, imported once the package is found.
 
-    # Determinism: every call must repeat the first bit for bit, raise
-    # where it raised and, when traced, count the same work in every epoch.
-    canon_first = [harness.canonical(t) for t in first.traces]
-    for i, call in enumerate(calls[1:], 2):
-        canon = [harness.canonical(t) for t in call.traces]
-        if canon != canon_first:
-            where = harness.first_difference(canon, canon_first)
-            where = where if where is not None else min(len(canon), len(canon_first)) + 1
-            out.problems.append(f"determinism: call {i} differs from call 1 at epoch {where}")
+    Each data set is set up, then trained on by its share of the calls,
+    and freed before the next one is set up."""
+    out = Outcome()
+    setup_rec = tracing.Recorder() if tracer else None
+    setup_times, calls, firsts = [], [], []  # firsts: each data set's first call
+    epochs, n_calls = w.epochs, w.calls_for(seconds)
+    per_set = n_calls // w.datasets
+    out.attempted = n_calls * epochs
+    for i in range(w.datasets):
+        data = set_up(wl, w, w.data_seed(seed, i), max(2, math.ceil(SETUP_REPS / w.datasets)),
+                      tracer, setup_rec, setup_times, out)
+        if data is None:
+            return out
+        firsts.append(len(calls))
+        calls += [training_call(wl, w, data, epochs, tracer) for _ in range(per_set)]
+        samples = wl.n_samples(w, data)
+        del data
+    ref = [firsts[i // per_set] for i in range(n_calls)]  # the first call on the same data
+
+    # Determinism: every call must repeat the first call on its data bit for
+    # bit, raise where it raised and, when traced, count the same work in
+    # every epoch.
+    canon = [[harness.canonical(t) for t in call.traces] for call in calls]
+    for i, (call, r) in enumerate(zip(calls, ref)):
+        if i == r:
+            continue
+        if canon[i] != canon[r]:
+            where = harness.first_difference(canon[i], canon[r])
+            where = where if where is not None else min(len(canon[i]), len(canon[r])) + 1
+            out.problems.append(f"determinism: call {i + 1} differs from call {r + 1} at epoch {where}")
         if tracer:
             try:
-                harness.assert_counts_repeat(first.recorder.counts(), call.recorder.counts())
+                harness.assert_counts_repeat(calls[r].recorder.counts(), call.recorder.counts())
             except harness.CountMismatch as exc:
-                out.problems.append(f"counts: call {i} vs call 1, {exc}")
+                out.problems.append(f"counts: call {i + 1} vs call {r + 1}, {exc}")
     if tracer and not out.problems:
-        out.notes.append(f"counts repeat in all {CALLS} calls")
+        out.notes.append(f"counts repeat in all {n_calls} calls")
 
     facts = [[wl.epoch_facts(t) for t in call.traces] for call in calls]
     failed = [(i, e) for i, f in enumerate(facts, 1) for e in harness.failed_epochs(f, epochs, w.monotone)]
@@ -282,12 +301,10 @@ def run_workload(wl, w, seed: int, seconds: float, tracer) -> Outcome:
     if failed:
         why = next((c.error for c in calls if c.error), "a checked value was out of bounds")
         out.problems.append(f"failed (call, epoch) {failed[:5]}{'...' if len(failed) > 5 else ''} ({why})")
-    for e in facts[0]:
-        if not (0.0 <= e.train_acc <= 1.0 and 0.0 <= e.test_acc <= 1.0):
-            out.problems.append("accuracy outside [0, 1]")
-            break
-    out.notes.append(f"fingerprint {harness.fingerprint(first.traces)}")
-    if not facts[0]:
+    if any(not (0.0 <= e.train_acc <= 1.0 and 0.0 <= e.test_acc <= 1.0) for f in facts for e in f):
+        out.problems.append("accuracy outside [0, 1]")
+    out.notes.append(f"fingerprint {harness.fingerprint([t for r in firsts for t in calls[r].traces])}")
+    if not all(facts):
         return out
 
     durations = [d for c in calls for d in harness.epoch_durations(c.start, c.stamps)]
@@ -297,15 +314,16 @@ def run_workload(wl, w, seed: int, seconds: float, tracer) -> Outcome:
     m["setup_s"] = statistics.median(setup_times)
     m["epoch_s_p50"] = statistics.median(durations)
     m["epoch_s_tail"] = tail
-    m["sample_epochs_per_s"] = wl.n_samples(w, data) * n / sum(c.end - c.start for c in calls)
-    hit = harness.first_crossing(facts[0], w.target)
-    if hit is None:
-        out.problems.append(f"target {w.target.describe()} not reached in {len(facts[0])} epochs")
+    m["sample_epochs_per_s"] = samples * n / sum(c.end - c.start for c in calls)
+    hits = [harness.first_crossing(f, w.target) for f in facts]
+    if None in hits:
+        out.problems.append(f"target {w.target.describe()} not reached in {epochs} epochs")
     else:
-        m["time_to_target_s"] = statistics.median(c.stamps[hit] - c.start for c in calls)
-        out.notes.append(f"target {w.target.describe()} met at epoch {hit + 1}")
+        m["time_to_target_s"] = statistics.median(c.stamps[h] - c.start for c, h in zip(calls, hits))
+        met = ", ".join(str(hits[r] + 1) for r in firsts)
+        out.notes.append(f"target {w.target.describe()} met at epoch {met}")
     m["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    m["test_acc"] = facts[0][-1].test_acc
+    m["test_acc"] = statistics.median(facts[r][-1].test_acc for r in firsts)
     m["failed_frac"] = out.failed / out.attempted
     if tracer:
         merged = tracing.Recorder()
@@ -333,7 +351,7 @@ def main(argv=None) -> int:
 
     args = parse_args(argv, list(wl.WORKLOADS))
     w = wl.WORKLOADS[args.workload]
-    print(f"workload {w.name} seed {args.seed} calls {CALLS} x {w.epochs_for(args.seconds, CALLS)} "
+    print(f"workload {w.name} seed {args.seed} calls {w.calls_for(args.seconds)} x {w.epochs} "
           f"epochs trace {args.trace}")
     print("env " + json.dumps(environment(loadavg), sort_keys=True))
     tracer = tracing.Tracer() if args.trace else None

@@ -3,10 +3,11 @@
     python3 perfbench/suite.py                      # seed 1, all workloads
     python3 perfbench/suite.py --seeds 1-10 --out perfbench/results/baseline.json
 
-For each workload this makes one untraced run per seed (the end-to-end
-numbers), then ``--traced-runs`` pairs of an untraced and a traced run on
-the first seed (the per-layer numbers and the tracing overhead). It then
-checks, across processes, that
+Every run lasts BENCHMARK.json's ``run_seconds``. For each workload this
+makes one untraced run per seed (the end-to-end numbers), then
+TRACED_PAIRS pairs of an untraced and a traced run on the first seed (the
+per-layer numbers and the tracing overhead). It then checks, across
+processes, that
 
 - the two runs of a pair have the same trace fingerprint, so tracing
   changes no result and the package is deterministic;
@@ -37,6 +38,8 @@ from harness import quartile_spread  # noqa: E402
 from tracer import PER_LAYER  # noqa: E402
 
 REPORTED = ("test_acc", "failed_frac")
+# Two traced runs, so that their counts can be compared across processes.
+TRACED_PAIRS = 2
 COUNT_SUFFIXES = ("calls_per_epoch", "trials_per_epoch", "iters_per_epoch",
                   "converged_frac", "accept_ratio")
 
@@ -91,7 +94,7 @@ def summarize(workload: str, runs: list, pairs: list, bounds: dict) -> dict:
             summary[name] = {**quartile_spread(values), "n": len(values),
                              "unit": good[0]["metrics"][name]["unit"], "bound": bounds.get(name)}
     out = {"workload": workload, "end_to_end": summary, "problems": problems}
-    if not traced or not good:
+    if not good:
         return out
 
     for u, t in pairs:
@@ -144,22 +147,21 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", default=",".join(names),
                    help="comma-separated; defaults to the workloads in BENCHMARK.json")
     p.add_argument("--seeds", default="1", help="e.g. 1-10 or 1,4,7")
-    p.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    p.add_argument("--traced-runs", type=int, default=2)
     p.add_argument("--out", default=None, help="write the full record here as JSON")
     args = p.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
+    seconds = spec["run_seconds"]
 
-    record = {"seeds": seeds, "seconds": args.seconds, "workloads": []}
+    record = {"seeds": seeds, "seconds": seconds, "workloads": []}
     failed = False
     for workload in args.workloads.split(","):
         runs = []
         for seed in seeds:
-            runs.append(run_once(workload, seed, args.seconds, 0))
+            runs.append(run_once(workload, seed, seconds, 0))
             print(f"{workload} seed {seed}: exit {runs[-1]['exit']}", file=sys.stderr)
-        pairs = [(run_once(workload, seeds[0], args.seconds, 0),
-                  run_once(workload, seeds[0], args.seconds, 1)) for _ in range(args.traced_runs)]
+        pairs = [(run_once(workload, seeds[0], seconds, 0),
+                  run_once(workload, seeds[0], seconds, 1)) for _ in range(TRACED_PAIRS)]
         s = summarize(workload, runs, pairs, bounds)
         print_summary(s)
         s["runs"] = runs

@@ -201,6 +201,11 @@ def test_benchmark_json_lists_what_run_py_prints():
     import workloads
 
     assert {w["name"] for w in spec["workloads"]} <= set(workloads.WORKLOADS)
+    for name in (w["name"] for w in spec["workloads"]):
+        w = workloads.WORKLOADS[name]  # training planned for a run fits run_seconds
+        calls = w.calls_for(spec["run_seconds"])
+        assert calls * w.epochs * w.nominal_epoch_s <= 1.1 * spec["run_seconds"]
+        assert calls % w.datasets == 0 and calls // w.datasets >= workloads.MIN_CALLS
     assert max(m["bound"] for m in spec["end_to_end"]) == next(
         m["bound"] for m in spec["end_to_end"] if m["name"] == "setup_s")
 
