@@ -1,6 +1,8 @@
 """Command-line front end: training runs, synthetic data generation, self-check.
 
-Exit codes: 0 success, 1 usage error, 2 divergence abort, 3 failed self-check.
+Exit codes: 0 success, 1 usage or data error, 2 training aborted (divergence
+or failed step search; the completed epochs are still written), 3 failed
+self-check.
 """
 from __future__ import annotations
 
@@ -9,9 +11,8 @@ import sys
 
 import numpy as np
 
-from . import objective
 from .baselines import BaselineConfig, run_baseline
-from .errors import BacktrackError, DataError, DivergenceError, FormatError
+from .errors import DataError, DivergenceError, FormatError, TrainingAborted
 from .gcn import GcnConfig, gcn_train
 from .linalg import Rng
 from .objective import MlpArchitecture, Regularizer, NO_REG
@@ -78,7 +79,6 @@ def _cmd_train(args) -> int:
         return _usage_error("--out is required")
     if args.epochs < 1:
         return _usage_error("--epochs must be >= 1")
-    rows = []
 
     if args.model == "mlp":
         from .data_io import load_idx_dataset, subsample
@@ -97,15 +97,8 @@ def _cmd_train(args) -> int:
 
         if args.optimizer == "admm":
             cfg = TrainConfig(rho=args.rho, nu=args.nu, epochs=args.epochs, seed=args.seed)
-            try:
-                result = train(arch, train_data, cfg, eval_data=test_data)
-                traces = result.traces
-            except DivergenceError as exc:
-                _dump_mlp_traces(exc.traces or [], rows)
-                _write_rows(args.out, rows, args.timing)
-                sys.stderr.write(f"divergence: {exc}\n")
-                return 2
-            _dump_mlp_traces(traces, rows)
+            run = lambda: train(arch, train_data, cfg, eval_data=test_data).traces
+            dump = _dump_mlp_traces
         else:
             bcfg = BaselineConfig(
                 optimizer=args.optimizer,
@@ -113,14 +106,8 @@ def _cmd_train(args) -> int:
                 epochs=args.epochs,
                 seed=args.seed,
             )
-            try:
-                _, traces = run_baseline(bcfg, arch, train_data, eval_data=test_data)
-            except DivergenceError as exc:
-                _dump_baseline_traces(exc.traces or [], rows)
-                _write_rows(args.out, rows, args.timing)
-                sys.stderr.write(f"divergence: {exc}\n")
-                return 2
-            _dump_baseline_traces(traces, rows)
+            run = lambda: run_baseline(bcfg, arch, train_data, eval_data=test_data)[1]
+            dump = _dump_baseline_traces
 
     else:  # gcn
         from .data_io import load_graph
@@ -132,15 +119,20 @@ def _cmd_train(args) -> int:
         hidden = _parse_layers(args.layers) if args.layers else (32,)
         cfg = GcnConfig(hidden_dims=hidden, rho=args.rho, mu=args.mu,
                         epochs=args.epochs, seed=args.seed)
-        try:
-            _, traces = gcn_train(graph, cfg)
-        except DivergenceError as exc:
-            _dump_gcn_traces(exc.traces or [], rows)
-            _write_rows(args.out, rows, args.timing)
-            sys.stderr.write(f"divergence: {exc}\n")
-            return 2
-        _dump_gcn_traces(traces, rows)
+        run = lambda: gcn_train(graph, cfg)[1]
+        dump = _dump_gcn_traces
 
+    rows = []
+    try:
+        traces = run()
+    except TrainingAborted as exc:
+        # the iterations completed before the abort are still written
+        dump(exc.traces, rows)
+        _write_rows(args.out, rows, args.timing)
+        what = "divergence" if isinstance(exc, DivergenceError) else "step search failed"
+        sys.stderr.write(f"{what}: {exc}\n")
+        return 2
+    dump(traces, rows)
     _write_rows(args.out, rows, args.timing)
     return 0
 
@@ -191,7 +183,14 @@ def _cmd_make_data(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    """Gradient checks, subproblem oracles, and a short descent run."""
+    return selfcheck(quick=args.quick)
+
+
+def selfcheck(quick: bool = False, gradient_perturbation: float = 0.0) -> int:
+    """Gradient checks, subproblem oracles, and a short descent run; returns
+    the exit code.  gradient_perturbation is added to every analytic W
+    gradient before it is compared with finite differences, so a test can
+    confirm that the check catches a wrong gradient."""
     from . import solvers
     from .objective import Dataset, forward_init, grad_phi_block, phi
 
@@ -215,12 +214,11 @@ def _cmd_selfcheck(args) -> int:
         state.a[l] = p + 0.1 * rng.normal(0.0, 1.0, p.shape)
     state.u = rng.normal(0.0, 1.0, state.u.shape)
 
-    # finite-difference check on every W gradient (the fault-injection hook
-    # adds objective.GRADIENT_BUG to these)
+    # finite-difference check on every W gradient
     h = 1e-6
     worst = 0.0
     for l in range(arch.n_layers):
-        grad = grad_phi_block(state, data, "W", l, arch.activation) + objective.GRADIENT_BUG
+        grad = grad_phi_block(state, data, "W", l, arch.activation) + gradient_perturbation
         num = np.zeros_like(grad)
         for idx in np.ndindex(*grad.shape):
             w0 = state.W[l][idx]
@@ -238,7 +236,7 @@ def _cmd_selfcheck(args) -> int:
     rng2 = Rng(11)
     ok = True
     grid = np.linspace(-5, 5, 10001)
-    for _ in range(20 if args.quick else 200):
+    for _ in range(20 if quick else 200):
         m_in = float(rng2.normal(0.0, 2.0, ()))
         tgt = float(rng2.normal(0.0, 2.0, ()))
         z = solvers.solve_z_relu(np.array([[m_in]]), np.array([[tgt]]), 0.5, 0.5)[0, 0]
@@ -253,7 +251,7 @@ def _cmd_selfcheck(args) -> int:
     # short run: certificate + monotone Lagrangian
     sep = make_separable(40, rng=Rng(3))
     arch2 = MlpArchitecture(layer_dims=(4, 8, 2))
-    cfg = TrainConfig(rho=4.0, nu=1.0, epochs=5 if args.quick else 25, seed=0)
+    cfg = TrainConfig(rho=4.0, nu=1.0, epochs=5 if quick else 25, seed=0)
     try:
         result = train(arch2, sep, cfg)
         cert_ok = max(t.max_cert_violation for t in result.traces) <= 1e-10
@@ -261,7 +259,7 @@ def _cmd_selfcheck(args) -> int:
         mono = all(b <= a + 1e-9 for a, b in zip(lagr, lagr[1:]))
         check("backtracking certificate", cert_ok)
         check("Lagrangian monotone (rho=4, nu=1)", mono)
-    except (DivergenceError, BacktrackError):
+    except TrainingAborted:
         check("training run completes", False)
 
     if failures:

@@ -127,9 +127,24 @@ def _check_node(node: int, n: int, path: str, line: int) -> None:
         raise DataError(f"{path} line {line}: node id {node} out of range (N={n})")
 
 
+def _csv_pairs(path: str, header: str):
+    """(line number, first field, second field) of each non-empty row of a
+    two-column CSV file."""
+    with open(path) as fh:
+        for lineno, row in enumerate(csv.reader(fh), 1):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise FormatError(f"{path} line {lineno}: expected '{header}'")
+            yield lineno, row[0], row[1]
+
+
 def load_graph(directory: str) -> Graph:
     feat_path = os.path.join(directory, "features.csv")
-    features = np.loadtxt(feat_path, delimiter=",", ndmin=2)
+    try:
+        features = np.loadtxt(feat_path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{feat_path}: {exc}") from None
     n = features.shape[0]
 
     edge_path = os.path.join(directory, "edges.tsv")
@@ -142,7 +157,10 @@ def load_graph(directory: str) -> Graph:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise FormatError(f"{edge_path} line {lineno}: expected 'u<TAB>v'")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(f"{edge_path} line {lineno}: node ids must be integers") from None
             _check_node(u, n, edge_path, lineno)
             _check_node(v, n, edge_path, lineno)
             if u == v:
@@ -151,13 +169,17 @@ def load_graph(directory: str) -> Graph:
 
     label_path = os.path.join(directory, "labels.csv")
     pairs = []
-    with open(label_path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            node, cls = int(row[0]), int(row[1])
-            _check_node(node, n, label_path, lineno)
-            pairs.append((node, cls))
+    for lineno, node_text, cls_text in _csv_pairs(label_path, "node,class"):
+        try:
+            node, cls = int(node_text), int(cls_text)
+        except ValueError:
+            raise FormatError(f"{label_path} line {lineno}: node and class must be integers") from None
+        _check_node(node, n, label_path, lineno)
+        if cls < 0:
+            raise DataError(f"{label_path} line {lineno}: negative class {cls}")
+        pairs.append((node, cls))
+    if not pairs:
+        raise DataError(f"{label_path}: no labeled nodes")
     n_classes = max(c for _, c in pairs) + 1
     labels = np.zeros((n, n_classes))
     for node, cls in pairs:
@@ -167,21 +189,22 @@ def load_graph(directory: str) -> Graph:
     train_mask = np.zeros(n, dtype=bool)
     test_mask = np.zeros(n, dtype=bool)
     assigned = set()
-    with open(mask_path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            node, split = int(row[0]), row[1].strip()
-            _check_node(node, n, mask_path, lineno)
-            if node in assigned:
-                raise DataError(f"{mask_path} line {lineno}: node {node} assigned to a mask twice")
-            assigned.add(node)
-            if split == "train":
-                train_mask[node] = True
-            elif split == "test":
-                test_mask[node] = True
-            else:
-                raise FormatError(f"{mask_path} line {lineno}: unknown split {split!r}")
+    for lineno, node_text, split in _csv_pairs(mask_path, "node,split"):
+        try:
+            node = int(node_text)
+        except ValueError:
+            raise FormatError(f"{mask_path} line {lineno}: node id must be an integer") from None
+        split = split.strip()
+        _check_node(node, n, mask_path, lineno)
+        if node in assigned:
+            raise DataError(f"{mask_path} line {lineno}: node {node} assigned to a mask twice")
+        assigned.add(node)
+        if split == "train":
+            train_mask[node] = True
+        elif split == "test":
+            test_mask[node] = True
+        else:
+            raise FormatError(f"{mask_path} line {lineno}: unknown split {split!r}")
 
     return Graph(
         n_nodes=n,

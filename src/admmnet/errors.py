@@ -13,13 +13,18 @@ class DataError(ValueError):
     """A data file is well-formed but semantically inconsistent."""
 
 
-class BacktrackError(RuntimeError):
-    """Backtracking exhausted its trial budget without a certified step."""
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite objective; partial traces are attached."""
+class TrainingAborted(RuntimeError):
+    """Training stopped before its last epoch; the traces of the completed
+    iterations are attached."""
 
     def __init__(self, message, traces=None):
         super().__init__(message)
         self.traces = traces if traces is not None else []
+
+
+class BacktrackError(TrainingAborted):
+    """Backtracking exhausted its trial budget without a certified step."""
+
+
+class DivergenceError(TrainingAborted):
+    """Training produced a non-finite objective."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from .activations import RELU, Activation
 from .diagnostics import CkSeries
-from .errors import DivergenceError, ShapeError
+from .errors import BacktrackError, DivergenceError, ShapeError
 from .linalg import Matrix, Rng, l2sq
 from .objective import _log_softmax
 from .solvers import StepSeeds, backtrack_quadratic, fista_minimize
@@ -336,7 +336,11 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     t0 = time.perf_counter()
     for it in range(1, cfg.epochs + 1):
         prev = state
-        new, barred, steps, worst, eps = gcn_iteration(prev, graph, cfg, seeds)
+        try:
+            new, barred, steps, worst, eps = gcn_iteration(prev, graph, cfg, seeds)
+        except BacktrackError as exc:
+            exc.traces = traces
+            raise
         moves = 0.0
         for l in range(prev.n_layers):
             moves += l2sq(barred.W[l] - prev.W[l]) + l2sq(new.W[l] - barred.W[l])

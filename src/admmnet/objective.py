@@ -19,10 +19,6 @@ from .linalg import Matrix, Rng, l2sq
 # under the mean-over-samples convention.
 RISK_LIPSCHITZ = 1.0
 
-# Test hook: added to every W-block gradient when nonzero (fault injection
-# for the self-check command).
-GRADIENT_BUG = 0.0
-
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -107,12 +103,15 @@ class MlpState:
         return len(self.W)
 
     def copy(self) -> "MlpState":
+        """New block lists over the same arrays.  Block updates rebind list
+        entries and never write into an array, so a copy can be updated
+        while the original keeps its values."""
         return MlpState(
-            W=[w.copy() for w in self.W],
-            b=[b.copy() for b in self.b],
-            z=[z.copy() for z in self.z],
-            a=[a.copy() for a in self.a],
-            u=self.u.copy(),
+            W=list(self.W),
+            b=list(self.b),
+            z=list(self.z),
+            a=list(self.a),
+            u=self.u,
             rho=self.rho,
             nu=self.nu,
         )
@@ -212,10 +211,7 @@ def grad_phi_block(
         scaled = nu * res if layer < last else state.u + rho * res
         if block == "b":
             return -np.sum(scaled, axis=1, keepdims=True)
-        g = -scaled @ _a_prev(state, data, layer).T
-        if GRADIENT_BUG:
-            g = g + GRADIENT_BUG
-        return g
+        return -scaled @ _a_prev(state, data, layer).T
 
     if block == "z":
         if not 0 <= layer <= last:

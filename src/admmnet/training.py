@@ -2,10 +2,26 @@
 
 One iteration runs a backward sweep (layer L-1 down to 0, block order
 a -> z -> b -> W), a forward sweep (0 up to L-1, order W -> b -> z -> a),
-then the residual and dual update.  Sweeps mutate a working copy in place,
-which reproduces the mixed old/new indexing of the block subproblems: when
-layer l is visited, higher layers already hold this sweep's values and lower
-layers still hold the previous ones.
+then the residual and dual update.  Each sweep works on a copy of the
+state's block lists and every block update rebinds one entry, so arrays are
+shared, never written into.  This reproduces the mixed old/new indexing of
+the block subproblems: when layer l is visited, higher layers already hold
+this sweep's values and lower layers still hold the previous ones.
+
+Cached products.  Besides the blocks, the sweep state holds the pre-bias
+product P_l = W_l a_{l-1} of every layer (a_{-1} is the input x), so a
+layer residual z_l - P_l - b_l costs no matrix product.  P is computed
+fresh once per ``train()`` call (once per sweep call when the caller passes
+none) and afterwards moves only with the two blocks it depends on:
+
+* an accepted W_l step, W_l - G/t, moves P_l by -(G a_{l-1})/t, the product
+  the backtracking already formed for its trial residuals; a regularized
+  (prox) step recomputes P_l = W_l a_{l-1} once instead;
+* an accepted a_l step, a_l - G/t, moves P_{l+1} by -(W_{l+1} G)/t.
+
+b and z updates leave P alone.  The b and W gradients, the z-update inputs,
+the output solve, the dual residual, the Lagrangian and objective_F all read
+P.  The Lagrangian after iteration k is the one entering iteration k+1.
 
 Backtracking trials are evaluated through partial penalty closures that
 only touch the terms containing the trial block; candidates are affine in
@@ -15,14 +31,14 @@ of a fresh matrix multiply.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics, objective
-from .errors import DivergenceError
+from .errors import BacktrackError, DivergenceError
 from .linalg import Matrix, Rng, l2sq
-from .objective import Dataset, MlpArchitecture, MlpState
+from .objective import Dataset, MlpArchitecture, MlpState, _a_prev
 from .solvers import (
     StepSeeds,
     backtrack_quadratic,
@@ -43,10 +59,6 @@ class TrainConfig:
     growth: float = 2.0
     fista_tol: float = 1e-8
     fista_max_iter: int = 100
-    early_stop: bool = False
-    early_stop_residual: float = 1e-6
-    early_stop_drop: float = 1e-10
-    early_stop_patience: int = 5
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -80,11 +92,25 @@ class IterationTrace:
 class TrainResult:
     state: MlpState
     traces: list
-    converged_early: bool = False
 
 
 def dual_update(state: MlpState, r: Matrix) -> Matrix:
     return state.u + state.rho * r
+
+
+def products(state: MlpState, data: Dataset) -> list:
+    """Fresh pre-bias products W_l a_{l-1}, one per layer."""
+    return [state.W[l] @ _a_prev(state, data, l) for l in range(state.n_layers)]
+
+
+def _residual(work: MlpState, P: list, layer: int):
+    """(r_l, d phi / d r_l) with r_l = z_l - W_l a_{l-1} - b_l read from the
+    cached product: the gradient is nu r_l below the output layer and
+    u + rho r_l at it."""
+    r = work.z[layer] - P[layer] - work.b[layer]
+    if layer < work.n_layers - 1:
+        return r, work.nu * r
+    return r, work.u + work.rho * r
 
 
 def _linear_term(lin: Matrix, nu: float, rho: float, u, is_last: bool) -> float:
@@ -93,18 +119,18 @@ def _linear_term(lin: Matrix, nu: float, rho: float, u, is_last: bool) -> float:
     return 0.5 * nu * l2sq(lin)
 
 
-def _update_W(work: MlpState, data: Dataset, arch: MlpArchitecture, layer: int,
+def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, layer: int,
               seeds: StepSeeds, key, growth: float):
-    last = work.n_layers - 1
-    a_prev = data.x if layer == 0 else work.a[layer - 1]
+    a_prev = _a_prev(work, data, layer)
     anchor = work.W[layer]
-    grad = objective.grad_phi_block(work, data, "W", layer, arch.activation)
-    lin0 = work.z[layer] - anchor @ a_prev - work.b[layer]
-    is_last = layer == last
+    lin0, scaled = _residual(work, P, layer)
+    grad = -scaled @ a_prev.T
+    is_last = layer == work.n_layers - 1
     reg = arch.regularizer
-    use_prox = reg.kind != "none" and reg.lam > 0.0
 
-    if use_prox:
+    if reg.kind != "none" and reg.lam > 0.0:
+        grad_a = None
+
         def eval_phi(cand, step):
             lin = lin0 - (cand - anchor) @ a_prev
             return _linear_term(lin, work.nu, work.rho, work.u, is_last)
@@ -122,19 +148,28 @@ def _update_W(work: MlpState, data: Dataset, arch: MlpArchitecture, layer: int,
     res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), growth, prox=prox)
     seeds.update(key, res.step, growth)
     work.W[layer] = res.candidate
+    if grad_a is None:
+        P[layer] = res.candidate @ a_prev
+    else:
+        P[layer] = P[layer] - grad_a / res.step
     return res
 
 
-def _update_a(work: MlpState, data: Dataset, arch: MlpArchitecture, layer: int,
+def _grad_a(work: MlpState, P: list, layer: int, fz: Matrix):
+    """Gradient of phi in a_l given f(z_l), and the layer l+1 residual it
+    reads."""
+    lin, scaled = _residual(work, P, layer + 1)
+    return work.nu * (work.a[layer] - fz) - work.W[layer + 1].T @ scaled, lin
+
+
+def _update_a(work: MlpState, P: list, arch: MlpArchitecture, layer: int,
               seeds: StepSeeds, key, growth: float):
-    last = work.n_layers - 1
     nxt = layer + 1
     anchor = work.a[layer]
-    grad = objective.grad_phi_block(work, data, "a", layer, arch.activation)
     fz = arch.activation.value(work.z[layer])
-    lin0 = objective.linear_residual(work, data, nxt)
+    grad, lin0 = _grad_a(work, P, layer, fz)
     w_grad = work.W[nxt] @ grad  # trial residual is lin0 + w_grad / step
-    is_last = nxt == last
+    is_last = nxt == work.n_layers - 1
 
     def eval_phi(cand, step):
         lin = lin0 if step is None else lin0 + w_grad / step
@@ -144,20 +179,21 @@ def _update_a(work: MlpState, data: Dataset, arch: MlpArchitecture, layer: int,
     res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), growth)
     seeds.update(key, res.step, growth)
     work.a[layer] = res.candidate
+    P[nxt] = P[nxt] - w_grad / res.step
     return res
 
 
-def _update_b_block(work: MlpState, data: Dataset, arch: MlpArchitecture, layer: int):
-    grad = objective.grad_phi_block(work, data, "b", layer, arch.activation)
+def _update_b_block(work: MlpState, P: list, data: Dataset, layer: int):
+    _, scaled = _residual(work, P, layer)
+    grad = -np.sum(scaled, axis=1, keepdims=True)
     work.b[layer] = update_b(
         work.b[layer], grad, layer, work.n_layers, work.nu, work.rho,
         n_samples=data.n_samples,
     )
 
 
-def _update_z_hidden(work: MlpState, data: Dataset, arch: MlpArchitecture, layer: int):
-    a_prev = data.x if layer == 0 else work.a[layer - 1]
-    m_in = work.W[layer] @ a_prev + work.b[layer]
+def _update_z_hidden(work: MlpState, P: list, arch: MlpArchitecture, layer: int):
+    m_in = P[layer] + work.b[layer]
     half_nu = 0.5 * work.nu
     act = arch.activation
     if act.kind == "relu":
@@ -166,12 +202,10 @@ def _update_z_hidden(work: MlpState, data: Dataset, arch: MlpArchitecture, layer
         work.z[layer] = solve_z_leaky_relu(m_in, work.a[layer], act.slope, half_nu, half_nu)
 
 
-def _update_z_last(work: MlpState, data: Dataset, arch: MlpArchitecture, cfg) -> bool:
+def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, cfg) -> bool:
     last = work.n_layers - 1
-    a_prev = data.x if last == 0 else work.a[last - 1]
-    w_aff = work.W[last] @ a_prev + work.b[last]
     res = solve_z_last(
-        w_aff, work.u, work.rho, data.y, arch.risk, work.z[last],
+        P[last] + work.b[last], work.u, work.rho, data.y, arch.risk, work.z[last],
         tol=cfg.fista_tol, max_iter=cfg.fista_max_iter,
     )
     work.z[last] = res.z
@@ -179,58 +213,85 @@ def _update_z_last(work: MlpState, data: Dataset, arch: MlpArchitecture, cfg) ->
 
 
 def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
-                   seeds: StepSeeds, cfg: TrainConfig):
-    """Returns (barred state, step_stats, max certificate violation, fista ok)."""
+                   seeds: StepSeeds, cfg: TrainConfig, P: list = None):
+    """Returns (barred state, step_stats, max certificate violation, fista ok).
+
+    P, when given, holds the products W_l a_{l-1} of ``state`` and is moved
+    in place to those of the barred state; without it they are computed
+    fresh.
+    """
     work = state.copy()
+    if P is None:
+        P = products(state, data)
     last = work.n_layers - 1
     steps, worst, fista_ok = {}, 0.0, True
     for layer in range(last, -1, -1):
         if layer == last:
-            fista_ok = _update_z_last(work, data, arch, cfg)
+            fista_ok = _update_z_last(work, P, data, arch, cfg)
         else:
-            res = _update_a(work, data, arch, layer, seeds, ("a_bar", layer), cfg.growth)
+            res = _update_a(work, P, arch, layer, seeds, ("a_bar", layer), cfg.growth)
             steps[("a_bar", layer)] = res.step
             worst = max(worst, res.violation)
-            _update_z_hidden(work, data, arch, layer)
-        _update_b_block(work, data, arch, layer)
-        res = _update_W(work, data, arch, layer, seeds, ("W_bar", layer), cfg.growth)
+            _update_z_hidden(work, P, arch, layer)
+        _update_b_block(work, P, data, layer)
+        res = _update_W(work, P, data, arch, layer, seeds, ("W_bar", layer), cfg.growth)
         steps[("W_bar", layer)] = res.step
         worst = max(worst, res.violation)
     return work, steps, worst, fista_ok
 
 
 def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
-                  seeds: StepSeeds, cfg: TrainConfig):
-    """Continues from the barred state; anchors are the barred blocks."""
+                  seeds: StepSeeds, cfg: TrainConfig, P: list = None):
+    """Continues from the barred state; anchors are the barred blocks.
+
+    P is handled as in ``backward_sweep``.
+    """
     work = barred.copy()
+    if P is None:
+        P = products(barred, data)
     last = work.n_layers - 1
     steps, worst, fista_ok = {}, 0.0, True
     for layer in range(last + 1):
-        res = _update_W(work, data, arch, layer, seeds, ("W", layer), cfg.growth)
+        res = _update_W(work, P, data, arch, layer, seeds, ("W", layer), cfg.growth)
         steps[("W", layer)] = res.step
         worst = max(worst, res.violation)
-        _update_b_block(work, data, arch, layer)
+        _update_b_block(work, P, data, layer)
         if layer < last:
-            _update_z_hidden(work, data, arch, layer)
-            res = _update_a(work, data, arch, layer, seeds, ("a", layer), cfg.growth)
+            _update_z_hidden(work, P, arch, layer)
+            res = _update_a(work, P, arch, layer, seeds, ("a", layer), cfg.growth)
             steps[("a", layer)] = res.step
             worst = max(worst, res.violation)
         else:
-            fista_ok = _update_z_last(work, data, arch, cfg)
+            fista_ok = _update_z_last(work, P, data, arch, cfg)
     return work, steps, worst, fista_ok
 
 
-def block_move_sq_sum(prev: MlpState, barred: MlpState, new: MlpState) -> float:
-    """Squared block movements entering the descent bound and c_k: all W and b
-    blocks, hidden a blocks, and the output z block only."""
+def _move_sq_sum(old: MlpState, new: MlpState) -> float:
+    """Squared block movements of one half-iteration: all W and b blocks,
+    hidden a blocks, and the output z block only."""
     total = 0.0
-    for l in range(prev.n_layers):
-        total += l2sq(barred.W[l] - prev.W[l]) + l2sq(new.W[l] - barred.W[l])
-        total += l2sq(barred.b[l] - prev.b[l]) + l2sq(new.b[l] - barred.b[l])
-    for l in range(prev.n_layers - 1):
-        total += l2sq(barred.a[l] - prev.a[l]) + l2sq(new.a[l] - barred.a[l])
-    total += l2sq(barred.z[-1] - prev.z[-1]) + l2sq(new.z[-1] - barred.z[-1])
-    return total
+    for l in range(old.n_layers):
+        total += l2sq(new.W[l] - old.W[l]) + l2sq(new.b[l] - old.b[l])
+    for l in range(old.n_layers - 1):
+        total += l2sq(new.a[l] - old.a[l])
+    return total + l2sq(new.z[-1] - old.z[-1])
+
+
+def block_move_sq_sum(prev: MlpState, barred: MlpState, new: MlpState) -> float:
+    """Squared block movements entering the descent bound and c_k."""
+    return _move_sq_sum(prev, barred) + _move_sq_sum(barred, new)
+
+
+def _objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture,
+                              P: list, r: Matrix):
+    """(objective_F, Lagrangian) of ``state`` from its cached products; r is
+    the output-layer residual."""
+    total = objective.risk(state.z[-1], data.y, arch.risk)
+    total += sum(arch.regularizer.value(w) for w in state.W)
+    for l in range(state.n_layers - 1):
+        total += 0.5 * state.nu * l2sq(state.z[l] - P[l] - state.b[l])
+        total += 0.5 * state.nu * l2sq(state.a[l] - arch.activation.value(state.z[l]))
+    return total, total + float(np.vdot(state.u, r)) + 0.5 * state.rho * l2sq(r)
 
 
 def train(
@@ -245,71 +306,68 @@ def train(
     state = init_state if init_state is not None else objective.forward_init(
         arch, data, rng, cfg.rho, cfg.nu
     )
+    last = state.n_layers - 1
     seeds = StepSeeds()
     traces = []
     ck = diagnostics.CkSeries()
-    quiet_iters = 0
     t0 = time.perf_counter()
-    for it in range(1, cfg.epochs + 1):
-        prev = state
-        lagr_prev = objective.lagrangian(prev, data, arch)
-        if not np.isfinite(lagr_prev):
-            raise DivergenceError(
-                f"non-finite Lagrangian entering iteration {it}", traces=traces
-            )
-        barred, bsteps, bviol, bfista = backward_sweep(prev, data, arch, seeds, cfg)
-        new, fsteps, fviol, ffista = forward_sweep(barred, data, arch, seeds, cfg)
-        r = objective.linear_residual(new, data, new.n_layers - 1)
-        new.u = dual_update(new, r)
-        lagr_new = objective.lagrangian(new, data, arch)
+    P = products(state, data)
+    _, lagr_prev = _objective_and_lagrangian(state, data, arch, P, _residual(state, P, last)[0])
+    if not np.isfinite(lagr_prev):
+        raise DivergenceError("non-finite Lagrangian entering iteration 1", traces=traces)
+    try:
+        for it in range(1, cfg.epochs + 1):
+            barred, bsteps, bviol, bfista = backward_sweep(state, data, arch, seeds, cfg, P)
+            moves = _move_sq_sum(state, barred)
+            del state  # the forward half needs only the barred blocks
+            state, fsteps, fviol, ffista = forward_sweep(barred, data, arch, seeds, cfg, P)
+            moves += _move_sq_sum(barred, state)
+            del barred
+            r = _residual(state, P, last)[0]
+            state.u = dual_update(state, r)
+            objective_F, lagr_new = _objective_and_lagrangian(state, data, arch, P, r)
 
-        moves = block_move_sq_sum(prev, barred, new)
-        ck.update(moves)
-        steps = {**bsteps, **fsteps}
-        report = diagnostics.check_sufficient_descent(
-            lagr_prev, lagr_new, moves, steps, arch.risk, cfg.rho, cfg.nu, it
-        )
-        logits = objective.forward_logits(new.W, new.b, data.x, arch.activation)
-        trace = IterationTrace(
-            iter=it,
-            objective_F=objective.objective_F(new, data, arch),
-            lagrangian=lagr_new,
-            residual_l2=float(np.sqrt(l2sq(r))),
-            descent_lhs=report.lhs,
-            block_move_sq_sum=moves,
-            c2=report.c2,
-            ck=ck.values[-1],
-            descent_ok=report.satisfied,
-            hypothesis_met=report.hypothesis_met,
-            stationarity_residual=diagnostics.stationarity_residual(new, data, arch.risk),
-            train_acc=objective.accuracy(logits, data.y),
-            test_acc=(
-                objective.accuracy(
-                    objective.forward_logits(new.W, new.b, eval_data.x, arch.activation),
-                    eval_data.y,
-                )
-                if eval_data is not None
-                else float("nan")
-            ),
-            step_stats=steps,
-            max_cert_violation=max(bviol, fviol),
-            fista_converged=bfista and ffista,
-            wall_time=time.perf_counter() - t0,
-        )
-        traces.append(trace)
-        if trace_sink is not None:
-            trace_sink(trace)
-        if not np.isfinite(lagr_new):
-            raise DivergenceError(
-                f"non-finite Lagrangian at iteration {it}", traces=traces
+            ck.update(moves)
+            steps = {**bsteps, **fsteps}
+            report = diagnostics.check_sufficient_descent(
+                lagr_prev, lagr_new, moves, steps, arch.risk, cfg.rho, cfg.nu, it
             )
-        state = new
-        if cfg.early_stop:
-            drop = lagr_prev - lagr_new
-            if trace.residual_l2 < cfg.early_stop_residual and drop < cfg.early_stop_drop:
-                quiet_iters += 1
-                if quiet_iters >= cfg.early_stop_patience:
-                    return TrainResult(state=state, traces=traces, converged_early=True)
-            else:
-                quiet_iters = 0
+            logits = objective.forward_logits(state.W, state.b, data.x, arch.activation)
+            trace = IterationTrace(
+                iter=it,
+                objective_F=objective_F,
+                lagrangian=lagr_new,
+                residual_l2=float(np.sqrt(l2sq(r))),
+                descent_lhs=report.lhs,
+                block_move_sq_sum=moves,
+                c2=report.c2,
+                ck=ck.values[-1],
+                descent_ok=report.satisfied,
+                hypothesis_met=report.hypothesis_met,
+                stationarity_residual=diagnostics.stationarity_residual(state, data, arch.risk),
+                train_acc=objective.accuracy(logits, data.y),
+                test_acc=(
+                    objective.accuracy(
+                        objective.forward_logits(state.W, state.b, eval_data.x, arch.activation),
+                        eval_data.y,
+                    )
+                    if eval_data is not None
+                    else float("nan")
+                ),
+                step_stats=steps,
+                max_cert_violation=max(bviol, fviol),
+                fista_converged=bfista and ffista,
+                wall_time=time.perf_counter() - t0,
+            )
+            traces.append(trace)
+            if trace_sink is not None:
+                trace_sink(trace)
+            if not np.isfinite(lagr_new):
+                raise DivergenceError(
+                    f"non-finite Lagrangian at iteration {it}", traces=traces
+                )
+            lagr_prev = lagr_new
+    except BacktrackError as exc:
+        exc.traces = traces
+        raise
     return TrainResult(state=state, traces=traces)

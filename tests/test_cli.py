@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-import admmnet.objective as objective
-from admmnet.cli import CSV_HEADER, main
+import admmnet.cli as cli
+import admmnet.gcn as gcn
+import admmnet.training as training
+from admmnet.cli import CSV_HEADER, main, selfcheck
 from admmnet.data_io import write_idx_images, write_idx_labels
+from admmnet.errors import BacktrackError
 from admmnet.linalg import Rng
 from admmnet.synth import make_image_classes
 
@@ -114,11 +117,7 @@ def test_selfcheck_quick_passes():
 
 
 def test_selfcheck_detects_injected_gradient_bug():
-    objective.GRADIENT_BUG = 0.05
-    try:
-        assert main(["selfcheck", "--quick"]) == 3
-    finally:
-        objective.GRADIENT_BUG = 0.0
+    assert selfcheck(quick=True, gradient_perturbation=0.05) == 3
 
 
 def test_divergence_exit_code(image_dir, tmp_path, monkeypatch):
@@ -132,3 +131,46 @@ def test_divergence_exit_code(image_dir, tmp_path, monkeypatch):
     out = tmp_path / "div.csv"
     assert run_train(image_dir, out) == 2
     assert out.read_text().startswith(CSV_HEADER)
+
+
+def _fail_after(real, calls):
+    """``real``, raising BacktrackError from call ``calls + 1`` on."""
+    seen = [0]
+
+    def wrapped(*args, **kwargs):
+        seen[0] += 1
+        if seen[0] > calls:
+            raise BacktrackError("no certified step")
+        return real(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("path", ["admm", "baseline", "gcn"])
+def test_backtrack_failure_exit_code(path, image_dir, tmp_path, monkeypatch):
+    # both trainers make six step searches per iteration at these sizes, so
+    # the 13th fails in epoch 3 and two completed epochs are written
+    out = tmp_path / "bt.csv"
+    if path == "admm":
+        monkeypatch.setattr(training, "backtrack_quadratic",
+                            _fail_after(training.backtrack_quadratic, 12))
+        code, rows = run_train(image_dir, out), 2
+    elif path == "baseline":
+        def boom(*a, **k):
+            raise BacktrackError("no certified step", traces=[])
+
+        monkeypatch.setattr(cli, "run_baseline", boom)
+        code, rows = run_train(image_dir, out, extra=("--optimizer", "adam")), 0
+    else:
+        gdir = tmp_path / "graph"
+        assert main(["make-data", "graph", "--n", "40", "--seed", "0",
+                     "--out", str(gdir)]) == 0
+        monkeypatch.setattr(gcn, "backtrack_quadratic",
+                            _fail_after(gcn.backtrack_quadratic, 12))
+        code = main(["train", "gcn", "--data", str(gdir), "--layers", "8",
+                     "--epochs", "5", "--out", str(out)])
+        rows = 2
+    assert code == 2
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + rows

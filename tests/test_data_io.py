@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from admmnet.cli import main as cli_main
 from admmnet.data_io import (
     load_graph,
     read_idx_images,
@@ -135,6 +136,27 @@ class TestLoadGraph:
         )
         with pytest.raises(DataError, match="self-loop"):
             load_graph(str(tmp_path))
+
+    @pytest.mark.parametrize("name, text, error", [
+        ("labels.csv", "0,0\n3\n", FormatError),  # row without a comma
+        ("labels.csv", "0,0\n1,x\n", FormatError),  # class not an integer
+        ("labels.csv", "0,0\n1,-1\n", DataError),  # negative class
+        ("labels.csv", "", DataError),  # no labeled node
+        ("masks.csv", "0,train\n1\n", FormatError),
+        ("edges.tsv", "0\tb\n", FormatError),
+        ("features.csv", "1.0\nx\n", FormatError),
+    ])
+    def test_malformed_row_is_typed(self, tmp_path, name, text, error):
+        write_graph_bundle(
+            tmp_path, edges=[(0, 1)], features=[[1.0], [2.0], [3.0], [4.0]],
+            labels=[(0, 0), (1, 1)], masks=[(0, "train"), (1, "test")],
+        )
+        (tmp_path / name).write_text(text)
+        with pytest.raises(error):
+            load_graph(str(tmp_path))
+        code = cli_main(["train", "gcn", "--data", str(tmp_path), "--epochs", "1",
+                         "--out", str(tmp_path / "run.csv")])
+        assert code == 1
 
 
 class TestSubsample:

@@ -6,8 +6,10 @@ import admmnet.training as training
 from admmnet.errors import DivergenceError
 from admmnet.linalg import Rng, l2sq
 from admmnet.objective import (
+    NO_REG,
     Dataset,
     MlpArchitecture,
+    Regularizer,
     forward_init,
     forward_logits,
     lagrangian,
@@ -144,14 +146,13 @@ def test_index_discipline_backward_sweep(monkeypatch):
     orig_W = [w.copy() for w in state.W]
 
     seen = {}
-    real = objective.grad_phi_block
+    real = training._grad_a
 
-    def spy(st, dat, block, layer, activation=arch.activation):
-        if block == "a":
-            seen[layer] = [w.copy() for w in st.W]
-        return real(st, dat, block, layer, activation)
+    def spy(st, P, layer, fz):
+        seen[layer] = [w.copy() for w in st.W]
+        return real(st, P, layer, fz)
 
-    monkeypatch.setattr(training.objective, "grad_phi_block", spy)
+    monkeypatch.setattr(training, "_grad_a", spy)
     backward_sweep(state, data, arch, StepSeeds(), cfg)
 
     # backward order is l = L-1 .. 0; at the a-update of hidden layer 1 the
@@ -162,6 +163,40 @@ def test_index_discipline_backward_sweep(monkeypatch):
     assert np.array_equal(seen[1][1], orig_W[1])
     # at layer 0's a-update, layer 1's W-bar must also be in place
     assert not np.array_equal(seen[0][1], orig_W[1])
+
+
+@pytest.mark.parametrize("reg", [NO_REG, Regularizer("l2", 1e-3)], ids=["affine", "prox"])
+def test_cached_products_match_fresh(reg, monkeypatch):
+    """train() reads residuals from cached products W_l a_{l-1}; its traced
+    Lagrangian and objective_F must agree with fresh evaluations at every
+    iteration, and the cache must end equal to the fresh products."""
+    data = make_separable(50, rng=Rng(3))
+    arch = MlpArchitecture(layer_dims=(4, 8, 2), regularizer=reg)
+    cfg = TrainConfig(rho=1.0, nu=1.0, epochs=200, seed=0)
+    seen = {}
+    real = training.forward_sweep
+
+    def spy(barred, dat, arc, seeds, cf, P):
+        out = real(barred, dat, arc, seeds, cf, P)
+        seen["state"], seen["P"] = out[0], P
+        return out
+
+    def check(trace):
+        state = seen["state"]  # its dual is updated before the trace is made
+        assert trace.lagrangian == pytest.approx(lagrangian(state, data, arch), rel=1e-10)
+        assert trace.objective_F == pytest.approx(
+            objective.objective_F(state, data, arch), rel=1e-10
+        )
+        seen["checked"] = seen.get("checked", 0) + 1
+
+    monkeypatch.setattr(training, "forward_sweep", spy)
+    result = train(arch, data, cfg, trace_sink=check)
+    assert seen["checked"] == cfg.epochs
+    state = result.state
+    assert state is seen["state"]
+    for l, cached in enumerate(seen["P"]):
+        fresh = state.W[l] @ (data.x if l == 0 else state.a[l - 1])
+        assert np.max(np.abs(cached - fresh)) <= 1e-10 * max(1.0, np.max(np.abs(fresh)))
 
 
 def test_divergence_abort_keeps_traces():
