@@ -31,17 +31,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_rows(path: str, rows: list, timing: bool) -> None:
+def _csv_row(trace, timing: bool) -> str:
+    """One CSV line of an MLP, GCN or baseline trace.  A column whose field
+    the trace does not have is left empty."""
+
+    def field(*names):
+        return next((getattr(trace, n) for n in names if hasattr(trace, n)), None)
+
+    def num(value):
+        return "" if value is None else repr(float(value))
+
+    ok = field("descent_ok")
+    return ",".join([
+        str(trace.iter),
+        num(field("objective_F", "risk", "loss")),
+        num(field("lagrangian")),
+        num(field("residual_l2", "residual_fro")),
+        num(trace.train_acc),
+        num(trace.test_acc),
+        "" if ok is None else str(int(ok)),
+        num(field("ck")),
+        num(trace.wall_time if timing else 0.0),
+    ])
+
+
+def _write_csv(path: str, traces: list, timing: bool) -> None:
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            wt = r["wall_time"] if timing else 0.0
-            fh.write(
-                f"{r['iter']},{repr(float(r['objective']))},{repr(float(r['lagrangian']))},"
-                f"{repr(float(r['residual_l2']))},{repr(float(r['train_acc']))},"
-                f"{repr(float(r['test_acc']))},{int(r['descent_ok'])},"
-                f"{repr(float(r['ck']))},{repr(float(wt))}\n"
-            )
+        for t in traces:
+            fh.write(_csv_row(t, timing) + "\n")
 
 
 def _load_config_defaults(path: str) -> dict:
@@ -90,24 +108,25 @@ def _cmd_train(args) -> int:
         if args.subsample:
             train_data = subsample(train_data, args.subsample, Rng(args.seed))
         dims = _parse_layers(args.layers)
-        arch = MlpArchitecture(
-            layer_dims=dims,
-            regularizer=Regularizer("l2", args.lam) if args.lam else NO_REG,
-        )
-
-        if args.optimizer == "admm":
-            cfg = TrainConfig(rho=args.rho, nu=args.nu, epochs=args.epochs, seed=args.seed)
-            run = lambda: train(arch, train_data, cfg, eval_data=test_data).traces
-            dump = _dump_mlp_traces
-        else:
-            bcfg = BaselineConfig(
-                optimizer=args.optimizer,
-                learning_rate=args.lr,
-                epochs=args.epochs,
-                seed=args.seed,
+        try:
+            arch = MlpArchitecture(
+                layer_dims=dims,
+                regularizer=Regularizer("l2", args.lam) if args.lam else NO_REG,
             )
-            run = lambda: run_baseline(bcfg, arch, train_data, eval_data=test_data)[1]
-            dump = _dump_baseline_traces
+            if dims[0] != train_data.x.shape[0] or dims[-1] != train_data.y.shape[0]:
+                raise ValueError(
+                    f"--layers {args.layers} does not fit the data: it has "
+                    f"{train_data.x.shape[0]} inputs and {train_data.y.shape[0]} classes"
+                )
+            if args.optimizer == "admm":
+                cfg = TrainConfig(rho=args.rho, nu=args.nu, epochs=args.epochs, seed=args.seed)
+                run = lambda: train(arch, train_data, cfg, eval_data=test_data).traces
+            else:
+                bcfg = BaselineConfig(optimizer=args.optimizer, learning_rate=args.lr,
+                                      epochs=args.epochs, seed=args.seed)
+                run = lambda: run_baseline(bcfg, arch, train_data, eval_data=test_data)[1]
+        except ValueError as exc:
+            return _usage_error(str(exc))
 
     else:  # gcn
         from .data_io import load_graph
@@ -117,51 +136,23 @@ def _cmd_train(args) -> int:
         except (FormatError, DataError, OSError) as exc:
             return _usage_error(str(exc))
         hidden = _parse_layers(args.layers) if args.layers else (32,)
-        cfg = GcnConfig(hidden_dims=hidden, rho=args.rho, mu=args.mu,
-                        epochs=args.epochs, seed=args.seed)
+        try:
+            cfg = GcnConfig(hidden_dims=hidden, rho=args.rho, mu=args.mu,
+                            epochs=args.epochs, seed=args.seed)
+        except ValueError as exc:
+            return _usage_error(str(exc))
         run = lambda: gcn_train(graph, cfg)[1]
-        dump = _dump_gcn_traces
 
-    rows = []
     try:
         traces = run()
     except TrainingAborted as exc:
         # the iterations completed before the abort are still written
-        dump(exc.traces, rows)
-        _write_rows(args.out, rows, args.timing)
+        _write_csv(args.out, exc.traces, args.timing)
         what = "divergence" if isinstance(exc, DivergenceError) else "step search failed"
         sys.stderr.write(f"{what}: {exc}\n")
         return 2
-    dump(traces, rows)
-    _write_rows(args.out, rows, args.timing)
+    _write_csv(args.out, traces, args.timing)
     return 0
-
-
-def _dump_mlp_traces(traces, rows):
-    for t in traces:
-        rows.append(dict(
-            iter=t.iter, objective=t.objective_F, lagrangian=t.lagrangian,
-            residual_l2=t.residual_l2, train_acc=t.train_acc, test_acc=t.test_acc,
-            descent_ok=t.descent_ok, ck=t.ck, wall_time=t.wall_time,
-        ))
-
-
-def _dump_baseline_traces(traces, rows):
-    for t in traces:
-        rows.append(dict(
-            iter=t.iter, objective=t.loss, lagrangian=t.loss, residual_l2=0.0,
-            train_acc=t.train_acc, test_acc=t.test_acc, descent_ok=True,
-            ck=0.0, wall_time=t.wall_time,
-        ))
-
-
-def _dump_gcn_traces(traces, rows):
-    for t in traces:
-        rows.append(dict(
-            iter=t.iter, objective=t.risk, lagrangian=t.lagrangian,
-            residual_l2=t.residual_fro, train_acc=t.train_acc, test_acc=t.test_acc,
-            descent_ok=True, ck=t.ck, wall_time=t.wall_time,
-        ))
 
 
 def _cmd_make_data(args) -> int:
@@ -268,29 +259,41 @@ def selfcheck(quick: bool = False, gradient_perturbation: float = 0.0) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+def build_parser(train_defaults: dict = None) -> _Parser:
+    """``train_defaults`` maps ``train`` destinations to values from a
+    config file.  They replace the built-in defaults, so flags on the
+    command line still win, and argparse converts string values with each
+    argument's ``type``.  A key that names no ``train`` argument raises
+    ``FormatError``."""
     p = _Parser(prog="admmnet")
     sub = p.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("train", help="train a model and write a metrics CSV")
-    tr.add_argument("model", choices=["mlp", "gcn"])
-    tr.add_argument("--data", default=None, help="dataset directory")
-    tr.add_argument("--layers", default="", help="mlp: full dims; gcn: hidden dims")
-    tr.add_argument("--optimizer", default="admm",
-                    choices=["admm", "gd", "adagrad", "adadelta", "adam"])
-    tr.add_argument("--rho", type=float, default=1.0)
-    tr.add_argument("--nu", type=float, default=1e-6)
-    tr.add_argument("--mu", type=float, default=1.0)
-    tr.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
-    tr.add_argument("--lr", type=float, default=1e-3, help="baseline learning rate")
-    tr.add_argument("--epochs", type=int, default=200)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--subsample", type=int, default=0)
-    tr.add_argument("--out", default=None, help="output CSV path")
-    tr.add_argument("--timing", action="store_true",
-                    help="record wall-clock times (off by default so CSVs are reproducible)")
-    tr.add_argument("--config", default=None, help="key=value defaults file")
+    train_args = [
+        tr.add_argument("model", choices=["mlp", "gcn"]),
+        tr.add_argument("--data", default=None, help="dataset directory"),
+        tr.add_argument("--layers", default="", help="mlp: full dims; gcn: hidden dims"),
+        tr.add_argument("--optimizer", default="admm",
+                        choices=["admm", "gd", "adagrad", "adadelta", "adam"]),
+        tr.add_argument("--rho", type=float, default=1.0),
+        tr.add_argument("--nu", type=float, default=1e-6),
+        tr.add_argument("--mu", type=float, default=1.0),
+        tr.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0),
+        tr.add_argument("--lr", type=float, default=1e-3, help="baseline learning rate"),
+        tr.add_argument("--epochs", type=int, default=200),
+        tr.add_argument("--seed", type=int, default=0),
+        tr.add_argument("--subsample", type=int, default=0),
+        tr.add_argument("--out", default=None, help="output CSV path"),
+        tr.add_argument("--timing", action="store_true",
+                        help="record wall-clock times (off by default so CSVs are reproducible)"),
+        tr.add_argument("--config", default=None, help="key=value defaults file"),
+    ]
     tr.set_defaults(func=_cmd_train)
+    if train_defaults:
+        unknown = sorted(set(train_defaults) - {a.dest for a in train_args})
+        if unknown:
+            raise FormatError(f"unknown config key {unknown[0]!r}")
+        tr.set_defaults(**train_defaults)
 
     mk = sub.add_parser("make-data", help="generate a synthetic dataset on disk")
     mk.add_argument("kind", choices=["images", "graph"])
@@ -306,34 +309,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # a --config file supplies defaults; explicit flags still win
-    if "--config" in argv:
-        path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) else None
-        if path is None:
-            return _usage_error("--config requires a path")
-        try:
-            raw = _load_config_defaults(path)
-        except (FormatError, OSError) as exc:
-            return _usage_error(str(exc))
-        defaults = {}
-        for k, v in raw.items():
-            if k in ("timing",):
-                defaults[k] = v.lower() in ("1", "true", "yes")
-            elif k in ("rho", "nu", "mu", "lam", "lr"):
-                defaults[k] = float(v)
-            elif k in ("epochs", "seed", "subsample"):
-                defaults[k] = int(v)
-            elif k in ("data", "layers", "optimizer", "out", "model"):
-                defaults[k] = v
-            else:
-                return _usage_error(f"unknown config key {k!r}")
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**{k: v for k, v in defaults.items()
-                               if any(a.dest == k for a in sp._actions)})
+    # the config file is read first, since its values become parser defaults
+    config = _Parser(prog="admmnet train", add_help=False)
+    config.add_argument("--config")
     try:
-        args = parser.parse_args(argv)
+        path = config.parse_known_args(argv)[0].config
+        defaults = _load_config_defaults(path) if path else {}
+        if "timing" in defaults:  # a flag, so argparse has no type to convert it with
+            defaults["timing"] = defaults["timing"].lower() in ("1", "true", "yes")
+        args = build_parser(defaults).parse_args(argv)
+    except (FormatError, OSError) as exc:
+        return _usage_error(str(exc))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

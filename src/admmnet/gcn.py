@@ -2,21 +2,21 @@
 
 Nodes sit in rows (N x C matrices), matching the propagation rule
 Z_l = f(A_norm Z_{l-1} W_l).  The risk is the masked mean cross-entropy
-over training nodes.
+over training nodes.  ``gcn_train`` runs ``gcn_iteration`` under the
+certified driver of ``training``, with mu in the role of the MLP's nu.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import RELU, Activation
-from .diagnostics import CkSeries
-from .errors import BacktrackError, DivergenceError, ShapeError
+from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq
 from .objective import _log_softmax
-from .solvers import StepSeeds, backtrack_quadratic, fista_minimize
+from .solvers import FISTA_MAX_ITER, FISTA_TOL, StepSeeds, backtrack_quadratic, fista_minimize
+from .training import CertifiedTrace, run_certified
 
 
 @dataclass
@@ -76,29 +76,20 @@ class GcnConfig:
     epochs: int
     seed: int = 0
     activation: Activation = RELU
-    growth: float = 2.0
-    fista_tol: float = 1e-8
-    fista_max_iter: int = 100
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.rho <= 0 or self.mu <= 0:
             raise ValueError("rho and mu must be positive")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError("hidden widths must be >= 1")
 
 
 @dataclass
-class GcnTrace:
-    iter: int
-    lagrangian: float
+class GcnTrace(CertifiedTrace):
     risk: float
     residual_fro: float
-    ck: float
-    train_acc: float
-    test_acc: float
-    step_stats: dict
-    max_cert_violation: float
-    wall_time: float
 
 
 def normalize_adjacency(graph: Graph) -> Matrix:
@@ -196,7 +187,7 @@ def grad_psi_block(
 # Block updates
 # ---------------------------------------------------------------------------
 
-def _update_W_gcn(work, graph, activation, layer, seeds, key, growth):
+def _update_W_gcn(work, graph, activation, layer, seeds, key):
     last = work.n_layers - 1
     anchor = work.W[layer]
     grad = grad_psi_block(work, graph, "W", layer, activation)
@@ -211,13 +202,13 @@ def _update_W_gcn(work, graph, activation, layer, seeds, key, growth):
             return float(np.vdot(work.U, eps)) + 0.5 * work.rho * l2sq(eps)
         return 0.5 * work.mu * l2sq(work.Z[layer] - activation.value(m))
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), growth)
-    seeds.update(key, res.step, growth)
+    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
+    seeds.update(key, res.step)
     work.W[layer] = res.candidate
     return res
 
 
-def _update_Z_hidden(work, graph, activation, layer, seeds, key, growth):
+def _update_Z_hidden(work, graph, activation, layer, seeds, key):
     last = work.n_layers - 1
     anchor = work.Z[layer]
     grad = grad_psi_block(work, graph, "Z", layer, activation)
@@ -234,13 +225,13 @@ def _update_Z_hidden(work, graph, activation, layer, seeds, key, growth):
             return own + float(np.vdot(work.U, eps)) + 0.5 * work.rho * l2sq(eps)
         return own + 0.5 * work.mu * l2sq(work.Z[nxt] - activation.value(m))
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), growth)
-    seeds.update(key, res.step, growth)
+    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
+    seeds.update(key, res.step)
     work.Z[layer] = res.candidate
     return res
 
 
-def _update_Z_last(work, graph, cfg) -> bool:
+def _update_Z_last(work, graph) -> bool:
     last = work.n_layers - 1
     w_aff = propagated(work, graph, last)
 
@@ -260,45 +251,52 @@ def _update_Z_last(work, graph, cfg) -> bool:
         )
 
     step = 1.0 / (1.0 + work.rho)
-    res = fista_minimize(grad_fn, obj_fn, work.Z[last], step, cfg.fista_tol, cfg.fista_max_iter)
+    res = fista_minimize(grad_fn, obj_fn, work.Z[last], step, FISTA_TOL, FISTA_MAX_ITER)
     work.Z[last] = res.z
     return res.converged
 
 
 def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeeds):
     """One backward + forward + dual iteration.  Returns the new state plus
-    (barred state, step stats, max certificate violation, residual)."""
+    (step stats, max certificate violation, residual, squared block moves,
+    both output solves converged)."""
     act = cfg.activation
     last = state.n_layers - 1
-    steps, worst = {}, 0.0
+    steps, worst, fista_ok = {}, 0.0, True
 
     work = state.copy()
     for layer in range(last, -1, -1):
         if layer == last:
-            _update_Z_last(work, graph, cfg)
+            fista_ok = _update_Z_last(work, graph)
         else:
-            res = _update_Z_hidden(work, graph, act, layer, seeds, ("Z_bar", layer), cfg.growth)
+            res = _update_Z_hidden(work, graph, act, layer, seeds, ("Z_bar", layer))
             steps[("Z_bar", layer)] = res.step
             worst = max(worst, res.violation)
-        res = _update_W_gcn(work, graph, act, layer, seeds, ("W_bar", layer), cfg.growth)
+        res = _update_W_gcn(work, graph, act, layer, seeds, ("W_bar", layer))
         steps[("W_bar", layer)] = res.step
         worst = max(worst, res.violation)
     barred = work.copy()
 
     for layer in range(last + 1):
-        res = _update_W_gcn(work, graph, act, layer, seeds, ("W", layer), cfg.growth)
+        res = _update_W_gcn(work, graph, act, layer, seeds, ("W", layer))
         steps[("W", layer)] = res.step
         worst = max(worst, res.violation)
         if layer < last:
-            res = _update_Z_hidden(work, graph, act, layer, seeds, ("Z", layer), cfg.growth)
+            res = _update_Z_hidden(work, graph, act, layer, seeds, ("Z", layer))
             steps[("Z", layer)] = res.step
             worst = max(worst, res.violation)
         else:
-            _update_Z_last(work, graph, cfg)
+            fista_ok &= _update_Z_last(work, graph)
 
     eps = work.Z[last] - propagated(work, graph, last)
     work.U = work.U + work.rho * eps
-    return work, barred, steps, worst, eps
+
+    moves = 0.0
+    for l in range(last + 1):
+        moves += l2sq(barred.W[l] - state.W[l]) + l2sq(work.W[l] - barred.W[l])
+    for l in range(last + 1):  # hidden Z blocks, then the output block
+        moves += l2sq(barred.Z[l] - state.Z[l]) + l2sq(work.Z[l] - barred.Z[l])
+    return work, steps, worst, eps, moves, fista_ok
 
 
 def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
@@ -328,43 +326,25 @@ def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray) -> float:
 
 def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
-    rng = Rng(cfg.seed)
-    state = gcn_forward_init(graph, dims, cfg.activation, rng, cfg.rho, cfg.mu)
-    seeds = StepSeeds()
-    traces = []
-    ck = CkSeries()
-    t0 = time.perf_counter()
-    for it in range(1, cfg.epochs + 1):
-        prev = state
-        try:
-            new, barred, steps, worst, eps = gcn_iteration(prev, graph, cfg, seeds)
-        except BacktrackError as exc:
-            exc.traces = traces
-            raise
-        moves = 0.0
-        for l in range(prev.n_layers):
-            moves += l2sq(barred.W[l] - prev.W[l]) + l2sq(new.W[l] - barred.W[l])
-        for l in range(prev.n_layers - 1):
-            moves += l2sq(barred.Z[l] - prev.Z[l]) + l2sq(new.Z[l] - barred.Z[l])
-        moves += l2sq(barred.Z[-1] - prev.Z[-1]) + l2sq(new.Z[-1] - barred.Z[-1])
-        ck.update(moves)
-        lagr = lagrangian(new, graph, cfg.activation)
-        trace = GcnTrace(
-            iter=it,
-            lagrangian=lagr,
-            risk=masked_risk(new.Z[-1], graph.labels, graph.train_mask),
+    state = gcn_forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
+
+    def iterate(seeds: StepSeeds):
+        nonlocal state
+        state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds)
+        z_last = state.Z[-1]
+        return lagrangian(state, graph, cfg.activation), moves, dict(
+            risk=masked_risk(z_last, graph.labels, graph.train_mask),
             residual_fro=float(np.sqrt(l2sq(eps))),
-            ck=ck.values[-1],
-            train_acc=gcn_accuracy(new, graph, graph.train_mask),
-            test_acc=gcn_accuracy(new, graph, graph.test_mask),
+            stationarity_residual=float(np.max(np.abs(
+                masked_risk_grad(z_last, graph.labels, graph.train_mask) + state.U
+            ))),
+            train_acc=gcn_accuracy(state, graph, graph.train_mask),
+            test_acc=gcn_accuracy(state, graph, graph.test_mask),
             step_stats=steps,
             max_cert_violation=worst,
-            wall_time=time.perf_counter() - t0,
+            fista_converged=fista_ok,
         )
-        traces.append(trace)
-        if trace_sink is not None:
-            trace_sink(trace)
-        if not np.isfinite(lagr):
-            raise DivergenceError(f"non-finite Lagrangian at iteration {it}", traces=traces)
-        state = new
+
+    traces = run_certified(cfg.epochs, lagrangian(state, graph, cfg.activation), iterate,
+                           GcnTrace, ("cross_entropy", cfg.rho, cfg.mu), trace_sink)
     return state, traces

@@ -4,63 +4,14 @@ Vectors are stored as n x 1 column matrices throughout the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ShapeError
-
 Matrix = np.ndarray
-
-
-def as_matrix(a) -> Matrix:
-    """Coerce to a 2-D float64 array; 1-D input becomes a column vector."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[:, None]
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got ndim={m.ndim}")
-    return m
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
-    return a * b
-
-
-def hadamard_power(a: Matrix, p: float) -> Matrix:
-    return a**p
-
-
-@dataclass(frozen=True)
-class Norms:
-    l1: float
-    l2sq: float
-    frob: float
-    linf: float
 
 
 def l2sq(a: Matrix) -> float:
     """Squared Euclidean norm of the flattened entries."""
     return float(np.vdot(a, a))
-
-
-def norms(a: Matrix) -> Norms:
-    flat = np.ravel(a)
-    sq = float(np.vdot(flat, flat))
-    return Norms(
-        l1=float(np.sum(np.abs(flat))),
-        l2sq=sq,
-        frob=float(np.sqrt(sq)),
-        linf=float(np.max(np.abs(flat))) if flat.size else 0.0,
-    )
 
 
 class Rng:

@@ -19,6 +19,11 @@ DEFAULT_GROWTH = 2.0
 DEFAULT_MAX_TRIALS = 60
 SEED_FLOOR = 1e-8
 
+# Output-layer solves stop once the gradient's infinity norm is at most
+# FISTA_TOL; a solve that reaches FISTA_MAX_ITER first is flagged unconverged.
+FISTA_TOL = 1e-8
+FISTA_MAX_ITER = 100
+
 
 @dataclass
 class BacktrackResult:
@@ -191,8 +196,6 @@ def solve_z_last(
     y: Matrix,
     kind: str,
     anchor: Matrix,
-    tol: float = 1e-8,
-    max_iter: int = 100,
     force_fista: bool = False,
 ) -> FistaResult:
     """Minimize R(z; y) + <u, z - w_aff> + (rho/2)||z - w_aff||^2.
@@ -211,4 +214,4 @@ def solve_z_last(
         return risk(z, y, kind) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
 
     step = 1.0 / (RISK_LIPSCHITZ + rho)
-    return fista_minimize(grad_fn, obj_fn, anchor, step, tol, max_iter)
+    return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)

@@ -1,6 +1,19 @@
-"""Backward-then-forward ADMM training loop for MLPs.
+"""Backward-then-forward ADMM training: the certified iteration driver and
+the MLP model.
 
-One iteration runs a backward sweep (layer L-1 down to 0, block order
+The driver, ``run_certified``, is the loop both models share.  It owns the
+step seeds, rejects a non-finite Lagrangian before iteration 1, and after
+each iteration checks the sufficient-descent bound against the previous
+Lagrangian, extends the running minimum c_k of the squared block moves,
+assembles the trace, hands it to the sink and stops on a non-finite
+Lagrangian.  On any abort the traces of the completed iterations are
+attached to the ``TrainingAborted`` it raises.  A model supplies its
+initial Lagrangian, its risk kind and penalties for the descent constants,
+its trace type, and one iteration returning the new Lagrangian, the squared
+block moves and its own trace fields: ``train`` below (backward sweep,
+forward sweep, dual update), ``gcn.gcn_train`` (``gcn.gcn_iteration``).
+
+MLP iteration.  A backward sweep (layer L-1 down to 0, block order
 a -> z -> b -> W), a forward sweep (0 up to L-1, order W -> b -> z -> a),
 then the residual and dual update.  Each sweep works on a copy of the
 state's block lists and every block update rebinds one entry, so arrays are
@@ -36,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics, objective
-from .errors import BacktrackError, DivergenceError
+from .errors import DivergenceError, TrainingAborted
 from .linalg import Matrix, Rng, l2sq
 from .objective import Dataset, MlpArchitecture, MlpState, _a_prev
 from .solvers import (
@@ -56,9 +69,6 @@ class TrainConfig:
     nu: float
     epochs: int
     seed: int = 0
-    growth: float = 2.0
-    fista_tol: float = 1e-8
-    fista_max_iter: int = 100
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -68,18 +78,18 @@ class TrainConfig:
 
 
 @dataclass
-class IterationTrace:
+class CertifiedTrace:
+    """The trace fields of one iteration that both models report."""
+
     iter: int
-    objective_F: float
     lagrangian: float
-    residual_l2: float
     descent_lhs: float
     block_move_sq_sum: float
     c2: float
     ck: float
     descent_ok: bool
     hypothesis_met: bool
-    stationarity_residual: float
+    stationarity_residual: float  # ||grad R(z_L) + u||_inf after the dual step
     train_acc: float
     test_acc: float
     step_stats: dict
@@ -89,9 +99,64 @@ class IterationTrace:
 
 
 @dataclass
+class IterationTrace(CertifiedTrace):
+    objective_F: float
+    residual_l2: float
+
+
+@dataclass
 class TrainResult:
     state: MlpState
     traces: list
+
+
+def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple,
+                  trace_sink=None) -> list:
+    """Runs ``epochs`` iterations of one model and returns their traces.
+
+    ``iterate(seeds)`` advances the model by one iteration and returns
+    (Lagrangian after it, squared block moves, trace fields), where the
+    fields are those of ``trace_type``, a ``CertifiedTrace`` subclass, that
+    this driver does not fill.  ``lagr0`` is the Lagrangian entering
+    iteration 1 and ``descent`` the (risk kind, rho, penalty) of the
+    sufficient-descent constants.
+    """
+    traces = []
+    try:
+        if not np.isfinite(lagr0):
+            raise DivergenceError("non-finite Lagrangian entering iteration 1")
+        seeds = StepSeeds()
+        ck = diagnostics.CkSeries()
+        t0 = time.perf_counter()
+        lagr_prev = lagr0
+        for it in range(1, epochs + 1):
+            lagr_new, moves, fields = iterate(seeds)
+            ck.update(moves)
+            report = diagnostics.check_sufficient_descent(
+                lagr_prev, lagr_new, moves, fields["step_stats"], *descent, it
+            )
+            trace = trace_type(
+                iter=it,
+                lagrangian=lagr_new,
+                descent_lhs=report.lhs,
+                block_move_sq_sum=moves,
+                c2=report.c2,
+                ck=ck.values[-1],
+                descent_ok=report.satisfied,
+                hypothesis_met=report.hypothesis_met,
+                wall_time=time.perf_counter() - t0,
+                **fields,
+            )
+            traces.append(trace)
+            if trace_sink is not None:
+                trace_sink(trace)
+            if not np.isfinite(lagr_new):
+                raise DivergenceError(f"non-finite Lagrangian at iteration {it}")
+            lagr_prev = lagr_new
+    except TrainingAborted as exc:
+        exc.traces = traces
+        raise
+    return traces
 
 
 def dual_update(state: MlpState, r: Matrix) -> Matrix:
@@ -120,7 +185,7 @@ def _linear_term(lin: Matrix, nu: float, rho: float, u, is_last: bool) -> float:
 
 
 def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, layer: int,
-              seeds: StepSeeds, key, growth: float):
+              seeds: StepSeeds, key):
     a_prev = _a_prev(work, data, layer)
     anchor = work.W[layer]
     lin0, scaled = _residual(work, P, layer)
@@ -145,8 +210,8 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
 
         prox = None
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), growth, prox=prox)
-    seeds.update(key, res.step, growth)
+    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), prox=prox)
+    seeds.update(key, res.step)
     work.W[layer] = res.candidate
     if grad_a is None:
         P[layer] = res.candidate @ a_prev
@@ -163,7 +228,7 @@ def _grad_a(work: MlpState, P: list, layer: int, fz: Matrix):
 
 
 def _update_a(work: MlpState, P: list, arch: MlpArchitecture, layer: int,
-              seeds: StepSeeds, key, growth: float):
+              seeds: StepSeeds, key):
     nxt = layer + 1
     anchor = work.a[layer]
     fz = arch.activation.value(work.z[layer])
@@ -176,8 +241,8 @@ def _update_a(work: MlpState, P: list, arch: MlpArchitecture, layer: int,
         act = 0.5 * work.nu * l2sq(cand - fz)
         return act + _linear_term(lin, work.nu, work.rho, work.u, is_last)
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), growth)
-    seeds.update(key, res.step, growth)
+    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
+    seeds.update(key, res.step)
     work.a[layer] = res.candidate
     P[nxt] = P[nxt] - w_grad / res.step
     return res
@@ -202,12 +267,9 @@ def _update_z_hidden(work: MlpState, P: list, arch: MlpArchitecture, layer: int)
         work.z[layer] = solve_z_leaky_relu(m_in, work.a[layer], act.slope, half_nu, half_nu)
 
 
-def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, cfg) -> bool:
+def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture) -> bool:
     last = work.n_layers - 1
-    res = solve_z_last(
-        P[last] + work.b[last], work.u, work.rho, data.y, arch.risk, work.z[last],
-        tol=cfg.fista_tol, max_iter=cfg.fista_max_iter,
-    )
+    res = solve_z_last(P[last] + work.b[last], work.u, work.rho, data.y, arch.risk, work.z[last])
     work.z[last] = res.z
     return res.converged
 
@@ -227,14 +289,14 @@ def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
     steps, worst, fista_ok = {}, 0.0, True
     for layer in range(last, -1, -1):
         if layer == last:
-            fista_ok = _update_z_last(work, P, data, arch, cfg)
+            fista_ok = _update_z_last(work, P, data, arch)
         else:
-            res = _update_a(work, P, arch, layer, seeds, ("a_bar", layer), cfg.growth)
+            res = _update_a(work, P, arch, layer, seeds, ("a_bar", layer))
             steps[("a_bar", layer)] = res.step
             worst = max(worst, res.violation)
             _update_z_hidden(work, P, arch, layer)
         _update_b_block(work, P, data, layer)
-        res = _update_W(work, P, data, arch, layer, seeds, ("W_bar", layer), cfg.growth)
+        res = _update_W(work, P, data, arch, layer, seeds, ("W_bar", layer))
         steps[("W_bar", layer)] = res.step
         worst = max(worst, res.violation)
     return work, steps, worst, fista_ok
@@ -252,17 +314,17 @@ def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
     last = work.n_layers - 1
     steps, worst, fista_ok = {}, 0.0, True
     for layer in range(last + 1):
-        res = _update_W(work, P, data, arch, layer, seeds, ("W", layer), cfg.growth)
+        res = _update_W(work, P, data, arch, layer, seeds, ("W", layer))
         steps[("W", layer)] = res.step
         worst = max(worst, res.violation)
         _update_b_block(work, P, data, layer)
         if layer < last:
             _update_z_hidden(work, P, arch, layer)
-            res = _update_a(work, P, arch, layer, seeds, ("a", layer), cfg.growth)
+            res = _update_a(work, P, arch, layer, seeds, ("a", layer))
             steps[("a", layer)] = res.step
             worst = max(worst, res.violation)
         else:
-            fista_ok = _update_z_last(work, P, data, arch, cfg)
+            fista_ok = _update_z_last(work, P, data, arch)
     return work, steps, worst, fista_ok
 
 
@@ -302,72 +364,40 @@ def train(
     trace_sink=None,
     init_state: MlpState = None,
 ) -> TrainResult:
-    rng = Rng(cfg.seed)
     state = init_state if init_state is not None else objective.forward_init(
-        arch, data, rng, cfg.rho, cfg.nu
+        arch, data, Rng(cfg.seed), cfg.rho, cfg.nu
     )
     last = state.n_layers - 1
-    seeds = StepSeeds()
-    traces = []
-    ck = diagnostics.CkSeries()
-    t0 = time.perf_counter()
     P = products(state, data)
-    _, lagr_prev = _objective_and_lagrangian(state, data, arch, P, _residual(state, P, last)[0])
-    if not np.isfinite(lagr_prev):
-        raise DivergenceError("non-finite Lagrangian entering iteration 1", traces=traces)
-    try:
-        for it in range(1, cfg.epochs + 1):
-            barred, bsteps, bviol, bfista = backward_sweep(state, data, arch, seeds, cfg, P)
-            moves = _move_sq_sum(state, barred)
-            del state  # the forward half needs only the barred blocks
-            state, fsteps, fviol, ffista = forward_sweep(barred, data, arch, seeds, cfg, P)
-            moves += _move_sq_sum(barred, state)
-            del barred
-            r = _residual(state, P, last)[0]
-            state.u = dual_update(state, r)
-            objective_F, lagr_new = _objective_and_lagrangian(state, data, arch, P, r)
+    _, lagr0 = _objective_and_lagrangian(state, data, arch, P, _residual(state, P, last)[0])
 
-            ck.update(moves)
-            steps = {**bsteps, **fsteps}
-            report = diagnostics.check_sufficient_descent(
-                lagr_prev, lagr_new, moves, steps, arch.risk, cfg.rho, cfg.nu, it
-            )
-            logits = objective.forward_logits(state.W, state.b, data.x, arch.activation)
-            trace = IterationTrace(
-                iter=it,
-                objective_F=objective_F,
-                lagrangian=lagr_new,
-                residual_l2=float(np.sqrt(l2sq(r))),
-                descent_lhs=report.lhs,
-                block_move_sq_sum=moves,
-                c2=report.c2,
-                ck=ck.values[-1],
-                descent_ok=report.satisfied,
-                hypothesis_met=report.hypothesis_met,
-                stationarity_residual=diagnostics.stationarity_residual(state, data, arch.risk),
-                train_acc=objective.accuracy(logits, data.y),
-                test_acc=(
-                    objective.accuracy(
-                        objective.forward_logits(state.W, state.b, eval_data.x, arch.activation),
-                        eval_data.y,
-                    )
-                    if eval_data is not None
-                    else float("nan")
-                ),
-                step_stats=steps,
-                max_cert_violation=max(bviol, fviol),
-                fista_converged=bfista and ffista,
-                wall_time=time.perf_counter() - t0,
-            )
-            traces.append(trace)
-            if trace_sink is not None:
-                trace_sink(trace)
-            if not np.isfinite(lagr_new):
-                raise DivergenceError(
-                    f"non-finite Lagrangian at iteration {it}", traces=traces
-                )
-            lagr_prev = lagr_new
-    except BacktrackError as exc:
-        exc.traces = traces
-        raise
+    def accuracy(d: Dataset) -> float:
+        return objective.accuracy(
+            objective.forward_logits(state.W, state.b, d.x, arch.activation), d.y
+        )
+
+    def iterate(seeds: StepSeeds):
+        nonlocal state
+        barred, bsteps, bviol, bfista = backward_sweep(state, data, arch, seeds, cfg, P)
+        moves = _move_sq_sum(state, barred)
+        del state  # the forward half needs only the barred blocks
+        state, fsteps, fviol, ffista = forward_sweep(barred, data, arch, seeds, cfg, P)
+        moves += _move_sq_sum(barred, state)
+        del barred
+        r = _residual(state, P, last)[0]
+        state.u = dual_update(state, r)
+        objective_F, lagr = _objective_and_lagrangian(state, data, arch, P, r)
+        return lagr, moves, dict(
+            objective_F=objective_F,
+            residual_l2=float(np.sqrt(l2sq(r))),
+            stationarity_residual=diagnostics.stationarity_residual(state, data, arch.risk),
+            train_acc=accuracy(data),
+            test_acc=accuracy(eval_data) if eval_data is not None else float("nan"),
+            step_stats={**bsteps, **fsteps},
+            max_cert_violation=max(bviol, fviol),
+            fista_converged=bfista and ffista,
+        )
+
+    traces = run_certified(cfg.epochs, lagr0, iterate, IterationTrace,
+                           (arch.risk, cfg.rho, cfg.nu), trace_sink)
     return TrainResult(state=state, traces=traces)

@@ -22,6 +22,13 @@ def image_dir(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def graph_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("graph") / "g"
+    assert main(["make-data", "graph", "--n", "40", "--seed", "0", "--out", str(d)]) == 0
+    return d
+
+
 def run_train(image_dir, out, extra=()):
     return main([
         "train", "mlp", "--data", str(image_dir), "--layers", "16,8,10",
@@ -174,3 +181,70 @@ def test_backtrack_failure_exit_code(path, image_dir, tmp_path, monkeypatch):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + rows
+
+
+def csv_rows(path):
+    return [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+
+
+def test_baseline_rows_leave_admm_columns_empty(image_dir, tmp_path):
+    out = tmp_path / "adam.csv"
+    assert run_train(image_dir, out, extra=("--optimizer", "adam")) == 0
+    col = CSV_HEADER.split(",").index
+    for row in csv_rows(out):
+        for name in ("lagrangian", "residual_l2", "descent_ok", "ck"):
+            assert row[col(name)] == "", name
+        assert row[col("objective")] != ""
+
+
+def test_gcn_descent_ok_column_matches_traces(graph_dir, tmp_path, monkeypatch):
+    seen = {}
+    real = cli.gcn_train
+
+    def spy(graph, cfg):
+        state, seen["traces"] = real(graph, cfg)
+        return state, seen["traces"]
+
+    monkeypatch.setattr(cli, "gcn_train", spy)
+    out = tmp_path / "gcn.csv"
+    assert main(["train", "gcn", "--data", str(graph_dir), "--layers", "8", "--rho", "4",
+                 "--epochs", "4", "--out", str(out)]) == 0
+    col = [row[CSV_HEADER.split(",").index("descent_ok")] for row in csv_rows(out)]
+    assert col == [str(int(t.descent_ok)) for t in seen["traces"]]
+    assert "0" in col  # iteration 1 misses the bound (see test_gcn), so nothing is invented
+
+
+def test_config_equals_form_is_read(image_dir, tmp_path):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"data={image_dir}\nlayers=16,8,10\nepochs=2\nout={tmp_path / 'eq.csv'}\n")
+    assert main(["train", "mlp", f"--config={cfgf}"]) == 0
+    assert len((tmp_path / "eq.csv").read_text().strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("line", ["epochs=abc", "rho=abc"])
+def test_config_value_of_wrong_type_usage_error(image_dir, tmp_path, line):
+    cfgf = tmp_path / "bad.cfg"
+    cfgf.write_text(f"data={image_dir}\nlayers=16,8,10\n{line}\nout={tmp_path / 'x.csv'}\n")
+    assert main(["train", "mlp", "--config", str(cfgf)]) == 1
+
+
+@pytest.mark.parametrize("model, flags", [
+    ("mlp", ["--rho", "0"]),
+    ("mlp", ["--nu", "0"]),
+    ("gcn", ["--mu", "-1"]),
+    ("mlp", ["--layers", "16,0,10"]),
+    ("mlp", ["--layers", "16,8"]),
+    ("mlp", ["--layers", "5,3,10"]),  # the images have 16 pixels
+    ("mlp", ["--layers", "16,8,3"]),  # the labels have 10 classes
+    ("gcn", ["--layers", "0"]),
+], ids=["rho", "nu", "mu", "zero-width", "one-layer", "inputs", "classes", "gcn-zero-width"])
+def test_invalid_train_arguments_usage_error(model, flags, image_dir, graph_dir, tmp_path, capsys):
+    data = image_dir if model == "mlp" else graph_dir
+    layers = ["--layers", "16,8,10"] if model == "mlp" else []  # a later --layers wins
+    out = tmp_path / "x.csv"
+    code = main(["train", model, "--data", str(data), *layers, "--epochs", "2",
+                 "--out", str(out), *flags])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import admmnet.objective as objective
+import admmnet.solvers as solvers
 import admmnet.training as training
 from admmnet.errors import DivergenceError
 from admmnet.linalg import Rng, l2sq
@@ -63,7 +64,7 @@ def test_no_certificate_violations(separable_run):
 
 def test_stationarity_residual_small(separable_run):
     _, _, cfg, result = separable_run
-    assert max(t.stationarity_residual for t in result.traces) <= 10 * cfg.fista_tol
+    assert max(t.stationarity_residual for t in result.traces) <= 10 * solvers.FISTA_TOL
 
 
 def test_dual_residual_consistency(separable_run):
