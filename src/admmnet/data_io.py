@@ -205,6 +205,8 @@ def load_graph(directory: str) -> Graph:
             test_mask[node] = True
         else:
             raise FormatError(f"{mask_path} line {lineno}: unknown split {split!r}")
+    if not train_mask.any():
+        raise DataError(f"{mask_path}: no node in 'train'")
 
     return Graph(
         n_nodes=n,

@@ -4,6 +4,24 @@ Nodes sit in rows (N x C matrices), matching the propagation rule
 Z_l = f(A_norm Z_{l-1} W_l).  The risk is the masked mean cross-entropy
 over training nodes.  ``gcn_train`` runs ``gcn_iteration`` under the
 certified driver of ``training``, with mu in the role of the MLP's nu.
+
+Cached propagation.  Besides the blocks, the sweep state holds the products
+az[l] = A_norm Z_{l-1} of every layer (Z_{-1} is the features X), so each
+propagation A_norm Z_{l-1} W_l is a thin az[l] @ W_l product instead of a
+dense N x N one.  ``products`` computes the list fresh once per
+``gcn_train`` call, which makes az[0] = A_norm X a once-per-call product.
+Only an accepted hidden Z_l step changes it: ``_update_Z_hidden`` then sets
+az[l+1] = A_norm Z_l with one fresh product, not by an incremental update,
+so every later (A_norm Z) W has exactly the float order of a fresh
+propagation.  The block gradients, the backtracking anchors, the output
+solve's affine target, the dual residual, the Lagrangian and the accuracies
+all read az.  A hidden Z update thus makes three N x N products (A_norm^T
+in its gradient, A_norm times the gradient for the trial propagations, and
+the refresh); no other block update makes any.
+
+The cache is not part of ``GcnState``: the public functions take an
+optional ``az`` holding the products of the state they are given and
+compute the products fresh when it is omitted.
 """
 from __future__ import annotations
 
@@ -96,7 +114,11 @@ def normalize_adjacency(graph: Graph) -> Matrix:
     """(D + I)^{-1/2} (A + I) (D + I)^{-1/2} with self-loops added."""
     deg = graph.adjacency.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    return inv_sqrt[:, None] * (graph.adjacency + np.eye(graph.n_nodes)) * inv_sqrt[None, :]
+    a = graph.adjacency.astype(float)  # a copy
+    np.fill_diagonal(a, 1.0)  # the validated diagonal is zero, so this is A + I
+    a *= inv_sqrt[:, None]
+    a *= inv_sqrt[None, :]
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +147,36 @@ def _z_prev(state: GcnState, graph: Graph, layer: int) -> Matrix:
     return graph.features if layer == 0 else state.Z[layer - 1]
 
 
-def propagated(state: GcnState, graph: Graph, layer: int) -> Matrix:
-    """A_norm Z_{l-1} W_l for the given layer."""
-    return state.A_norm @ _z_prev(state, graph, layer) @ state.W[layer]
+def products(state: GcnState, graph: Graph) -> list:
+    """az[l] = A_norm Z_{l-1} for every layer, computed fresh."""
+    return [state.A_norm @ _z_prev(state, graph, l) for l in range(state.n_layers)]
 
 
-def psi(state: GcnState, graph: Graph, activation: Activation = RELU) -> float:
+def _az(state: GcnState, graph: Graph, layer: int, az) -> Matrix:
+    return state.A_norm @ _z_prev(state, graph, layer) if az is None else az[layer]
+
+
+def propagated(state: GcnState, graph: Graph, layer: int, az: list = None) -> Matrix:
+    """A_norm Z_{l-1} W_l for the given layer; az, when given, holds the
+    products A_norm Z_{l-1} of ``state``."""
+    return _az(state, graph, layer, az) @ state.W[layer]
+
+
+def psi(state: GcnState, graph: Graph, activation: Activation = RELU, az: list = None) -> float:
     last = state.n_layers - 1
     total = 0.0
     for l in range(last):
-        total += 0.5 * state.mu * l2sq(state.Z[l] - activation.value(propagated(state, graph, l)))
-    eps = state.Z[last] - propagated(state, graph, last)
+        m = propagated(state, graph, l, az)
+        total += 0.5 * state.mu * l2sq(state.Z[l] - activation.value(m))
+    eps = state.Z[last] - propagated(state, graph, last, az)
     total += float(np.vdot(state.U, eps)) + 0.5 * state.rho * l2sq(eps)
     return total
 
 
-def lagrangian(state: GcnState, graph: Graph, activation: Activation = RELU) -> float:
-    return masked_risk(state.Z[-1], graph.labels, graph.train_mask) + psi(state, graph, activation)
+def lagrangian(state: GcnState, graph: Graph, activation: Activation = RELU,
+               az: list = None) -> float:
+    return (masked_risk(state.Z[-1], graph.labels, graph.train_mask)
+            + psi(state, graph, activation, az))
 
 
 def grad_psi_block(
@@ -150,6 +185,7 @@ def grad_psi_block(
     block: str,
     layer: int,
     activation: Activation = RELU,
+    az: list = None,
 ) -> Matrix:
     last = state.n_layers - 1
     mu, rho = state.mu, state.rho
@@ -157,23 +193,23 @@ def grad_psi_block(
     if block == "W":
         if not 0 <= layer <= last:
             raise IndexError(f"layer {layer} out of range")
-        az = state.A_norm @ _z_prev(state, graph, layer)
-        m = az @ state.W[layer]
+        a_z = _az(state, graph, layer, az)
+        m = a_z @ state.W[layer]
         if layer == last:
             scaled = state.U + rho * (state.Z[last] - m)
         else:
             d = state.Z[layer] - activation.value(m)
             scaled = mu * d * activation.deriv(m)
-        return -az.T @ scaled
+        return -a_z.T @ scaled
 
     if block == "Z":
         if not 0 <= layer <= last:
             raise IndexError(f"layer {layer} out of range")
         if layer == last:
-            return state.U + rho * (state.Z[last] - propagated(state, graph, last))
-        g = mu * (state.Z[layer] - activation.value(propagated(state, graph, layer)))
+            return state.U + rho * (state.Z[last] - propagated(state, graph, last, az))
+        g = mu * (state.Z[layer] - activation.value(propagated(state, graph, layer, az)))
         nxt = layer + 1
-        m = propagated(state, graph, nxt)
+        m = propagated(state, graph, nxt, az)
         if nxt == last:
             scaled = state.U + rho * (state.Z[last] - m)
         else:
@@ -187,13 +223,12 @@ def grad_psi_block(
 # Block updates
 # ---------------------------------------------------------------------------
 
-def _update_W_gcn(work, graph, activation, layer, seeds, key):
+def _update_W_gcn(work, az, graph, activation, layer, seeds, key):
     last = work.n_layers - 1
     anchor = work.W[layer]
-    grad = grad_psi_block(work, graph, "W", layer, activation)
-    az = work.A_norm @ _z_prev(work, graph, layer)
-    m0 = az @ anchor
-    az_grad = az @ grad  # trial propagation is m0 - az_grad / step
+    grad = grad_psi_block(work, graph, "W", layer, activation, az)
+    m0 = az[layer] @ anchor
+    az_grad = az[layer] @ grad  # trial propagation is m0 - az_grad / step
 
     def eval_phi(cand, step):
         m = m0 if step is None else m0 - az_grad / step
@@ -208,13 +243,13 @@ def _update_W_gcn(work, graph, activation, layer, seeds, key):
     return res
 
 
-def _update_Z_hidden(work, graph, activation, layer, seeds, key):
+def _update_Z_hidden(work, az, graph, activation, layer, seeds, key):
     last = work.n_layers - 1
     anchor = work.Z[layer]
-    grad = grad_psi_block(work, graph, "Z", layer, activation)
-    fm = activation.value(propagated(work, graph, layer))
+    grad = grad_psi_block(work, graph, "Z", layer, activation, az)
+    fm = activation.value(propagated(work, graph, layer, az))
     nxt = layer + 1
-    m_next0 = propagated(work, graph, nxt)
+    m_next0 = propagated(work, graph, nxt, az)
     a_grad_w = work.A_norm @ grad @ work.W[nxt]  # next propagation shifts by -a_grad_w/step
 
     def eval_phi(cand, step):
@@ -228,12 +263,13 @@ def _update_Z_hidden(work, graph, activation, layer, seeds, key):
     res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
     seeds.update(key, res.step)
     work.Z[layer] = res.candidate
+    az[nxt] = work.A_norm @ res.candidate
     return res
 
 
-def _update_Z_last(work, graph) -> bool:
+def _update_Z_last(work, az, graph) -> bool:
     last = work.n_layers - 1
-    w_aff = propagated(work, graph, last)
+    w_aff = propagated(work, graph, last, az)
 
     def grad_fn(z):
         return (
@@ -256,39 +292,46 @@ def _update_Z_last(work, graph) -> bool:
     return res.converged
 
 
-def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeeds):
+def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeeds,
+                  az: list = None):
     """One backward + forward + dual iteration.  Returns the new state plus
     (step stats, max certificate violation, residual, squared block moves,
-    both output solves converged)."""
+    both output solves converged).
+
+    az, when given, holds the products A_norm Z_{l-1} of ``state`` and is
+    moved in place to those of the returned state; when omitted they are
+    computed fresh."""
     act = cfg.activation
     last = state.n_layers - 1
     steps, worst, fista_ok = {}, 0.0, True
+    if az is None:
+        az = products(state, graph)
 
     work = state.copy()
     for layer in range(last, -1, -1):
         if layer == last:
-            fista_ok = _update_Z_last(work, graph)
+            fista_ok = _update_Z_last(work, az, graph)
         else:
-            res = _update_Z_hidden(work, graph, act, layer, seeds, ("Z_bar", layer))
+            res = _update_Z_hidden(work, az, graph, act, layer, seeds, ("Z_bar", layer))
             steps[("Z_bar", layer)] = res.step
             worst = max(worst, res.violation)
-        res = _update_W_gcn(work, graph, act, layer, seeds, ("W_bar", layer))
+        res = _update_W_gcn(work, az, graph, act, layer, seeds, ("W_bar", layer))
         steps[("W_bar", layer)] = res.step
         worst = max(worst, res.violation)
     barred = work.copy()
 
     for layer in range(last + 1):
-        res = _update_W_gcn(work, graph, act, layer, seeds, ("W", layer))
+        res = _update_W_gcn(work, az, graph, act, layer, seeds, ("W", layer))
         steps[("W", layer)] = res.step
         worst = max(worst, res.violation)
         if layer < last:
-            res = _update_Z_hidden(work, graph, act, layer, seeds, ("Z", layer))
+            res = _update_Z_hidden(work, az, graph, act, layer, seeds, ("Z", layer))
             steps[("Z", layer)] = res.step
             worst = max(worst, res.violation)
         else:
-            fista_ok &= _update_Z_last(work, graph)
+            fista_ok &= _update_Z_last(work, az, graph)
 
-    eps = work.Z[last] - propagated(work, graph, last)
+    eps = work.Z[last] - propagated(work, graph, last, az)
     work.U = work.U + work.rho * eps
 
     moves = 0.0
@@ -317,8 +360,8 @@ def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng
     return GcnState(W=W, Z=Z, U=u, A_norm=a_norm, rho=rho, mu=mu)
 
 
-def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray) -> float:
-    logits = propagated(state, graph, state.n_layers - 1)
+def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray, az: list = None) -> float:
+    logits = propagated(state, graph, state.n_layers - 1, az)
     pred = np.argmax(logits[mask], axis=1)
     truth = np.argmax(graph.labels[mask], axis=1)
     return float(np.mean(pred == truth)) if np.any(mask) else float("nan")
@@ -327,24 +370,25 @@ def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray) -> float:
 def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
     state = gcn_forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
+    az = products(state, graph)
 
     def iterate(seeds: StepSeeds):
         nonlocal state
-        state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds)
+        state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds, az)
         z_last = state.Z[-1]
-        return lagrangian(state, graph, cfg.activation), moves, dict(
+        return lagrangian(state, graph, cfg.activation, az), moves, dict(
             risk=masked_risk(z_last, graph.labels, graph.train_mask),
             residual_fro=float(np.sqrt(l2sq(eps))),
             stationarity_residual=float(np.max(np.abs(
                 masked_risk_grad(z_last, graph.labels, graph.train_mask) + state.U
             ))),
-            train_acc=gcn_accuracy(state, graph, graph.train_mask),
-            test_acc=gcn_accuracy(state, graph, graph.test_mask),
+            train_acc=gcn_accuracy(state, graph, graph.train_mask, az),
+            test_acc=gcn_accuracy(state, graph, graph.test_mask, az),
             step_stats=steps,
             max_cert_violation=worst,
             fista_converged=fista_ok,
         )
 
-    traces = run_certified(cfg.epochs, lagrangian(state, graph, cfg.activation), iterate,
+    traces = run_certified(cfg.epochs, lagrangian(state, graph, cfg.activation, az), iterate,
                            GcnTrace, ("cross_entropy", cfg.rho, cfg.mu), trace_sink)
     return state, traces

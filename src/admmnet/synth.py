@@ -71,11 +71,12 @@ def make_sbm_graph(
     rng = rng or Rng(0)
     blocks = np.arange(n_nodes) % n_blocks
     adjacency = np.zeros((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            p = p_in if blocks[i] == blocks[j] else p_out
-            if rng.random(()) < p:
-                adjacency[i, j] = adjacency[j, i] = 1.0
+    # One uniform per pair (i, j > i), drawn row by row in that order.
+    for i in range(n_nodes - 1):
+        p = np.where(blocks[i + 1:] == blocks[i], p_in, p_out)
+        edge = rng.random(n_nodes - i - 1) < p
+        adjacency[i, i + 1:] = edge
+        adjacency[i + 1:, i] = edge
 
     centers = rng.normal(0.0, 1.0, (n_blocks, n_features))
     features = centers[blocks] + 0.8 * rng.normal(0.0, 1.0, (n_nodes, n_features))

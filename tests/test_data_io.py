@@ -143,6 +143,7 @@ class TestLoadGraph:
         ("labels.csv", "0,0\n1,-1\n", DataError),  # negative class
         ("labels.csv", "", DataError),  # no labeled node
         ("masks.csv", "0,train\n1\n", FormatError),
+        ("masks.csv", "0,test\n1,test\n", DataError),  # no training node
         ("edges.tsv", "0\tb\n", FormatError),
         ("features.csv", "1.0\nx\n", FormatError),
     ])

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import admmnet.gcn as gcn
 from admmnet.activations import RELU
 from admmnet.errors import ShapeError
 from admmnet.gcn import (
@@ -9,15 +12,17 @@ from admmnet.gcn import (
     Graph,
     gcn_accuracy,
     gcn_forward_init,
+    gcn_iteration,
     gcn_train,
     grad_psi_block,
     lagrangian,
     masked_risk_grad,
     normalize_adjacency,
+    products,
     psi,
 )
 from admmnet.linalg import Rng, l2sq
-from admmnet.solvers import FISTA_TOL
+from admmnet.solvers import FISTA_TOL, StepSeeds
 from admmnet.synth import make_sbm_graph
 
 
@@ -75,6 +80,13 @@ class TestNormalizeAdjacency:
         a = normalize_adjacency(g)
         assert np.allclose(a, a.T)
         assert np.max(np.abs(np.linalg.eigvalsh(a))) <= 1 + 1e-6
+
+    def test_equals_dense_identity_formula(self):
+        for g in (small_graph(1), make_sbm_graph(50, rng=Rng(3))):
+            inv_sqrt = 1.0 / np.sqrt(g.adjacency.sum(axis=1) + 1.0)
+            want = inv_sqrt[:, None] * (g.adjacency + np.eye(g.n_nodes)) * inv_sqrt[None, :]
+            assert np.array_equal(normalize_adjacency(g), want)
+            assert np.all(np.diag(g.adjacency) == 0)  # the graph is left as it was
 
 
 class TestGraphValidation:
@@ -238,3 +250,83 @@ def test_gcn_determinism():
 def test_gcn_epochs_validated():
     with pytest.raises(ValueError):
         GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=0)
+
+
+def _without_cache(fn):
+    """fn with its cached-products argument ``az`` forced to None."""
+    sig = inspect.signature(fn)
+
+    def call(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.arguments["az"] = None
+        return fn(*bound.args, **bound.kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("hidden", [(32,), (8, 16)])
+def test_cached_products_match_fresh(hidden, monkeypatch):
+    """The cached A_norm Z_{l-1} are refreshed by a fresh product, so every
+    trace field is identical to a run that computes every product fresh."""
+    graph = make_sbm_graph(120, rng=Rng(8))
+    cfg = GcnConfig(hidden_dims=hidden, rho=1.0, mu=1.0, epochs=40, seed=0)
+    cached = []
+
+    def spy(state, graph):
+        cached.append(products(state, graph))
+        return cached[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(gcn, "products", spy)
+        state, traces = gcn_train(graph, cfg)
+    az = cached[0]  # moved in place by every iteration
+    for l in range(state.n_layers):
+        z_prev = graph.features if l == 0 else state.Z[l - 1]
+        assert np.array_equal(az[l], state.A_norm @ z_prev)
+
+    for name in ("gcn_iteration", "lagrangian", "gcn_accuracy"):
+        monkeypatch.setattr(gcn, name, _without_cache(getattr(gcn, name)))
+    fresh_state, fresh = gcn_train(graph, cfg)
+    assert len(fresh) == len(traces) == cfg.epochs
+    for a, b in zip(traces, fresh):
+        for field in vars(a):
+            if field != "wall_time":
+                assert getattr(a, field) == getattr(b, field), (a.iter, field)
+    for l in range(state.n_layers):
+        assert np.array_equal(state.W[l], fresh_state.W[l])
+        assert np.array_equal(state.Z[l], fresh_state.Z[l])
+    assert np.array_equal(state.U, fresh_state.U)
+
+
+def test_dense_products_per_iteration(monkeypatch):
+    """With one hidden layer an iteration multiplies by the N x N A_norm six
+    times: three per hidden Z update (A_norm^T in the gradient, A_norm times
+    the gradient for the trials, the refresh of the cache), none elsewhere."""
+    counted = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            counted.append(1)
+            return np.asarray(self) @ other
+
+        def __rmatmul__(self, other):
+            counted.append(1)
+            return other @ np.asarray(self)
+
+    graph = make_sbm_graph(60, rng=Rng(1))
+    a_norm = normalize_adjacency(graph).view(Counting)
+    monkeypatch.setattr(gcn, "normalize_adjacency", lambda g: a_norm)
+    cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=2, seed=0)
+
+    state = gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
+    az = products(state, graph)
+    counted.clear()
+    gcn_iteration(state, graph, cfg, StepSeeds(), az)
+    assert len(counted) <= 6
+
+    def in_training(epochs):  # the Lagrangian and accuracies included
+        counted.clear()
+        gcn_train(graph, GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=epochs))
+        return len(counted)
+
+    assert in_training(3) - in_training(2) <= 6
