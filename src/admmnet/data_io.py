@@ -145,6 +145,9 @@ def load_graph(directory: str) -> Graph:
         features = np.loadtxt(feat_path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{feat_path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise DataError(f"{feat_path}: non-finite feature value on node {bad[0]}")
     n = features.shape[0]
 
     edge_path = os.path.join(directory, "edges.tsv")

@@ -8,16 +8,18 @@ certified driver of ``training``, with mu in the role of the MLP's nu.
 Cached propagation.  Besides the blocks, the sweep state holds the products
 az[l] = A_norm Z_{l-1} of every layer (Z_{-1} is the features X), so each
 propagation A_norm Z_{l-1} W_l is a thin az[l] @ W_l product instead of a
-dense N x N one.  ``products`` computes the list fresh once per
-``gcn_train`` call, which makes az[0] = A_norm X a once-per-call product.
-Only an accepted hidden Z_l step changes it: ``_update_Z_hidden`` then sets
-az[l+1] = A_norm Z_l with one fresh product, not by an incremental update,
-so every later (A_norm Z) W has exactly the float order of a fresh
-propagation.  The block gradients, the backtracking anchors, the output
-solve's affine target, the dual residual, the Lagrangian and the accuracies
-all read az.  A hidden Z update thus makes three N x N products (A_norm^T
-in its gradient, A_norm times the gradient for the trial propagations, and
-the refresh); no other block update makes any.
+dense N x N one.  ``gcn_train`` takes the list from the initial exact
+propagation, which forms exactly these products, so az[0] = A_norm X is a
+once-per-call product.  Only an accepted hidden Z_l step changes it:
+``_update_Z_hidden`` then sets az[l+1] = A_norm Z_l with one fresh product,
+not by an incremental update, so every later (A_norm Z) W has exactly the
+float order of a fresh propagation.  The block gradients, the backtracking
+anchors, the output solve's affine target, the dual residual, the Lagrangian
+and the accuracies all read az.  A hidden Z update thus makes three N x N
+products (A_norm^T in its gradient, A_norm times the gradient for the trial
+propagations, and the refresh); no other block update makes any.  With L
+layers a ``gcn_train`` call of E epochs makes L + 6 (L - 1) E products:
+2 + 6 E with one hidden layer.
 
 The cache is not part of ``GcnState``: the public functions take an
 optional ``az`` holding the products of the state they are given and
@@ -32,8 +34,15 @@ import numpy as np
 from .activations import RELU, Activation
 from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq
-from .objective import _log_softmax
-from .solvers import FISTA_MAX_ITER, FISTA_TOL, StepSeeds, backtrack_quadratic, fista_minimize
+from .objective import _ce_grad, _ce_value, _log_softmax
+from .solvers import (
+    FISTA_MAX_ITER,
+    FISTA_TOL,
+    StepSeeds,
+    _memo_last,
+    backtrack_quadratic,
+    fista_minimize,
+)
 from .training import CertifiedTrace, run_certified
 
 
@@ -125,17 +134,19 @@ def normalize_adjacency(graph: Graph) -> Matrix:
 # Masked risk (rows = nodes)
 # ---------------------------------------------------------------------------
 
+def _row_log_softmax(rows: Matrix) -> Matrix:
+    return _log_softmax(rows.T).T
+
+
 def masked_risk(z_last: Matrix, labels: Matrix, mask: np.ndarray) -> float:
     n_train = int(np.sum(mask))
-    logp = _log_softmax(z_last[mask].T).T
-    return float(-np.sum(labels[mask] * logp) / n_train)
+    return _ce_value(_row_log_softmax(z_last[mask]), labels[mask], n_train)
 
 
 def masked_risk_grad(z_last: Matrix, labels: Matrix, mask: np.ndarray) -> Matrix:
     n_train = int(np.sum(mask))
     g = np.zeros_like(z_last)
-    p = np.exp(_log_softmax(z_last[mask].T).T)
-    g[mask] = (p - labels[mask]) / n_train
+    g[mask] = _ce_grad(_row_log_softmax(z_last[mask]), labels[mask], n_train)
     return g
 
 
@@ -268,20 +279,29 @@ def _update_Z_hidden(work, az, graph, activation, layer, seeds, key):
 
 
 def _update_Z_last(work, az, graph) -> bool:
+    """FISTA on the output block with the masked cross-entropy.
+
+    The training rows, their labels and their count are gathered once per
+    solve.  The oracle memoizes the log-softmax of its last point's training
+    rows (``solvers._memo_last``), so the value and the gradient at one point
+    share one log-softmax.  Keying by identity is safe: ``fista_minimize``
+    never writes into an iterate, and the memo keeps its point alive.
+    """
     last = work.n_layers - 1
     w_aff = propagated(work, graph, last, az)
+    train_idx = np.flatnonzero(graph.train_mask)
+    y_train, n_train = graph.labels[train_idx], train_idx.size
+    logp = _memo_last(lambda z: _row_log_softmax(z[train_idx]))
 
     def grad_fn(z):
-        return (
-            masked_risk_grad(z, graph.labels, graph.train_mask)
-            + work.U
-            + work.rho * (z - w_aff)
-        )
+        g = np.zeros_like(z)
+        g[train_idx] = _ce_grad(logp(z), y_train, n_train)
+        return g + work.U + work.rho * (z - w_aff)
 
     def obj_fn(z):
         d = z - w_aff
         return (
-            masked_risk(z, graph.labels, graph.train_mask)
+            _ce_value(logp(z), y_train, n_train)
             + float(np.vdot(work.U, d))
             + 0.5 * work.rho * l2sq(d)
         )
@@ -342,22 +362,30 @@ def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeed
     return work, steps, worst, eps, moves, fista_ok
 
 
-def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
-                     rho: float, mu: float) -> GcnState:
-    """Glorot-uniform weights, Z by exact propagation, zero dual."""
+def _forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
+                  rho: float, mu: float):
+    """``gcn_forward_init`` plus the products az of the state it returns
+    (the ones its exact propagation forms)."""
     a_norm = normalize_adjacency(graph)
-    W, Z = [], []
+    W, Z, az = [], [], []
     cur = graph.features
     n_layers = len(dims) - 1
     for l in range(n_layers):
         fan_in, fan_out = dims[l], dims[l + 1]
         s = np.sqrt(6.0 / (fan_in + fan_out))
         W.append(rng.uniform(-s, s, (fan_in, fan_out)))
-        m = a_norm @ cur @ W[l]
+        az.append(a_norm @ cur)
+        m = az[l] @ W[l]
         cur = activation.value(m) if l < n_layers - 1 else m
         Z.append(cur)
     u = np.zeros_like(Z[-1])
-    return GcnState(W=W, Z=Z, U=u, A_norm=a_norm, rho=rho, mu=mu)
+    return GcnState(W=W, Z=Z, U=u, A_norm=a_norm, rho=rho, mu=mu), az
+
+
+def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
+                     rho: float, mu: float) -> GcnState:
+    """Glorot-uniform weights, Z by exact propagation, zero dual."""
+    return _forward_init(graph, dims, activation, rng, rho, mu)[0]
 
 
 def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray, az: list = None) -> float:
@@ -369,8 +397,7 @@ def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray, az: list = Non
 
 def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
-    state = gcn_forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
-    az = products(state, graph)
+    state, az = _forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
 
     def iterate(seeds: StepSeeds):
         nonlocal state

@@ -130,6 +130,16 @@ def softmax(z: Matrix) -> Matrix:
     return np.exp(_log_softmax(z))
 
 
+def _ce_value(logp: Matrix, y: Matrix, count: int) -> float:
+    """Mean cross-entropy over ``count`` samples from their log-softmax."""
+    return float(-np.sum(y * logp) / count)
+
+
+def _ce_grad(logp: Matrix, y: Matrix, count: int) -> Matrix:
+    """Gradient of ``_ce_value`` with respect to the logits."""
+    return (np.exp(logp) - y) / count
+
+
 def risk(z_last: Matrix, y: Matrix, kind: str) -> float:
     if z_last.shape != y.shape:
         raise ShapeError(f"risk: shapes differ, {z_last.shape} vs {y.shape}")
@@ -137,7 +147,7 @@ def risk(z_last: Matrix, y: Matrix, kind: str) -> float:
     if kind == "squared":
         return 0.5 * l2sq(z_last - y) / m
     if kind == "cross_entropy":
-        return float(-np.sum(y * _log_softmax(z_last)) / m)
+        return _ce_value(_log_softmax(z_last), y, m)
     raise ValueError(f"unknown risk kind {kind!r}")
 
 
@@ -146,7 +156,7 @@ def risk_grad(z_last: Matrix, y: Matrix, kind: str) -> Matrix:
     if kind == "squared":
         return (z_last - y) / m
     if kind == "cross_entropy":
-        return (softmax(z_last) - y) / m
+        return _ce_grad(_log_softmax(z_last), y, m)
     raise ValueError(f"unknown risk kind {kind!r}")
 
 

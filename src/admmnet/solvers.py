@@ -7,9 +7,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BacktrackError
+from .errors import BacktrackError, ShapeError
 from .linalg import Matrix, l2sq
-from .objective import RISK_LIPSCHITZ, Regularizer, risk, risk_grad
+from .objective import (
+    RISK_LIPSCHITZ,
+    Regularizer,
+    _ce_grad,
+    _ce_value,
+    _log_softmax,
+    risk,
+    risk_grad,
+)
 
 # Slack used when accepting a majorization certificate; well inside the
 # 1e-10 certificate tolerance the rest of the package asserts.
@@ -161,26 +169,50 @@ def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max
 
     Stops when the objective gradient at the kept iterate has infinity norm
     at most tol.  A non-tight solve is flagged, not fatal.
+
+    The gradient of the kept iterate is kept with it: it is evaluated at the
+    anchor and then only after an accepted step, since a rejected step keeps
+    the iterate and so its gradient.  At every new kept point (the anchor,
+    each accepted candidate) obj_fn is called just before grad_fn, so an
+    oracle that memoizes its last point shares work between the two.  No
+    iterate is written into once formed.
     """
     x = anchor.copy()
     x_obj = obj_fn(x)
+    g = grad_fn(x)
     y = x
     t = 1.0
     for it in range(1, max_iter + 1):
-        g = grad_fn(x)
         if float(np.max(np.abs(g))) <= tol:
             return FistaResult(z=x, iterations=it - 1, converged=True)
-        cand = y - step * grad_fn(y)
+        cand = y - step * (g if y is x else grad_fn(y))
         cand_obj = obj_fn(cand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         if cand_obj <= x_obj:
-            x_new, x_new_obj = cand, cand_obj
+            x_new, x_new_obj, g = cand, cand_obj, grad_fn(cand)
         else:
             x_new, x_new_obj = x, x_obj
         y = x_new + (t / t_next) * (cand - x_new) + ((t - 1.0) / t_next) * (x_new - x)
         x, x_obj, t = x_new, x_new_obj, t_next
-    g = grad_fn(x)
     return FistaResult(z=x, iterations=max_iter, converged=float(np.max(np.abs(g))) <= tol)
+
+
+def _memo_last(fn):
+    """``fn`` with a one-entry memo keyed by the identity of its argument.
+
+    Identity is a safe key as long as no caller writes into a point after
+    passing it: the memo holds a reference to its point, so that object's
+    id cannot be reused by a new array while the entry lives.
+    """
+    point = value = None
+
+    def memoized(z):
+        nonlocal point, value
+        if z is not point:
+            point, value = z, fn(z)
+        return value
+
+    return memoized
 
 
 def closed_form_z_last_squared(w_aff: Matrix, u: Matrix, rho: float, y: Matrix) -> Matrix:
@@ -202,16 +234,38 @@ def solve_z_last(
 
     Squared risk takes the exact closed form; cross-entropy runs monotone
     FISTA with step 1/(H + rho).
+
+    The cross-entropy oracle memoizes the log-softmax of its last point
+    (``_memo_last``), so the value and the gradient at one point share one
+    log-softmax.  Keying by identity is safe here: ``fista_minimize`` never
+    writes into an iterate, and the memo keeps its point alive.
     """
     if kind == "squared" and not force_fista:
         return FistaResult(z=closed_form_z_last_squared(w_aff, u, rho, y), iterations=0, converged=True)
 
+    if kind == "cross_entropy":
+        if anchor.shape != y.shape:
+            raise ShapeError(f"solve_z_last: shapes differ, {anchor.shape} vs {y.shape}")
+        logp, m = _memo_last(_log_softmax), y.shape[1]
+
+        def risk_at(z):
+            return _ce_value(logp(z), y, m)
+
+        def risk_grad_at(z):
+            return _ce_grad(logp(z), y, m)
+    else:
+        def risk_at(z):
+            return risk(z, y, kind)
+
+        def risk_grad_at(z):
+            return risk_grad(z, y, kind)
+
     def grad_fn(z):
-        return risk_grad(z, y, kind) + u + rho * (z - w_aff)
+        return risk_grad_at(z) + u + rho * (z - w_aff)
 
     def obj_fn(z):
         d = z - w_aff
-        return risk(z, y, kind) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
+        return risk_at(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
 
     step = 1.0 / (RISK_LIPSCHITZ + rho)
     return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)

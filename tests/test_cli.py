@@ -1,3 +1,6 @@
+import shutil
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,4 +250,21 @@ def test_invalid_train_arguments_usage_error(model, flags, image_dir, graph_dir,
     assert code == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_features_data_error(graph_dir, tmp_path, capsys, value):
+    gdir = tmp_path / "g"
+    shutil.copytree(graph_dir, gdir)
+    rows = (gdir / "features.csv").read_text().split("\n")
+    rows[2] = ",".join([value] * len(rows[2].split(",")))
+    (gdir / "features.csv").write_text("\n".join(rows))
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no matmul warnings: training never starts
+        code = main(["train", "gcn", "--data", str(gdir), "--epochs", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ") and "non-finite" in err[0]
     assert not out.exists()

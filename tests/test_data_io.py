@@ -146,6 +146,8 @@ class TestLoadGraph:
         ("masks.csv", "0,test\n1,test\n", DataError),  # no training node
         ("edges.tsv", "0\tb\n", FormatError),
         ("features.csv", "1.0\nx\n", FormatError),
+        ("features.csv", "1.0\nnan\n3.0\n4.0\n", DataError),  # non-finite feature
+        ("features.csv", "1.0\n2.0\n-inf\n4.0\n", DataError),
     ])
     def test_malformed_row_is_typed(self, tmp_path, name, text, error):
         write_graph_bundle(

@@ -271,13 +271,17 @@ def test_cached_products_match_fresh(hidden, monkeypatch):
     graph = make_sbm_graph(120, rng=Rng(8))
     cfg = GcnConfig(hidden_dims=hidden, rho=1.0, mu=1.0, epochs=40, seed=0)
     cached = []
+    real_init = gcn._forward_init
 
-    def spy(state, graph):
-        cached.append(products(state, graph))
-        return cached[-1]
+    def spy(*args):
+        state, az = real_init(*args)
+        for a, b in zip(az, products(state, graph), strict=True):
+            assert np.array_equal(a, b)  # the initial propagation's products
+        cached.append(az)
+        return state, az
 
     with monkeypatch.context() as m:
-        m.setattr(gcn, "products", spy)
+        m.setattr(gcn, "_forward_init", spy)
         state, traces = gcn_train(graph, cfg)
     az = cached[0]  # moved in place by every iteration
     for l in range(state.n_layers):
@@ -301,7 +305,9 @@ def test_cached_products_match_fresh(hidden, monkeypatch):
 def test_dense_products_per_iteration(monkeypatch):
     """With one hidden layer an iteration multiplies by the N x N A_norm six
     times: three per hidden Z update (A_norm^T in the gradient, A_norm times
-    the gradient for the trials, the refresh of the cache), none elsewhere."""
+    the gradient for the trials, the refresh of the cache), none elsewhere.
+    A training call adds the two products of the initial propagation, which
+    also seed the cache."""
     counted = []
 
     class Counting(np.ndarray):
@@ -329,4 +335,5 @@ def test_dense_products_per_iteration(monkeypatch):
         gcn_train(graph, GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=epochs))
         return len(counted)
 
+    assert in_training(2) <= 2 + 2 * 6
     assert in_training(3) - in_training(2) <= 6

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from admmnet.errors import BacktrackError
+import admmnet.gcn as gcn
+import admmnet.solvers as solvers
+from admmnet.activations import RELU
+from admmnet.errors import BacktrackError, ShapeError
+from admmnet.gcn import GcnConfig
 from admmnet.linalg import Rng, l2sq
-from admmnet.objective import Regularizer, softmax
+from admmnet.objective import RISK_LIPSCHITZ, Regularizer, _log_softmax, softmax
 from admmnet.solvers import (
+    FISTA_MAX_ITER,
+    FISTA_TOL,
+    FistaResult,
     StepSeeds,
     backtrack_quadratic,
     closed_form_z_last_squared,
@@ -15,6 +22,7 @@ from admmnet.solvers import (
     solve_z_relu,
     update_b,
 )
+from admmnet.synth import make_sbm_graph
 
 
 def quad_phi(curvature, anchor0):
@@ -254,6 +262,13 @@ class TestFista:
             foc = (softmax(res.z) - y) / m + u + rho * (res.z - w_aff)
             assert np.max(np.abs(foc)) < 1e-6
 
+    def test_cross_entropy_anchor_shape_checked(self):
+        # a (1, m) anchor would broadcast against (n, m) labels
+        y = np.eye(3)[:, [0, 1, 2, 0]]
+        with pytest.raises(ShapeError):
+            solve_z_last(np.zeros((3, 4)), np.zeros((3, 4)), 1.0, y, "cross_entropy",
+                         anchor=np.zeros((1, 4)))
+
     def test_monotone_objective(self):
         rng = Rng(9)
         target = rng.normal(0, 1, (4, 4))
@@ -274,3 +289,173 @@ class TestFista:
         for v in vals:
             best = min(best, v)
         assert vals[-1] <= vals[0]
+
+
+# ---------------------------------------------------------------------------
+# The output solve against a reference copy of the plain FISTA loop
+# ---------------------------------------------------------------------------
+
+def reference_fista(grad_fn, obj_fn, anchor, step, tol, max_iter):
+    """The plain monotone FISTA loop: the kept iterate's gradient is taken
+    afresh every iteration, so each iteration evaluates the risk at three
+    points.  Returns the result and the number of rejected steps."""
+    x = anchor.copy()
+    x_obj = obj_fn(x)
+    y = x
+    t = 1.0
+    rejected = 0
+    for it in range(1, max_iter + 1):
+        g = grad_fn(x)
+        if float(np.max(np.abs(g))) <= tol:
+            return FistaResult(z=x, iterations=it - 1, converged=True), rejected
+        cand = y - step * grad_fn(y)
+        cand_obj = obj_fn(cand)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        if cand_obj <= x_obj:
+            x_new, x_new_obj = cand, cand_obj
+        else:
+            x_new, x_new_obj = x, x_obj
+            rejected += 1
+        y = x_new + (t / t_next) * (cand - x_new) + ((t - 1.0) / t_next) * (x_new - x)
+        x, x_obj, t = x_new, x_new_obj, t_next
+    g = grad_fn(x)
+    return FistaResult(z=x, iterations=max_iter, converged=float(np.max(np.abs(g))) <= tol), rejected
+
+
+def reference_solve(w_aff, u, rho, y, kind, anchor):
+    """The output solve with unmemoized oracles written out in full."""
+    m = y.shape[1]
+
+    def risk_at(z):
+        if kind == "squared":
+            return 0.5 * l2sq(z - y) / m
+        return float(-np.sum(y * _log_softmax(z)) / m)
+
+    def grad_fn(z):
+        r = (z - y) / m if kind == "squared" else (np.exp(_log_softmax(z)) - y) / m
+        return r + u + rho * (z - w_aff)
+
+    def obj_fn(z):
+        d = z - w_aff
+        return risk_at(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
+
+    step = 1.0 / (RISK_LIPSCHITZ + rho)
+    return reference_fista(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
+
+
+def output_problem(seed, rho, kind="cross_entropy", scale=3.0, n=5, m=40):
+    rng = Rng(seed)
+    w_aff = scale * rng.normal(0, 1, (n, m))
+    u = 0.1 * rng.normal(0, 1, (n, m))
+    if kind == "squared":
+        y = rng.normal(0, 1, (n, m))
+    else:
+        y = np.zeros((n, m))
+        y[rng.integers(0, n, m), np.arange(m)] = 1.0
+    anchor = w_aff + rng.normal(0, 1, (n, m))
+    return w_aff, u, rho, y, kind, anchor
+
+
+OUTPUT_PROBLEMS = {
+    "rejected-steps": output_problem(0, 1.0),  # 7 of 38 steps rejected
+    "all-accepted": output_problem(1, 1e-6),  # every step accepted, stops at the cap
+    "squared": output_problem(2, 2.0, kind="squared"),  # solved by FISTA, not in closed form
+}
+
+
+@pytest.mark.parametrize("name", OUTPUT_PROBLEMS)
+def test_output_solve_matches_reference_loop(name):
+    w_aff, u, rho, y, kind, anchor = OUTPUT_PROBLEMS[name]
+    anchor_bytes = anchor.tobytes()
+    ref, rejected = reference_solve(w_aff, u, rho, y, kind, anchor)
+    res = solve_z_last(w_aff, u, rho, y, kind, anchor, force_fista=True)
+    assert res.z.tobytes() == ref.z.tobytes()
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    assert res.iterations > 0
+    assert anchor.tobytes() == anchor_bytes
+    if name != "squared":
+        assert (rejected > 0) == (name == "rejected-steps")
+
+
+def gcn_output_problem():
+    """A GCN state one iteration into training (nonzero dual) and its cache."""
+    graph = make_sbm_graph(60, rng=Rng(1))
+    cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=0)
+    state = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
+    az = gcn.products(state, graph)
+    state = gcn.gcn_iteration(state, graph, cfg, StepSeeds(), az)[0]
+    return graph, state, az
+
+
+def solve_gcn_output(monkeypatch, graph, state, az):
+    """Runs ``gcn._update_Z_last`` on a copy of ``state``; returns the copy
+    and the FISTA result."""
+    results = []
+
+    def spy(*args):
+        results.append(fista_minimize(*args))
+        return results[-1]
+
+    monkeypatch.setattr(gcn, "fista_minimize", spy)
+    work = state.copy()
+    gcn._update_Z_last(work, az, graph)
+    (res,) = results
+    return work, res
+
+
+def test_gcn_output_solve_matches_reference_loop(monkeypatch):
+    graph, state, az = gcn_output_problem()
+    anchor = state.Z[-1]
+    anchor_bytes = anchor.tobytes()
+    w_aff = az[-1] @ state.W[-1]
+    mask, labels = graph.train_mask, graph.labels
+    n_train = int(np.sum(mask))
+
+    def grad_fn(z):
+        g = np.zeros_like(z)
+        g[mask] = (np.exp(_log_softmax(z[mask].T).T) - labels[mask]) / n_train
+        return g + state.U + state.rho * (z - w_aff)
+
+    def obj_fn(z):
+        d = z - w_aff
+        value = float(-np.sum(labels[mask] * _log_softmax(z[mask].T).T) / n_train)
+        return value + float(np.vdot(state.U, d)) + 0.5 * state.rho * l2sq(d)
+
+    ref, _ = reference_fista(grad_fn, obj_fn, anchor, 1.0 / (1.0 + state.rho),
+                             FISTA_TOL, FISTA_MAX_ITER)
+    work, res = solve_gcn_output(monkeypatch, graph, state, az)
+    assert work.Z[-1].tobytes() == ref.z.tobytes()
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    assert res.iterations > 0
+    assert anchor.tobytes() == anchor_bytes
+
+
+def counting(monkeypatch, module):
+    """Counts calls of ``module._log_softmax``."""
+    calls = []
+    real = module._log_softmax
+
+    def counted(z):
+        calls.append(1)
+        return real(z)
+
+    monkeypatch.setattr(module, "_log_softmax", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rejected-steps", "all-accepted"])
+def test_output_solve_log_softmax_count(monkeypatch, name):
+    """At most two log-softmaxes per iteration plus two; the plain loop
+    takes three per iteration plus two."""
+    calls = counting(monkeypatch, solvers)
+    res = solve_z_last(*OUTPUT_PROBLEMS[name])
+    assert res.iterations > 0
+    assert len(calls) <= 2 * res.iterations + 2
+
+
+def test_gcn_output_solve_log_softmax_count(monkeypatch):
+    graph, state, az = gcn_output_problem()
+    calls = counting(monkeypatch, gcn)
+    _, res = solve_gcn_output(monkeypatch, graph, state, az)
+    assert res.iterations > 0
+    assert len(calls) <= 2 * res.iterations + 2
