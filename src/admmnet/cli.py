@@ -177,12 +177,25 @@ def _cmd_selfcheck(args) -> int:
     return selfcheck(quick=args.quick)
 
 
+def _top_eigenvalue(grad_fn, z, rng: Rng, iters: int = 50, h: float = 1e-5) -> float:
+    """Top eigenvalue of the Hessian of a convex function at z, by power
+    iteration on central-difference products of its gradient."""
+    v = rng.normal(0.0, 1.0, z.shape)
+    top = 0.0
+    for _ in range(iters):
+        v = v / np.sqrt(np.vdot(v, v))
+        hv = (grad_fn(z + h * v) - grad_fn(z - h * v)) / (2.0 * h)
+        top, v = float(np.vdot(v, hv)), hv
+    return top
+
+
 def selfcheck(quick: bool = False, gradient_perturbation: float = 0.0) -> int:
-    """Gradient checks, subproblem oracles, and a short descent run; returns
-    the exit code.  gradient_perturbation is added to every analytic W
-    gradient before it is compared with finite differences, so a test can
-    confirm that the check catches a wrong gradient."""
-    from . import solvers
+    """Gradient checks, subproblem oracles, the output-risk curvature against
+    the FISTA step constant, and a short descent run; returns the exit code.
+    gradient_perturbation is added to every analytic W gradient before it is
+    compared with finite differences, so a test can confirm that the check
+    catches a wrong gradient."""
+    from . import objective, solvers
     from .objective import Dataset, forward_init, grad_phi_block, phi
 
     failures = []
@@ -238,6 +251,17 @@ def selfcheck(quick: bool = False, gradient_perturbation: float = 0.0) -> int:
         if obj(z) > np.min(obj(grid)) + 1e-4:
             ok = False
     check("relu z-subproblem vs grid", ok)
+
+    # the output FISTA steps by 1/(risk_curvature + rho): the risk Hessian's
+    # top eigenvalue, by power iteration on finite-difference products of
+    # risk_grad, must not exceed it; uniform two-class logits attain it
+    ratio = 0.0
+    for kind in ("cross_entropy", "squared"):
+        bound = objective.risk_curvature(kind, data.n_samples)
+        for z in (state.z[-1], np.zeros_like(y)):
+            top = _top_eigenvalue(lambda v: objective.risk_grad(v, y, kind), z, Rng(5))
+            ratio = max(ratio, top / bound)
+    check("output-risk curvature <= FISTA step constant", ratio <= 1.0 + 1e-6)
 
     # short run: certificate + monotone Lagrangian
     sep = make_separable(40, rng=Rng(3))

@@ -34,7 +34,7 @@ import numpy as np
 from .activations import RELU, Activation
 from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq
-from .objective import _ce_grad, _ce_value, _log_softmax
+from .objective import _ce_grad, _ce_value, _log_softmax, risk_curvature
 from .solvers import (
     FISTA_MAX_ITER,
     FISTA_TOL,
@@ -185,9 +185,12 @@ def psi(state: GcnState, graph: Graph, activation: Activation = RELU, az: list =
 
 
 def lagrangian(state: GcnState, graph: Graph, activation: Activation = RELU,
-               az: list = None) -> float:
-    return (masked_risk(state.Z[-1], graph.labels, graph.train_mask)
-            + psi(state, graph, activation, az))
+               az: list = None, risk: float = None) -> float:
+    """Masked risk plus psi; ``risk``, when given, is the masked risk of
+    ``state``'s output block."""
+    if risk is None:
+        risk = masked_risk(state.Z[-1], graph.labels, graph.train_mask)
+    return risk + psi(state, graph, activation, az)
 
 
 def grad_psi_block(
@@ -279,7 +282,8 @@ def _update_Z_hidden(work, az, graph, activation, layer, seeds, key):
 
 
 def _update_Z_last(work, az, graph) -> bool:
-    """FISTA on the output block with the masked cross-entropy.
+    """FISTA on the output block with the masked cross-entropy, step
+    1/(L + rho) with L = ``risk_curvature("cross_entropy", n_train)``.
 
     The training rows, their labels and their count are gathered once per
     solve.  The oracle memoizes the log-softmax of its last point's training
@@ -306,7 +310,7 @@ def _update_Z_last(work, az, graph) -> bool:
             + 0.5 * work.rho * l2sq(d)
         )
 
-    step = 1.0 / (1.0 + work.rho)
+    step = 1.0 / (risk_curvature("cross_entropy", n_train) + work.rho)
     res = fista_minimize(grad_fn, obj_fn, work.Z[last], step, FISTA_TOL, FISTA_MAX_ITER)
     work.Z[last] = res.z
     return res.converged
@@ -399,16 +403,20 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
     state, az = _forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
 
+    mask = graph.train_mask
+    y_train, n_train = graph.labels[mask], int(np.sum(mask))
+
     def iterate(seeds: StepSeeds):
         nonlocal state
         state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds, az)
-        z_last = state.Z[-1]
-        return lagrangian(state, graph, cfg.activation, az), moves, dict(
-            risk=masked_risk(z_last, graph.labels, graph.train_mask),
+        logp = _row_log_softmax(state.Z[-1][mask])  # one per epoch: risk, Lagrangian, gradient
+        risk = _ce_value(logp, y_train, n_train)
+        risk_grad = np.zeros_like(state.U)
+        risk_grad[mask] = _ce_grad(logp, y_train, n_train)
+        return lagrangian(state, graph, cfg.activation, az, risk), moves, dict(
+            risk=risk,
             residual_fro=float(np.sqrt(l2sq(eps))),
-            stationarity_residual=float(np.max(np.abs(
-                masked_risk_grad(z_last, graph.labels, graph.train_mask) + state.U
-            ))),
+            stationarity_residual=float(np.max(np.abs(risk_grad + state.U))),
             train_acc=gcn_accuracy(state, graph, graph.train_mask, az),
             test_acc=gcn_accuracy(state, graph, graph.test_mask, az),
             step_stats=steps,

@@ -2,8 +2,9 @@
 
 Layer indexing is 0-based: layers 0 .. L-1, where layer L-1 is the output
 layer.  Samples sit in columns; per-sample vectors of the scalar formulation
-become n x m matrices.  Risks are normalized as means over samples so their
-gradient Lipschitz bound is architecture independent.
+become n x m matrices.  Risks are means over samples, so the Lipschitz
+constant of their gradient shrinks with the sample count:
+``risk_curvature`` gives it, and the output-block FISTA steps by it.
 """
 from __future__ import annotations
 
@@ -14,11 +15,6 @@ import numpy as np
 from .activations import RELU, Activation
 from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq
-
-# A-priori Lipschitz bound on the risk gradient, valid for both risk kinds
-# under the mean-over-samples convention.
-RISK_LIPSCHITZ = 1.0
-
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -138,6 +134,18 @@ def _ce_value(logp: Matrix, y: Matrix, count: int) -> float:
 def _ce_grad(logp: Matrix, y: Matrix, count: int) -> Matrix:
     """Gradient of ``_ce_value`` with respect to the logits."""
     return (np.exp(logp) - y) / count
+
+
+def risk_curvature(kind: str, count: int) -> float:
+    """Lipschitz constant of the gradient of a risk averaged over ``count``
+    samples: 1/(2 count) for cross-entropy, by Boehning's bound
+    (I - 11^T/K)/2 on the softmax Hessian, and 1/count for the squared risk.
+    """
+    if kind == "squared":
+        return 1.0 / count
+    if kind == "cross_entropy":
+        return 0.5 / count
+    raise ValueError(f"unknown risk kind {kind!r}")
 
 
 def risk(z_last: Matrix, y: Matrix, kind: str) -> float:

@@ -10,12 +10,12 @@ import numpy as np
 from .errors import BacktrackError, ShapeError
 from .linalg import Matrix, l2sq
 from .objective import (
-    RISK_LIPSCHITZ,
     Regularizer,
     _ce_grad,
     _ce_value,
     _log_softmax,
     risk,
+    risk_curvature,
     risk_grad,
 )
 
@@ -165,10 +165,17 @@ class FistaResult:
 
 
 def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max_iter: int) -> FistaResult:
-    """Monotone (function-value) FISTA on a smooth convex objective.
+    """Monotone (function-value) FISTA with gradient-based adaptive restart
+    on a smooth convex objective; step is one over the gradient's Lipschitz
+    constant.
 
-    Stops when the objective gradient at the kept iterate has infinity norm
-    at most tol.  A non-tight solve is flagged, not fatal.
+    A candidate is kept only if it does not raise the objective.  The
+    momentum restarts (t = 1, extrapolation point = kept iterate) after a
+    rejected step and after an accepted one whose new gradient g satisfies
+    <g, x_new - x> > 0, i.e. when the step runs against the descent
+    direction (O'Donoghue and Candes, 2015).  Stops when the objective
+    gradient at the kept iterate has infinity norm at most tol.  A non-tight
+    solve is flagged, not fatal.
 
     The gradient of the kept iterate is kept with it: it is evaluated at the
     anchor and then only after an accepted step, since a rejected step keeps
@@ -187,13 +194,18 @@ def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max
             return FistaResult(z=x, iterations=it - 1, converged=True)
         cand = y - step * (g if y is x else grad_fn(y))
         cand_obj = obj_fn(cand)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         if cand_obj <= x_obj:
-            x_new, x_new_obj, g = cand, cand_obj, grad_fn(cand)
+            g = grad_fn(cand)
+            restart = float(np.vdot(g, cand - x)) > 0.0
+            x_prev, x, x_obj = x, cand, cand_obj
         else:
-            x_new, x_new_obj = x, x_obj
-        y = x_new + (t / t_next) * (cand - x_new) + ((t - 1.0) / t_next) * (x_new - x)
-        x, x_obj, t = x_new, x_new_obj, t_next
+            restart = True
+        if restart:
+            y, t = x, 1.0
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            t = t_next
     return FistaResult(z=x, iterations=max_iter, converged=float(np.max(np.abs(g))) <= tol)
 
 
@@ -233,7 +245,8 @@ def solve_z_last(
     """Minimize R(z; y) + <u, z - w_aff> + (rho/2)||z - w_aff||^2.
 
     Squared risk takes the exact closed form; cross-entropy runs monotone
-    FISTA with step 1/(H + rho).
+    FISTA with step 1/(L + rho), where L = ``risk_curvature(kind, m)`` is
+    the risk gradient's Lipschitz constant over the m columns.
 
     The cross-entropy oracle memoizes the log-softmax of its last point
     (``_memo_last``), so the value and the gradient at one point share one
@@ -267,5 +280,5 @@ def solve_z_last(
         d = z - w_aff
         return risk_at(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
 
-    step = 1.0 / (RISK_LIPSCHITZ + rho)
+    step = 1.0 / (risk_curvature(kind, y.shape[1]) + rho)
     return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)

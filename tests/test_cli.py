@@ -130,6 +130,18 @@ def test_selfcheck_detects_injected_gradient_bug():
     assert selfcheck(quick=True, gradient_perturbation=0.05) == 3
 
 
+def test_selfcheck_detects_understated_risk_curvature(monkeypatch, capsys):
+    import admmnet.objective as objective
+
+    line = "output-risk curvature <= FISTA step constant"
+    assert selfcheck(quick=True) == 0
+    assert f"PASS  {line}" in capsys.readouterr().out
+    real = objective.risk_curvature
+    monkeypatch.setattr(objective, "risk_curvature", lambda kind, count: 0.9 * real(kind, count))
+    assert selfcheck(quick=True) == 3
+    assert f"FAIL  {line}" in capsys.readouterr().out
+
+
 def test_divergence_exit_code(image_dir, tmp_path, monkeypatch):
     import admmnet.cli as cli
     from admmnet.errors import DivergenceError

@@ -14,9 +14,11 @@ from admmnet.objective import (
     objective_F,
     phi,
     risk,
+    risk_curvature,
     risk_grad,
     softmax,
 )
+from admmnet.gcn import masked_risk_grad
 
 
 def random_state(arch, m, seed, rho=1.0, nu=1.0, perturb=0.3):
@@ -228,3 +230,49 @@ def test_cross_entropy_secant_lipschitz():
         num = np.sqrt(l2sq(g1 - g2))
         den = np.sqrt(l2sq(z1 - z2))
         assert num <= (1.0 + 1e-9) * den
+
+
+def top_hessian_eigenvalue(grad, z, rng, iters=200, h=1e-5):
+    """Power iteration on central-difference Hessian-vector products."""
+    v = rng.normal(0.0, 1.0, z.shape)
+    lam = 0.0
+    for _ in range(iters):
+        v = v / np.sqrt(l2sq(v))
+        hv = (grad(z + h * v) - grad(z - h * v)) / (2.0 * h)
+        lam, v = float(np.vdot(v, hv)), hv
+    return lam
+
+
+@pytest.mark.parametrize("kind", ["cross_entropy", "squared"])
+def test_risk_curvature_bounds_hessian(kind):
+    rng = Rng(15)
+    for k, m, scale in ((2, 7, 0.0), (2, 30, 1.0), (5, 12, 0.5), (10, 40, 3.0)):
+        y = np.zeros((k, m))
+        y[rng.integers(0, k, m), np.arange(m)] = 1.0
+        z = scale * rng.normal(0.0, 1.0, (k, m))
+        lam = top_hessian_eigenvalue(lambda v: risk_grad(v, y, kind), z, rng)
+        bound = risk_curvature(kind, m)
+        assert lam <= bound * (1.0 + 1e-6)
+        if scale == 0.0 or kind == "squared":
+            # uniform two-class logits attain Boehning's bound; the squared
+            # risk's Hessian is I/m everywhere
+            assert lam >= bound * (1.0 - 1e-6)
+
+
+def test_risk_curvature_bounds_masked_gcn_hessian():
+    rng = Rng(16)
+    for n, k, scale in ((20, 2, 0.0), (50, 3, 1.0), (80, 4, 2.0)):
+        labels = np.eye(k)[rng.integers(0, k, n)]
+        mask = rng.random(n) < 0.4
+        mask[0] = True
+        z = scale * rng.normal(0.0, 1.0, (n, k))
+        lam = top_hessian_eigenvalue(lambda v: masked_risk_grad(v, labels, mask), z, rng)
+        bound = risk_curvature("cross_entropy", int(np.sum(mask)))
+        assert lam <= bound * (1.0 + 1e-6)
+        if scale == 0.0:
+            assert lam >= bound * (1.0 - 1e-6)
+
+
+def test_risk_curvature_unknown_kind():
+    with pytest.raises(ValueError):
+        risk_curvature("hinge", 10)

@@ -7,7 +7,7 @@ from admmnet.activations import RELU
 from admmnet.errors import BacktrackError, ShapeError
 from admmnet.gcn import GcnConfig
 from admmnet.linalg import Rng, l2sq
-from admmnet.objective import RISK_LIPSCHITZ, Regularizer, _log_softmax, softmax
+from admmnet.objective import Regularizer, _log_softmax, softmax
 from admmnet.solvers import (
     FISTA_MAX_ITER,
     FISTA_TOL,
@@ -296,30 +296,41 @@ class TestFista:
 # ---------------------------------------------------------------------------
 
 def reference_fista(grad_fn, obj_fn, anchor, step, tol, max_iter):
-    """The plain monotone FISTA loop: the kept iterate's gradient is taken
-    afresh every iteration, so each iteration evaluates the risk at three
-    points.  Returns the result and the number of rejected steps."""
+    """The plain monotone FISTA loop with gradient restart: the kept
+    iterate's gradient is taken afresh every iteration and again for the
+    restart test, so each iteration evaluates the risk at up to four points.
+    The momentum restarts after a rejected step and after an accepted step
+    whose new gradient has a positive inner product with the step.  Returns
+    the result, the number of rejected steps and the number of restarts
+    after accepted steps."""
     x = anchor.copy()
     x_obj = obj_fn(x)
     y = x
     t = 1.0
-    rejected = 0
+    rejected = restarted = 0
     for it in range(1, max_iter + 1):
         g = grad_fn(x)
         if float(np.max(np.abs(g))) <= tol:
-            return FistaResult(z=x, iterations=it - 1, converged=True), rejected
+            return FistaResult(z=x, iterations=it - 1, converged=True), rejected, restarted
         cand = y - step * grad_fn(y)
         cand_obj = obj_fn(cand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         if cand_obj <= x_obj:
             x_new, x_new_obj = cand, cand_obj
+            restart = float(np.vdot(grad_fn(x_new), x_new - x)) > 0.0
+            restarted += restart
         else:
             x_new, x_new_obj = x, x_obj
             rejected += 1
-        y = x_new + (t / t_next) * (cand - x_new) + ((t - 1.0) / t_next) * (x_new - x)
+            restart = True
+        if restart:
+            y, t_next = x_new, 1.0
+        else:
+            y = x_new + (t / t_next) * (cand - x_new) + ((t - 1.0) / t_next) * (x_new - x)
         x, x_obj, t = x_new, x_new_obj, t_next
     g = grad_fn(x)
-    return FistaResult(z=x, iterations=max_iter, converged=float(np.max(np.abs(g))) <= tol), rejected
+    converged = float(np.max(np.abs(g))) <= tol
+    return FistaResult(z=x, iterations=max_iter, converged=converged), rejected, restarted
 
 
 def reference_solve(w_aff, u, rho, y, kind, anchor):
@@ -339,8 +350,9 @@ def reference_solve(w_aff, u, rho, y, kind, anchor):
         d = z - w_aff
         return risk_at(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
 
-    step = 1.0 / (RISK_LIPSCHITZ + rho)
-    return reference_fista(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
+    lipschitz = 1.0 / m if kind == "squared" else 0.5 / m
+    return reference_fista(grad_fn, obj_fn, anchor, 1.0 / (lipschitz + rho), FISTA_TOL,
+                           FISTA_MAX_ITER)
 
 
 def output_problem(seed, rho, kind="cross_entropy", scale=3.0, n=5, m=40):
@@ -357,8 +369,9 @@ def output_problem(seed, rho, kind="cross_entropy", scale=3.0, n=5, m=40):
 
 
 OUTPUT_PROBLEMS = {
-    "rejected-steps": output_problem(0, 1.0),  # 7 of 38 steps rejected
-    "all-accepted": output_problem(1, 1e-6),  # every step accepted, stops at the cap
+    "rejected-steps": output_problem(27, 1e-2, n=3, m=10),  # 4 of 38 steps rejected
+    "gradient-restart": output_problem(0, 1.0),  # 2 of 6 accepted steps restart
+    "all-accepted": output_problem(1, 1e-6),  # no step rejected or restarted, stops at the cap
     "squared": output_problem(2, 2.0, kind="squared"),  # solved by FISTA, not in closed form
 }
 
@@ -367,7 +380,7 @@ OUTPUT_PROBLEMS = {
 def test_output_solve_matches_reference_loop(name):
     w_aff, u, rho, y, kind, anchor = OUTPUT_PROBLEMS[name]
     anchor_bytes = anchor.tobytes()
-    ref, rejected = reference_solve(w_aff, u, rho, y, kind, anchor)
+    ref, rejected, restarted = reference_solve(w_aff, u, rho, y, kind, anchor)
     res = solve_z_last(w_aff, u, rho, y, kind, anchor, force_fista=True)
     assert res.z.tobytes() == ref.z.tobytes()
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
@@ -375,6 +388,7 @@ def test_output_solve_matches_reference_loop(name):
     assert anchor.tobytes() == anchor_bytes
     if name != "squared":
         assert (rejected > 0) == (name == "rejected-steps")
+        assert (restarted > 0) == (name == "gradient-restart")
 
 
 def gcn_output_problem():
@@ -421,8 +435,8 @@ def test_gcn_output_solve_matches_reference_loop(monkeypatch):
         value = float(-np.sum(labels[mask] * _log_softmax(z[mask].T).T) / n_train)
         return value + float(np.vdot(state.U, d)) + 0.5 * state.rho * l2sq(d)
 
-    ref, _ = reference_fista(grad_fn, obj_fn, anchor, 1.0 / (1.0 + state.rho),
-                             FISTA_TOL, FISTA_MAX_ITER)
+    step = 1.0 / (0.5 / n_train + state.rho)
+    ref, _, _ = reference_fista(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
     work, res = solve_gcn_output(monkeypatch, graph, state, az)
     assert work.Z[-1].tobytes() == ref.z.tobytes()
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
@@ -443,10 +457,10 @@ def counting(monkeypatch, module):
     return calls
 
 
-@pytest.mark.parametrize("name", ["rejected-steps", "all-accepted"])
+@pytest.mark.parametrize("name", ["rejected-steps", "gradient-restart", "all-accepted"])
 def test_output_solve_log_softmax_count(monkeypatch, name):
     """At most two log-softmaxes per iteration plus two; the plain loop
-    takes three per iteration plus two."""
+    takes up to four per iteration plus two."""
     calls = counting(monkeypatch, solvers)
     res = solve_z_last(*OUTPUT_PROBLEMS[name])
     assert res.iterations > 0

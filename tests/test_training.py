@@ -16,7 +16,7 @@ from admmnet.objective import (
     lagrangian,
 )
 from admmnet.solvers import StepSeeds
-from admmnet.synth import make_separable
+from admmnet.synth import make_image_classes, make_separable
 from admmnet.training import (
     TrainConfig,
     backward_sweep,
@@ -104,6 +104,15 @@ def test_nonmonotone_at_tiny_rho():
     lag = [t.lagrangian for t in result.traces]
     increases = sum(1 for a, b in zip(lag, lag[1:]) if b > a)
     assert increases >= 10
+
+
+def test_output_solves_converge_at_tiny_rho():
+    # the output FISTA steps by the risk's curvature 1/(2m), not by 1
+    data = make_image_classes(5000, n_pixels=64, n_classes=10, rng=Rng(1))[0]
+    arch = MlpArchitecture(layer_dims=(64, 16, 10))
+    cfg = TrainConfig(rho=1e-6, nu=1e-6, epochs=30, seed=0)
+    traces = train(arch, data, cfg).traces
+    assert sum(t.fista_converged for t in traces) >= 0.95 * len(traces)
 
 
 def test_stationary_point_is_fixed():
