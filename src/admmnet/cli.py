@@ -189,12 +189,11 @@ def _top_eigenvalue(grad_fn, z, rng: Rng, iters: int = 50, h: float = 1e-5) -> f
     return top
 
 
-def selfcheck(quick: bool = False, gradient_perturbation: float = 0.0) -> int:
+def selfcheck(quick: bool = False) -> int:
     """Gradient checks, subproblem oracles, the output-risk curvature against
     the FISTA step constant, and a short descent run; returns the exit code.
-    gradient_perturbation is added to every analytic W gradient before it is
-    compared with finite differences, so a test can confirm that the check
-    catches a wrong gradient."""
+    The W gradients checked against finite differences of phi are the ones
+    the trainer steps with (``objective.grad_W`` behind ``grad_phi_block``)."""
     from . import objective, solvers
     from .objective import Dataset, forward_init, grad_phi_block, phi
 
@@ -222,7 +221,7 @@ def selfcheck(quick: bool = False, gradient_perturbation: float = 0.0) -> int:
     h = 1e-6
     worst = 0.0
     for l in range(arch.n_layers):
-        grad = grad_phi_block(state, data, "W", l, arch.activation) + gradient_perturbation
+        grad = grad_phi_block(state, data, "W", l, arch.activation)
         num = np.zeros_like(grad)
         for idx in np.ndindex(*grad.shape):
             w0 = state.W[l][idx]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import Dataset, MlpState, risk_grad
+from .linalg import Matrix
 
 # A-priori risk gradient Lipschitz bounds per risk kind (mean-over-samples
 # convention); the descent theory consumes a constant, not an estimate.
@@ -77,7 +77,7 @@ def check_sufficient_descent(
     )
 
 
-def stationarity_residual(state: MlpState, data: Dataset, risk_kind: str) -> float:
-    """Infinity norm of grad R(z_last) + u after a completed iteration."""
-    g = risk_grad(state.z[-1], data.y, risk_kind) + state.u
-    return float(np.max(np.abs(g)))
+def stationarity_residual(risk_grad: Matrix, dual: Matrix) -> float:
+    """Infinity norm of grad R(z_last) + u, given the risk gradient at the
+    output block and the dual, after a completed iteration."""
+    return float(np.max(np.abs(risk_grad + dual)))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diagnostics
 from .activations import RELU, Activation
 from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq
@@ -416,7 +417,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
         return lagrangian(state, graph, cfg.activation, az, risk), moves, dict(
             risk=risk,
             residual_fro=float(np.sqrt(l2sq(eps))),
-            stationarity_residual=float(np.max(np.abs(risk_grad + state.U))),
+            stationarity_residual=diagnostics.stationarity_residual(risk_grad, state.U),
             train_acc=gcn_accuracy(state, graph, graph.train_mask, az),
             test_acc=gcn_accuracy(state, graph, graph.test_mask, az),
             step_stats=steps,

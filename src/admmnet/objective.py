@@ -5,6 +5,13 @@ layer.  Samples sit in columns; per-sample vectors of the scalar formulation
 become n x m matrices.  Risks are means over samples, so the Lipschitz
 constant of their gradient shrinks with the sample count:
 ``risk_curvature`` gives it, and the output-block FISTA steps by it.
+
+This module holds the only copy of the MLP's penalty phi, its residuals,
+block gradients, objective_F and Lagrangian.  The trainer (``training``)
+calls these functions with its cached products P_l = W_l a_{l-1}; the
+finite-difference checks call the same functions with P computed fresh.
+Sums run in the trainer's order, ((risk + regularizers) + hidden-layer
+terms) + output-layer terms.
 """
 from __future__ import annotations
 
@@ -169,42 +176,100 @@ def risk_grad(z_last: Matrix, y: Matrix, kind: str) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Penalty function and friends
+# Penalty function, Lagrangian and block gradients
+#
+# These are the formulas the trainer runs.  Each one that reads the
+# pre-bias products P_l = W_l a_{l-1} takes them as an optional ``P`` (the
+# trainer's cache, holding the products of ``state``) and computes them
+# fresh when P is None.
 # ---------------------------------------------------------------------------
 
 def _a_prev(state: MlpState, data: Dataset, layer: int) -> Matrix:
     return data.x if layer == 0 else state.a[layer - 1]
 
 
-def linear_residual(state: MlpState, data: Dataset, layer: int) -> Matrix:
+def products(state: MlpState, data: Dataset) -> list:
+    """Fresh pre-bias products W_l a_{l-1}, one per layer."""
+    return [state.W[l] @ _a_prev(state, data, l) for l in range(state.n_layers)]
+
+
+def linear_residual(state: MlpState, data: Dataset, layer: int, P: list = None) -> Matrix:
     """z_l - W_l a_{l-1} - b_l for the given layer."""
-    return state.z[layer] - state.W[layer] @ _a_prev(state, data, layer) - state.b[layer]
+    prod = state.W[layer] @ _a_prev(state, data, layer) if P is None else P[layer]
+    return state.z[layer] - prod - state.b[layer]
 
 
-def phi(state: MlpState, data: Dataset, activation: Activation = RELU) -> float:
-    last = state.n_layers - 1
-    total = 0.0
-    for l in range(last):
-        total += 0.5 * state.nu * l2sq(linear_residual(state, data, l))
-        total += 0.5 * state.nu * l2sq(state.a[l] - activation.value(state.z[l]))
-    r = linear_residual(state, data, last)
-    total += float(np.vdot(state.u, r)) + 0.5 * state.rho * l2sq(r)
+def _residual(state: MlpState, data: Dataset, layer: int, P: list):
+    """(r_l, d phi / d r_l) with r_l the layer's linear residual: the
+    gradient is nu r_l below the output layer and u + rho r_l at it."""
+    r = linear_residual(state, data, layer, P)
+    if layer < state.n_layers - 1:
+        return r, state.nu * r
+    return r, state.u + state.rho * r
+
+
+def linear_term(state: MlpState, lin: Matrix, is_last: bool, total: float = 0.0) -> float:
+    """``total`` plus phi's term of one linear constraint with residual lin:
+    (nu/2)||lin||^2 below the output layer, <u, lin> + (rho/2)||lin||^2 at
+    it."""
+    if is_last:
+        return total + float(np.vdot(state.u, lin)) + 0.5 * state.rho * l2sq(lin)
+    return total + 0.5 * state.nu * l2sq(lin)
+
+
+def activation_term(state: MlpState, a: Matrix, fz: Matrix) -> float:
+    """phi's term (nu/2)||a_l - f(z_l)||^2 of one hidden layer, given f(z_l)."""
+    return 0.5 * state.nu * l2sq(a - fz)
+
+
+def _hidden_terms(state: MlpState, data: Dataset, activation: Activation, P: list,
+                  total: float) -> float:
+    """``total`` plus phi's terms of the hidden layers, added in layer order."""
+    for l in range(state.n_layers - 1):
+        total = linear_term(state, linear_residual(state, data, l, P), False, total)
+        total += activation_term(state, state.a[l], activation.value(state.z[l]))
     return total
 
 
-def lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture) -> float:
-    reg = sum(arch.regularizer.value(w) for w in state.W)
-    return risk(state.z[-1], data.y, arch.risk) + reg + phi(state, data, arch.activation)
+def phi(state: MlpState, data: Dataset, activation: Activation = RELU, P: list = None) -> float:
+    last = state.n_layers - 1
+    return linear_term(state, linear_residual(state, data, last, P), True,
+                       _hidden_terms(state, data, activation, P, 0.0))
 
 
-def objective_F(state: MlpState, data: Dataset, arch: MlpArchitecture) -> float:
+def objective_F(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list = None) -> float:
     """Relaxed training objective: risk + regularizers + nu-penalties only."""
     total = risk(state.z[-1], data.y, arch.risk)
     total += sum(arch.regularizer.value(w) for w in state.W)
-    for l in range(state.n_layers - 1):
-        total += 0.5 * state.nu * l2sq(linear_residual(state, data, l))
-        total += 0.5 * state.nu * l2sq(state.a[l] - arch.activation.value(state.z[l]))
-    return total
+    return _hidden_terms(state, data, arch.activation, P, total)
+
+
+def objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture,
+                             P: list = None, r: Matrix = None) -> tuple:
+    """(objective_F, Lagrangian) of ``state``: the Lagrangian adds the output
+    layer's dual and rho terms to objective_F.  r, when given, is the
+    output-layer residual."""
+    total = objective_F(state, data, arch, P)
+    if r is None:
+        r = linear_residual(state, data, state.n_layers - 1, P)
+    return total, linear_term(state, r, True, total)
+
+
+def lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list = None) -> float:
+    return objective_and_lagrangian(state, data, arch, P)[1]
+
+
+def grad_W(state: MlpState, data: Dataset, layer: int, P: list = None):
+    """Gradient of phi in W_l, and the layer residual r_l it reads."""
+    r, scaled = _residual(state, data, layer, P)
+    return -scaled @ _a_prev(state, data, layer).T, r
+
+
+def grad_a(state: MlpState, data: Dataset, layer: int, fz: Matrix, P: list = None):
+    """Gradient of phi in a_l given f(z_l), and the layer l+1 residual it
+    reads."""
+    lin, scaled = _residual(state, data, layer + 1, P)
+    return state.nu * (state.a[layer] - fz) - state.W[layer + 1].T @ scaled, lin
 
 
 def grad_phi_block(
@@ -213,6 +278,7 @@ def grad_phi_block(
     block: str,
     layer: int,
     activation: Activation = RELU,
+    P: list = None,
 ) -> Matrix:
     """Gradient of phi w.r.t. one block, all other blocks held fixed.
 
@@ -220,36 +286,21 @@ def grad_phi_block(
     layers 0..L-2; "z" for any layer (the last layer's phi-part is smooth).
     """
     last = state.n_layers - 1
-    nu, rho = state.nu, state.rho
-
-    if block in ("W", "b"):
-        if not 0 <= layer <= last:
-            raise IndexError(f"layer {layer} out of range for block {block}")
-        res = linear_residual(state, data, layer)
-        scaled = nu * res if layer < last else state.u + rho * res
-        if block == "b":
-            return -np.sum(scaled, axis=1, keepdims=True)
-        return -scaled @ _a_prev(state, data, layer).T
-
-    if block == "z":
-        if not 0 <= layer <= last:
-            raise IndexError(f"layer {layer} out of range for block z")
-        res = linear_residual(state, data, layer)
-        if layer == last:
-            return state.u + rho * res
-        act_res = state.a[layer] - activation.value(state.z[layer])
-        return nu * res - nu * act_res * activation.deriv(state.z[layer])
-
+    if block not in ("W", "b", "z", "a"):
+        raise ValueError(f"unknown block {block!r}")
+    if not 0 <= layer <= (last - 1 if block == "a" else last):
+        raise IndexError(f"layer {layer} out of range for block {block}")
+    if block == "W":
+        return grad_W(state, data, layer, P)[0]
+    if block == "b":
+        return -np.sum(_residual(state, data, layer, P)[1], axis=1, keepdims=True)
     if block == "a":
-        if not 0 <= layer <= last - 1:
-            raise IndexError(f"layer {layer} out of range for block a")
-        g = nu * (state.a[layer] - activation.value(state.z[layer]))
-        nxt = layer + 1
-        res = linear_residual(state, data, nxt)
-        scaled = nu * res if nxt < last else state.u + rho * res
-        return g - state.W[nxt].T @ scaled
-
-    raise ValueError(f"unknown block {block!r}")
+        return grad_a(state, data, layer, activation.value(state.z[layer]), P)[0]
+    _, scaled = _residual(state, data, layer, P)
+    if layer == last:
+        return scaled
+    act_res = state.a[layer] - activation.value(state.z[layer])
+    return scaled - state.nu * act_res * activation.deriv(state.z[layer])
 
 
 # ---------------------------------------------------------------------------

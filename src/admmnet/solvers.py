@@ -9,15 +9,7 @@ import numpy as np
 
 from .errors import BacktrackError, ShapeError
 from .linalg import Matrix, l2sq
-from .objective import (
-    Regularizer,
-    _ce_grad,
-    _ce_value,
-    _log_softmax,
-    risk,
-    risk_curvature,
-    risk_grad,
-)
+from .objective import Regularizer, _ce_grad, _ce_value, _log_softmax, risk_curvature
 
 # Slack used when accepting a majorization certificate; well inside the
 # 1e-10 certificate tolerance the rest of the package asserts.
@@ -175,7 +167,9 @@ def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max
     <g, x_new - x> > 0, i.e. when the step runs against the descent
     direction (O'Donoghue and Candes, 2015).  Stops when the objective
     gradient at the kept iterate has infinity norm at most tol.  A non-tight
-    solve is flagged, not fatal.
+    solve is flagged, not fatal.  A rejected plain step (one taken from the
+    kept iterate, as after a restart) ends the solve unconverged: every later
+    iteration would form the same candidate and reject it again.
 
     The gradient of the kept iterate is kept with it: it is evaluated at the
     anchor and then only after an accepted step, since a rejected step keeps
@@ -198,6 +192,8 @@ def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max
             g = grad_fn(cand)
             restart = float(np.vdot(g, cand - x)) > 0.0
             x_prev, x, x_obj = x, cand, cand_obj
+        elif y is x:
+            return FistaResult(z=x, iterations=it, converged=False)
         else:
             restart = True
         if restart:
@@ -240,7 +236,6 @@ def solve_z_last(
     y: Matrix,
     kind: str,
     anchor: Matrix,
-    force_fista: bool = False,
 ) -> FistaResult:
     """Minimize R(z; y) + <u, z - w_aff> + (rho/2)||z - w_aff||^2.
 
@@ -253,32 +248,18 @@ def solve_z_last(
     log-softmax.  Keying by identity is safe here: ``fista_minimize`` never
     writes into an iterate, and the memo keeps its point alive.
     """
-    if kind == "squared" and not force_fista:
+    if kind == "squared":
         return FistaResult(z=closed_form_z_last_squared(w_aff, u, rho, y), iterations=0, converged=True)
-
-    if kind == "cross_entropy":
-        if anchor.shape != y.shape:
-            raise ShapeError(f"solve_z_last: shapes differ, {anchor.shape} vs {y.shape}")
-        logp, m = _memo_last(_log_softmax), y.shape[1]
-
-        def risk_at(z):
-            return _ce_value(logp(z), y, m)
-
-        def risk_grad_at(z):
-            return _ce_grad(logp(z), y, m)
-    else:
-        def risk_at(z):
-            return risk(z, y, kind)
-
-        def risk_grad_at(z):
-            return risk_grad(z, y, kind)
+    if anchor.shape != y.shape:
+        raise ShapeError(f"solve_z_last: shapes differ, {anchor.shape} vs {y.shape}")
+    logp, m = _memo_last(_log_softmax), y.shape[1]
 
     def grad_fn(z):
-        return risk_grad_at(z) + u + rho * (z - w_aff)
+        return _ce_grad(logp(z), y, m) + u + rho * (z - w_aff)
 
     def obj_fn(z):
         d = z - w_aff
-        return risk_at(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
+        return _ce_value(logp(z), y, m) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
 
     step = 1.0 / (risk_curvature(kind, y.shape[1]) + rho)
     return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)

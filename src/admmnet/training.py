@@ -36,10 +36,15 @@ b and z updates leave P alone.  The b and W gradients, the z-update inputs,
 the output solve, the dual residual, the Lagrangian and objective_F all read
 P.  The Lagrangian after iteration k is the one entering iteration k+1.
 
-Backtracking trials are evaluated through partial penalty closures that
-only touch the terms containing the trial block; candidates are affine in
-the inverse step, so trial residuals reuse one precomputed product instead
-of a fresh matrix multiply.
+Formulas.  This module holds the sweeps, the backtracking closures, the P
+moves and the driver, and no formula of phi: every residual, block
+gradient, penalty term, objective_F and Lagrangian is a call into
+``objective``, the functions the finite-difference checks test, with the
+cache passed as their ``P``.  Backtracking trials are evaluated through
+partial penalty closures built from ``objective.linear_term`` and
+``objective.activation_term``, which only touch the terms containing the
+trial block; candidates are affine in the inverse step, so trial residuals
+reuse one precomputed product instead of a fresh matrix multiply.
 """
 from __future__ import annotations
 
@@ -163,33 +168,11 @@ def dual_update(state: MlpState, r: Matrix) -> Matrix:
     return state.u + state.rho * r
 
 
-def products(state: MlpState, data: Dataset) -> list:
-    """Fresh pre-bias products W_l a_{l-1}, one per layer."""
-    return [state.W[l] @ _a_prev(state, data, l) for l in range(state.n_layers)]
-
-
-def _residual(work: MlpState, P: list, layer: int):
-    """(r_l, d phi / d r_l) with r_l = z_l - W_l a_{l-1} - b_l read from the
-    cached product: the gradient is nu r_l below the output layer and
-    u + rho r_l at it."""
-    r = work.z[layer] - P[layer] - work.b[layer]
-    if layer < work.n_layers - 1:
-        return r, work.nu * r
-    return r, work.u + work.rho * r
-
-
-def _linear_term(lin: Matrix, nu: float, rho: float, u, is_last: bool) -> float:
-    if is_last:
-        return float(np.vdot(u, lin)) + 0.5 * rho * l2sq(lin)
-    return 0.5 * nu * l2sq(lin)
-
-
 def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, layer: int,
               seeds: StepSeeds, key):
     a_prev = _a_prev(work, data, layer)
     anchor = work.W[layer]
-    lin0, scaled = _residual(work, P, layer)
-    grad = -scaled @ a_prev.T
+    grad, lin0 = objective.grad_W(work, data, layer, P)
     is_last = layer == work.n_layers - 1
     reg = arch.regularizer
 
@@ -197,8 +180,7 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
         grad_a = None
 
         def eval_phi(cand, step):
-            lin = lin0 - (cand - anchor) @ a_prev
-            return _linear_term(lin, work.nu, work.rho, work.u, is_last)
+            return objective.linear_term(work, lin0 - (cand - anchor) @ a_prev, is_last)
 
         prox = lambda v, t: prox_regularizer(v, reg, reg.lam / t)
     else:
@@ -206,7 +188,7 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
 
         def eval_phi(cand, step):
             lin = lin0 if step is None else lin0 + grad_a / step
-            return _linear_term(lin, work.nu, work.rho, work.u, is_last)
+            return objective.linear_term(work, lin, is_last)
 
         prox = None
 
@@ -220,26 +202,18 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     return res
 
 
-def _grad_a(work: MlpState, P: list, layer: int, fz: Matrix):
-    """Gradient of phi in a_l given f(z_l), and the layer l+1 residual it
-    reads."""
-    lin, scaled = _residual(work, P, layer + 1)
-    return work.nu * (work.a[layer] - fz) - work.W[layer + 1].T @ scaled, lin
-
-
-def _update_a(work: MlpState, P: list, arch: MlpArchitecture, layer: int,
+def _update_a(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, layer: int,
               seeds: StepSeeds, key):
     nxt = layer + 1
     anchor = work.a[layer]
     fz = arch.activation.value(work.z[layer])
-    grad, lin0 = _grad_a(work, P, layer, fz)
+    grad, lin0 = objective.grad_a(work, data, layer, fz, P)
     w_grad = work.W[nxt] @ grad  # trial residual is lin0 + w_grad / step
     is_last = nxt == work.n_layers - 1
 
     def eval_phi(cand, step):
         lin = lin0 if step is None else lin0 + w_grad / step
-        act = 0.5 * work.nu * l2sq(cand - fz)
-        return act + _linear_term(lin, work.nu, work.rho, work.u, is_last)
+        return objective.activation_term(work, cand, fz) + objective.linear_term(work, lin, is_last)
 
     res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
     seeds.update(key, res.step)
@@ -249,11 +223,9 @@ def _update_a(work: MlpState, P: list, arch: MlpArchitecture, layer: int,
 
 
 def _update_b_block(work: MlpState, P: list, data: Dataset, layer: int):
-    _, scaled = _residual(work, P, layer)
-    grad = -np.sum(scaled, axis=1, keepdims=True)
+    grad = objective.grad_phi_block(work, data, "b", layer, P=P)
     work.b[layer] = update_b(
-        work.b[layer], grad, layer, work.n_layers, work.nu, work.rho,
-        n_samples=data.n_samples,
+        work.b[layer], grad, layer, work.n_layers, work.nu, work.rho, n_samples=data.n_samples,
     )
 
 
@@ -275,7 +247,7 @@ def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture
 
 
 def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
-                   seeds: StepSeeds, cfg: TrainConfig, P: list = None):
+                   seeds: StepSeeds, P: list = None):
     """Returns (barred state, step_stats, max certificate violation, fista ok).
 
     P, when given, holds the products W_l a_{l-1} of ``state`` and is moved
@@ -284,14 +256,14 @@ def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
     """
     work = state.copy()
     if P is None:
-        P = products(state, data)
+        P = objective.products(state, data)
     last = work.n_layers - 1
     steps, worst, fista_ok = {}, 0.0, True
     for layer in range(last, -1, -1):
         if layer == last:
             fista_ok = _update_z_last(work, P, data, arch)
         else:
-            res = _update_a(work, P, arch, layer, seeds, ("a_bar", layer))
+            res = _update_a(work, P, data, arch, layer, seeds, ("a_bar", layer))
             steps[("a_bar", layer)] = res.step
             worst = max(worst, res.violation)
             _update_z_hidden(work, P, arch, layer)
@@ -303,14 +275,14 @@ def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
 
 
 def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
-                  seeds: StepSeeds, cfg: TrainConfig, P: list = None):
+                  seeds: StepSeeds, P: list = None):
     """Continues from the barred state; anchors are the barred blocks.
 
     P is handled as in ``backward_sweep``.
     """
     work = barred.copy()
     if P is None:
-        P = products(barred, data)
+        P = objective.products(barred, data)
     last = work.n_layers - 1
     steps, worst, fista_ok = {}, 0.0, True
     for layer in range(last + 1):
@@ -320,7 +292,7 @@ def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
         _update_b_block(work, P, data, layer)
         if layer < last:
             _update_z_hidden(work, P, arch, layer)
-            res = _update_a(work, P, arch, layer, seeds, ("a", layer))
+            res = _update_a(work, P, data, arch, layer, seeds, ("a", layer))
             steps[("a", layer)] = res.step
             worst = max(worst, res.violation)
         else:
@@ -344,18 +316,6 @@ def block_move_sq_sum(prev: MlpState, barred: MlpState, new: MlpState) -> float:
     return _move_sq_sum(prev, barred) + _move_sq_sum(barred, new)
 
 
-def _objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture,
-                              P: list, r: Matrix):
-    """(objective_F, Lagrangian) of ``state`` from its cached products; r is
-    the output-layer residual."""
-    total = objective.risk(state.z[-1], data.y, arch.risk)
-    total += sum(arch.regularizer.value(w) for w in state.W)
-    for l in range(state.n_layers - 1):
-        total += 0.5 * state.nu * l2sq(state.z[l] - P[l] - state.b[l])
-        total += 0.5 * state.nu * l2sq(state.a[l] - arch.activation.value(state.z[l]))
-    return total, total + float(np.vdot(state.u, r)) + 0.5 * state.rho * l2sq(r)
-
-
 def train(
     arch: MlpArchitecture,
     data: Dataset,
@@ -368,8 +328,8 @@ def train(
         arch, data, Rng(cfg.seed), cfg.rho, cfg.nu
     )
     last = state.n_layers - 1
-    P = products(state, data)
-    _, lagr0 = _objective_and_lagrangian(state, data, arch, P, _residual(state, P, last)[0])
+    P = objective.products(state, data)
+    lagr0 = objective.lagrangian(state, data, arch, P)
 
     def accuracy(d: Dataset) -> float:
         return objective.accuracy(
@@ -378,19 +338,20 @@ def train(
 
     def iterate(seeds: StepSeeds):
         nonlocal state
-        barred, bsteps, bviol, bfista = backward_sweep(state, data, arch, seeds, cfg, P)
+        barred, bsteps, bviol, bfista = backward_sweep(state, data, arch, seeds, P)
         moves = _move_sq_sum(state, barred)
         del state  # the forward half needs only the barred blocks
-        state, fsteps, fviol, ffista = forward_sweep(barred, data, arch, seeds, cfg, P)
+        state, fsteps, fviol, ffista = forward_sweep(barred, data, arch, seeds, P)
         moves += _move_sq_sum(barred, state)
         del barred
-        r = _residual(state, P, last)[0]
+        r = objective.linear_residual(state, data, last, P)
         state.u = dual_update(state, r)
-        objective_F, lagr = _objective_and_lagrangian(state, data, arch, P, r)
+        objective_F, lagr = objective.objective_and_lagrangian(state, data, arch, P, r)
         return lagr, moves, dict(
             objective_F=objective_F,
             residual_l2=float(np.sqrt(l2sq(r))),
-            stationarity_residual=diagnostics.stationarity_residual(state, data, arch.risk),
+            stationarity_residual=diagnostics.stationarity_residual(
+                objective.risk_grad(state.z[-1], data.y, arch.risk), state.u),
             train_acc=accuracy(data),
             test_acc=accuracy(eval_data) if eval_data is not None else float("nan"),
             step_stats={**bsteps, **fsteps},

@@ -126,8 +126,20 @@ def test_selfcheck_quick_passes():
     assert main(["selfcheck", "--quick"]) == 0
 
 
-def test_selfcheck_detects_injected_gradient_bug():
-    assert selfcheck(quick=True, gradient_perturbation=0.05) == 3
+def test_selfcheck_detects_injected_gradient_bug(monkeypatch, capsys):
+    """A wrong W gradient in the function the trainer steps with must fail
+    the finite-difference check."""
+    import admmnet.objective as objective
+
+    real = objective.grad_W
+
+    def scaled(*args, **kwargs):
+        grad, r = real(*args, **kwargs)
+        return 1.5 * grad, r
+
+    monkeypatch.setattr(objective, "grad_W", scaled)
+    assert selfcheck(quick=True) == 3
+    assert "FAIL  gradient W vs finite differences" in capsys.readouterr().out
 
 
 def test_selfcheck_detects_understated_risk_curvature(monkeypatch, capsys):

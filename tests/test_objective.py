@@ -13,6 +13,7 @@ from admmnet.objective import (
     lagrangian,
     objective_F,
     phi,
+    products,
     risk,
     risk_curvature,
     risk_grad,
@@ -172,6 +173,23 @@ def test_grad_phi_finite_differences(block, risk_kind):
             num[idx] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num))))
         assert np.max(np.abs(g - num)) / scale < 1e-5
+
+
+def test_given_products_match_fresh_ones():
+    """With P = products(state, data) passed in, phi, objective_F, the
+    Lagrangian and every block gradient return the bits they return when
+    they form the products themselves."""
+    arch = MlpArchitecture(layer_dims=(3, 4, 3, 2))
+    state, data = random_state(arch, 5, seed=14)
+    P = products(state, data)
+    assert phi(state, data, arch.activation, P) == phi(state, data, arch.activation)
+    assert objective_F(state, data, arch, P) == objective_F(state, data, arch)
+    assert lagrangian(state, data, arch, P) == lagrangian(state, data, arch)
+    for block in ("W", "b", "z", "a"):
+        for layer in range(arch.n_layers - (block == "a")):
+            fresh = grad_phi_block(state, data, block, layer, arch.activation)
+            given = grad_phi_block(state, data, block, layer, arch.activation, P)
+            assert given.tobytes() == fresh.tobytes()
 
 
 def test_grad_phi_zero_at_feasible_point():

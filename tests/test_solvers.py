@@ -7,7 +7,7 @@ from admmnet.activations import RELU
 from admmnet.errors import BacktrackError, ShapeError
 from admmnet.gcn import GcnConfig
 from admmnet.linalg import Rng, l2sq
-from admmnet.objective import Regularizer, _log_softmax, softmax
+from admmnet.objective import Regularizer, _log_softmax, risk, risk_curvature, risk_grad, softmax
 from admmnet.solvers import (
     FISTA_MAX_ITER,
     FISTA_TOL,
@@ -215,6 +215,21 @@ class TestProxRegularizer:
         assert abs(out[0, 0] - grid[np.argmin(obj)]) < 1e-4
 
 
+def squared_fista(w_aff, u, rho, y, anchor):
+    """FISTA on the squared-risk output subproblem, which ``solve_z_last``
+    solves in closed form instead."""
+
+    def grad_fn(z):
+        return risk_grad(z, y, "squared") + u + rho * (z - w_aff)
+
+    def obj_fn(z):
+        d = z - w_aff
+        return risk(z, y, "squared") + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
+
+    step = 1.0 / (risk_curvature("squared", y.shape[1]) + rho)
+    return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
+
+
 class TestFista:
     def test_matches_closed_form_squared(self):
         rng = Rng(5)
@@ -222,8 +237,7 @@ class TestFista:
         w_aff = rng.normal(0, 1, (3, 4))
         u = rng.normal(0, 1, (3, 4))
         rho = 2.0
-        res = solve_z_last(w_aff, u, rho, y, "squared", anchor=w_aff.copy(),
-                           force_fista=True)
+        res = squared_fista(w_aff, u, rho, y, anchor=w_aff.copy())
         closed = closed_form_z_last_squared(w_aff, u, rho, y)
         assert np.max(np.abs(res.z - closed)) < 1e-6
 
@@ -300,9 +314,10 @@ def reference_fista(grad_fn, obj_fn, anchor, step, tol, max_iter):
     iterate's gradient is taken afresh every iteration and again for the
     restart test, so each iteration evaluates the risk at up to four points.
     The momentum restarts after a rejected step and after an accepted step
-    whose new gradient has a positive inner product with the step.  Returns
-    the result, the number of rejected steps and the number of restarts
-    after accepted steps."""
+    whose new gradient has a positive inner product with the step; a
+    rejected step taken from the kept iterate ends the solve unconverged.
+    Returns the result, the number of rejected steps and the number of
+    restarts after accepted steps."""
     x = anchor.copy()
     x_obj = obj_fn(x)
     y = x
@@ -322,6 +337,8 @@ def reference_fista(grad_fn, obj_fn, anchor, step, tol, max_iter):
         else:
             x_new, x_new_obj = x, x_obj
             rejected += 1
+            if y is x:
+                return FistaResult(z=x, iterations=it, converged=False), rejected, restarted
             restart = True
         if restart:
             y, t_next = x_new, 1.0
@@ -381,7 +398,10 @@ def test_output_solve_matches_reference_loop(name):
     w_aff, u, rho, y, kind, anchor = OUTPUT_PROBLEMS[name]
     anchor_bytes = anchor.tobytes()
     ref, rejected, restarted = reference_solve(w_aff, u, rho, y, kind, anchor)
-    res = solve_z_last(w_aff, u, rho, y, kind, anchor, force_fista=True)
+    if kind == "squared":
+        res = squared_fista(w_aff, u, rho, y, anchor)
+    else:
+        res = solve_z_last(w_aff, u, rho, y, kind, anchor)
     assert res.z.tobytes() == ref.z.tobytes()
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
     assert res.iterations > 0
@@ -389,6 +409,18 @@ def test_output_solve_matches_reference_loop(name):
     if name != "squared":
         assert (rejected > 0) == (name == "rejected-steps")
         assert (restarted > 0) == (name == "gradient-restart")
+
+
+def test_output_solve_stops_at_rejected_plain_step():
+    """Here a plain step from the kept iterate is rejected while the gradient
+    is still above tolerance; every later iteration would form the same
+    candidate and reject it again, so the solve ends there, unconverged."""
+    problem = output_problem(28, 10.0)
+    res = solve_z_last(*problem)
+    ref, _, _ = reference_solve(*problem)
+    assert res.z.tobytes() == ref.z.tobytes()
+    assert (res.iterations, res.converged) == (ref.iterations, False)
+    assert res.iterations < FISTA_MAX_ITER
 
 
 def gcn_output_problem():

@@ -73,8 +73,8 @@ def test_dual_residual_consistency(separable_run):
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
     seeds = StepSeeds()
     for _ in range(2):
-        barred, _, _, _ = backward_sweep(state, data, arch, seeds, cfg)
-        new, _, _, _ = forward_sweep(barred, data, arch, seeds, cfg)
+        barred, _, _, _ = backward_sweep(state, data, arch, seeds)
+        new, _, _, _ = forward_sweep(barred, data, arch, seeds)
         r = objective.linear_residual(new, data, arch.n_layers - 1)
         u_prev = new.u.copy()
         new.u = dual_update(new, r)
@@ -124,8 +124,8 @@ def test_stationary_point_is_fixed():
     result = train(arch, data, cfg)
     state = result.state
     seeds = StepSeeds()
-    barred, _, _, _ = backward_sweep(state, data, arch, seeds, cfg)
-    new, _, _, _ = forward_sweep(barred, data, arch, seeds, cfg)
+    barred, _, _, _ = backward_sweep(state, data, arch, seeds)
+    new, _, _, _ = forward_sweep(barred, data, arch, seeds)
     move = block_move_sq_sum(state, barred, new)
     assert move < 0.01 * result.traces[0].block_move_sq_sum
     assert move < 1e-4
@@ -138,10 +138,10 @@ def test_each_sweep_decreases_lagrangian():
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
     seeds = StepSeeds()
     before = lagrangian(state, data, arch)
-    barred, _, _, _ = backward_sweep(state, data, arch, seeds, cfg)
+    barred, _, _, _ = backward_sweep(state, data, arch, seeds)
     mid = lagrangian(barred, data, arch)
     assert mid <= before + 1e-9
-    new, _, _, _ = forward_sweep(barred, data, arch, seeds, cfg)
+    new, _, _, _ = forward_sweep(barred, data, arch, seeds)
     after = lagrangian(new, data, arch)
     assert after <= mid + 1e-9
 
@@ -151,19 +151,18 @@ def test_index_discipline_backward_sweep(monkeypatch):
     layers above l and untouched blocks for layers at or below l."""
     data = make_separable(20, rng=Rng(4))
     arch = MlpArchitecture(layer_dims=(4, 5, 5, 2))
-    cfg = TrainConfig(rho=1.0, nu=1.0, epochs=1, seed=0)
     state = forward_init(arch, data, Rng(0), rho=1.0, nu=1.0)
     orig_W = [w.copy() for w in state.W]
 
     seen = {}
-    real = training._grad_a
+    real = objective.grad_a
 
-    def spy(st, P, layer, fz):
+    def spy(st, dat, layer, fz, P):
         seen[layer] = [w.copy() for w in st.W]
-        return real(st, P, layer, fz)
+        return real(st, dat, layer, fz, P)
 
-    monkeypatch.setattr(training, "_grad_a", spy)
-    backward_sweep(state, data, arch, StepSeeds(), cfg)
+    monkeypatch.setattr(objective, "grad_a", spy)
+    backward_sweep(state, data, arch, StepSeeds())
 
     # backward order is l = L-1 .. 0; at the a-update of hidden layer 1 the
     # last layer's W must already be barred (changed), W[0..1] untouched
@@ -173,6 +172,28 @@ def test_index_discipline_backward_sweep(monkeypatch):
     assert np.array_equal(seen[1][1], orig_W[1])
     # at layer 0's a-update, layer 1's W-bar must also be in place
     assert not np.array_equal(seen[0][1], orig_W[1])
+
+
+def test_train_calls_the_checked_formulas(monkeypatch):
+    """train() takes its block gradients, penalty terms and Lagrangian from
+    the objective functions that the finite-difference checks test, not
+    from copies of its own."""
+    data = make_separable(20, rng=Rng(4))
+    arch = MlpArchitecture(layer_dims=(4, 5, 5, 2))
+    calls = {}
+    for name in ("grad_W", "grad_phi_block", "grad_a", "linear_term", "activation_term",
+                 "lagrangian", "objective_and_lagrangian"):
+        def spy(*args, _real=getattr(objective, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(objective, name, spy)
+    train(arch, data, TrainConfig(rho=1.0, nu=1.0, epochs=1, seed=0))
+    # two sweeps: W and b of each of 3 layers, a of each of 2 hidden layers
+    assert (calls["grad_W"], calls["grad_phi_block"], calls["grad_a"]) == (6, 6, 4)
+    # the Lagrangian entering iteration 1, and the one after it
+    assert (calls["lagrangian"], calls["objective_and_lagrangian"]) == (1, 2)
+    assert calls["linear_term"] > 0 and calls["activation_term"] > 0
 
 
 @pytest.mark.parametrize("reg", [NO_REG, Regularizer("l2", 1e-3)], ids=["affine", "prox"])
@@ -186,8 +207,8 @@ def test_cached_products_match_fresh(reg, monkeypatch):
     seen = {}
     real = training.forward_sweep
 
-    def spy(barred, dat, arc, seeds, cf, P):
-        out = real(barred, dat, arc, seeds, cf, P)
+    def spy(barred, dat, arc, seeds, P):
+        out = real(barred, dat, arc, seeds, P)
         seen["state"], seen["P"] = out[0], P
         return out
 
@@ -234,8 +255,8 @@ def test_boundedness_plateau():
     seeds = StepSeeds()
     norm_hist = []
     for _ in range(60):
-        barred, _, _, _ = backward_sweep(state, data, arch, seeds, cfg)
-        new, _, _, _ = forward_sweep(barred, data, arch, seeds, cfg)
+        barred, _, _, _ = backward_sweep(state, data, arch, seeds)
+        new, _, _, _ = forward_sweep(barred, data, arch, seeds)
         r = objective.linear_residual(new, data, arch.n_layers - 1)
         new.u = dual_update(new, r)
         state = new
