@@ -58,9 +58,12 @@ def _forward(W, b, x, arch: MlpArchitecture):
     return zs, acts
 
 
-def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture):
-    """Exact full-batch gradients of risk + regularizer w.r.t. every W_l, b_l."""
-    zs, acts = _forward(W, b, data.x, arch)
+def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward=None):
+    """Exact full-batch gradients of risk + regularizer w.r.t. every W_l, b_l.
+
+    ``forward``, when given, is ``_forward(W, b, data.x, arch)``, already
+    formed by the caller."""
+    zs, acts = _forward(W, b, data.x, arch) if forward is None else forward
     last = len(W) - 1
     gW = [None] * len(W)
     gb = [None] * len(W)
@@ -78,8 +81,10 @@ def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture):
     return gW, gb
 
 
-def _loss(W, b, data, arch):
-    zs, _ = _forward(W, b, data.x, arch)
+def _loss(W, b, data, arch, forward=None):
+    """(risk + regularizer, output logits); ``forward`` as in
+    ``backprop_grads``."""
+    zs, _ = _forward(W, b, data.x, arch) if forward is None else forward
     val = objective.risk(zs[-1], data.y, arch.risk)
     for w in W:
         val += arch.regularizer.value(w)
@@ -138,11 +143,16 @@ def run_baseline(
     upd = _Updater(cfg, W + b)
     traces = []
     t0 = time.perf_counter()
+    # the forward pass of the training data that gives one epoch's loss is
+    # the one the next epoch's gradients start from
+    forward = _forward(W, b, data.x, arch)
     for it in range(1, cfg.epochs + 1):
-        gW, gb = backprop_grads(W, b, data, arch)
+        gW, gb = backprop_grads(W, b, data, arch, forward)
+        del forward  # not kept alive while the next one is formed
         new = upd.step(W + b, gW + gb)
         W, b = new[: len(W)], new[len(W):]
-        loss, z_last = _loss(W, b, data, arch)
+        forward = _forward(W, b, data.x, arch)
+        loss, z_last = _loss(W, b, data, arch, forward)
         test_acc = float("nan")
         if eval_data is not None:
             _, z_eval = _loss(W, b, eval_data, arch)

@@ -192,8 +192,9 @@ def _top_eigenvalue(grad_fn, z, rng: Rng, iters: int = 50, h: float = 1e-5) -> f
 def selfcheck(quick: bool = False) -> int:
     """Gradient checks, subproblem oracles, the output-risk curvature against
     the FISTA step constant, and a short descent run; returns the exit code.
-    The W gradients checked against finite differences of phi are the ones
-    the trainer steps with (``objective.grad_W`` behind ``grad_phi_block``)."""
+    The W, b, z and a gradients checked against finite differences of phi
+    are the ones the trainer steps with (``objective.grad_W`` and
+    ``grad_a`` behind ``grad_phi_block``)."""
     from . import objective, solvers
     from .objective import Dataset, forward_init, grad_phi_block, phi
 
@@ -217,23 +218,25 @@ def selfcheck(quick: bool = False) -> int:
         state.a[l] = p + 0.1 * rng.normal(0.0, 1.0, p.shape)
     state.u = rng.normal(0.0, 1.0, state.u.shape)
 
-    # finite-difference check on every W gradient
+    # finite-difference check on every block gradient
     h = 1e-6
-    worst = 0.0
-    for l in range(arch.n_layers):
-        grad = grad_phi_block(state, data, "W", l, arch.activation)
-        num = np.zeros_like(grad)
-        for idx in np.ndindex(*grad.shape):
-            w0 = state.W[l][idx]
-            state.W[l][idx] = w0 + h
-            fp = phi(state, data, arch.activation)
-            state.W[l][idx] = w0 - h
-            fm = phi(state, data, arch.activation)
-            state.W[l][idx] = w0
-            num[idx] = (fp - fm) / (2 * h)
-        denom = max(1.0, float(np.max(np.abs(num))))
-        worst = max(worst, float(np.max(np.abs(grad - num))) / denom)
-    check("gradient W vs finite differences", worst < 1e-5)
+    stores = {"W": state.W, "b": state.b, "z": state.z, "a": state.a}
+    for block, store in stores.items():
+        worst = 0.0
+        for l in range(len(store)):
+            grad = grad_phi_block(state, data, block, l, arch.activation)
+            num = np.zeros_like(grad)
+            for idx in np.ndindex(*grad.shape):
+                w0 = store[l][idx]
+                store[l][idx] = w0 + h
+                fp = phi(state, data, arch.activation)
+                store[l][idx] = w0 - h
+                fm = phi(state, data, arch.activation)
+                store[l][idx] = w0
+                num[idx] = (fp - fm) / (2 * h)
+            denom = max(1.0, float(np.max(np.abs(num))))
+            worst = max(worst, float(np.max(np.abs(grad - num))) / denom)
+        check(f"gradient {block} vs finite differences", worst < 1e-5)
 
     # scalar z-subproblem vs a fine grid
     rng2 = Rng(11)

@@ -262,14 +262,19 @@ def lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list = 
 def grad_W(state: MlpState, data: Dataset, layer: int, P: list = None):
     """Gradient of phi in W_l, and the layer residual r_l it reads."""
     r, scaled = _residual(state, data, layer, P)
-    return -scaled @ _a_prev(state, data, layer).T, r
+    return -(scaled @ _a_prev(state, data, layer).T), r
 
 
 def grad_a(state: MlpState, data: Dataset, layer: int, fz: Matrix, P: list = None):
-    """Gradient of phi in a_l given f(z_l), and the layer l+1 residual it
-    reads."""
+    """Gradient of phi in a_l given f(z_l), the layer l+1 residual it reads,
+    and phi's activation term (nu/2)||a_l - f(z_l)||^2 from the same
+    difference (``activation_term`` of a_l)."""
     lin, scaled = _residual(state, data, layer + 1, P)
-    return state.nu * (state.a[layer] - fz) - state.W[layer + 1].T @ scaled, lin
+    grad = state.a[layer] - fz
+    act = 0.5 * state.nu * l2sq(grad)
+    grad *= state.nu
+    grad -= state.W[layer + 1].T @ scaled
+    return grad, lin, act
 
 
 def grad_phi_block(

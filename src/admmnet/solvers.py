@@ -31,6 +31,7 @@ class BacktrackResult:
     candidate: Matrix
     trials: int
     violation: float  # phi(candidate) - Q(candidate; step) at acceptance
+    move_sq: float  # ||candidate - anchor||^2
 
 
 @dataclass
@@ -73,10 +74,13 @@ def backtrack_quadratic(
         if prox is not None:
             cand = prox(cand, t)
         delta = cand - anchor
-        q = phi0 + float(np.vdot(grad, delta)) + 0.5 * t * l2sq(delta)
+        move_sq = l2sq(delta)
+        q = phi0 + float(np.vdot(grad, delta)) + 0.5 * t * move_sq
+        del delta  # not held while eval_phi forms its own temporaries
         val = eval_phi(cand, t)
         if np.isfinite(val) and val <= q + CERT_SLACK:
-            return BacktrackResult(step=t, candidate=cand, trials=trial, violation=val - q)
+            return BacktrackResult(step=t, candidate=cand, trials=trial, violation=val - q,
+                                   move_sq=move_sq)
         t *= growth
     raise BacktrackError(
         f"no certified step after {max_trials} trials (seed {seed_step:g}); "
@@ -108,15 +112,18 @@ def update_b(
 def solve_z_relu(linear_in: Matrix, a_target: Matrix, w_lin: float, w_act: float) -> Matrix:
     """Elementwise minimizer of w_lin (z - m)^2 + w_act (t - max(z, 0))^2.
 
-    Both branch candidates are evaluated and the lower objective wins;
-    ties go to the nonnegative branch.
+    The nonnegative branch gives max(c, 0), c = (w_lin m + w_act t)/(w_lin
+    + w_act), the negative branch min(m, 0).  The negative branch has the
+    strictly lower objective exactly where m + kappa t < 0, with kappa =
+    sqrt(1 + w_act/w_lin) - 1 (for equal weights w and m < 0 <= c,
+    obj_neg - obj_pos = (w/2)(m + (sqrt2 - 1) t)((sqrt2 + 1) t - m); where
+    m >= 0 and the rule holds, both branches give 0), so one sign test picks
+    it.  Ties, m + kappa t = 0, go to the nonnegative branch.
     """
     m, t = linear_in, a_target
-    z_neg = np.minimum(m, 0.0)
-    obj_neg = w_lin * (z_neg - m) ** 2 + w_act * t**2
     z_pos = np.maximum((w_lin * m + w_act * t) / (w_lin + w_act), 0.0)
-    obj_pos = w_lin * (z_pos - m) ** 2 + w_act * (t - z_pos) ** 2
-    return np.where(obj_neg < obj_pos, z_neg, z_pos)
+    kappa = np.sqrt(1.0 + w_act / w_lin) - 1.0
+    return np.where(m + kappa * t < 0.0, np.minimum(m, 0.0), z_pos)
 
 
 def solve_z_leaky_relu(

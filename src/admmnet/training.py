@@ -27,14 +27,19 @@ layer residual z_l - P_l - b_l costs no matrix product.  P is computed
 fresh once per ``train()`` call (once per sweep call when the caller passes
 none) and afterwards moves only with the two blocks it depends on:
 
-* an accepted W_l step, W_l - G/t, moves P_l by -(G a_{l-1})/t, the product
-  the backtracking already formed for its trial residuals; a regularized
-  (prox) step recomputes P_l = W_l a_{l-1} once instead;
-* an accepted a_l step, a_l - G/t, moves P_{l+1} by -(W_{l+1} G)/t.
+* an accepted W_l step, W_l - G/t, moves P_l by -(G a_{l-1})/t, the shift
+  the accepted trial already formed for its residual; a regularized (prox)
+  step recomputes P_l = W_l a_{l-1} once instead;
+* an accepted a_l step, a_l - G/t, moves P_{l+1} by -(W_{l+1} G)/t, the
+  accepted trial's shift likewise.
 
 b and z updates leave P alone.  The b and W gradients, the z-update inputs,
 the output solve, the dual residual, the Lagrangian and objective_F all read
 P.  The Lagrangian after iteration k is the one entering iteration k+1.
+
+Block moves.  The squared W and a moves entering the descent bound and c_k
+are the ||candidate - anchor||^2 of the accepted backtracking steps
+(``BacktrackResult.move_sq``), summed in ``block_move_sq_sum``'s order.
 
 Formulas.  This module holds the sweeps, the backtracking closures, the P
 moves and the driver, and no formula of phi: every residual, block
@@ -44,7 +49,9 @@ cache passed as their ``P``.  Backtracking trials are evaluated through
 partial penalty closures built from ``objective.linear_term`` and
 ``objective.activation_term``, which only touch the terms containing the
 trial block; candidates are affine in the inverse step, so trial residuals
-reuse one precomputed product instead of a fresh matrix multiply.
+reuse one precomputed product instead of a fresh matrix multiply.  The a
+anchor's activation term comes with its gradient from ``objective.grad_a``,
+which forms a_l - f(z_l) anyway.
 """
 from __future__ import annotations
 
@@ -175,10 +182,9 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     grad, lin0 = objective.grad_W(work, data, layer, P)
     is_last = layer == work.n_layers - 1
     reg = arch.regularizer
+    shift = None  # (G a_{l-1})/t of the last trial
 
     if reg.kind != "none" and reg.lam > 0.0:
-        grad_a = None
-
         def eval_phi(cand, step):
             return objective.linear_term(work, lin0 - (cand - anchor) @ a_prev, is_last)
 
@@ -187,18 +193,21 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
         grad_a = grad @ a_prev  # trial residual is lin0 + grad_a / step
 
         def eval_phi(cand, step):
-            lin = lin0 if step is None else lin0 + grad_a / step
-            return objective.linear_term(work, lin, is_last)
+            nonlocal shift
+            if step is None:
+                return objective.linear_term(work, lin0, is_last)
+            shift = grad_a / step
+            return objective.linear_term(work, lin0 + shift, is_last)
 
         prox = None
 
     res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), prox=prox)
     seeds.update(key, res.step)
     work.W[layer] = res.candidate
-    if grad_a is None:
+    if shift is None:
         P[layer] = res.candidate @ a_prev
-    else:
-        P[layer] = P[layer] - grad_a / res.step
+    else:  # the accepted trial was the last one
+        P[layer] = P[layer] - shift
     return res
 
 
@@ -207,18 +216,23 @@ def _update_a(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     nxt = layer + 1
     anchor = work.a[layer]
     fz = arch.activation.value(work.z[layer])
-    grad, lin0 = objective.grad_a(work, data, layer, fz, P)
+    grad, lin0, act0 = objective.grad_a(work, data, layer, fz, P)
     w_grad = work.W[nxt] @ grad  # trial residual is lin0 + w_grad / step
     is_last = nxt == work.n_layers - 1
+    shift = None  # w_grad/t of the last trial
 
     def eval_phi(cand, step):
-        lin = lin0 if step is None else lin0 + w_grad / step
-        return objective.activation_term(work, cand, fz) + objective.linear_term(work, lin, is_last)
+        nonlocal shift
+        if step is None:
+            return act0 + objective.linear_term(work, lin0, is_last)
+        shift = w_grad / step
+        return (objective.activation_term(work, cand, fz)
+                + objective.linear_term(work, lin0 + shift, is_last))
 
     res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
     seeds.update(key, res.step)
     work.a[layer] = res.candidate
-    P[nxt] = P[nxt] - w_grad / res.step
+    P[nxt] = P[nxt] - shift  # the accepted trial was the last one
     return res
 
 
@@ -248,7 +262,8 @@ def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture
 
 def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
                    seeds: StepSeeds, P: list = None):
-    """Returns (barred state, step_stats, max certificate violation, fista ok).
+    """Returns (barred state, step_stats, max certificate violation, fista
+    ok, squared block moves from ``state``).
 
     P, when given, holds the products W_l a_{l-1} of ``state`` and is moved
     in place to those of the barred state; without it they are computed
@@ -258,56 +273,62 @@ def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
     if P is None:
         P = objective.products(state, data)
     last = work.n_layers - 1
-    steps, worst, fista_ok = {}, 0.0, True
+    steps, moved, worst, fista_ok = {}, {}, 0.0, True
     for layer in range(last, -1, -1):
         if layer == last:
             fista_ok = _update_z_last(work, P, data, arch)
         else:
             res = _update_a(work, P, data, arch, layer, seeds, ("a_bar", layer))
-            steps[("a_bar", layer)] = res.step
+            steps[("a_bar", layer)], moved["a", layer] = res.step, res.move_sq
             worst = max(worst, res.violation)
             _update_z_hidden(work, P, arch, layer)
         _update_b_block(work, P, data, layer)
         res = _update_W(work, P, data, arch, layer, seeds, ("W_bar", layer))
-        steps[("W_bar", layer)] = res.step
+        steps[("W_bar", layer)], moved["W", layer] = res.step, res.move_sq
         worst = max(worst, res.violation)
-    return work, steps, worst, fista_ok
+    return work, steps, worst, fista_ok, _move_sq_sum(state, work, moved)
 
 
 def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
                   seeds: StepSeeds, P: list = None):
     """Continues from the barred state; anchors are the barred blocks.
 
-    P is handled as in ``backward_sweep``.
+    Returns as ``backward_sweep``, moves measured from ``barred``, and
+    handles P as it does.
     """
     work = barred.copy()
     if P is None:
         P = objective.products(barred, data)
     last = work.n_layers - 1
-    steps, worst, fista_ok = {}, 0.0, True
+    steps, moved, worst, fista_ok = {}, {}, 0.0, True
     for layer in range(last + 1):
         res = _update_W(work, P, data, arch, layer, seeds, ("W", layer))
-        steps[("W", layer)] = res.step
+        steps[("W", layer)], moved["W", layer] = res.step, res.move_sq
         worst = max(worst, res.violation)
         _update_b_block(work, P, data, layer)
         if layer < last:
             _update_z_hidden(work, P, arch, layer)
             res = _update_a(work, P, data, arch, layer, seeds, ("a", layer))
-            steps[("a", layer)] = res.step
+            steps[("a", layer)], moved["a", layer] = res.step, res.move_sq
             worst = max(worst, res.violation)
         else:
             fista_ok = _update_z_last(work, P, data, arch)
-    return work, steps, worst, fista_ok
+    return work, steps, worst, fista_ok, _move_sq_sum(barred, work, moved)
 
 
-def _move_sq_sum(old: MlpState, new: MlpState) -> float:
+def _move_sq_sum(old: MlpState, new: MlpState, moved: dict = None) -> float:
     """Squared block movements of one half-iteration: all W and b blocks,
-    hidden a blocks, and the output z block only."""
+    hidden a blocks, and the output z block only.  ``moved`` maps ("W", l)
+    and ("a", l) to the accepted steps' ``move_sq``, bit for bit
+    ||new - old||^2; without it those moves are measured from the arrays."""
+    if moved is None:
+        moved = {("W", l): l2sq(new.W[l] - old.W[l]) for l in range(old.n_layers)}
+        moved.update({("a", l): l2sq(new.a[l] - old.a[l]) for l in range(old.n_layers - 1)})
     total = 0.0
     for l in range(old.n_layers):
-        total += l2sq(new.W[l] - old.W[l]) + l2sq(new.b[l] - old.b[l])
+        total += moved["W", l] + l2sq(new.b[l] - old.b[l])
     for l in range(old.n_layers - 1):
-        total += l2sq(new.a[l] - old.a[l])
+        total += moved["a", l]
     return total + l2sq(new.z[-1] - old.z[-1])
 
 
@@ -338,11 +359,10 @@ def train(
 
     def iterate(seeds: StepSeeds):
         nonlocal state
-        barred, bsteps, bviol, bfista = backward_sweep(state, data, arch, seeds, P)
-        moves = _move_sq_sum(state, barred)
+        barred, bsteps, bviol, bfista, moves = backward_sweep(state, data, arch, seeds, P)
         del state  # the forward half needs only the barred blocks
-        state, fsteps, fviol, ffista = forward_sweep(barred, data, arch, seeds, P)
-        moves += _move_sq_sum(barred, state)
+        state, fsteps, fviol, ffista, fmoves = forward_sweep(barred, data, arch, seeds, P)
+        moves += fmoves
         del barred
         r = objective.linear_residual(state, data, last, P)
         state.u = dual_update(state, r)

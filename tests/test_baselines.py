@@ -103,6 +103,38 @@ class TestRunBaseline:
         _, t2 = run_baseline(cfg, arch, data)
         assert [t.loss for t in t1] == [t.loss for t in t2]
 
+    def test_one_training_forward_pass_per_epoch(self, monkeypatch):
+        """The forward pass behind an epoch's loss feeds the next epoch's
+        gradients; the weights and traces are those of fresh passes."""
+        import admmnet.baselines as baselines
+
+        arch = MlpArchitecture(layer_dims=(4, 6, 5, 2))
+        data = make_separable(30, rng=Rng(6))
+        cfg = BaselineConfig(optimizer="adam", learning_rate=1e-2, epochs=6, seed=2)
+        (W, b), traces = run_baseline(cfg, arch, data)
+        # a zero learning rate leaves the seeded initial weights
+        (W_ref, b_ref), _ = run_baseline(BaselineConfig(optimizer="gd", learning_rate=0.0,
+                                                        epochs=1, seed=2), arch, data)
+        upd = baselines._Updater(cfg, W_ref + b_ref)
+        for trace in traces:
+            gW, gb = backprop_grads(W_ref, b_ref, data, arch)
+            new = upd.step(W_ref + b_ref, gW + gb)
+            W_ref, b_ref = new[: len(W_ref)], new[len(W_ref):]
+            assert trace.loss == baselines._loss(W_ref, b_ref, data, arch)[0]
+        for p, q in zip(W + b, W_ref + b_ref):
+            assert p.tobytes() == q.tobytes()
+
+        calls = [0]
+        real = baselines._forward
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(baselines, "_forward", counted)
+        run_baseline(cfg, arch, data)
+        assert calls[0] == cfg.epochs + 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BaselineConfig(optimizer="sgd", learning_rate=0.1, epochs=1)

@@ -142,6 +142,21 @@ def test_selfcheck_detects_injected_gradient_bug(monkeypatch, capsys):
     assert "FAIL  gradient W vs finite differences" in capsys.readouterr().out
 
 
+def test_selfcheck_detects_wrong_a_gradient(monkeypatch, capsys):
+    """Every block gradient is finite-differenced, not only W's."""
+    import admmnet.objective as objective
+
+    real = objective.grad_a
+
+    def scaled(*args, **kwargs):
+        grad, *rest = real(*args, **kwargs)
+        return (1.5 * grad, *rest)
+
+    monkeypatch.setattr(objective, "grad_a", scaled)
+    assert selfcheck(quick=True) == 3
+    assert "FAIL  gradient a vs finite differences" in capsys.readouterr().out
+
+
 def test_selfcheck_detects_understated_risk_curvature(monkeypatch, capsys):
     import admmnet.objective as objective
 

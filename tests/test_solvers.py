@@ -133,7 +133,38 @@ def _relu_obj(z, m, t, w_lin, w_act):
     return w_lin * (z - m) ** 2 + w_act * (t - np.maximum(z, 0.0)) ** 2
 
 
+def two_branch_z_relu(m, t, w_lin, w_act):
+    """The ReLU z-solve by evaluating both branch objectives: the lower
+    wins, ties go to the nonnegative branch.  Returns (z, obj_neg, obj_pos)."""
+    z_neg = np.minimum(m, 0.0)
+    obj_neg = w_lin * (z_neg - m) ** 2 + w_act * t**2
+    z_pos = np.maximum((w_lin * m + w_act * t) / (w_lin + w_act), 0.0)
+    obj_pos = w_lin * (z_pos - m) ** 2 + w_act * (t - z_pos) ** 2
+    return np.where(obj_neg < obj_pos, z_neg, z_pos), obj_neg, obj_pos
+
+
 class TestSolveZRelu:
+    @pytest.mark.parametrize("w_lin,w_act", [(0.5, 0.5), (1.0, 0.25), (0.1, 3.0)])
+    @pytest.mark.parametrize("where", ["random", "boundary"])
+    def test_matches_two_branch_rule(self, w_lin, w_act, where):
+        """The sign rule m + kappa t < 0 picks the branch the two objectives
+        pick, bit for bit, except where those objectives tie to 1e-12."""
+        rng = Rng(21)
+        t = rng.normal(0.0, 2.0, (40, 500))
+        if where == "random":
+            m = rng.normal(0.0, 2.0, t.shape)
+        else:  # on m = -kappa t, and a few ulps either side of it
+            kappa = np.sqrt(1.0 + w_act / w_lin) - 1.0
+            ulps = rng.integers(-3, 4, t.shape)
+            m = -kappa * t * (1.0 + ulps * np.finfo(float).eps)
+        z = solve_z_relu(m, t, w_lin, w_act)
+        ref, obj_neg, obj_pos = two_branch_z_relu(m, t, w_lin, w_act)
+        differ = z.view(np.uint64) != ref.view(np.uint64)
+        gap = np.abs(obj_neg - obj_pos)[differ]
+        assert np.all(gap <= 1e-12 * np.maximum(obj_neg, obj_pos)[differ])
+        if where == "random":
+            assert not differ.any()
+
     def test_consistent_point(self):
         z = solve_z_relu(np.array([[2.0]]), np.array([[2.0]]), 1.0, 1.0)
         assert z[0, 0] == pytest.approx(2.0)

@@ -73,8 +73,8 @@ def test_dual_residual_consistency(separable_run):
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
     seeds = StepSeeds()
     for _ in range(2):
-        barred, _, _, _ = backward_sweep(state, data, arch, seeds)
-        new, _, _, _ = forward_sweep(barred, data, arch, seeds)
+        barred, *_ = backward_sweep(state, data, arch, seeds)
+        new, *_ = forward_sweep(barred, data, arch, seeds)
         r = objective.linear_residual(new, data, arch.n_layers - 1)
         u_prev = new.u.copy()
         new.u = dual_update(new, r)
@@ -124,8 +124,8 @@ def test_stationary_point_is_fixed():
     result = train(arch, data, cfg)
     state = result.state
     seeds = StepSeeds()
-    barred, _, _, _ = backward_sweep(state, data, arch, seeds)
-    new, _, _, _ = forward_sweep(barred, data, arch, seeds)
+    barred, *_ = backward_sweep(state, data, arch, seeds)
+    new, *_ = forward_sweep(barred, data, arch, seeds)
     move = block_move_sq_sum(state, barred, new)
     assert move < 0.01 * result.traces[0].block_move_sq_sum
     assert move < 1e-4
@@ -138,10 +138,10 @@ def test_each_sweep_decreases_lagrangian():
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
     seeds = StepSeeds()
     before = lagrangian(state, data, arch)
-    barred, _, _, _ = backward_sweep(state, data, arch, seeds)
+    barred, *_ = backward_sweep(state, data, arch, seeds)
     mid = lagrangian(barred, data, arch)
     assert mid <= before + 1e-9
-    new, _, _, _ = forward_sweep(barred, data, arch, seeds)
+    new, *_ = forward_sweep(barred, data, arch, seeds)
     after = lagrangian(new, data, arch)
     assert after <= mid + 1e-9
 
@@ -194,6 +194,37 @@ def test_train_calls_the_checked_formulas(monkeypatch):
     # the Lagrangian entering iteration 1, and the one after it
     assert (calls["lagrangian"], calls["objective_and_lagrangian"]) == (1, 2)
     assert calls["linear_term"] > 0 and calls["activation_term"] > 0
+
+
+@pytest.mark.parametrize("reg", [NO_REG, Regularizer("l1", 1e-3), Regularizer("l2", 1e-3)],
+                         ids=["plain", "l1", "l2"])
+def test_traced_moves_match_fresh(reg, monkeypatch):
+    """The sweeps sum the W and a moves from their accepted backtracking
+    steps; the traced sum must equal the one measured from the arrays."""
+    data = make_separable(40, rng=Rng(2))
+    arch = MlpArchitecture(layer_dims=(4, 6, 5, 2), regularizer=reg)
+    cfg = TrainConfig(rho=1.0, nu=1.0, epochs=30, seed=0)
+    seen = []
+    real_backward, real_forward = training.backward_sweep, training.forward_sweep
+
+    def backward(state, *args):
+        out = real_backward(state, *args)
+        seen.append((state, out[0]))
+        return out
+
+    def forward(barred, *args):
+        out = real_forward(barred, *args)
+        seen[-1] += (out[0],)
+        return out
+
+    def check(trace):
+        assert trace.block_move_sq_sum == block_move_sq_sum(*seen[trace.iter - 1])
+        assert trace.block_move_sq_sum > 0.0
+
+    monkeypatch.setattr(training, "backward_sweep", backward)
+    monkeypatch.setattr(training, "forward_sweep", forward)
+    train(arch, data, cfg, trace_sink=check)
+    assert len(seen) == cfg.epochs
 
 
 @pytest.mark.parametrize("reg", [NO_REG, Regularizer("l2", 1e-3)], ids=["affine", "prox"])
@@ -255,8 +286,8 @@ def test_boundedness_plateau():
     seeds = StepSeeds()
     norm_hist = []
     for _ in range(60):
-        barred, _, _, _ = backward_sweep(state, data, arch, seeds)
-        new, _, _, _ = forward_sweep(barred, data, arch, seeds)
+        barred, *_ = backward_sweep(state, data, arch, seeds)
+        new, *_ = forward_sweep(barred, data, arch, seeds)
         r = objective.linear_residual(new, data, arch.n_layers - 1)
         new.u = dual_update(new, r)
         state = new
