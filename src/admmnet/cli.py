@@ -105,10 +105,10 @@ def _cmd_train(args) -> int:
             train_data, test_data = load_idx_dataset(args.data)
         except (FormatError, DataError, OSError) as exc:
             return _usage_error(str(exc))
-        if args.subsample:
-            train_data = subsample(train_data, args.subsample, Rng(args.seed))
         dims = _parse_layers(args.layers)
         try:
+            if args.subsample:
+                train_data = subsample(train_data, args.subsample, Rng(args.seed))
             arch = MlpArchitecture(
                 layer_dims=dims,
                 regularizer=Regularizer("l2", args.lam) if args.lam else NO_REG,
@@ -131,6 +131,8 @@ def _cmd_train(args) -> int:
     else:  # gcn
         from .data_io import load_graph
 
+        if args.optimizer != "admm":
+            return _usage_error("--optimizer applies to mlp only")
         try:
             graph = load_graph(args.data)
         except (FormatError, DataError, OSError) as exc:
@@ -189,13 +191,32 @@ def _top_eigenvalue(grad_fn, z, rng: Rng, iters: int = 50, h: float = 1e-5) -> f
     return top
 
 
+def _fd_error(grad_fn, store: list, value_fn, h: float = 1e-6) -> float:
+    """Worst error over layers l of ``grad_fn(l)`` against central differences
+    of ``value_fn()`` in ``store[l]``, relative to max(1, largest quotient)."""
+    worst = 0.0
+    for l, block in enumerate(store):
+        grad = grad_fn(l)
+        num = np.zeros_like(grad)
+        for idx in np.ndindex(*grad.shape):
+            w0 = block[idx]
+            block[idx] = w0 + h
+            fp = value_fn()
+            block[idx] = w0 - h
+            fm = value_fn()
+            block[idx] = w0
+            num[idx] = (fp - fm) / (2 * h)
+        worst = max(worst, float(np.max(np.abs(grad - num))) / max(1.0, float(np.max(np.abs(num)))))
+    return worst
+
+
 def selfcheck(quick: bool = False) -> int:
     """Gradient checks, subproblem oracles, the output-risk curvature against
     the FISTA step constant, and a short descent run; returns the exit code.
-    The W, b, z and a gradients checked against finite differences of phi
-    are the ones the trainer steps with (``objective.grad_W`` and
-    ``grad_a`` behind ``grad_phi_block``)."""
-    from . import objective, solvers
+    The gradients checked against finite differences are the ones the
+    trainers step with: ``objective.grad_phi_block`` (``grad_W`` and
+    ``grad_a`` behind it) and ``gcn.grad_psi_block``."""
+    from . import gcn, objective, solvers
     from .objective import Dataset, forward_init, grad_phi_block, phi
 
     failures = []
@@ -218,25 +239,20 @@ def selfcheck(quick: bool = False) -> int:
         state.a[l] = p + 0.1 * rng.normal(0.0, 1.0, p.shape)
     state.u = rng.normal(0.0, 1.0, state.u.shape)
 
-    # finite-difference check on every block gradient
-    h = 1e-6
-    stores = {"W": state.W, "b": state.b, "z": state.z, "a": state.a}
-    for block, store in stores.items():
-        worst = 0.0
-        for l in range(len(store)):
-            grad = grad_phi_block(state, data, block, l, arch.activation)
-            num = np.zeros_like(grad)
-            for idx in np.ndindex(*grad.shape):
-                w0 = store[l][idx]
-                store[l][idx] = w0 + h
-                fp = phi(state, data, arch.activation)
-                store[l][idx] = w0 - h
-                fm = phi(state, data, arch.activation)
-                store[l][idx] = w0
-                num[idx] = (fp - fm) / (2 * h)
-            denom = max(1.0, float(np.max(np.abs(num))))
-            worst = max(worst, float(np.max(np.abs(grad - num))) / denom)
+    # finite-difference check on every block gradient, then the same for the
+    # GCN's blocks on a small graph off its consistent point
+    for block, store in {"W": state.W, "b": state.b, "z": state.z, "a": state.a}.items():
+        worst = _fd_error(lambda l: grad_phi_block(state, data, block, l, arch.activation), store,
+                          lambda: phi(state, data, arch.activation))
         check(f"gradient {block} vs finite differences", worst < 1e-5)
+    graph = make_sbm_graph(6, p_in=0.6, p_out=0.3, rng=Rng(13))
+    gstate = gcn.gcn_forward_init(graph, (2, 3, 2), arch.activation, Rng(2), rho=1.0, mu=1.0)
+    gstate.Z = [z + 0.3 * rng.normal(0.0, 1.0, z.shape) for z in gstate.Z]
+    gstate.U = rng.normal(0.0, 1.0, gstate.U.shape)
+    for block, store in (("W", gstate.W), ("Z", gstate.Z)):
+        worst = _fd_error(lambda l: gcn.grad_psi_block(gstate, graph, block, l, arch.activation),
+                          store, lambda: gcn.psi(gstate, graph, arch.activation))
+        check(f"gcn gradient {block} vs finite differences", worst < 1e-5)
 
     # scalar z-subproblem vs a fine grid
     rng2 = Rng(11)

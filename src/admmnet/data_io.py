@@ -97,6 +97,8 @@ def load_idx_dataset(directory: str, n_classes: int = 10):
 def subsample(data: Dataset, n: int, rng: Rng) -> Dataset:
     """Deterministic class-stratified subset of n samples."""
     m = data.n_samples
+    if n < 1:
+        raise ValueError(f"a subsample needs at least 1 sample, got {n}")
     if n > m:
         raise ValueError(f"requested {n} samples but only {m} available")
     if n == m:

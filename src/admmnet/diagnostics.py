@@ -13,12 +13,14 @@ from .linalg import Matrix
 # convention); the descent theory consumes a constant, not an estimate.
 RISK_H = {"cross_entropy": 1.0, "squared": 1.0}
 
+# Absolute slack on the sufficient-descent inequality, for rounding in the
+# Lagrangian difference.
+DESCENT_SLACK = 1e-8
+
 
 @dataclass
 class DescentReport:
-    iter: int
     lhs: float  # Lagrangian drop over the iteration
-    block_move_sq_sum: float
     c2: float
     satisfied: bool
     hypothesis_met: bool  # rho > 2H, so the descent bound is in force
@@ -59,22 +61,13 @@ def check_sufficient_descent(
     risk_kind: str,
     rho: float,
     nu: float,
-    iteration: int,
-    slack: float = 1e-8,
 ) -> DescentReport:
     _, c2, hypothesis_met = descent_constants(risk_kind, rho, nu, steps)
     lhs = lagr_prev - lagr_new
     # When the hypothesis is unmet the verdict is informational only;
     # callers gate any assertion on hypothesis_met.
-    satisfied = lhs >= c2 * block_move_sq_sum - slack
-    return DescentReport(
-        iter=iteration,
-        lhs=lhs,
-        block_move_sq_sum=block_move_sq_sum,
-        c2=c2,
-        satisfied=satisfied,
-        hypothesis_met=hypothesis_met,
-    )
+    satisfied = lhs >= c2 * block_move_sq_sum - DESCENT_SLACK
+    return DescentReport(lhs=lhs, c2=c2, satisfied=satisfied, hypothesis_met=hypothesis_met)
 
 
 def stationarity_residual(risk_grad: Matrix, dual: Matrix) -> float:

@@ -5,6 +5,13 @@ Z_l = f(A_norm Z_{l-1} W_l).  The risk is the masked mean cross-entropy
 over training nodes.  ``gcn_train`` runs ``gcn_iteration`` under the
 certified driver of ``training``, with mu in the role of the MLP's nu.
 
+Iteration.  ``gcn_iteration`` walks the forward block list, W and Z of each
+layer, with ``training.walk_blocks`` (which holds the step seeds) backward
+and then forward on a copy of the state's block lists, then updates the
+dual.  The output block is solved by ``solvers.fista_output_block``, as in
+the MLP.  psi's term of one layer and its slope in the layer's propagation
+are written once, in ``_term`` and ``_term_slope``.
+
 Cached propagation.  Besides the blocks, the sweep state holds the products
 az[l] = A_norm Z_{l-1} of every layer (Z_{-1} is the features X), so each
 propagation A_norm Z_{l-1} W_l is a thin az[l] @ W_l product instead of a
@@ -37,14 +44,13 @@ from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq
 from .objective import _ce_grad, _ce_value, _log_softmax, risk_curvature
 from .solvers import (
-    FISTA_MAX_ITER,
-    FISTA_TOL,
     StepSeeds,
     _memo_last,
     backtrack_quadratic,
-    fista_minimize,
+    fista_minimize,  # unused here: a target that perfbench/tracer.py wraps on this module
+    fista_output_block,
 )
-from .training import CertifiedTrace, run_certified
+from .training import CertifiedTrace, run_certified, walk_blocks
 
 
 @dataclass
@@ -86,10 +92,11 @@ class GcnState:
         return len(self.W)
 
     def copy(self) -> "GcnState":
+        """New block lists over the same arrays, which block updates never write into."""
         return GcnState(
-            W=[w.copy() for w in self.W],
-            Z=[z.copy() for z in self.Z],
-            U=self.U.copy(),
+            W=list(self.W),
+            Z=list(self.Z),
+            U=self.U,
             A_norm=self.A_norm,
             rho=self.rho,
             mu=self.mu,
@@ -174,14 +181,29 @@ def propagated(state: GcnState, graph: Graph, layer: int, az: list = None) -> Ma
     return _az(state, graph, layer, az) @ state.W[layer]
 
 
+def _term(state: GcnState, layer: int, m: Matrix, activation: Activation,
+          total: float = 0.0) -> float:
+    """``total`` plus psi's term of one layer given its propagation m:
+    (mu/2)||Z_l - f(m)||^2 below the output layer, <U, eps> +
+    (rho/2)||eps||^2 with eps = Z_L - m at it."""
+    if layer == state.n_layers - 1:
+        eps = state.Z[layer] - m
+        return total + float(np.vdot(state.U, eps)) + 0.5 * state.rho * l2sq(eps)
+    return total + 0.5 * state.mu * l2sq(state.Z[layer] - activation.value(m))
+
+
+def _term_slope(state: GcnState, layer: int, m: Matrix, activation: Activation) -> Matrix:
+    """Minus the gradient of ``_term`` in the propagation m: U + rho (Z_L -
+    m) at the output layer, mu (Z_l - f(m)) f'(m) below it."""
+    if layer == state.n_layers - 1:
+        return state.U + state.rho * (state.Z[layer] - m)
+    return state.mu * (state.Z[layer] - activation.value(m)) * activation.deriv(m)
+
+
 def psi(state: GcnState, graph: Graph, activation: Activation = RELU, az: list = None) -> float:
-    last = state.n_layers - 1
     total = 0.0
-    for l in range(last):
-        m = propagated(state, graph, l, az)
-        total += 0.5 * state.mu * l2sq(state.Z[l] - activation.value(m))
-    eps = state.Z[last] - propagated(state, graph, last, az)
-    total += float(np.vdot(state.U, eps)) + 0.5 * state.rho * l2sq(eps)
+    for l in range(state.n_layers):
+        total += _term(state, l, propagated(state, graph, l, az), activation)
     return total
 
 
@@ -203,63 +225,40 @@ def grad_psi_block(
     az: list = None,
 ) -> Matrix:
     last = state.n_layers - 1
-    mu, rho = state.mu, state.rho
-
+    if block not in ("W", "Z"):
+        raise ValueError(f"unknown block {block!r}")
+    if not 0 <= layer <= last:
+        raise IndexError(f"layer {layer} out of range")
     if block == "W":
-        if not 0 <= layer <= last:
-            raise IndexError(f"layer {layer} out of range")
         a_z = _az(state, graph, layer, az)
-        m = a_z @ state.W[layer]
-        if layer == last:
-            scaled = state.U + rho * (state.Z[last] - m)
-        else:
-            d = state.Z[layer] - activation.value(m)
-            scaled = mu * d * activation.deriv(m)
-        return -a_z.T @ scaled
-
-    if block == "Z":
-        if not 0 <= layer <= last:
-            raise IndexError(f"layer {layer} out of range")
-        if layer == last:
-            return state.U + rho * (state.Z[last] - propagated(state, graph, last, az))
-        g = mu * (state.Z[layer] - activation.value(propagated(state, graph, layer, az)))
-        nxt = layer + 1
-        m = propagated(state, graph, nxt, az)
-        if nxt == last:
-            scaled = state.U + rho * (state.Z[last] - m)
-        else:
-            scaled = mu * (state.Z[nxt] - activation.value(m)) * activation.deriv(m)
-        return g - state.A_norm.T @ scaled @ state.W[nxt].T
-
-    raise ValueError(f"unknown block {block!r}")
+        return -a_z.T @ _term_slope(state, layer, a_z @ state.W[layer], activation)
+    if layer == last:
+        return _term_slope(state, last, propagated(state, graph, last, az), activation)
+    g = state.mu * (state.Z[layer] - activation.value(propagated(state, graph, layer, az)))
+    nxt = layer + 1
+    slope = _term_slope(state, nxt, propagated(state, graph, nxt, az), activation)
+    return g - state.A_norm.T @ slope @ state.W[nxt].T
 
 
 # ---------------------------------------------------------------------------
 # Block updates
 # ---------------------------------------------------------------------------
 
-def _update_W_gcn(work, az, graph, activation, layer, seeds, key):
-    last = work.n_layers - 1
+def _update_W_gcn(work, az, graph, activation, layer, seed):
     anchor = work.W[layer]
     grad = grad_psi_block(work, graph, "W", layer, activation, az)
     m0 = az[layer] @ anchor
     az_grad = az[layer] @ grad  # trial propagation is m0 - az_grad / step
 
     def eval_phi(cand, step):
-        m = m0 if step is None else m0 - az_grad / step
-        if layer == last:
-            eps = work.Z[last] - m
-            return float(np.vdot(work.U, eps)) + 0.5 * work.rho * l2sq(eps)
-        return 0.5 * work.mu * l2sq(work.Z[layer] - activation.value(m))
+        return _term(work, layer, m0 if step is None else m0 - az_grad / step, activation)
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
-    seeds.update(key, res.step)
+    res = backtrack_quadratic(eval_phi, grad, anchor, seed)
     work.W[layer] = res.candidate
     return res
 
 
-def _update_Z_hidden(work, az, graph, activation, layer, seeds, key):
-    last = work.n_layers - 1
+def _update_Z_hidden(work, az, graph, activation, layer, seed):
     anchor = work.Z[layer]
     grad = grad_psi_block(work, graph, "Z", layer, activation, az)
     fm = activation.value(propagated(work, graph, layer, az))
@@ -269,52 +268,34 @@ def _update_Z_hidden(work, az, graph, activation, layer, seeds, key):
 
     def eval_phi(cand, step):
         own = 0.5 * work.mu * l2sq(cand - fm)
-        m = m_next0 if step is None else m_next0 - a_grad_w / step
-        if nxt == last:
-            eps = work.Z[last] - m
-            return own + float(np.vdot(work.U, eps)) + 0.5 * work.rho * l2sq(eps)
-        return own + 0.5 * work.mu * l2sq(work.Z[nxt] - activation.value(m))
+        return _term(work, nxt, m_next0 if step is None else m_next0 - a_grad_w / step,
+                     activation, own)
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
-    seeds.update(key, res.step)
+    res = backtrack_quadratic(eval_phi, grad, anchor, seed)
     work.Z[layer] = res.candidate
     az[nxt] = work.A_norm @ res.candidate
     return res
 
 
-def _update_Z_last(work, az, graph) -> bool:
-    """FISTA on the output block with the masked cross-entropy, step
-    1/(L + rho) with L = ``risk_curvature("cross_entropy", n_train)``.
-
-    The training rows, their labels and their count are gathered once per
-    solve.  The oracle memoizes the log-softmax of its last point's training
-    rows (``solvers._memo_last``), so the value and the gradient at one point
-    share one log-softmax.  Keying by identity is safe: ``fista_minimize``
-    never writes into an iterate, and the memo keeps its point alive.
-    """
+def _update_Z_last(work, az, graph):
+    """The output block under the masked cross-entropy, whose rows, labels
+    and count are gathered once per solve; the risk and its gradient share
+    the log-softmax of their last point's training rows."""
     last = work.n_layers - 1
-    w_aff = propagated(work, graph, last, az)
     train_idx = np.flatnonzero(graph.train_mask)
     y_train, n_train = graph.labels[train_idx], train_idx.size
     logp = _memo_last(lambda z: _row_log_softmax(z[train_idx]))
 
-    def grad_fn(z):
+    def risk_grad(z):
         g = np.zeros_like(z)
         g[train_idx] = _ce_grad(logp(z), y_train, n_train)
-        return g + work.U + work.rho * (z - w_aff)
+        return g
 
-    def obj_fn(z):
-        d = z - w_aff
-        return (
-            _ce_value(logp(z), y_train, n_train)
-            + float(np.vdot(work.U, d))
-            + 0.5 * work.rho * l2sq(d)
-        )
-
-    step = 1.0 / (risk_curvature("cross_entropy", n_train) + work.rho)
-    res = fista_minimize(grad_fn, obj_fn, work.Z[last], step, FISTA_TOL, FISTA_MAX_ITER)
+    res = fista_output_block(lambda z: _ce_value(logp(z), y_train, n_train), risk_grad,
+                             risk_curvature("cross_entropy", n_train),
+                             propagated(work, graph, last, az), work.U, work.rho, work.Z[last])
     work.Z[last] = res.z
-    return res.converged
+    return res
 
 
 def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeeds,
@@ -328,43 +309,32 @@ def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeed
     computed fresh."""
     act = cfg.activation
     last = state.n_layers - 1
-    steps, worst, fista_ok = {}, 0.0, True
     if az is None:
         az = products(state, graph)
-
     work = state.copy()
-    for layer in range(last, -1, -1):
-        if layer == last:
-            fista_ok = _update_Z_last(work, az, graph)
-        else:
-            res = _update_Z_hidden(work, az, graph, act, layer, seeds, ("Z_bar", layer))
-            steps[("Z_bar", layer)] = res.step
-            worst = max(worst, res.violation)
-        res = _update_W_gcn(work, az, graph, act, layer, seeds, ("W_bar", layer))
-        steps[("W_bar", layer)] = res.step
-        worst = max(worst, res.violation)
-    barred = work.copy()
+    blocks = [(kind, l) for l in range(last + 1) for kind in "WZ"]  # the forward order
 
-    for layer in range(last + 1):
-        res = _update_W_gcn(work, az, graph, act, layer, seeds, ("W", layer))
-        steps[("W", layer)] = res.step
-        worst = max(worst, res.violation)
+    def update(kind, layer, seed):
+        if kind == "W":
+            return _update_W_gcn(work, az, graph, act, layer, seed)
         if layer < last:
-            res = _update_Z_hidden(work, az, graph, act, layer, seeds, ("Z", layer))
-            steps[("Z", layer)] = res.step
-            worst = max(worst, res.violation)
-        else:
-            fista_ok &= _update_Z_last(work, az, graph)
+            return _update_Z_hidden(work, az, graph, act, layer, seed)
+        return _update_Z_last(work, az, graph)
+
+    bsteps, bmoved, bworst, bfista = walk_blocks(blocks, update, seeds, backward=True)
+    z_last_bar = work.Z[last]
+    fsteps, fmoved, fworst, ffista = walk_blocks(blocks, update, seeds, backward=False)
 
     eps = work.Z[last] - propagated(work, graph, last, az)
     work.U = work.U + work.rho * eps
 
     moves = 0.0
     for l in range(last + 1):
-        moves += l2sq(barred.W[l] - state.W[l]) + l2sq(work.W[l] - barred.W[l])
-    for l in range(last + 1):  # hidden Z blocks, then the output block
-        moves += l2sq(barred.Z[l] - state.Z[l]) + l2sq(work.Z[l] - barred.Z[l])
-    return work, steps, worst, eps, moves, fista_ok
+        moves += bmoved["W", l] + fmoved["W", l]
+    for l in range(last):
+        moves += bmoved["Z", l] + fmoved["Z", l]
+    moves += l2sq(z_last_bar - state.Z[last]) + l2sq(work.Z[last] - z_last_bar)
+    return work, {**bsteps, **fsteps}, max(bworst, fworst), eps, moves, bfista and ffista
 
 
 def _forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,

@@ -15,8 +15,11 @@ from .objective import Regularizer, _ce_grad, _ce_value, _log_softmax, risk_curv
 # 1e-10 certificate tolerance the rest of the package asserts.
 CERT_SLACK = 1e-12
 
-DEFAULT_GROWTH = 2.0
-DEFAULT_MAX_TRIALS = 60
+# Backtracking grows the step by STEP_GROWTH per trial, for at most MAX_TRIALS
+# trials, from a seed: SEED_INIT, then the last accepted step / STEP_GROWTH.
+STEP_GROWTH = 2.0
+MAX_TRIALS = 60
+SEED_INIT = 1.0
 SEED_FLOOR = 1e-8
 
 # Output-layer solves stop once the gradient's infinity norm is at most
@@ -39,24 +42,16 @@ class StepSeeds:
     """Warm-started step seeds, one per (block kind, layer)."""
 
     values: dict = field(default_factory=dict)
-    default: float = 1.0
 
     def get(self, key) -> float:
-        return self.values.get(key, self.default)
+        return self.values.get(key, SEED_INIT)
 
-    def update(self, key, accepted: float, growth: float = DEFAULT_GROWTH):
-        self.values[key] = max(accepted / growth, SEED_FLOOR)
+    def update(self, key, accepted: float):
+        self.values[key] = max(accepted / STEP_GROWTH, SEED_FLOOR)
 
 
-def backtrack_quadratic(
-    eval_phi,
-    grad: Matrix,
-    anchor: Matrix,
-    seed_step: float,
-    growth: float = DEFAULT_GROWTH,
-    prox=None,
-    max_trials: int = DEFAULT_MAX_TRIALS,
-) -> BacktrackResult:
+def backtrack_quadratic(eval_phi, grad: Matrix, anchor: Matrix, seed_step: float,
+                        prox=None) -> BacktrackResult:
     """Grow the step parameter geometrically until the quadratic model
     Q(x; t) = phi(anchor) + <grad, x - anchor> + (t/2) ||x - anchor||^2
     majorizes phi at the candidate x = anchor - grad/t (prox-mapped when a
@@ -65,11 +60,9 @@ def backtrack_quadratic(
     eval_phi(candidate, step) may evaluate phi up to an additive constant
     that does not depend on the trial block; the certificate is unaffected.
     """
-    if growth <= 1.0:
-        raise ValueError("growth must exceed 1")
     phi0 = eval_phi(anchor, None)
     t = seed_step
-    for trial in range(1, max_trials + 1):
+    for trial in range(1, MAX_TRIALS + 1):
         cand = anchor - grad / t
         if prox is not None:
             cand = prox(cand, t)
@@ -81,9 +74,9 @@ def backtrack_quadratic(
         if np.isfinite(val) and val <= q + CERT_SLACK:
             return BacktrackResult(step=t, candidate=cand, trials=trial, violation=val - q,
                                    move_sq=move_sq)
-        t *= growth
+        t *= STEP_GROWTH
     raise BacktrackError(
-        f"no certified step after {max_trials} trials (seed {seed_step:g}); "
+        f"no certified step after {MAX_TRIALS} trials (seed {seed_step:g}); "
         "this usually signals a wrong gradient or non-finite inputs"
     )
 
@@ -236,6 +229,23 @@ def closed_form_z_last_squared(w_aff: Matrix, u: Matrix, rho: float, y: Matrix) 
     return (y / m + rho * w_aff - u) / (1.0 / m + rho)
 
 
+def fista_output_block(risk, risk_grad, curvature: float, w_aff: Matrix, u: Matrix,
+                       rho: float, anchor: Matrix) -> FistaResult:
+    """Minimize risk(z) + <u, z - w_aff> + (rho/2)||z - w_aff||^2 by
+    ``fista_minimize`` from ``anchor``, with step 1/(curvature + rho), where
+    curvature is the Lipschitz constant of ``risk_grad``."""
+
+    def grad_fn(z):
+        return risk_grad(z) + u + rho * (z - w_aff)
+
+    def obj_fn(z):
+        d = z - w_aff
+        return risk(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
+
+    step = 1.0 / (curvature + rho)
+    return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
+
+
 def solve_z_last(
     w_aff: Matrix,
     u: Matrix,
@@ -246,27 +256,15 @@ def solve_z_last(
 ) -> FistaResult:
     """Minimize R(z; y) + <u, z - w_aff> + (rho/2)||z - w_aff||^2.
 
-    Squared risk takes the exact closed form; cross-entropy runs monotone
-    FISTA with step 1/(L + rho), where L = ``risk_curvature(kind, m)`` is
-    the risk gradient's Lipschitz constant over the m columns.
-
-    The cross-entropy oracle memoizes the log-softmax of its last point
-    (``_memo_last``), so the value and the gradient at one point share one
-    log-softmax.  Keying by identity is safe here: ``fista_minimize`` never
-    writes into an iterate, and the memo keeps its point alive.
+    Squared risk takes the exact closed form; cross-entropy runs
+    ``fista_output_block`` with L = ``risk_curvature(kind, m)``, the risk
+    gradient's Lipschitz constant over the m columns.  The risk and its
+    gradient share the log-softmax of their last point.
     """
     if kind == "squared":
         return FistaResult(z=closed_form_z_last_squared(w_aff, u, rho, y), iterations=0, converged=True)
     if anchor.shape != y.shape:
         raise ShapeError(f"solve_z_last: shapes differ, {anchor.shape} vs {y.shape}")
     logp, m = _memo_last(_log_softmax), y.shape[1]
-
-    def grad_fn(z):
-        return _ce_grad(logp(z), y, m) + u + rho * (z - w_aff)
-
-    def obj_fn(z):
-        d = z - w_aff
-        return _ce_value(logp(z), y, m) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
-
-    step = 1.0 / (risk_curvature(kind, y.shape[1]) + rho)
-    return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
+    return fista_output_block(lambda z: _ce_value(logp(z), y, m), lambda z: _ce_grad(logp(z), y, m),
+                              risk_curvature(kind, m), w_aff, u, rho, anchor)

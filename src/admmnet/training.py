@@ -1,11 +1,11 @@
-"""Backward-then-forward ADMM training: the certified iteration driver and
-the MLP model.
+"""Backward-then-forward ADMM training: the certified iteration driver, the
+block walk, and the MLP model.
 
-The driver, ``run_certified``, is the loop both models share.  It owns the
-step seeds, rejects a non-finite Lagrangian before iteration 1, and after
-each iteration checks the sufficient-descent bound against the previous
-Lagrangian, extends the running minimum c_k of the squared block moves,
-assembles the trace, hands it to the sink and stops on a non-finite
+The driver, ``run_certified``, is the loop both models share.  It creates
+the step seeds, rejects a non-finite Lagrangian before iteration 1, and
+after each iteration checks the sufficient-descent bound against the
+previous Lagrangian, extends the running minimum c_k of the squared block
+moves, assembles the trace, hands it to the sink and stops on a non-finite
 Lagrangian.  On any abort the traces of the completed iterations are
 attached to the ``TrainingAborted`` it raises.  A model supplies its
 initial Lagrangian, its risk kind and penalties for the descent constants,
@@ -13,13 +13,19 @@ its trace type, and one iteration returning the new Lagrangian, the squared
 block moves and its own trace fields: ``train`` below (backward sweep,
 forward sweep, dual update), ``gcn.gcn_train`` (``gcn.gcn_iteration``).
 
-MLP iteration.  A backward sweep (layer L-1 down to 0, block order
-a -> z -> b -> W), a forward sweep (0 up to L-1, order W -> b -> z -> a),
-then the residual and dual update.  Each sweep works on a copy of the
-state's block lists and every block update rebinds one entry, so arrays are
-shared, never written into.  This reproduces the mixed old/new indexing of
-the block subproblems: when layer l is visited, higher layers already hold
-this sweep's values and lower layers still hold the previous ones.
+The walk.  Each model states its forward block list once, as (kind, layer)
+pairs.  ``walk_blocks`` runs it in reverse for the backward half, with step
+keys tagged "_bar", and in order for the forward half.  The walk alone reads
+and moves the step seeds, and it records the accepted steps, the moves of
+the backtracked blocks, the worst certificate violation and the output
+solve's convergence from what each block update returns.
+
+MLP iteration.  The two halves over W, b, z, a of each hidden layer and W,
+b, z of the output layer, then the residual and dual update.  Each half works
+on a copy of the state's block lists and every block update rebinds one
+entry, so arrays are shared, never written into.  This reproduces the mixed
+old/new indexing of the block subproblems: when layer l is visited, higher
+layers already hold this sweep's values and lower layers the previous ones.
 
 Cached products.  Besides the blocks, the sweep state holds the pre-bias
 product P_l = W_l a_{l-1} of every layer (a_{-1} is the input x), so a
@@ -41,7 +47,7 @@ Block moves.  The squared W and a moves entering the descent bound and c_k
 are the ||candidate - anchor||^2 of the accepted backtracking steps
 (``BacktrackResult.move_sq``), summed in ``block_move_sq_sum``'s order.
 
-Formulas.  This module holds the sweeps, the backtracking closures, the P
+Formulas.  This module holds the walk, the sweeps, the backtracking closures, the P
 moves and the driver, and no formula of phi: every residual, block
 gradient, penalty term, objective_F and Lagrangian is a call into
 ``objective``, the functions the finite-difference checks test, with the
@@ -65,6 +71,7 @@ from .errors import DivergenceError, TrainingAborted
 from .linalg import Matrix, Rng, l2sq
 from .objective import Dataset, MlpArchitecture, MlpState, _a_prev
 from .solvers import (
+    BacktrackResult,
     StepSeeds,
     backtrack_quadratic,
     prox_regularizer,
@@ -145,7 +152,7 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
             lagr_new, moves, fields = iterate(seeds)
             ck.update(moves)
             report = diagnostics.check_sufficient_descent(
-                lagr_prev, lagr_new, moves, fields["step_stats"], *descent, it
+                lagr_prev, lagr_new, moves, fields["step_stats"], *descent
             )
             trace = trace_type(
                 iter=it,
@@ -171,12 +178,33 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
     return traces
 
 
+def walk_blocks(blocks: list, update, seeds: StepSeeds, backward: bool) -> tuple:
+    """One half-iteration over ``blocks``, a model's forward list of (kind,
+    layer).  ``update(kind, layer, seed)`` updates one block from its step
+    key's seed and returns its ``BacktrackResult``, its ``FistaResult`` or
+    None when closed-form.  Returns (step_stats, the backtracked blocks'
+    ``move_sq`` by (kind, layer), worst violation, output solves converged).
+    """
+    tag = "_bar" if backward else ""
+    steps, moved, worst, fista_ok = {}, {}, 0.0, True
+    for kind, layer in (reversed(blocks) if backward else blocks):
+        key = (kind + tag, layer)
+        res = update(kind, layer, seeds.get(key))
+        if isinstance(res, BacktrackResult):
+            seeds.update(key, res.step)
+            steps[key], moved[kind, layer] = res.step, res.move_sq
+            worst = max(worst, res.violation)
+        elif res is not None:
+            fista_ok = fista_ok and res.converged
+    return steps, moved, worst, fista_ok
+
+
 def dual_update(state: MlpState, r: Matrix) -> Matrix:
     return state.u + state.rho * r
 
 
 def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, layer: int,
-              seeds: StepSeeds, key):
+              seed: float) -> BacktrackResult:
     a_prev = _a_prev(work, data, layer)
     anchor = work.W[layer]
     grad, lin0 = objective.grad_W(work, data, layer, P)
@@ -201,8 +229,7 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
 
         prox = None
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key), prox=prox)
-    seeds.update(key, res.step)
+    res = backtrack_quadratic(eval_phi, grad, anchor, seed, prox=prox)
     work.W[layer] = res.candidate
     if shift is None:
         P[layer] = res.candidate @ a_prev
@@ -212,7 +239,7 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
 
 
 def _update_a(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, layer: int,
-              seeds: StepSeeds, key):
+              seed: float) -> BacktrackResult:
     nxt = layer + 1
     anchor = work.a[layer]
     fz = arch.activation.value(work.z[layer])
@@ -229,8 +256,7 @@ def _update_a(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
         return (objective.activation_term(work, cand, fz)
                 + objective.linear_term(work, lin0 + shift, is_last))
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seeds.get(key))
-    seeds.update(key, res.step)
+    res = backtrack_quadratic(eval_phi, grad, anchor, seed)
     work.a[layer] = res.candidate
     P[nxt] = P[nxt] - shift  # the accepted trial was the last one
     return res
@@ -253,11 +279,39 @@ def _update_z_hidden(work: MlpState, P: list, arch: MlpArchitecture, layer: int)
         work.z[layer] = solve_z_leaky_relu(m_in, work.a[layer], act.slope, half_nu, half_nu)
 
 
-def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture) -> bool:
+def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture):
     last = work.n_layers - 1
     res = solve_z_last(P[last] + work.b[last], work.u, work.rho, data.y, arch.risk, work.z[last])
     work.z[last] = res.z
-    return res.converged
+    return res
+
+
+def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, seeds: StepSeeds, P: list,
+           backward: bool):
+    """One half-iteration from ``state``, as ``backward_sweep`` returns it."""
+    work = state.copy()
+    if P is None:
+        P = objective.products(state, data)
+    last = work.n_layers - 1
+    # the forward block order: W, b, z, a of each hidden layer, then W, b, z
+    blocks = [(kind, l) for l in range(last) for kind in "Wbza"]
+    blocks += [("W", last), ("b", last), ("z", last)]
+
+    def update(kind, layer, seed):
+        if kind == "W":
+            return _update_W(work, P, data, arch, layer, seed)
+        if kind == "a":
+            return _update_a(work, P, data, arch, layer, seed)
+        if kind == "b":
+            _update_b_block(work, P, data, layer)
+        elif layer == last:
+            return _update_z_last(work, P, data, arch)
+        else:
+            _update_z_hidden(work, P, arch, layer)
+        return None
+
+    steps, moved, worst, fista_ok = walk_blocks(blocks, update, seeds, backward)
+    return work, steps, worst, fista_ok, _move_sq_sum(state, work, moved)
 
 
 def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
@@ -269,24 +323,7 @@ def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
     in place to those of the barred state; without it they are computed
     fresh.
     """
-    work = state.copy()
-    if P is None:
-        P = objective.products(state, data)
-    last = work.n_layers - 1
-    steps, moved, worst, fista_ok = {}, {}, 0.0, True
-    for layer in range(last, -1, -1):
-        if layer == last:
-            fista_ok = _update_z_last(work, P, data, arch)
-        else:
-            res = _update_a(work, P, data, arch, layer, seeds, ("a_bar", layer))
-            steps[("a_bar", layer)], moved["a", layer] = res.step, res.move_sq
-            worst = max(worst, res.violation)
-            _update_z_hidden(work, P, arch, layer)
-        _update_b_block(work, P, data, layer)
-        res = _update_W(work, P, data, arch, layer, seeds, ("W_bar", layer))
-        steps[("W_bar", layer)], moved["W", layer] = res.step, res.move_sq
-        worst = max(worst, res.violation)
-    return work, steps, worst, fista_ok, _move_sq_sum(state, work, moved)
+    return _sweep(state, data, arch, seeds, P, backward=True)
 
 
 def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
@@ -296,24 +333,7 @@ def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
     Returns as ``backward_sweep``, moves measured from ``barred``, and
     handles P as it does.
     """
-    work = barred.copy()
-    if P is None:
-        P = objective.products(barred, data)
-    last = work.n_layers - 1
-    steps, moved, worst, fista_ok = {}, {}, 0.0, True
-    for layer in range(last + 1):
-        res = _update_W(work, P, data, arch, layer, seeds, ("W", layer))
-        steps[("W", layer)], moved["W", layer] = res.step, res.move_sq
-        worst = max(worst, res.violation)
-        _update_b_block(work, P, data, layer)
-        if layer < last:
-            _update_z_hidden(work, P, arch, layer)
-            res = _update_a(work, P, data, arch, layer, seeds, ("a", layer))
-            steps[("a", layer)], moved["a", layer] = res.step, res.move_sq
-            worst = max(worst, res.violation)
-        else:
-            fista_ok = _update_z_last(work, P, data, arch)
-    return work, steps, worst, fista_ok, _move_sq_sum(barred, work, moved)
+    return _sweep(barred, data, arch, seeds, P, backward=False)
 
 
 def _move_sq_sum(old: MlpState, new: MlpState, moved: dict = None) -> float:

@@ -157,6 +157,19 @@ def test_selfcheck_detects_wrong_a_gradient(monkeypatch, capsys):
     assert "FAIL  gradient a vs finite differences" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("block", ["W", "Z"])
+def test_selfcheck_detects_wrong_gcn_gradient(block, monkeypatch, capsys):
+    """The GCN's block gradients are finite-differenced against psi too."""
+    real = gcn.grad_psi_block
+
+    def scaled(*args, **kwargs):
+        return 1.5 * real(*args, **kwargs)
+
+    monkeypatch.setattr(gcn, "grad_psi_block", scaled)
+    assert selfcheck(quick=True) == 3
+    assert f"FAIL  gcn gradient {block} vs finite differences" in capsys.readouterr().out
+
+
 def test_selfcheck_detects_understated_risk_curvature(monkeypatch, capsys):
     import admmnet.objective as objective
 
@@ -306,4 +319,24 @@ def test_non_finite_features_data_error(graph_dir, tmp_path, capsys, value):
     assert code == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: ") and "non-finite" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["-5", "-1000", "61"])
+def test_subsample_out_of_range_usage_error(count, image_dir, tmp_path, capsys):
+    """The training split has 60 samples: a count below 1 or above 60 is a
+    one-line usage error, not a silently smaller or empty training set."""
+    out = tmp_path / "x.csv"
+    assert run_train(image_dir, out, extra=("--subsample", count)) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_gcn_rejects_optimizer(graph_dir, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["train", "gcn", "--data", str(graph_dir), "--epochs", "2",
+                 "--optimizer", "adam", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "error: --optimizer applies to mlp only"
     assert not out.exists()

@@ -203,3 +203,9 @@ class TestSubsample:
         data = self.make_data([3, 3])
         with pytest.raises(ValueError):
             subsample(data, 7, Rng(0))
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_fewer_than_one_requested(self, n):
+        data = self.make_data([3, 3])
+        with pytest.raises(ValueError):
+            subsample(data, n, Rng(0))

@@ -57,7 +57,7 @@ class TestCheckSufficientDescent:
     def test_zero_move_iteration(self):
         rep = check_sufficient_descent(
             lagr_prev=5.0, lagr_new=5.0, block_move_sq_sum=0.0,
-            steps={"w": 1.0}, risk_kind="cross_entropy", rho=4.0, nu=1.0, iteration=1,
+            steps={"w": 1.0}, risk_kind="cross_entropy", rho=4.0, nu=1.0,
         )
         assert rep.satisfied
         assert rep.lhs == 0.0
@@ -65,7 +65,7 @@ class TestCheckSufficientDescent:
     def test_violation_detected(self):
         rep = check_sufficient_descent(
             lagr_prev=5.0, lagr_new=5.5, block_move_sq_sum=1.0,
-            steps={"w": 1.0}, risk_kind="cross_entropy", rho=4.0, nu=1.0, iteration=1,
+            steps={"w": 1.0}, risk_kind="cross_entropy", rho=4.0, nu=1.0,
         )
         assert not rep.satisfied
         assert rep.hypothesis_met
@@ -73,7 +73,7 @@ class TestCheckSufficientDescent:
     def test_hypothesis_flagged_small_rho(self):
         rep = check_sufficient_descent(
             lagr_prev=5.0, lagr_new=5.5, block_move_sq_sum=1.0,
-            steps={"w": 1.0}, risk_kind="cross_entropy", rho=1e-6, nu=1.0, iteration=1,
+            steps={"w": 1.0}, risk_kind="cross_entropy", rho=1e-6, nu=1.0,
         )
         assert not rep.hypothesis_met
 

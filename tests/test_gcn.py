@@ -302,6 +302,19 @@ def test_cached_products_match_fresh(hidden, monkeypatch):
     assert np.array_equal(state.U, fresh_state.U)
 
 
+def test_iteration_leaves_its_input_unchanged():
+    """``GcnState.copy`` shares arrays, so every block update must rebind a
+    list entry and never write into the arrays of the state it was given."""
+    graph = make_sbm_graph(60, rng=Rng(1))
+    cfg = GcnConfig(hidden_dims=(8, 4), rho=1.0, mu=1.0, epochs=1, seed=0)
+    state = random_gcn_state(graph, (2, 8, 4, 2), seed=5)
+    blocks = lambda s: [a.tobytes() for a in (*s.W, *s.Z, s.U)]
+    before = blocks(state)
+    new = gcn_iteration(state, graph, cfg, StepSeeds())[0]
+    assert blocks(state) == before
+    assert all(a != b for a, b in zip(blocks(new), before))
+
+
 def test_dense_products_per_iteration(monkeypatch):
     """With one hidden layer an iteration multiplies by the N x N A_norm six
     times: three per hidden Z update (A_norm^T in the gradient, A_norm times

@@ -58,7 +58,7 @@ class TestBacktrack:
         c = 8.0
         anchor = np.array([[1.0]])
         grad = c * anchor
-        res = backtrack_quadratic(quad_phi(c, x0), grad, anchor, seed_step=1.0, growth=2.0)
+        res = backtrack_quadratic(quad_phi(c, x0), grad, anchor, seed_step=1.0)
         assert res.step == 8.0
         assert res.trials == 4
 
@@ -73,28 +73,28 @@ class TestBacktrack:
             assert res.violation <= 1e-10
 
     def test_trial_cap_raises(self):
-        # gradient inconsistent with the function: no step can certify
+        # phi rises at every candidate while the model predicts a decrease,
+        # so no step certifies: the search stops after MAX_TRIALS trials
         anchor = np.array([[1.0]])
-        bogus_grad = np.array([[-100.0]])
+        trials = []
 
         def eval_phi(x, step):
-            return float(x[0, 0] ** 2)
+            if step is None:
+                return 0.0
+            trials.append(step)
+            return 1.0
 
-        with pytest.raises(BacktrackError):
-            backtrack_quadratic(eval_phi, bogus_grad, anchor, 1.0, max_trials=10)
-
-    def test_growth_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            backtrack_quadratic(quad_phi(1.0, np.zeros((1, 1))), np.zeros((1, 1)),
-                                np.zeros((1, 1)), 1.0, growth=1.0)
+        with pytest.raises(BacktrackError, match=f"after {solvers.MAX_TRIALS} trials"):
+            backtrack_quadratic(eval_phi, np.array([[-100.0]]), anchor, 1.0)
+        assert len(trials) == solvers.MAX_TRIALS == 60
 
 
 def test_step_seeds_warm_start():
     seeds = StepSeeds()
     assert seeds.get(("W", 0)) == 1.0
-    seeds.update(("W", 0), accepted=8.0, growth=2.0)
+    seeds.update(("W", 0), accepted=8.0)
     assert seeds.get(("W", 0)) == 4.0
-    seeds.update(("W", 0), accepted=1e-12, growth=2.0)
+    seeds.update(("W", 0), accepted=1e-12)
     assert seeds.get(("W", 0)) == 1e-8  # floored
 
 
@@ -473,7 +473,7 @@ def solve_gcn_output(monkeypatch, graph, state, az):
         results.append(fista_minimize(*args))
         return results[-1]
 
-    monkeypatch.setattr(gcn, "fista_minimize", spy)
+    monkeypatch.setattr(solvers, "fista_minimize", spy)
     work = state.copy()
     gcn._update_Z_last(work, az, graph)
     (res,) = results

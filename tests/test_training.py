@@ -15,8 +15,9 @@ from admmnet.objective import (
     forward_logits,
     lagrangian,
 )
-from admmnet.solvers import StepSeeds
-from admmnet.synth import make_image_classes, make_separable
+from admmnet.gcn import GcnConfig, gcn_train
+from admmnet.solvers import BacktrackResult, FistaResult, StepSeeds
+from admmnet.synth import make_image_classes, make_sbm_graph, make_separable
 from admmnet.training import (
     TrainConfig,
     backward_sweep,
@@ -24,6 +25,7 @@ from admmnet.training import (
     dual_update,
     forward_sweep,
     train,
+    walk_blocks,
 )
 
 
@@ -33,6 +35,53 @@ def separable_run():
     arch = MlpArchitecture(layer_dims=(4, 8, 2))
     cfg = TrainConfig(rho=1.0, nu=1.0, epochs=100, seed=0)
     return arch, data, cfg, train(arch, data, cfg)
+
+
+def test_walk_blocks_bookkeeping():
+    """The walk passes each block its key's seed, moves the seed after an
+    accepted step, and collects steps, moves, the worst violation and the
+    output solves' convergence; closed-form blocks leave no record."""
+    seeds = StepSeeds()
+    seeds.update(("W_bar", 1), 8.0)
+    calls = []
+
+    def update(kind, layer, seed):
+        calls.append((kind, layer, seed))
+        if kind == "W":
+            return BacktrackResult(step=2.0 * seed, candidate=None, trials=2,
+                                   violation=(layer - 1) * 1e-12, move_sq=layer + 0.5)
+        if kind == "z":
+            return FistaResult(z=None, iterations=3, converged=layer == 1)
+        return None
+
+    blocks = [("W", 0), ("b", 0), ("z", 0), ("W", 1), ("z", 1)]
+    steps, moved, worst, fista_ok = walk_blocks(blocks, update, seeds, backward=True)
+    assert calls == [("z", 1, 1.0), ("W", 1, 4.0), ("z", 0, 1.0), ("b", 0, 1.0), ("W", 0, 1.0)]
+    assert list(steps.items()) == [(("W_bar", 1), 8.0), (("W_bar", 0), 2.0)]
+    assert moved == {("W", 1): 1.5, ("W", 0): 0.5}
+    assert (worst, fista_ok) == (0.0, False)
+    assert (seeds.get(("W_bar", 1)), seeds.get(("W_bar", 0))) == (4.0, 1.0)
+
+    calls.clear()
+    steps, moved, worst, fista_ok = walk_blocks(blocks[:2], update, seeds, backward=False)
+    assert calls == [("W", 0, 1.0), ("b", 0, 1.0)]
+    assert (steps, moved, worst, fista_ok) == ({("W", 0): 2.0}, {("W", 0): 0.5}, 0.0, True)
+
+
+@pytest.mark.parametrize("model", ["mlp", "gcn"])
+def test_forward_step_keys_are_backward_keys_reversed(model):
+    """Each model walks one forward block list in reverse, then in order."""
+    if model == "mlp":
+        arch = MlpArchitecture(layer_dims=(4, 5, 5, 2))
+        (trace,) = train(arch, make_separable(20, rng=Rng(4)),
+                         TrainConfig(rho=1.0, nu=1.0, epochs=1)).traces
+        forward = [("W", 0), ("a", 0), ("W", 1), ("a", 1), ("W", 2)]
+    else:
+        cfg = GcnConfig(hidden_dims=(8, 4), rho=1.0, mu=1.0, epochs=1)
+        _, (trace,) = gcn_train(make_sbm_graph(40, rng=Rng(2)), cfg)
+        forward = [("W", 0), ("Z", 0), ("W", 1), ("Z", 1), ("W", 2)]
+    barred = [(kind + "_bar", layer) for kind, layer in reversed(forward)]
+    assert list(trace.step_stats) == barred + forward
 
 
 def test_dual_update_arithmetic():
