@@ -21,6 +21,11 @@ from .training import TrainConfig, train
 
 CSV_HEADER = "iter,objective,lagrangian,residual_l2,train_acc,test_acc,descent_ok,ck,wall_time_s"
 
+# ``train`` options that only one model reads, by destination.  Given on the
+# command line for the other model they are a usage error; a --config file
+# shared by both models may still set them.
+MODEL_ONLY = {"subsample": "mlp", "nu": "mlp", "lam": "mlp", "lr": "mlp", "mu": "gcn"}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here is 1."""
@@ -215,7 +220,8 @@ def selfcheck(quick: bool = False) -> int:
     the FISTA step constant, and a short descent run; returns the exit code.
     The gradients checked against finite differences are the ones the
     trainers step with: ``objective.grad_phi_block`` (``grad_W`` and
-    ``grad_a`` behind it) and ``gcn.grad_psi_block``."""
+    ``grad_a`` behind it) and ``gcn.grad_psi_block``, the latter both fresh
+    and given the propagations a GCN iteration moved."""
     from . import gcn, objective, solvers
     from .objective import Dataset, forward_init, grad_phi_block, phi
 
@@ -249,10 +255,16 @@ def selfcheck(quick: bool = False) -> int:
     gstate = gcn.gcn_forward_init(graph, (2, 3, 2), arch.activation, Rng(2), rho=1.0, mu=1.0)
     gstate.Z = [z + 0.3 * rng.normal(0.0, 1.0, z.shape) for z in gstate.Z]
     gstate.U = rng.normal(0.0, 1.0, gstate.U.shape)
-    for block, store in (("W", gstate.W), ("Z", gstate.Z)):
-        worst = _fd_error(lambda l: gcn.grad_psi_block(gstate, graph, block, l, arch.activation),
-                          store, lambda: gcn.psi(gstate, graph, arch.activation))
-        check(f"gcn gradient {block} vs finite differences", worst < 1e-5)
+    # with the propagations the trainer keeps too, as one iteration moved them
+    props = gcn.propagations(gstate, graph)
+    moved = gcn.gcn_iteration(gstate, graph, gcn.GcnConfig((3,), rho=1.0, mu=1.0, epochs=1),
+                              solvers.StepSeeds(), props)[0]
+    act = arch.activation
+    for block in ("W", "Z"):
+        for tag, at, cache in (("", gstate, None), (" (cached propagations)", moved, props)):
+            worst = _fd_error(lambda l: gcn.grad_psi_block(at, graph, block, l, act, cache),
+                              at.W if block == "W" else at.Z, lambda: gcn.psi(at, graph, act))
+            check(f"gcn gradient {block}{tag} vs finite differences", worst < 1e-5)
 
     # scalar z-subproblem vs a fine grid
     rng2 = Rng(11)
@@ -361,6 +373,11 @@ def main(argv=None) -> int:
         if "timing" in defaults:  # a flag, so argparse has no type to convert it with
             defaults["timing"] = defaults["timing"].lower() in ("1", "true", "yes")
         args = build_parser(defaults).parse_args(argv)
+        if args.command == "train":  # None defaults show which options the command line gave
+            given = build_parser(dict.fromkeys(MODEL_ONLY)).parse_args(argv)
+            for dest, model in MODEL_ONLY.items():
+                if getattr(given, dest) is not None and args.model != model:
+                    return _usage_error(f"--{dest} applies to {model} only")
     except (FormatError, OSError) as exc:
         return _usage_error(str(exc))
     except SystemExit as exc:

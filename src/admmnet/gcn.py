@@ -12,25 +12,35 @@ dual.  The output block is solved by ``solvers.fista_output_block``, as in
 the MLP.  psi's term of one layer and its slope in the layer's propagation
 are written once, in ``_term`` and ``_term_slope``.
 
-Cached propagation.  Besides the blocks, the sweep state holds the products
-az[l] = A_norm Z_{l-1} of every layer (Z_{-1} is the features X), so each
-propagation A_norm Z_{l-1} W_l is a thin az[l] @ W_l product instead of a
-dense N x N one.  ``gcn_train`` takes the list from the initial exact
-propagation, which forms exactly these products, so az[0] = A_norm X is a
-once-per-call product.  Only an accepted hidden Z_l step changes it:
-``_update_Z_hidden`` then sets az[l+1] = A_norm Z_l with one fresh product,
-not by an incremental update, so every later (A_norm Z) W has exactly the
-float order of a fresh propagation.  The block gradients, the backtracking
-anchors, the output solve's affine target, the dual residual, the Lagrangian
-and the accuracies all read az.  A hidden Z update thus makes three N x N
-products (A_norm^T in its gradient, A_norm times the gradient for the trial
-propagations, and the refresh); no other block update makes any.  With L
-layers a ``gcn_train`` call of E epochs makes L + 6 (L - 1) E products:
-2 + 6 E with one hidden layer.
+Cached propagation.  Besides the blocks, the sweep state holds a
+``Propagations``: the fixed ax = A_norm X and the layer propagations m[l] =
+A_norm Z_{l-1} W_l, N x C_{l+1} each.  ``gcn_train`` takes it from the
+initial exact propagation, which forms exactly these products.  Like the
+MLP's P, m then moves only with the blocks it depends on, by the accepted
+trial's own propagation (the backtracking's trials are affine in the inverse
+step, so each update forms one direction product and its last trial is the
+accepted one):
+
+* an accepted W_l step, W_l - G/t, moves m[l] by -(A_norm Z_{l-1} G)/t, with
+  the direction formed as ax G at the first layer and A_norm (Z_{l-1} G)
+  above it;
+* an accepted hidden Z_l step, Z_l - G/t, moves m[l+1] by -(A_norm (G
+  W_{l+1}))/t.
+
+The output Z and the dual leave m alone.  The block gradients (whose
+A_norm^T factor multiplies psi's slope in a propagation, C_{l+1} wide), the
+backtracking anchors, the output solve's affine target, the dual residual,
+the Lagrangian and the accuracies all read m, and none of the last four
+multiplies by A_norm.  Every product with A_norm goes through ``_adj``.  A
+W_l (l >= 1) or hidden Z_{l-1} update makes two, one for its gradient and
+one for its trial direction, each with C_{l+1} columns; W_0 makes none.
+With L layers a ``gcn_train`` call of E epochs makes L + 8 (L - 1) E
+products: ax (C_0 columns) and the L - 1 initial A_norm (Z_{l-1} W_l) once,
+and four per hidden layer in each half-iteration.
 
 The cache is not part of ``GcnState``: the public functions take an
-optional ``az`` holding the products of the state they are given and
-compute the products fresh when it is omitted.
+optional ``props`` holding the propagations of the state they are given and
+compute them fresh (``propagations``) when it is omitted.
 """
 from __future__ import annotations
 
@@ -159,27 +169,46 @@ def masked_risk_grad(z_last: Matrix, labels: Matrix, mask: np.ndarray) -> Matrix
 
 
 # ---------------------------------------------------------------------------
-# Penalty function and block gradients
+# Propagations
 # ---------------------------------------------------------------------------
 
-def _z_prev(state: GcnState, graph: Graph, layer: int) -> Matrix:
-    return graph.features if layer == 0 else state.Z[layer - 1]
+@dataclass
+class Propagations:
+    """The sweep's cache for one state: ax = A_norm X and m[l] = A_norm
+    Z_{l-1} W_l for every layer."""
+
+    ax: Matrix
+    m: list
 
 
-def products(state: GcnState, graph: Graph) -> list:
-    """az[l] = A_norm Z_{l-1} for every layer, computed fresh."""
-    return [state.A_norm @ _z_prev(state, graph, l) for l in range(state.n_layers)]
+def _adj(a_norm: Matrix, y: Matrix, transpose: bool = False) -> Matrix:
+    """A_norm y, or A_norm^T y when ``transpose``; every product with the
+    N x N A_norm is formed here.  y is thin, and BLAS forms such a product
+    faster as (y^T A_norm^T)^T than as A_norm y."""
+    return (y.T @ (a_norm if transpose else a_norm.T)).T
 
 
-def _az(state: GcnState, graph: Graph, layer: int, az) -> Matrix:
-    return state.A_norm @ _z_prev(state, graph, layer) if az is None else az[layer]
+def _through(state: GcnState, ax: Matrix, layer: int, w: Matrix) -> Matrix:
+    """A_norm Z_{l-1} w, as ax w at the first layer and A_norm (Z_{l-1} w)
+    above it."""
+    return ax @ w if layer == 0 else _adj(state.A_norm, state.Z[layer - 1] @ w)
 
 
-def propagated(state: GcnState, graph: Graph, layer: int, az: list = None) -> Matrix:
-    """A_norm Z_{l-1} W_l for the given layer; az, when given, holds the
-    products A_norm Z_{l-1} of ``state``."""
-    return _az(state, graph, layer, az) @ state.W[layer]
+def propagations(state: GcnState, graph: Graph) -> Propagations:
+    """The propagations of ``state``, computed fresh."""
+    ax = _adj(state.A_norm, graph.features)
+    return Propagations(ax, [_through(state, ax, l, state.W[l]) for l in range(state.n_layers)])
 
+
+def propagated(state: GcnState, graph: Graph, layer: int, props: Propagations = None) -> Matrix:
+    """A_norm Z_{l-1} W_l for the given layer; props, when given, holds the
+    propagations of ``state``."""
+    return (propagations(state, graph) if props is None else props).m[layer]
+
+
+# ---------------------------------------------------------------------------
+# Penalty function and block gradients
+# ---------------------------------------------------------------------------
 
 def _term(state: GcnState, layer: int, m: Matrix, activation: Activation,
           total: float = 0.0) -> float:
@@ -200,20 +229,23 @@ def _term_slope(state: GcnState, layer: int, m: Matrix, activation: Activation) 
     return state.mu * (state.Z[layer] - activation.value(m)) * activation.deriv(m)
 
 
-def psi(state: GcnState, graph: Graph, activation: Activation = RELU, az: list = None) -> float:
+def psi(state: GcnState, graph: Graph, activation: Activation = RELU,
+        props: Propagations = None) -> float:
+    if props is None:
+        props = propagations(state, graph)
     total = 0.0
     for l in range(state.n_layers):
-        total += _term(state, l, propagated(state, graph, l, az), activation)
+        total += _term(state, l, propagated(state, graph, l, props), activation)
     return total
 
 
 def lagrangian(state: GcnState, graph: Graph, activation: Activation = RELU,
-               az: list = None, risk: float = None) -> float:
+               props: Propagations = None, risk: float = None) -> float:
     """Masked risk plus psi; ``risk``, when given, is the masked risk of
     ``state``'s output block."""
     if risk is None:
         risk = masked_risk(state.Z[-1], graph.labels, graph.train_mask)
-    return risk + psi(state, graph, activation, az)
+    return risk + psi(state, graph, activation, props)
 
 
 def grad_psi_block(
@@ -222,62 +254,74 @@ def grad_psi_block(
     block: str,
     layer: int,
     activation: Activation = RELU,
-    az: list = None,
+    props: Propagations = None,
 ) -> Matrix:
     last = state.n_layers - 1
     if block not in ("W", "Z"):
         raise ValueError(f"unknown block {block!r}")
     if not 0 <= layer <= last:
         raise IndexError(f"layer {layer} out of range")
+    if props is None:
+        props = propagations(state, graph)
+    m = props.m
     if block == "W":
-        a_z = _az(state, graph, layer, az)
-        return -a_z.T @ _term_slope(state, layer, a_z @ state.W[layer], activation)
+        slope = _term_slope(state, layer, m[layer], activation)
+        if layer == 0:
+            return -props.ax.T @ slope
+        return -state.Z[layer - 1].T @ _adj(state.A_norm, slope, transpose=True)
     if layer == last:
-        return _term_slope(state, last, propagated(state, graph, last, az), activation)
-    g = state.mu * (state.Z[layer] - activation.value(propagated(state, graph, layer, az)))
+        return _term_slope(state, last, m[last], activation)
     nxt = layer + 1
-    slope = _term_slope(state, nxt, propagated(state, graph, nxt, az), activation)
-    return g - state.A_norm.T @ slope @ state.W[nxt].T
+    g = state.mu * (state.Z[layer] - activation.value(m[layer]))
+    slope = _term_slope(state, nxt, m[nxt], activation)
+    return g - _adj(state.A_norm, slope, transpose=True) @ state.W[nxt].T
 
 
 # ---------------------------------------------------------------------------
 # Block updates
 # ---------------------------------------------------------------------------
 
-def _update_W_gcn(work, az, graph, activation, layer, seed):
-    anchor = work.W[layer]
-    grad = grad_psi_block(work, graph, "W", layer, activation, az)
-    m0 = az[layer] @ anchor
-    az_grad = az[layer] @ grad  # trial propagation is m0 - az_grad / step
+def _backtrack(work, props, grad, anchor, seed, activation, layer, direction, own=None):
+    """Backtracks one block whose step moves the propagation m[layer] by
+    -direction/step, evaluating psi's terms that hold the block: m[layer]'s
+    and, for a hidden Z, ``own``(candidate).  Moves m[layer] to the
+    accepted trial's propagation, which the last trial formed."""
+    m0 = props.m[layer]
+    trial = None
 
     def eval_phi(cand, step):
-        return _term(work, layer, m0 if step is None else m0 - az_grad / step, activation)
+        nonlocal trial
+        total = 0.0 if own is None else own(cand)
+        if step is None:
+            return _term(work, layer, m0, activation, total)
+        trial = m0 - direction / step
+        return _term(work, layer, trial, activation, total)
 
     res = backtrack_quadratic(eval_phi, grad, anchor, seed)
+    props.m[layer] = trial
+    return res
+
+
+def _update_W_gcn(work, props, graph, activation, layer, seed):
+    grad = grad_psi_block(work, graph, "W", layer, activation, props)
+    res = _backtrack(work, props, grad, work.W[layer], seed, activation, layer,
+                     _through(work, props.ax, layer, grad))
     work.W[layer] = res.candidate
     return res
 
 
-def _update_Z_hidden(work, az, graph, activation, layer, seed):
-    anchor = work.Z[layer]
-    grad = grad_psi_block(work, graph, "Z", layer, activation, az)
-    fm = activation.value(propagated(work, graph, layer, az))
+def _update_Z_hidden(work, props, graph, activation, layer, seed):
+    grad = grad_psi_block(work, graph, "Z", layer, activation, props)
+    fm = activation.value(props.m[layer])
     nxt = layer + 1
-    m_next0 = propagated(work, graph, nxt, az)
-    a_grad_w = work.A_norm @ grad @ work.W[nxt]  # next propagation shifts by -a_grad_w/step
-
-    def eval_phi(cand, step):
-        own = 0.5 * work.mu * l2sq(cand - fm)
-        return _term(work, nxt, m_next0 if step is None else m_next0 - a_grad_w / step,
-                     activation, own)
-
-    res = backtrack_quadratic(eval_phi, grad, anchor, seed)
+    res = _backtrack(work, props, grad, work.Z[layer], seed, activation, nxt,
+                     _adj(work.A_norm, grad @ work.W[nxt]),
+                     lambda cand: 0.5 * work.mu * l2sq(cand - fm))
     work.Z[layer] = res.candidate
-    az[nxt] = work.A_norm @ res.candidate
     return res
 
 
-def _update_Z_last(work, az, graph):
+def _update_Z_last(work, props, graph):
     """The output block under the masked cross-entropy, whose rows, labels
     and count are gathered once per solve; the risk and its gradient share
     the log-softmax of their last point's training rows."""
@@ -293,39 +337,39 @@ def _update_Z_last(work, az, graph):
 
     res = fista_output_block(lambda z: _ce_value(logp(z), y_train, n_train), risk_grad,
                              risk_curvature("cross_entropy", n_train),
-                             propagated(work, graph, last, az), work.U, work.rho, work.Z[last])
+                             propagated(work, graph, last, props), work.U, work.rho, work.Z[last])
     work.Z[last] = res.z
     return res
 
 
 def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeeds,
-                  az: list = None):
+                  props: Propagations = None):
     """One backward + forward + dual iteration.  Returns the new state plus
     (step stats, max certificate violation, residual, squared block moves,
     both output solves converged).
 
-    az, when given, holds the products A_norm Z_{l-1} of ``state`` and is
-    moved in place to those of the returned state; when omitted they are
-    computed fresh."""
+    props, when given, holds the propagations of ``state`` and is moved in
+    place to those of the returned state; when omitted they are computed
+    fresh."""
     act = cfg.activation
     last = state.n_layers - 1
-    if az is None:
-        az = products(state, graph)
+    if props is None:
+        props = propagations(state, graph)
     work = state.copy()
     blocks = [(kind, l) for l in range(last + 1) for kind in "WZ"]  # the forward order
 
     def update(kind, layer, seed):
         if kind == "W":
-            return _update_W_gcn(work, az, graph, act, layer, seed)
+            return _update_W_gcn(work, props, graph, act, layer, seed)
         if layer < last:
-            return _update_Z_hidden(work, az, graph, act, layer, seed)
-        return _update_Z_last(work, az, graph)
+            return _update_Z_hidden(work, props, graph, act, layer, seed)
+        return _update_Z_last(work, props, graph)
 
     bsteps, bmoved, bworst, bfista = walk_blocks(blocks, update, seeds, backward=True)
     z_last_bar = work.Z[last]
     fsteps, fmoved, fworst, ffista = walk_blocks(blocks, update, seeds, backward=False)
 
-    eps = work.Z[last] - propagated(work, graph, last, az)
+    eps = work.Z[last] - propagated(work, graph, last, props)
     work.U = work.U + work.rho * eps
 
     moves = 0.0
@@ -339,22 +383,21 @@ def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeed
 
 def _forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
                   rho: float, mu: float):
-    """``gcn_forward_init`` plus the products az of the state it returns
+    """``gcn_forward_init`` plus the propagations of the state it returns
     (the ones its exact propagation forms)."""
     a_norm = normalize_adjacency(graph)
-    W, Z, az = [], [], []
-    cur = graph.features
+    state = GcnState(W=[], Z=[], U=None, A_norm=a_norm, rho=rho, mu=mu)
+    ax = _adj(a_norm, graph.features)
+    m = []
     n_layers = len(dims) - 1
     for l in range(n_layers):
         fan_in, fan_out = dims[l], dims[l + 1]
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        W.append(rng.uniform(-s, s, (fan_in, fan_out)))
-        az.append(a_norm @ cur)
-        m = az[l] @ W[l]
-        cur = activation.value(m) if l < n_layers - 1 else m
-        Z.append(cur)
-    u = np.zeros_like(Z[-1])
-    return GcnState(W=W, Z=Z, U=u, A_norm=a_norm, rho=rho, mu=mu), az
+        state.W.append(rng.uniform(-s, s, (fan_in, fan_out)))
+        m.append(_through(state, ax, l, state.W[l]))
+        state.Z.append(activation.value(m[l]) if l < n_layers - 1 else m[l])
+    state.U = np.zeros_like(state.Z[-1])
+    return state, Propagations(ax, m)
 
 
 def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
@@ -363,8 +406,9 @@ def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng
     return _forward_init(graph, dims, activation, rng, rho, mu)[0]
 
 
-def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray, az: list = None) -> float:
-    logits = propagated(state, graph, state.n_layers - 1, az)
+def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray,
+                 props: Propagations = None) -> float:
+    logits = propagated(state, graph, state.n_layers - 1, props)
     pred = np.argmax(logits[mask], axis=1)
     truth = np.argmax(graph.labels[mask], axis=1)
     return float(np.mean(pred == truth)) if np.any(mask) else float("nan")
@@ -372,29 +416,29 @@ def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray, az: list = Non
 
 def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
-    state, az = _forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
+    state, props = _forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
 
     mask = graph.train_mask
     y_train, n_train = graph.labels[mask], int(np.sum(mask))
 
     def iterate(seeds: StepSeeds):
         nonlocal state
-        state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds, az)
+        state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds, props)
         logp = _row_log_softmax(state.Z[-1][mask])  # one per epoch: risk, Lagrangian, gradient
         risk = _ce_value(logp, y_train, n_train)
         risk_grad = np.zeros_like(state.U)
         risk_grad[mask] = _ce_grad(logp, y_train, n_train)
-        return lagrangian(state, graph, cfg.activation, az, risk), moves, dict(
+        return lagrangian(state, graph, cfg.activation, props, risk), moves, dict(
             risk=risk,
             residual_fro=float(np.sqrt(l2sq(eps))),
             stationarity_residual=diagnostics.stationarity_residual(risk_grad, state.U),
-            train_acc=gcn_accuracy(state, graph, graph.train_mask, az),
-            test_acc=gcn_accuracy(state, graph, graph.test_mask, az),
+            train_acc=gcn_accuracy(state, graph, graph.train_mask, props),
+            test_acc=gcn_accuracy(state, graph, graph.test_mask, props),
             step_stats=steps,
             max_cert_violation=worst,
             fista_converged=fista_ok,
         )
 
-    traces = run_certified(cfg.epochs, lagrangian(state, graph, cfg.activation, az), iterate,
+    traces = run_certified(cfg.epochs, lagrangian(state, graph, cfg.activation, props), iterate,
                            GcnTrace, ("cross_entropy", cfg.rho, cfg.mu), trace_sink)
     return state, traces

@@ -35,7 +35,8 @@ none) and afterwards moves only with the two blocks it depends on:
 
 * an accepted W_l step, W_l - G/t, moves P_l by -(G a_{l-1})/t, the shift
   the accepted trial already formed for its residual; a regularized (prox)
-  step recomputes P_l = W_l a_{l-1} once instead;
+  step, whose trials are not affine in 1/t, moves it likewise by the
+  accepted trial's own product (W_l - anchor) a_{l-1};
 * an accepted a_l step, a_l - G/t, moves P_{l+1} by -(W_{l+1} G)/t, the
   accepted trial's shift likewise.
 
@@ -210,31 +211,26 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     grad, lin0 = objective.grad_W(work, data, layer, P)
     is_last = layer == work.n_layers - 1
     reg = arch.regularizer
-    shift = None  # (G a_{l-1})/t of the last trial
+    shift = None  # the last trial's residual shift, -(cand - anchor) a_{l-1}
 
     if reg.kind != "none" and reg.lam > 0.0:
-        def eval_phi(cand, step):
-            return objective.linear_term(work, lin0 - (cand - anchor) @ a_prev, is_last)
-
+        trial_shift = lambda cand, step: (anchor - cand) @ a_prev  # a prox trial is not affine
         prox = lambda v, t: prox_regularizer(v, reg, reg.lam / t)
     else:
         grad_a = grad @ a_prev  # trial residual is lin0 + grad_a / step
-
-        def eval_phi(cand, step):
-            nonlocal shift
-            if step is None:
-                return objective.linear_term(work, lin0, is_last)
-            shift = grad_a / step
-            return objective.linear_term(work, lin0 + shift, is_last)
-
+        trial_shift = lambda cand, step: grad_a / step
         prox = None
+
+    def eval_phi(cand, step):
+        nonlocal shift
+        if step is None:
+            return objective.linear_term(work, lin0, is_last)
+        shift = trial_shift(cand, step)
+        return objective.linear_term(work, lin0 + shift, is_last)
 
     res = backtrack_quadratic(eval_phi, grad, anchor, seed, prox=prox)
     work.W[layer] = res.candidate
-    if shift is None:
-        P[layer] = res.candidate @ a_prev
-    else:  # the accepted trial was the last one
-        P[layer] = P[layer] - shift
+    P[layer] = P[layer] - shift  # the accepted trial was the last one
     return res
 
 

@@ -340,3 +340,50 @@ def test_gcn_rejects_optimizer(graph_dir, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.strip() == "error: --optimizer applies to mlp only"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, flags, message", [
+    ("gcn", ["--subsample", "5"], "--subsample applies to mlp only"),
+    ("gcn", ["--nu", "3"], "--nu applies to mlp only"),
+    ("gcn", ["--lam", "2"], "--lam applies to mlp only"),
+    ("gcn", ["--lambda", "2"], "--lam applies to mlp only"),
+    ("gcn", ["--lr", "9"], "--lr applies to mlp only"),
+    ("gcn", ["--n", "1e-6"], "--nu applies to mlp only"),  # an abbreviation of --nu
+    ("mlp", ["--mu", "2"], "--mu applies to gcn only"),
+], ids=["subsample", "nu", "lam", "lambda", "lr", "nu-abbrev", "mu"])
+def test_flag_of_the_other_model_usage_error(model, flags, message, image_dir, graph_dir,
+                                             tmp_path, capsys):
+    data = image_dir if model == "mlp" else graph_dir
+    layers = ["--layers", "16,8,10"] if model == "mlp" else []
+    out = tmp_path / "x.csv"
+    code = main(["train", model, "--data", str(data), *layers, "--epochs", "2",
+                 "--out", str(out), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
+def test_shared_config_may_set_options_of_either_model(image_dir, graph_dir, tmp_path):
+    """A config file serves both models: each ignores the keys of the other."""
+    cfgf = tmp_path / "shared.cfg"
+    cfgf.write_text("epochs=2\nnu=1e-6\nlam=0\nlr=1e-3\nsubsample=0\nmu=1\n")
+    assert main(["train", "gcn", "--config", str(cfgf), "--data", str(graph_dir),
+                 "--out", str(tmp_path / "g.csv")]) == 0
+    assert main(["train", "mlp", "--config", str(cfgf), "--data", str(image_dir),
+                 "--layers", "16,8,10", "--out", str(tmp_path / "m.csv")]) == 0
+
+
+def test_selfcheck_detects_wrong_cached_gcn_gradient(monkeypatch, capsys):
+    """The GCN gradient is also finite-differenced with the propagations the
+    trainer keeps, so a fault on that path alone fails the check."""
+    real = gcn.grad_psi_block
+
+    def scaled(state, graph, block, layer, activation=None, props=None):
+        grad = real(state, graph, block, layer, activation, props)
+        return 1.5 * grad if props is not None and block == "W" else grad
+
+    monkeypatch.setattr(gcn, "grad_psi_block", scaled)
+    assert selfcheck(quick=True) == 3
+    out = capsys.readouterr().out
+    assert "PASS  gcn gradient W vs finite differences" in out
+    assert "FAIL  gcn gradient W (cached propagations) vs finite differences" in out

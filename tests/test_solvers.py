@@ -455,16 +455,17 @@ def test_output_solve_stops_at_rejected_plain_step():
 
 
 def gcn_output_problem():
-    """A GCN state one iteration into training (nonzero dual) and its cache."""
+    """A GCN state one iteration into training (nonzero dual) and the
+    propagations its sweep moved there."""
     graph = make_sbm_graph(60, rng=Rng(1))
     cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=0)
     state = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
-    az = gcn.products(state, graph)
-    state = gcn.gcn_iteration(state, graph, cfg, StepSeeds(), az)[0]
-    return graph, state, az
+    props = gcn.propagations(state, graph)
+    state = gcn.gcn_iteration(state, graph, cfg, StepSeeds(), props)[0]
+    return graph, state, props
 
 
-def solve_gcn_output(monkeypatch, graph, state, az):
+def solve_gcn_output(monkeypatch, graph, state, props):
     """Runs ``gcn._update_Z_last`` on a copy of ``state``; returns the copy
     and the FISTA result."""
     results = []
@@ -475,16 +476,16 @@ def solve_gcn_output(monkeypatch, graph, state, az):
 
     monkeypatch.setattr(solvers, "fista_minimize", spy)
     work = state.copy()
-    gcn._update_Z_last(work, az, graph)
+    gcn._update_Z_last(work, props, graph)
     (res,) = results
     return work, res
 
 
 def test_gcn_output_solve_matches_reference_loop(monkeypatch):
-    graph, state, az = gcn_output_problem()
+    graph, state, props = gcn_output_problem()
     anchor = state.Z[-1]
     anchor_bytes = anchor.tobytes()
-    w_aff = az[-1] @ state.W[-1]
+    w_aff = props.m[-1]  # the cached output propagation is the affine target
     mask, labels = graph.train_mask, graph.labels
     n_train = int(np.sum(mask))
 
@@ -500,7 +501,7 @@ def test_gcn_output_solve_matches_reference_loop(monkeypatch):
 
     step = 1.0 / (0.5 / n_train + state.rho)
     ref, _, _ = reference_fista(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
-    work, res = solve_gcn_output(monkeypatch, graph, state, az)
+    work, res = solve_gcn_output(monkeypatch, graph, state, props)
     assert work.Z[-1].tobytes() == ref.z.tobytes()
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
     assert res.iterations > 0
@@ -531,8 +532,8 @@ def test_output_solve_log_softmax_count(monkeypatch, name):
 
 
 def test_gcn_output_solve_log_softmax_count(monkeypatch):
-    graph, state, az = gcn_output_problem()
+    graph, state, props = gcn_output_problem()
     calls = counting(monkeypatch, gcn)
-    _, res = solve_gcn_output(monkeypatch, graph, state, az)
+    _, res = solve_gcn_output(monkeypatch, graph, state, props)
     assert res.iterations > 0
     assert len(calls) <= 2 * res.iterations + 2

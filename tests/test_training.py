@@ -276,7 +276,8 @@ def test_traced_moves_match_fresh(reg, monkeypatch):
     assert len(seen) == cfg.epochs
 
 
-@pytest.mark.parametrize("reg", [NO_REG, Regularizer("l2", 1e-3)], ids=["affine", "prox"])
+@pytest.mark.parametrize("reg", [NO_REG, Regularizer("l2", 1e-3), Regularizer("l1", 1e-3)],
+                         ids=["affine", "prox", "prox-l1"])
 def test_cached_products_match_fresh(reg, monkeypatch):
     """train() reads residuals from cached products W_l a_{l-1}; its traced
     Lagrangian and objective_F must agree with fresh evaluations at every
