@@ -24,7 +24,8 @@ CSV_HEADER = "iter,objective,lagrangian,residual_l2,train_acc,test_acc,descent_o
 # ``train`` options that only one model reads, by destination.  Given on the
 # command line for the other model they are a usage error; a --config file
 # shared by both models may still set them.
-MODEL_ONLY = {"subsample": "mlp", "nu": "mlp", "lam": "mlp", "lr": "mlp", "mu": "gcn"}
+MODEL_ONLY = {"optimizer": "mlp", "subsample": "mlp", "nu": "mlp", "lam": "mlp", "lr": "mlp",
+              "mu": "gcn"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,8 +137,6 @@ def _cmd_train(args) -> int:
     else:  # gcn
         from .data_io import load_graph
 
-        if args.optimizer != "admm":
-            return _usage_error("--optimizer applies to mlp only")
         try:
             graph = load_graph(args.data)
         except (FormatError, DataError, OSError) as exc:
@@ -221,7 +220,9 @@ def selfcheck(quick: bool = False) -> int:
     The gradients checked against finite differences are the ones the
     trainers step with: ``objective.grad_phi_block`` (``grad_W`` and
     ``grad_a`` behind it) and ``gcn.grad_psi_block``, the latter both fresh
-    and given the propagations a GCN iteration moved."""
+    and given the propagations a GCN iteration moved.  The GCN's
+    propagation through A_norm is compared with the dense normalization
+    formula."""
     from . import gcn, objective, solvers
     from .objective import Dataset, forward_init, grad_phi_block, phi
 
@@ -265,6 +266,18 @@ def selfcheck(quick: bool = False) -> int:
             worst = _fd_error(lambda l: gcn.grad_psi_block(at, graph, block, l, act, cache),
                               at.W if block == "W" else at.Z, lambda: gcn.psi(at, graph, act))
             check(f"gcn gradient {block}{tag} vs finite differences", worst < 1e-5)
+    # psi's finite differences go through the same A_norm as its gradient, so
+    # the operator is checked against the dense normalization formula on its
+    # own, on a graph whose node 1 has no edge (a row with its self-loop only)
+    adj = np.zeros((4, 4))
+    adj[[0, 0, 2, 2, 3, 3], [2, 3, 0, 3, 0, 2]] = 1.0
+    lone = gcn.Graph(4, adj, np.ones((4, 1)), np.eye(4, 2), np.arange(4) == 0, np.arange(4) == 1)
+    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
+    probe = Rng(17).normal(0.0, 1.0, (4, 3))
+    want = inv_sqrt[:, None] * (adj + np.eye(4)) * inv_sqrt[None, :] @ probe
+    got = gcn._adj(gcn.normalize_adjacency(lone), probe)
+    check("gcn propagation vs dense normalization formula",
+          got.shape == want.shape and np.allclose(got, want, rtol=1e-12, atol=0.0))
 
     # scalar z-subproblem vs a fine grid
     rng2 = Rng(11)

@@ -224,20 +224,22 @@ def load_graph(directory: str) -> Graph:
 
 
 def save_graph(directory: str, graph: Graph) -> None:
-    """Writes the four bundle files; inverse of load_graph."""
+    """Writes the four bundle files; inverse of load_graph.  Edges are
+    written once each, smaller node first, in row-major order; labels.csv
+    lists the labeled nodes and masks.csv the nodes in a mask, by node id."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "edges.tsv"), "w") as fh:
-        us, vs = np.nonzero(np.triu(graph.adjacency))
-        for u, v in zip(us, vs):
-            fh.write(f"{u}\t{v}\n")
-    np.savetxt(os.path.join(directory, "features.csv"), graph.features, delimiter=",", fmt="%.10g")
-    with open(os.path.join(directory, "labels.csv"), "w") as fh:
-        for node in range(graph.n_nodes):
-            if np.any(graph.labels[node] != 0):
-                fh.write(f"{node},{int(np.argmax(graph.labels[node]))}\n")
-    with open(os.path.join(directory, "masks.csv"), "w") as fh:
-        for node in range(graph.n_nodes):
-            if graph.train_mask[node]:
-                fh.write(f"{node},train\n")
-            elif graph.test_mask[node]:
-                fh.write(f"{node},test\n")
+
+    def write(name, lines):
+        with open(os.path.join(directory, name), "w") as fh:
+            fh.writelines(lines)
+
+    us, vs = np.nonzero(np.triu(graph.adjacency))
+    write("edges.tsv", (f"{u}\t{v}\n" for u, v in zip(us.tolist(), vs.tolist())))
+    row = ",".join(["%.10g"] * graph.features.shape[1]) + "\n"
+    write("features.csv", (row % tuple(r) for r in graph.features.tolist()))
+    labeled = np.flatnonzero(np.any(graph.labels != 0, axis=1))
+    classes = np.argmax(graph.labels[labeled], axis=1)
+    write("labels.csv", (f"{n},{c}\n" for n, c in zip(labeled.tolist(), classes.tolist())))
+    in_mask = np.flatnonzero(graph.train_mask | graph.test_mask)
+    splits = np.where(graph.train_mask[in_mask], "train", "test")
+    write("masks.csv", (f"{n},{s}\n" for n, s in zip(in_mask.tolist(), splits.tolist())))

@@ -349,8 +349,9 @@ def test_gcn_rejects_optimizer(graph_dir, tmp_path, capsys):
     ("gcn", ["--lambda", "2"], "--lam applies to mlp only"),
     ("gcn", ["--lr", "9"], "--lr applies to mlp only"),
     ("gcn", ["--n", "1e-6"], "--nu applies to mlp only"),  # an abbreviation of --nu
+    ("gcn", ["--optimizer", "admm"], "--optimizer applies to mlp only"),
     ("mlp", ["--mu", "2"], "--mu applies to gcn only"),
-], ids=["subsample", "nu", "lam", "lambda", "lr", "nu-abbrev", "mu"])
+], ids=["subsample", "nu", "lam", "lambda", "lr", "nu-abbrev", "optimizer-admm", "mu"])
 def test_flag_of_the_other_model_usage_error(model, flags, message, image_dir, graph_dir,
                                              tmp_path, capsys):
     data = image_dir if model == "mlp" else graph_dir
@@ -371,6 +372,14 @@ def test_shared_config_may_set_options_of_either_model(image_dir, graph_dir, tmp
                  "--out", str(tmp_path / "g.csv")]) == 0
     assert main(["train", "mlp", "--config", str(cfgf), "--data", str(image_dir),
                  "--layers", "16,8,10", "--out", str(tmp_path / "m.csv")]) == 0
+    # a file that picks Adam for the MLP still serves the GCN, which reads no optimizer
+    cfgf.write_text("epochs=2\noptimizer=adam\nlr=1e-3\nmu=1\n")
+    assert main(["train", "gcn", "--config", str(cfgf), "--data", str(graph_dir),
+                 "--out", str(tmp_path / "g2.csv")]) == 0
+    assert (tmp_path / "g2.csv").read_text() == (tmp_path / "g.csv").read_text()
+    assert main(["train", "mlp", "--config", str(cfgf), "--data", str(image_dir),
+                 "--layers", "16,8,10", "--out", str(tmp_path / "m2.csv")]) == 0
+    assert (tmp_path / "m2.csv").read_text() != (tmp_path / "m.csv").read_text()  # Adam ran
 
 
 def test_selfcheck_detects_wrong_cached_gcn_gradient(monkeypatch, capsys):
@@ -387,3 +396,24 @@ def test_selfcheck_detects_wrong_cached_gcn_gradient(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "PASS  gcn gradient W vs finite differences" in out
     assert "FAIL  gcn gradient W (cached propagations) vs finite differences" in out
+
+
+def test_selfcheck_detects_operator_without_self_loops(monkeypatch, capsys):
+    """An A_norm that lost its self-loops leaves an isolated node's row
+    empty, and ``np.add.reduceat`` then hands that row the next row's entry
+    without an error.  psi and its gradient both go through the broken
+    operator, so only the comparison with the dense formula fails."""
+    real = gcn.normalize_adjacency
+
+    def without_self_loops(graph):
+        op = real(graph)
+        rows = np.repeat(np.arange(op.n), np.diff(np.append(op.starts, op.cols.size)))
+        keep = rows != op.cols
+        starts = np.append(0, np.cumsum(np.bincount(rows[keep], minlength=op.n))[:-1])
+        return gcn.SparseAdjacency(op.n, starts, op.cols[keep], op.vals[keep])
+
+    monkeypatch.setattr(gcn, "normalize_adjacency", without_self_loops)
+    assert selfcheck(quick=True) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  gcn propagation vs dense normalization formula" in out
+    assert "PASS  gcn gradient W vs finite differences" in out

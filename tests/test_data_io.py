@@ -8,13 +8,16 @@ from admmnet.data_io import (
     load_graph,
     read_idx_images,
     read_idx_labels,
+    save_graph,
     subsample,
     write_idx_images,
     write_idx_labels,
 )
 from admmnet.errors import DataError, FormatError
+from admmnet.gcn import Graph
 from admmnet.linalg import Rng
 from admmnet.objective import Dataset
+from admmnet.synth import make_sbm_graph
 
 
 def write_images_fixture(path, n, rows, cols, payload, magic=0x00000803):
@@ -160,6 +163,50 @@ class TestLoadGraph:
         code = cli_main(["train", "gcn", "--data", str(tmp_path), "--epochs", "1",
                          "--out", str(tmp_path / "run.csv")])
         assert code == 1
+
+
+def save_graph_by_node(directory, graph):
+    """The node-by-node bundle writer that ``save_graph`` must match byte
+    for byte."""
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / "edges.tsv", "w") as fh:
+        us, vs = np.nonzero(np.triu(graph.adjacency))
+        for u, v in zip(us, vs):
+            fh.write(f"{u}\t{v}\n")
+    np.savetxt(directory / "features.csv", graph.features, delimiter=",", fmt="%.10g")
+    with open(directory / "labels.csv", "w") as fh:
+        for node in range(graph.n_nodes):
+            if np.any(graph.labels[node] != 0):
+                fh.write(f"{node},{int(np.argmax(graph.labels[node]))}\n")
+    with open(directory / "masks.csv", "w") as fh:
+        for node in range(graph.n_nodes):
+            if graph.train_mask[node]:
+                fh.write(f"{node},train\n")
+            elif graph.test_mask[node]:
+                fh.write(f"{node},test\n")
+
+
+def partly_labeled_graph():
+    """An SBM graph in which some nodes have no label and some are in
+    neither mask, with three feature columns."""
+    g = make_sbm_graph(60, n_blocks=3, n_features=3, rng=Rng(5))
+    labels, train, test = g.labels.copy(), g.train_mask.copy(), g.test_mask.copy()
+    labels[[1, 7, 30, 59]] = 0.0
+    train[[2, 9]] = test[[3, 40, 59]] = False
+    return Graph(g.n_nodes, g.adjacency, g.features, labels, train, test)
+
+
+@pytest.mark.parametrize("make", [lambda: make_sbm_graph(80, rng=Rng(2)), partly_labeled_graph],
+                         ids=["sbm", "partly-labeled"])
+def test_save_graph_matches_node_by_node_writer(make, tmp_path):
+    g = make()
+    save_graph(str(tmp_path / "fast"), g)
+    save_graph_by_node(tmp_path / "ref", g)
+    for name in ("edges.tsv", "features.csv", "labels.csv", "masks.csv"):
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+    back = load_graph(str(tmp_path / "fast"))
+    assert np.array_equal(back.adjacency, g.adjacency)
+    assert np.array_equal(back.train_mask, g.train_mask) and np.array_equal(back.test_mask, g.test_mask)
 
 
 class TestSubsample:
