@@ -6,13 +6,13 @@ relaxes) so that traces are comparable run-for-run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import objective
 from .errors import DivergenceError
-from .linalg import Rng, l2sq
+from .linalg import Rng, require_finite
 from .objective import Dataset, MlpArchitecture, accuracy
 
 
@@ -30,6 +30,8 @@ class BaselineConfig:
     def __post_init__(self):
         if self.optimizer not in ("gd", "adagrad", "adadelta", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        require_finite(learning_rate=self.learning_rate, eps=self.eps,
+                       adadelta_decay=self.adadelta_decay)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs < 1:
@@ -47,29 +49,18 @@ class BaselineTrace:
     wall_time: float
 
 
-def _forward(W, b, x, arch: MlpArchitecture):
-    """Returns pre-activations z and activations a per layer (a[-1] is input x)."""
-    zs, acts = [], [x]
-    last = len(W) - 1
-    for l in range(len(W)):
-        z = W[l] @ acts[-1] + b[l]
-        zs.append(z)
-        acts.append(arch.activation.value(z) if l < last else z)
-    return zs, acts
-
-
 def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward=None):
     """Exact full-batch gradients of risk + regularizer w.r.t. every W_l, b_l.
 
-    ``forward``, when given, is ``_forward(W, b, data.x, arch)``, already
-    formed by the caller."""
-    zs, acts = _forward(W, b, data.x, arch) if forward is None else forward
+    ``forward``, when given, is ``objective.forward`` of W, b and the data,
+    already formed by the caller."""
+    zs, acts = objective.forward(W, b, data.x, arch.activation) if forward is None else forward
     last = len(W) - 1
     gW = [None] * len(W)
     gb = [None] * len(W)
     delta = objective.risk_grad(zs[last], data.y, arch.risk)
     for l in range(last, -1, -1):
-        gW[l] = delta @ acts[l].T
+        gW[l] = delta @ (data.x if l == 0 else acts[l - 1]).T
         gb[l] = np.sum(delta, axis=1, keepdims=True)
         if arch.regularizer.lam != 0.0:
             if arch.regularizer.kind == "l2":
@@ -84,7 +75,7 @@ def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward=None):
 def _loss(W, b, data, arch, forward=None):
     """(risk + regularizer, output logits); ``forward`` as in
     ``backprop_grads``."""
-    zs, _ = _forward(W, b, data.x, arch) if forward is None else forward
+    zs, _ = objective.forward(W, b, data.x, arch.activation) if forward is None else forward
     val = objective.risk(zs[-1], data.y, arch.risk)
     for w in W:
         val += arch.regularizer.value(w)
@@ -133,25 +124,21 @@ def run_baseline(
     trace_sink=None,
 ):
     """Trains by full-batch backprop; returns ((W, b), traces)."""
-    rng = Rng(cfg.seed)
-    dims = arch.layer_dims
-    W, b = [], []
-    for l in range(len(dims) - 1):
-        s = np.sqrt(6.0 / (dims[l] + dims[l + 1]))
-        W.append(rng.uniform(-s, s, (dims[l + 1], dims[l])))
-        b.append(np.zeros((dims[l + 1], 1)))
+    rng, dims = Rng(cfg.seed), arch.layer_dims
+    W = [objective.glorot(rng, (dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
+    b = [np.zeros((d, 1)) for d in dims[1:]]
     upd = _Updater(cfg, W + b)
     traces = []
     t0 = time.perf_counter()
     # the forward pass of the training data that gives one epoch's loss is
     # the one the next epoch's gradients start from
-    forward = _forward(W, b, data.x, arch)
+    forward = objective.forward(W, b, data.x, arch.activation)
     for it in range(1, cfg.epochs + 1):
         gW, gb = backprop_grads(W, b, data, arch, forward)
         del forward  # not kept alive while the next one is formed
         new = upd.step(W + b, gW + gb)
         W, b = new[: len(W)], new[len(W):]
-        forward = _forward(W, b, data.x, arch)
+        forward = objective.forward(W, b, data.x, arch.activation)
         loss, z_last = _loss(W, b, data, arch, forward)
         test_acc = float("nan")
         if eval_data is not None:

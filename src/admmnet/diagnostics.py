@@ -1,9 +1,9 @@
-"""Runtime convergence checks: sufficient-descent verification, running-minimum
-movement series, and the output-layer stationarity residual.
+"""Runtime convergence checks: sufficient-descent verification and the
+output-layer stationarity residual.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +24,6 @@ class DescentReport:
     c2: float
     satisfied: bool
     hypothesis_met: bool  # rho > 2H, so the descent bound is in force
-
-
-@dataclass
-class CkSeries:
-    """Running minimum of the per-iteration squared block movement."""
-
-    values: list = field(default_factory=list)
-
-    def update(self, move_sq_sum: float) -> "CkSeries":
-        if move_sq_sum < 0:
-            raise ValueError("squared movement cannot be negative")
-        if self.values:
-            self.values.append(min(self.values[-1], move_sq_sum))
-        else:
-            self.values.append(move_sq_sum)
-        return self
 
 
 def descent_constants(risk_kind: str, rho: float, nu: float, steps) -> tuple:

@@ -2,8 +2,9 @@
 
 Nodes sit in rows (N x C matrices), matching the propagation rule
 Z_l = f(A_norm Z_{l-1} W_l).  The risk is the masked mean cross-entropy
-over training nodes.  ``gcn_train`` runs ``gcn_iteration`` under the
-certified driver of ``training``, with mu in the role of the MLP's nu.
+over training nodes, whose value and gradient come from ``masked_ce``.
+``gcn_train`` runs ``gcn_iteration`` under the certified driver of
+``training``, with mu in the role of the MLP's nu.
 
 Iteration.  ``gcn_iteration`` walks the forward block list, W and Z of each
 layer, with ``training.walk_blocks`` (which holds the step seeds) backward
@@ -16,10 +17,12 @@ Cached propagation.  Besides the blocks, the sweep state holds a
 ``Propagations``: the fixed ax = A_norm X and the layer propagations m[l] =
 A_norm Z_{l-1} W_l, N x C_{l+1} each.  ``gcn_train`` takes it from the
 initial exact propagation, which forms exactly these products.  Like the
-MLP's P, m then moves only with the blocks it depends on, by the accepted
-trial's own propagation (the backtracking's trials are affine in the inverse
-step, so each update forms one direction product and its last trial is the
-accepted one):
+MLP's P, m then moves only with the blocks it depends on, and both blocks
+backtrack through ``training.backtrack_shifted``, as the MLP's W and a do,
+with m as the moved quantity.  Trials are affine in the inverse step, so
+each update forms one direction product d, negated through its small factor
+(sign flips are exact, so m + (-d)/t is m - d/t bit for bit), and the
+accepted trial's shift then moves m:
 
 * an accepted W_l step, W_l - G/t, moves m[l] by -(A_norm Z_{l-1} G)/t, with
   the direction formed as ax G at the first layer and A_norm (Z_{l-1} G)
@@ -68,16 +71,11 @@ import numpy as np
 from . import diagnostics
 from .activations import RELU, Activation
 from .errors import ShapeError
-from .linalg import Matrix, Rng, l2sq
-from .objective import _ce_grad, _ce_value, _log_softmax, risk_curvature
-from .solvers import (
-    StepSeeds,
-    _memo_last,
-    backtrack_quadratic,
-    fista_minimize,  # unused here: a target that perfbench/tracer.py wraps on this module
-    fista_output_block,
-)
-from .training import CertifiedTrace, run_certified, walk_blocks
+from .linalg import Matrix, Rng, l2sq, require_finite
+from .objective import _ce_grad, _ce_value, _log_softmax, glorot, risk_curvature
+# backtrack_quadratic and fista_minimize are unused here: perfbench/tracer.py wraps them on this module
+from .solvers import StepSeeds, _memo_last, backtrack_quadratic, fista_minimize, fista_output_block
+from .training import CertifiedTrace, backtrack_shifted, run_certified, walk_blocks
 
 
 @dataclass
@@ -99,6 +97,12 @@ class Graph:
             raise ValueError("adjacency diagonal must be zero")
         if not np.all((a == 0) | (a == 1)):
             raise ValueError("adjacency entries must be 0 or 1")
+        for name in ("features", "labels", "train_mask", "test_mask"):
+            rows = getattr(self, name)
+            if len(rows) != self.n_nodes:
+                raise ShapeError(f"{name} has {len(rows)} rows for {self.n_nodes} nodes")
+            if name.endswith("mask") and (rows.ndim != 1 or rows.dtype != bool):
+                raise ValueError(f"{name} must be a boolean vector, not {rows.dtype} {rows.shape}")
         if np.any(self.train_mask & self.test_mask):
             raise ValueError("train and test masks must be disjoint")
         if not np.any(self.train_mask):
@@ -142,6 +146,7 @@ class GcnConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        require_finite(rho=self.rho, mu=self.mu)
         if self.rho <= 0 or self.mu <= 0:
             raise ValueError("rho and mu must be positive")
         if any(d < 1 for d in self.hidden_dims):
@@ -189,20 +194,29 @@ def normalize_adjacency(graph: Graph) -> SparseAdjacency:
 # Masked risk (rows = nodes)
 # ---------------------------------------------------------------------------
 
-def _row_log_softmax(rows: Matrix) -> Matrix:
-    return _log_softmax(rows.T).T
+def masked_ce(labels: Matrix, mask: np.ndarray) -> tuple:
+    """(risk, grad): the mean cross-entropy over the rows in ``mask`` and its
+    gradient, as functions of the output block.  The masked rows, labels and
+    count are gathered once; both share the log-softmax of their last
+    point's masked rows."""
+    idx = np.flatnonzero(mask)
+    y, count = labels[idx], idx.size
+    logp = _memo_last(lambda z: _log_softmax(z[idx].T).T)  # nodes sit in rows
+
+    def grad(z):
+        g = np.zeros_like(z)
+        g[idx] = _ce_grad(logp(z), y, count)
+        return g
+
+    return lambda z: _ce_value(logp(z), y, count), grad
 
 
 def masked_risk(z_last: Matrix, labels: Matrix, mask: np.ndarray) -> float:
-    n_train = int(np.sum(mask))
-    return _ce_value(_row_log_softmax(z_last[mask]), labels[mask], n_train)
+    return masked_ce(labels, mask)[0](z_last)
 
 
 def masked_risk_grad(z_last: Matrix, labels: Matrix, mask: np.ndarray) -> Matrix:
-    n_train = int(np.sum(mask))
-    g = np.zeros_like(z_last)
-    g[mask] = _ce_grad(_row_log_softmax(z_last[mask]), labels[mask], n_train)
-    return g
+    return masked_ce(labels, mask)[1](z_last)
 
 
 # ---------------------------------------------------------------------------
@@ -321,32 +335,14 @@ def grad_psi_block(
 # Block updates
 # ---------------------------------------------------------------------------
 
-def _backtrack(work, props, grad, anchor, seed, activation, layer, direction, own=None):
-    """Backtracks one block whose step moves the propagation m[layer] by
-    -direction/step, evaluating psi's terms that hold the block: m[layer]'s
-    and, for a hidden Z, ``own``(candidate).  Moves m[layer] to the
-    accepted trial's propagation, which the last trial formed."""
-    m0 = props.m[layer]
-    trial = None
-
-    def eval_phi(cand, step):
-        nonlocal trial
-        total = 0.0 if own is None else own(cand)
-        if step is None:
-            return _term(work, layer, m0, activation, total)
-        trial = m0 - direction / step
-        return _term(work, layer, trial, activation, total)
-
-    res = backtrack_quadratic(eval_phi, grad, anchor, seed)
-    props.m[layer] = trial
-    return res
-
-
 def _update_W_gcn(work, props, graph, activation, layer, seed):
     grad = grad_psi_block(work, graph, "W", layer, activation, props)
-    res = _backtrack(work, props, grad, work.W[layer], seed, activation, layer,
-                     _through(work, props.ax, layer, grad))
+    neg_dir = _through(work, props.ax, layer, -grad)  # W - G/t moves m[layer] by neg_dir/t
+    res, shift = backtrack_shifted(lambda x, moved: _term(work, layer, moved(), activation),
+                                   props.m[layer], lambda x, t: neg_dir / t, grad, work.W[layer],
+                                   seed)
     work.W[layer] = res.candidate
+    props.m[layer] = props.m[layer] + shift
     return res
 
 
@@ -354,29 +350,21 @@ def _update_Z_hidden(work, props, graph, activation, layer, seed):
     grad = grad_psi_block(work, graph, "Z", layer, activation, props)
     fm = activation.value(props.m[layer])
     nxt = layer + 1
-    res = _backtrack(work, props, grad, work.Z[layer], seed, activation, nxt,
-                     _adj(work.A_norm, grad @ work.W[nxt]),
-                     lambda cand: 0.5 * work.mu * l2sq(cand - fm))
+    neg_dir = _adj(work.A_norm, grad @ -work.W[nxt])  # Z - G/t moves m[nxt] by neg_dir/t
+    res, shift = backtrack_shifted(
+        lambda x, moved: _term(work, nxt, moved(), activation, 0.5 * work.mu * l2sq(x - fm)),
+        props.m[nxt], lambda x, t: neg_dir / t, grad, work.Z[layer], seed)
     work.Z[layer] = res.candidate
+    props.m[nxt] = props.m[nxt] + shift
     return res
 
 
 def _update_Z_last(work, props, graph):
-    """The output block under the masked cross-entropy, whose rows, labels
-    and count are gathered once per solve; the risk and its gradient share
-    the log-softmax of their last point's training rows."""
+    """The output block under the masked cross-entropy (``masked_ce``)."""
     last = work.n_layers - 1
-    train_idx = np.flatnonzero(graph.train_mask)
-    y_train, n_train = graph.labels[train_idx], train_idx.size
-    logp = _memo_last(lambda z: _row_log_softmax(z[train_idx]))
-
-    def risk_grad(z):
-        g = np.zeros_like(z)
-        g[train_idx] = _ce_grad(logp(z), y_train, n_train)
-        return g
-
-    res = fista_output_block(lambda z: _ce_value(logp(z), y_train, n_train), risk_grad,
-                             risk_curvature("cross_entropy", n_train),
+    risk, risk_grad = masked_ce(graph.labels, graph.train_mask)
+    res = fista_output_block(risk, risk_grad,
+                             risk_curvature("cross_entropy", int(np.sum(graph.train_mask))),
                              propagated(work, graph, last, props), work.U, work.rho, work.Z[last])
     work.Z[last] = res.z
     return res
@@ -425,16 +413,13 @@ def _forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
                   rho: float, mu: float):
     """``gcn_forward_init`` plus the propagations of the state it returns
     (the ones its exact propagation forms)."""
-    a_norm = normalize_adjacency(graph)
-    state = GcnState(W=[], Z=[], U=None, A_norm=a_norm, rho=rho, mu=mu)
-    ax = _adj(a_norm, graph.features)
-    m = []
     n_layers = len(dims) - 1
+    W = [glorot(rng, (dims[l], dims[l + 1])) for l in range(n_layers)]
+    state = GcnState(W=W, Z=[], U=None, A_norm=normalize_adjacency(graph), rho=rho, mu=mu)
+    ax = _adj(state.A_norm, graph.features)
+    m = []
     for l in range(n_layers):
-        fan_in, fan_out = dims[l], dims[l + 1]
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        state.W.append(rng.uniform(-s, s, (fan_in, fan_out)))
-        m.append(_through(state, ax, l, state.W[l]))
+        m.append(_through(state, ax, l, W[l]))
         state.Z.append(activation.value(m[l]) if l < n_layers - 1 else m[l])
     state.U = np.zeros_like(state.Z[-1])
     return state, Propagations(ax, m)
@@ -458,20 +443,17 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
     state, props = _forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
 
-    mask = graph.train_mask
-    y_train, n_train = graph.labels[mask], int(np.sum(mask))
+    risk_of, risk_grad = masked_ce(graph.labels, graph.train_mask)  # one log-softmax per epoch
 
     def iterate(seeds: StepSeeds):
         nonlocal state
         state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds, props)
-        logp = _row_log_softmax(state.Z[-1][mask])  # one per epoch: risk, Lagrangian, gradient
-        risk = _ce_value(logp, y_train, n_train)
-        risk_grad = np.zeros_like(state.U)
-        risk_grad[mask] = _ce_grad(logp, y_train, n_train)
+        risk = risk_of(state.Z[-1])
         return lagrangian(state, graph, cfg.activation, props, risk), moves, dict(
             risk=risk,
             residual_fro=float(np.sqrt(l2sq(eps))),
-            stationarity_residual=diagnostics.stationarity_residual(risk_grad, state.U),
+            stationarity_residual=diagnostics.stationarity_residual(risk_grad(state.Z[-1]),
+                                                                    state.U),
             train_acc=gcn_accuracy(state, graph, graph.train_mask, props),
             test_acc=gcn_accuracy(state, graph, graph.test_mask, props),
             step_stats=steps,

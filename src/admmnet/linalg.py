@@ -14,6 +14,13 @@ def l2sq(a: Matrix) -> float:
     return float(np.vdot(a, a))
 
 
+def require_finite(**values) -> None:
+    """Raises ValueError naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class Rng:
     """Seeded generator with a platform-stable draw sequence (PCG64)."""
 

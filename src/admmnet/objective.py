@@ -21,7 +21,7 @@ import numpy as np
 
 from .activations import RELU, Activation
 from .errors import ShapeError
-from .linalg import Matrix, Rng, l2sq
+from .linalg import Matrix, Rng, l2sq, require_finite
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -31,6 +31,7 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("none", "l1", "l2"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
+        require_finite(lam=self.lam)
         if self.lam < 0.0:
             raise ValueError("regularization weight must be nonnegative")
 
@@ -312,30 +313,30 @@ def grad_phi_block(
 # Initialization and prediction
 # ---------------------------------------------------------------------------
 
-def forward_init(
-    arch: MlpArchitecture,
-    data: Dataset,
-    rng: Rng,
-    rho: float,
-    nu: float,
-) -> MlpState:
+def glorot(rng: Rng, shape: tuple) -> Matrix:
+    """Glorot-uniform weights: U(-s, s) with s = sqrt(6 / (fan_in + fan_out))."""
+    s = np.sqrt(6.0 / sum(shape))
+    return rng.uniform(-s, s, shape)
+
+
+def forward(W: list, b: list, x: Matrix, activation: Activation) -> tuple:
+    """Exact feed-forward pass: (z, a), the pre-activations of every layer
+    and the activations of the hidden ones, as ``MlpState`` holds them."""
+    z, a = [], []
+    for l in range(len(W)):
+        z.append(W[l] @ (x if l == 0 else a[-1]) + b[l])
+        if l < len(W) - 1:
+            a.append(activation.value(z[-1]))
+    return z, a
+
+
+def forward_init(arch: MlpArchitecture, data: Dataset, rng: Rng, rho: float, nu: float) -> MlpState:
     """Glorot-uniform weights, zero biases, exact forward pass for z and a."""
     dims = arch.layer_dims
-    n_layers = len(dims) - 1
-    W, b, z, a = [], [], [], []
-    cur = data.x
-    for l in range(n_layers):
-        fan_out, fan_in = dims[l + 1], dims[l]
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        W.append(rng.uniform(-s, s, (fan_out, fan_in)))
-        b.append(np.zeros((fan_out, 1)))
-        zl = W[l] @ cur + b[l]
-        z.append(zl)
-        if l < n_layers - 1:
-            cur = arch.activation.value(zl)
-            a.append(cur)
-    u = np.zeros((dims[-1], data.n_samples))
-    return MlpState(W=W, b=b, z=z, a=a, u=u, rho=rho, nu=nu)
+    W = [glorot(rng, (dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
+    b = [np.zeros((d, 1)) for d in dims[1:]]
+    z, a = forward(W, b, data.x, arch.activation)
+    return MlpState(W=W, b=b, z=z, a=a, u=np.zeros((dims[-1], data.n_samples)), rho=rho, nu=nu)
 
 
 def forward_logits(W: list, b: list, x: Matrix, activation: Activation) -> Matrix:

@@ -48,17 +48,18 @@ Block moves.  The squared W and a moves entering the descent bound and c_k
 are the ||candidate - anchor||^2 of the accepted backtracking steps
 (``BacktrackResult.move_sq``), summed in ``block_move_sq_sum``'s order.
 
-Formulas.  This module holds the walk, the sweeps, the backtracking closures, the P
-moves and the driver, and no formula of phi: every residual, block
+Formulas.  This module holds the walk, the shared backtracking, the sweeps,
+the P moves and the driver, and no formula of phi: every residual, block
 gradient, penalty term, objective_F and Lagrangian is a call into
 ``objective``, the functions the finite-difference checks test, with the
-cache passed as their ``P``.  Backtracking trials are evaluated through
-partial penalty closures built from ``objective.linear_term`` and
-``objective.activation_term``, which only touch the terms containing the
-trial block; candidates are affine in the inverse step, so trial residuals
-reuse one precomputed product instead of a fresh matrix multiply.  The a
-anchor's activation term comes with its gradient from ``objective.grad_a``,
-which forms a_l - f(z_l) anyway.
+cache passed as their ``P``.  Every backtracked block of both models runs
+``backtrack_shifted``: a trial moves one cached linear quantity (a layer
+residual here, a propagation in ``gcn``) by a shift, only the penalty terms
+holding the block are evaluated at the moved quantity, and the accepted
+trial's shift then moves the cache.  Plain trials are affine in the inverse
+step, so their shifts reuse one precomputed product.  The a anchor's
+activation term comes with its gradient from ``objective.grad_a``, which
+forms a_l - f(z_l) anyway.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ import numpy as np
 
 from . import diagnostics, objective
 from .errors import DivergenceError, TrainingAborted
-from .linalg import Matrix, Rng, l2sq
+from .linalg import Matrix, Rng, l2sq, require_finite
 from .objective import Dataset, MlpArchitecture, MlpState, _a_prev
 from .solvers import (
     BacktrackResult,
@@ -93,6 +94,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        require_finite(rho=self.rho, nu=self.nu)
         if self.rho <= 0 or self.nu <= 0:
             raise ValueError("rho and nu must be positive")
 
@@ -146,12 +148,11 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
         if not np.isfinite(lagr0):
             raise DivergenceError("non-finite Lagrangian entering iteration 1")
         seeds = StepSeeds()
-        ck = diagnostics.CkSeries()
         t0 = time.perf_counter()
         lagr_prev = lagr0
         for it in range(1, epochs + 1):
             lagr_new, moves, fields = iterate(seeds)
-            ck.update(moves)
+            ck = moves if it == 1 else min(ck, moves)  # c_k, the running minimum
             report = diagnostics.check_sufficient_descent(
                 lagr_prev, lagr_new, moves, fields["step_stats"], *descent
             )
@@ -161,7 +162,7 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
                 descent_lhs=report.lhs,
                 block_move_sq_sum=moves,
                 c2=report.c2,
-                ck=ck.values[-1],
+                ck=ck,
                 descent_ok=report.satisfied,
                 hypothesis_met=report.hypothesis_met,
                 wall_time=time.perf_counter() - t0,
@@ -200,6 +201,25 @@ def walk_blocks(blocks: list, update, seeds: StepSeeds, backward: bool) -> tuple
     return steps, moved, worst, fista_ok
 
 
+def backtrack_shifted(terms, base: Matrix, shift_of, grad: Matrix, anchor: Matrix, seed: float,
+                      prox=None) -> tuple:
+    """Backtracks one block whose trial x moves a cached linear quantity,
+    ``base`` at the anchor, by ``shift_of(x, t)``.  ``terms(x, moved)`` sums
+    the penalty terms holding the block, calling ``moved()`` for the moved
+    quantity after its terms of x alone, so their temporaries are freed
+    first.  Returns the ``BacktrackResult`` and the last (accepted) shift."""
+    shift = None
+
+    def eval_phi(cand, step):
+        nonlocal shift
+        if step is None:
+            return terms(cand, lambda: base)
+        shift = shift_of(cand, step)
+        return terms(cand, lambda: base + shift)
+
+    return backtrack_quadratic(eval_phi, grad, anchor, seed, prox=prox), shift
+
+
 def dual_update(state: MlpState, r: Matrix) -> Matrix:
     return state.u + state.rho * r
 
@@ -211,26 +231,17 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     grad, lin0 = objective.grad_W(work, data, layer, P)
     is_last = layer == work.n_layers - 1
     reg = arch.regularizer
-    shift = None  # the last trial's residual shift, -(cand - anchor) a_{l-1}
-
+    prox = None
     if reg.kind != "none" and reg.lam > 0.0:
-        trial_shift = lambda cand, step: (anchor - cand) @ a_prev  # a prox trial is not affine
+        shift_of = lambda cand, step: (anchor - cand) @ a_prev  # a prox trial is not affine
         prox = lambda v, t: prox_regularizer(v, reg, reg.lam / t)
     else:
         grad_a = grad @ a_prev  # trial residual is lin0 + grad_a / step
-        trial_shift = lambda cand, step: grad_a / step
-        prox = None
-
-    def eval_phi(cand, step):
-        nonlocal shift
-        if step is None:
-            return objective.linear_term(work, lin0, is_last)
-        shift = trial_shift(cand, step)
-        return objective.linear_term(work, lin0 + shift, is_last)
-
-    res = backtrack_quadratic(eval_phi, grad, anchor, seed, prox=prox)
+        shift_of = lambda cand, step: grad_a / step
+    res, shift = backtrack_shifted(lambda x, moved: objective.linear_term(work, moved(), is_last),
+                                   lin0, shift_of, grad, anchor, seed, prox)
     work.W[layer] = res.candidate
-    P[layer] = P[layer] - shift  # the accepted trial was the last one
+    P[layer] = P[layer] - shift
     return res
 
 
@@ -242,19 +253,14 @@ def _update_a(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     grad, lin0, act0 = objective.grad_a(work, data, layer, fz, P)
     w_grad = work.W[nxt] @ grad  # trial residual is lin0 + w_grad / step
     is_last = nxt == work.n_layers - 1
-    shift = None  # w_grad/t of the last trial
 
-    def eval_phi(cand, step):
-        nonlocal shift
-        if step is None:
-            return act0 + objective.linear_term(work, lin0, is_last)
-        shift = w_grad / step
-        return (objective.activation_term(work, cand, fz)
-                + objective.linear_term(work, lin0 + shift, is_last))
+    def terms(x, moved):
+        act = act0 if x is anchor else objective.activation_term(work, x, fz)  # act0: from grad_a
+        return act + objective.linear_term(work, moved(), is_last)
 
-    res = backtrack_quadratic(eval_phi, grad, anchor, seed)
+    res, shift = backtrack_shifted(terms, lin0, lambda x, t: w_grad / t, grad, anchor, seed)
     work.a[layer] = res.candidate
-    P[nxt] = P[nxt] - shift  # the accepted trial was the last one
+    P[nxt] = P[nxt] - shift
     return res
 
 
@@ -359,11 +365,8 @@ def train(
     cfg: TrainConfig,
     eval_data: Dataset = None,
     trace_sink=None,
-    init_state: MlpState = None,
 ) -> TrainResult:
-    state = init_state if init_state is not None else objective.forward_init(
-        arch, data, Rng(cfg.seed), cfg.rho, cfg.nu
-    )
+    state = objective.forward_init(arch, data, Rng(cfg.seed), cfg.rho, cfg.nu)
     last = state.n_layers - 1
     P = objective.products(state, data)
     lagr0 = objective.lagrangian(state, data, arch, P)

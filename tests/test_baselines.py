@@ -46,7 +46,7 @@ class TestBackpropGrads:
     def test_last_layer_squared_gradient_analytic(self):
         # with squared risk the output-layer gradients have a closed form:
         # gW = resid @ a_prev.T / m, gb = row sums of resid / m
-        from admmnet.baselines import _forward
+        from admmnet.objective import forward
 
         arch = MlpArchitecture(layer_dims=(3, 5, 2), risk="squared")
         rng = Rng(2)
@@ -55,10 +55,10 @@ class TestBackpropGrads:
         data = Dataset(x, y)
         W, b = random_params(arch, 6)
         gW, gb = backprop_grads(W, b, data, arch)
-        _, a = _forward(W, b, x, arch)
-        # a[0] is the input itself; a[1] the hidden activation feeding layer 1
-        resid = (W[1] @ a[1] + b[1] - y) / 7
-        assert np.allclose(gW[1], resid @ a[1].T, atol=1e-12)
+        _, a = forward(W, b, x, arch.activation)
+        # a[0] is the hidden activation feeding layer 1
+        resid = (W[1] @ a[0] + b[1] - y) / 7
+        assert np.allclose(gW[1], resid @ a[0].T, atol=1e-12)
         assert np.allclose(gb[1], resid.sum(axis=1, keepdims=True), atol=1e-12)
 
 
@@ -125,13 +125,13 @@ class TestRunBaseline:
             assert p.tobytes() == q.tobytes()
 
         calls = [0]
-        real = baselines._forward
+        real = baselines.objective.forward
 
         def counted(*args):
             calls[0] += 1
             return real(*args)
 
-        monkeypatch.setattr(baselines, "_forward", counted)
+        monkeypatch.setattr(baselines.objective, "forward", counted)
         run_baseline(cfg, arch, data)
         assert calls[0] == cfg.epochs + 1
 

@@ -227,8 +227,8 @@ def test_backtrack_failure_exit_code(path, image_dir, tmp_path, monkeypatch):
         gdir = tmp_path / "graph"
         assert main(["make-data", "graph", "--n", "40", "--seed", "0",
                      "--out", str(gdir)]) == 0
-        monkeypatch.setattr(gcn, "backtrack_quadratic",
-                            _fail_after(gcn.backtrack_quadratic, 12))
+        monkeypatch.setattr(training, "backtrack_quadratic",  # the GCN steps through training
+                            _fail_after(training.backtrack_quadratic, 12))
         code = main(["train", "gcn", "--data", str(gdir), "--layers", "8",
                      "--epochs", "5", "--out", str(out)])
         rows = 2
@@ -302,6 +302,30 @@ def test_invalid_train_arguments_usage_error(model, flags, image_dir, graph_dir,
     assert code == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, flags, name", [
+    ("mlp", ["--rho", "nan"], "rho"),
+    ("mlp", ["--nu", "inf"], "nu"),
+    ("mlp", ["--rho", "1e400"], "rho"),  # parses to inf
+    ("mlp", ["--lam", "nan"], "lam"),
+    ("mlp", ["--optimizer", "adam", "--lr", "nan"], "learning_rate"),
+    ("gcn", ["--mu", "nan"], "mu"),
+    ("gcn", ["--rho", "inf"], "rho"),
+], ids=["rho-nan", "nu-inf", "rho-overflow", "lam-nan", "lr-nan", "gcn-mu-nan", "gcn-rho-inf"])
+def test_non_finite_hyperparameter_usage_error(model, flags, name, image_dir, graph_dir, tmp_path,
+                                               capsys):
+    """A NaN or infinite hyperparameter is a usage error before training,
+    not a divergence abort (exit 2) at iteration 1."""
+    data = image_dir if model == "mlp" else graph_dir
+    layers = ["--layers", "16,8,10"] if model == "mlp" else []
+    out = tmp_path / "x.csv"
+    code = main(["train", model, "--data", str(data), *layers, "--epochs", "2",
+                 "--out", str(out), *flags])
+    assert code == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert err == [f"error: {name} must be finite, got {float(flags[-1])!r}"]
     assert not out.exists()
 
 

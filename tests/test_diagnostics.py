@@ -2,41 +2,12 @@ import numpy as np
 import pytest
 
 from admmnet.diagnostics import (
-    CkSeries,
     check_sufficient_descent,
     descent_constants,
     stationarity_residual,
 )
 from admmnet.linalg import Rng
 from admmnet.objective import Dataset, MlpArchitecture, forward_init, risk_grad
-
-
-class TestCkSeries:
-    def test_running_min(self):
-        s = CkSeries()
-        for v in (4.0, 1.0, 3.0):
-            s.update(v)
-        assert s.values == [4.0, 1.0, 1.0]
-
-    def test_all_zero(self):
-        s = CkSeries()
-        for _ in range(4):
-            s.update(0.0)
-        assert s.values == [0.0] * 4
-
-    def test_rejects_negative(self):
-        s = CkSeries()
-        with pytest.raises(ValueError):
-            s.update(-1.0)
-
-    def test_monotone_nonneg_random(self):
-        rng = Rng(0)
-        s = CkSeries()
-        for v in rng.uniform(0, 10, 100):
-            s.update(float(v))
-        vals = s.values
-        assert all(b <= a for a, b in zip(vals, vals[1:]))
-        assert all(v >= 0 for v in vals)
 
 
 class TestDescentConstants:

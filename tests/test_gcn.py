@@ -164,6 +164,25 @@ class TestGraphValidation:
             Graph(3, np.zeros((2, 2)), np.eye(3), np.eye(3),
                   np.array([True, False, False]), np.array([False, True, False]))
 
+    @pytest.mark.parametrize("field,value,error", [
+        ("features", np.ones((5, 3)), ShapeError),
+        ("labels", np.eye(7, 2), ShapeError),
+        ("train_mask", np.arange(5) < 3, ShapeError),
+        ("test_mask", np.zeros(7, dtype=bool), ShapeError),
+        ("train_mask", (np.arange(6) < 3).astype(int), ValueError),
+        ("test_mask", (np.arange(6) >= 3).astype(float), ValueError),
+        ("train_mask", (np.arange(6) < 3)[:, None], ValueError),
+    ], ids=["features-rows", "labels-rows", "train-count", "test-count", "int-mask",
+            "float-mask", "column-mask"])
+    def test_node_arrays_validated(self, field, value, error):
+        """Every node array has one row per node and the masks are boolean
+        vectors: an integer 0/1 mask would index rows by value."""
+        g = small_graph()
+        kwargs = {f: getattr(g, f) for f in ("n_nodes", "adjacency", "features", "labels",
+                                             "train_mask", "test_mask")}
+        with pytest.raises(error, match=field):
+            Graph(**{**kwargs, field: value})
+
 
 def test_psi_zero_at_consistent_state():
     g = small_graph(2)
@@ -244,6 +263,9 @@ def test_sbm_test_accuracy(sbm_run):
 def test_sbm_certificates(sbm_run):
     _, _, (state, traces) = sbm_run
     assert max(t.max_cert_violation for t in traces) <= 1e-10
+    # c_k is the running minimum of the traced moves
+    running = np.minimum.accumulate([t.block_move_sq_sum for t in traces])
+    assert [t.ck for t in traces] == running.tolist()
 
 
 def test_sbm_output_solves_and_stationarity(sbm_run):

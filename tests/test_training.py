@@ -272,8 +272,11 @@ def test_traced_moves_match_fresh(reg, monkeypatch):
 
     monkeypatch.setattr(training, "backward_sweep", backward)
     monkeypatch.setattr(training, "forward_sweep", forward)
-    train(arch, data, cfg, trace_sink=check)
+    traces = train(arch, data, cfg, trace_sink=check).traces
     assert len(seen) == cfg.epochs
+    # c_k is the running minimum of the traced moves
+    running = np.minimum.accumulate([t.block_move_sq_sum for t in traces])
+    assert [t.ck for t in traces] == running.tolist()
 
 
 @pytest.mark.parametrize("reg", [NO_REG, Regularizer("l2", 1e-3), Regularizer("l1", 1e-3)],
@@ -313,13 +316,13 @@ def test_cached_products_match_fresh(reg, monkeypatch):
 
 def test_divergence_abort_keeps_traces():
     data = make_separable(20, rng=Rng(6))
+    data.x[0, 0] = np.inf
     arch = MlpArchitecture(layer_dims=(4, 5, 2))
     cfg = TrainConfig(rho=1.0, nu=1.0, epochs=5, seed=0)
-    state = forward_init(arch, data, Rng(0), rho=1.0, nu=1.0)
-    state.W[0][0, 0] = np.inf
-    with pytest.raises(DivergenceError) as exc_info:
-        train(arch, data, cfg, init_state=state)
-    assert exc_info.value.traces is not None
+    with pytest.raises(DivergenceError, match="entering iteration 1") as exc_info, \
+            np.errstate(invalid="ignore"):
+        train(arch, data, cfg)
+    assert exc_info.value.traces == []
 
 
 def test_boundedness_plateau():
