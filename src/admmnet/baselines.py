@@ -16,28 +16,25 @@ from .linalg import Rng, require_finite
 from .objective import Dataset, MlpArchitecture, accuracy
 
 
+# Adam's moment decays, Adadelta's decay and the denominators' guard
+BETA1, BETA2, ADADELTA_DECAY, EPS = 0.9, 0.999, 0.95, 1e-8
+
+
 @dataclass
 class BaselineConfig:
     optimizer: str  # gd | adagrad | adadelta | adam
     learning_rate: float
     epochs: int
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    adadelta_decay: float = 0.95
 
     def __post_init__(self):
         if self.optimizer not in ("gd", "adagrad", "adadelta", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        require_finite(learning_rate=self.learning_rate, eps=self.eps,
-                       adadelta_decay=self.adadelta_decay)
+        require_finite(learning_rate=self.learning_rate)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must be in (0,1)")
 
 
 @dataclass
@@ -100,19 +97,19 @@ class _Updater:
                 out.append(p - cfg.learning_rate * g)
             elif cfg.optimizer == "adagrad":
                 self.v[i] += g * g
-                out.append(p - cfg.learning_rate * g / (np.sqrt(self.v[i]) + cfg.eps))
+                out.append(p - cfg.learning_rate * g / (np.sqrt(self.v[i]) + EPS))
             elif cfg.optimizer == "adadelta":
-                d = cfg.adadelta_decay
+                d = ADADELTA_DECAY
                 self.v[i] = d * self.v[i] + (1 - d) * g * g
-                upd = -np.sqrt(self.m[i] + cfg.eps) / np.sqrt(self.v[i] + cfg.eps) * g
+                upd = -np.sqrt(self.m[i] + EPS) / np.sqrt(self.v[i] + EPS) * g
                 self.m[i] = d * self.m[i] + (1 - d) * upd * upd
                 out.append(p + cfg.learning_rate * upd)
             else:  # adam
-                self.m[i] = cfg.beta1 * self.m[i] + (1 - cfg.beta1) * g
-                self.v[i] = cfg.beta2 * self.v[i] + (1 - cfg.beta2) * g * g
-                mhat = self.m[i] / (1 - cfg.beta1 ** self.t)
-                vhat = self.v[i] / (1 - cfg.beta2 ** self.t)
-                out.append(p - cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps))
+                self.m[i] = BETA1 * self.m[i] + (1 - BETA1) * g
+                self.v[i] = BETA2 * self.v[i] + (1 - BETA2) * g * g
+                mhat = self.m[i] / (1 - BETA1 ** self.t)
+                vhat = self.v[i] / (1 - BETA2 ** self.t)
+                out.append(p - cfg.learning_rate * mhat / (np.sqrt(vhat) + EPS))
         return out
 
 
@@ -157,25 +154,3 @@ def run_baseline(
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {it}", traces=traces)
     return (W, b), traces
-
-
-# ---------------------------------------------------------------------------
-# GCN comparison baseline (GD only; used as an independent oracle)
-# ---------------------------------------------------------------------------
-
-def gcn_backprop_grads(W, graph, a_norm, activation):
-    from .gcn import masked_risk_grad
-
-    ms, zs = [], [graph.features]
-    last = len(W) - 1
-    for l in range(len(W)):
-        m = a_norm @ zs[-1] @ W[l]
-        ms.append(m)
-        zs.append(activation.value(m) if l < last else m)
-    delta = masked_risk_grad(ms[last], graph.labels, graph.train_mask)
-    gW = [None] * len(W)
-    for l in range(last, -1, -1):
-        gW[l] = (a_norm @ zs[l]).T @ delta
-        if l > 0:
-            delta = (a_norm.T @ delta @ W[l].T) * activation.deriv(ms[l - 1])
-    return gW

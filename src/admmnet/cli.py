@@ -216,7 +216,8 @@ def _fd_error(grad_fn, store: list, value_fn, h: float = 1e-6) -> float:
 
 def selfcheck(quick: bool = False) -> int:
     """Gradient checks, subproblem oracles, the output-risk curvature against
-    the FISTA step constant, and a short descent run; returns the exit code.
+    H, the constant the FISTA step and the descent certificate share, and a
+    short descent run; returns the exit code.
     The gradients checked against finite differences are the ones the
     trainers step with: ``objective.grad_phi_block`` (``grad_W`` and
     ``grad_a`` behind it) and ``gcn.grad_psi_block``, the latter both fresh
@@ -295,9 +296,9 @@ def selfcheck(quick: bool = False) -> int:
             ok = False
     check("relu z-subproblem vs grid", ok)
 
-    # the output FISTA steps by 1/(risk_curvature + rho): the risk Hessian's
-    # top eigenvalue, by power iteration on finite-difference products of
-    # risk_grad, must not exceed it; uniform two-class logits attain it
+    # H = risk_curvature sets the output FISTA step 1/(H + rho) and the descent
+    # certificate: the risk Hessian's top eigenvalue, by power iteration on
+    # finite-difference products of risk_grad, must not exceed it (uniform logits attain it)
     ratio = 0.0
     for kind in ("cross_entropy", "squared"):
         bound = objective.risk_curvature(kind, data.n_samples)

@@ -1,5 +1,6 @@
-"""Runtime convergence checks: sufficient-descent verification and the
-output-layer stationarity residual.
+"""Runtime convergence checks: sufficient-descent verification, whose H the
+trainers take from ``objective.risk_curvature`` as the output solve does,
+and the output-layer stationarity residual.
 """
 from __future__ import annotations
 
@@ -8,10 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Matrix
-
-# A-priori risk gradient Lipschitz bounds per risk kind (mean-over-samples
-# convention); the descent theory consumes a constant, not an estimate.
-RISK_H = {"cross_entropy": 1.0, "squared": 1.0}
 
 # Absolute slack on the sufficient-descent inequality, for rounding in the
 # Lagrangian difference.
@@ -26,9 +23,9 @@ class DescentReport:
     hypothesis_met: bool  # rho > 2H, so the descent bound is in force
 
 
-def descent_constants(risk_kind: str, rho: float, nu: float, steps) -> tuple:
-    """(C1, C2, hypothesis_met) for the sufficient-descent bound."""
-    h = RISK_H[risk_kind]
+def descent_constants(h: float, rho: float, nu: float, steps) -> tuple:
+    """(C1, C2, hypothesis_met) for the sufficient-descent bound, given the
+    risk gradient's Lipschitz constant h."""
     c1 = rho / 2.0 - h / 2.0 - h * h / rho
     hypothesis_met = rho > 2.0 * h and c1 > 0.0
     candidates = [nu / 2.0, c1]
@@ -42,11 +39,11 @@ def check_sufficient_descent(
     lagr_new: float,
     block_move_sq_sum: float,
     steps,
-    risk_kind: str,
+    h: float,
     rho: float,
     nu: float,
 ) -> DescentReport:
-    _, c2, hypothesis_met = descent_constants(risk_kind, rho, nu, steps)
+    _, c2, hypothesis_met = descent_constants(h, rho, nu, steps)
     lhs = lagr_prev - lagr_new
     # When the hypothesis is unmet the verdict is informational only;
     # callers gate any assertion on hypothesis_met.

@@ -4,7 +4,8 @@ Nodes sit in rows (N x C matrices), matching the propagation rule
 Z_l = f(A_norm Z_{l-1} W_l).  The risk is the masked mean cross-entropy
 over training nodes, whose value and gradient come from ``masked_ce``.
 ``gcn_train`` runs ``gcn_iteration`` under the certified driver of
-``training``, with mu in the role of the MLP's nu.
+``training``, with mu in the role of the MLP's nu and the descent bound's H
+the risk curvature over the training nodes, the output solve's constant.
 
 Iteration.  ``gcn_iteration`` walks the forward block list, W and Z of each
 layer, with ``training.walk_blocks`` (which holds the step seeds) backward
@@ -211,14 +212,6 @@ def masked_ce(labels: Matrix, mask: np.ndarray) -> tuple:
     return lambda z: _ce_value(logp(z), y, count), grad
 
 
-def masked_risk(z_last: Matrix, labels: Matrix, mask: np.ndarray) -> float:
-    return masked_ce(labels, mask)[0](z_last)
-
-
-def masked_risk_grad(z_last: Matrix, labels: Matrix, mask: np.ndarray) -> Matrix:
-    return masked_ce(labels, mask)[1](z_last)
-
-
 # ---------------------------------------------------------------------------
 # Propagations
 # ---------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def lagrangian(state: GcnState, graph: Graph, activation: Activation = RELU,
     """Masked risk plus psi; ``risk``, when given, is the masked risk of
     ``state``'s output block."""
     if risk is None:
-        risk = masked_risk(state.Z[-1], graph.labels, graph.train_mask)
+        risk = masked_ce(graph.labels, graph.train_mask)[0](state.Z[-1])
     return risk + psi(state, graph, activation, props)
 
 
@@ -461,6 +454,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
             fista_converged=fista_ok,
         )
 
+    h = risk_curvature("cross_entropy", int(np.sum(graph.train_mask)))
     traces = run_certified(cfg.epochs, lagrangian(state, graph, cfg.activation, props), iterate,
-                           GcnTrace, ("cross_entropy", cfg.rho, cfg.mu), trace_sink)
+                           GcnTrace, (h, cfg.rho, cfg.mu), trace_sink)
     return state, traces

@@ -130,10 +130,6 @@ def _log_softmax(z: Matrix) -> Matrix:
     return shifted - np.log(np.sum(np.exp(shifted), axis=0, keepdims=True))
 
 
-def softmax(z: Matrix) -> Matrix:
-    return np.exp(_log_softmax(z))
-
-
 def _ce_value(logp: Matrix, y: Matrix, count: int) -> float:
     """Mean cross-entropy over ``count`` samples from their log-softmax."""
     return float(-np.sum(y * logp) / count)

@@ -8,10 +8,13 @@ previous Lagrangian, extends the running minimum c_k of the squared block
 moves, assembles the trace, hands it to the sink and stops on a non-finite
 Lagrangian.  On any abort the traces of the completed iterations are
 attached to the ``TrainingAborted`` it raises.  A model supplies its
-initial Lagrangian, its risk kind and penalties for the descent constants,
+initial Lagrangian, the descent constants' H (``objective.risk_curvature``
+over its training samples, the output solve's constant), rho and penalty,
 its trace type, and one iteration returning the new Lagrangian, the squared
 block moves and its own trace fields: ``train`` below (backward sweep,
 forward sweep, dual update), ``gcn.gcn_train`` (``gcn.gcn_iteration``).
+Iteration 1's ``descent_ok`` is reported as measured; from the zero initial
+dual it can miss while ``hypothesis_met``, rho > 2H, holds.
 
 The walk.  Each model states its forward block list once, as (kind, layer)
 pairs.  ``walk_blocks`` runs it in reverse for the backward half, with step
@@ -140,7 +143,7 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
     (Lagrangian after it, squared block moves, trace fields), where the
     fields are those of ``trace_type``, a ``CertifiedTrace`` subclass, that
     this driver does not fill.  ``lagr0`` is the Lagrangian entering
-    iteration 1 and ``descent`` the (risk kind, rho, penalty) of the
+    iteration 1 and ``descent`` the (H, rho, penalty) of the
     sufficient-descent constants.
     """
     traces = []
@@ -398,6 +401,6 @@ def train(
             fista_converged=bfista and ffista,
         )
 
-    traces = run_certified(cfg.epochs, lagr0, iterate, IterationTrace,
-                           (arch.risk, cfg.rho, cfg.nu), trace_sink)
+    descent = (objective.risk_curvature(arch.risk, data.n_samples), cfg.rho, cfg.nu)
+    traces = run_certified(cfg.epochs, lagr0, iterate, IterationTrace, descent, trace_sink)
     return TrainResult(state=state, traces=traces)

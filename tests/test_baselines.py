@@ -138,5 +138,3 @@ class TestRunBaseline:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BaselineConfig(optimizer="sgd", learning_rate=0.1, epochs=1)
-        with pytest.raises(ValueError):
-            BaselineConfig(optimizer="adam", learning_rate=0.1, epochs=1, beta1=1.5)

@@ -7,7 +7,7 @@ from admmnet.activations import RELU
 from admmnet.errors import BacktrackError, ShapeError
 from admmnet.gcn import GcnConfig
 from admmnet.linalg import Rng, l2sq
-from admmnet.objective import Regularizer, _log_softmax, risk, risk_curvature, risk_grad, softmax
+from admmnet.objective import Regularizer, _log_softmax, risk, risk_curvature, risk_grad
 from admmnet.solvers import (
     FISTA_MAX_ITER,
     FISTA_TOL,
@@ -23,6 +23,11 @@ from admmnet.solvers import (
     update_b,
 )
 from admmnet.synth import make_sbm_graph
+
+
+def softmax(z):
+    """Column-wise softmax, for the cross-entropy first-order conditions."""
+    return np.exp(_log_softmax(z))
 
 
 def quad_phi(curvature, anchor0):
