@@ -52,31 +52,26 @@ def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward=None):
     ``forward``, when given, is ``objective.forward`` of W, b and the data,
     already formed by the caller."""
     zs, acts = objective.forward(W, b, data.x, arch.activation) if forward is None else forward
-    last = len(W) - 1
+    last, reg = len(W) - 1, arch.regularizer
     gW = [None] * len(W)
     gb = [None] * len(W)
-    delta = objective.risk_grad(zs[last], data.y, arch.risk)
+    delta = objective.mean_risk(arch.risk, data.y).grad(zs[last])
     for l in range(last, -1, -1):
         gW[l] = delta @ (data.x if l == 0 else acts[l - 1]).T
         gb[l] = np.sum(delta, axis=1, keepdims=True)
-        if arch.regularizer.lam != 0.0:
-            if arch.regularizer.kind == "l2":
-                gW[l] = gW[l] + 2.0 * arch.regularizer.lam * W[l]
-            else:
-                gW[l] = gW[l] + arch.regularizer.lam * np.sign(W[l])
+        if reg.active:
+            gW[l] = gW[l] + reg.grad(W[l])
         if l > 0:
             delta = (W[l].T @ delta) * arch.activation.deriv(zs[l - 1])
     return gW, gb
 
 
-def _loss(W, b, data, arch, forward=None):
-    """(risk + regularizer, output logits); ``forward`` as in
-    ``backprop_grads``."""
-    zs, _ = objective.forward(W, b, data.x, arch.activation) if forward is None else forward
-    val = objective.risk(zs[-1], data.y, arch.risk)
-    for w in W:
+def _loss(W, z_last, data, arch) -> float:
+    """Risk of the output logits ``z_last`` plus the regularizer of W."""
+    val = objective.mean_risk(arch.risk, data.y).value(z_last)
+    for w in W:  # one by one: sum() of floats compensates from Python 3.12 on
         val += arch.regularizer.value(w)
-    return float(val), zs[-1]
+    return val
 
 
 class _Updater:
@@ -136,14 +131,14 @@ def run_baseline(
         new = upd.step(W + b, gW + gb)
         W, b = new[: len(W)], new[len(W):]
         forward = objective.forward(W, b, data.x, arch.activation)
-        loss, z_last = _loss(W, b, data, arch, forward)
+        z_last = forward[0][-1]
         test_acc = float("nan")
         if eval_data is not None:
-            _, z_eval = _loss(W, b, eval_data, arch)
-            test_acc = accuracy(z_eval, eval_data.y)
+            test_acc = accuracy(objective.forward_logits(W, b, eval_data.x, arch.activation),
+                                eval_data.y)
         trace = BaselineTrace(
             iter=it,
-            loss=loss,
+            loss=_loss(W, z_last, data, arch),
             train_acc=accuracy(z_last, data.y),
             test_acc=test_acc,
             wall_time=time.perf_counter() - t0,
@@ -151,6 +146,6 @@ def run_baseline(
         traces.append(trace)
         if trace_sink is not None:
             trace_sink(trace)
-        if not np.isfinite(loss):
+        if not np.isfinite(trace.loss):
             raise DivergenceError(f"non-finite loss at epoch {it}", traces=traces)
     return (W, b), traces

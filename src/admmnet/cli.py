@@ -296,15 +296,14 @@ def selfcheck(quick: bool = False) -> int:
             ok = False
     check("relu z-subproblem vs grid", ok)
 
-    # H = risk_curvature sets the output FISTA step 1/(H + rho) and the descent
+    # a Risk's H sets the output FISTA step 1/(H + rho) and the descent
     # certificate: the risk Hessian's top eigenvalue, by power iteration on
-    # finite-difference products of risk_grad, must not exceed it (uniform logits attain it)
+    # finite-difference products of its gradient, must not exceed it (uniform logits attain it)
     ratio = 0.0
     for kind in ("cross_entropy", "squared"):
-        bound = objective.risk_curvature(kind, data.n_samples)
+        risk = objective.mean_risk(kind, y)
         for z in (state.z[-1], np.zeros_like(y)):
-            top = _top_eigenvalue(lambda v: objective.risk_grad(v, y, kind), z, Rng(5))
-            ratio = max(ratio, top / bound)
+            ratio = max(ratio, _top_eigenvalue(risk.grad, z, Rng(5)) / risk.curvature)
     check("output-risk curvature <= FISTA step constant", ratio <= 1.0 + 1e-6)
 
     # short run: certificate + monotone Lagrangian

@@ -8,6 +8,7 @@ text files in one directory: edges.tsv (u<TAB>v per line), features.csv
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 
@@ -36,7 +37,7 @@ def _read_idx(path: str, magic: int, n_dims: int):
         raise FormatError(f"{path}: bad magic 0x{got:08x} at byte 0, expected 0x{magic:08x}")
     dims = [_read_u32(buf, 4 + 4 * i, path) for i in range(n_dims)]
     start = 4 + 4 * n_dims
-    count = int(np.prod(dims)) if dims else 0
+    count = math.prod(dims)  # Python integers: a numpy product of 32-bit sizes can wrap
     if len(buf) - start < count:
         raise FormatError(f"{path}: truncated payload at byte {len(buf)}, expected {start + count} bytes")
     payload = np.frombuffer(buf, dtype=np.uint8, count=count, offset=start)
@@ -47,17 +48,20 @@ def read_idx_images(path: str) -> Matrix:
     """Images as an n_pixels x n_samples matrix with values byte/255."""
     dims, payload = _read_idx(path, IMAGES_MAGIC, 3)
     n, rows, cols = dims
+    if rows * cols > np.iinfo(np.intp).max // 8:  # only a file of no images gets here
+        raise FormatError(f"{path}: {rows}x{cols} images are too large for a float matrix")
     return payload.reshape(n, rows * cols).T.astype(float) / 255.0
 
 
 def read_idx_labels(path: str, n_classes: int) -> Matrix:
     """Labels as a K x m one-hot matrix."""
     (n,), payload = _read_idx(path, LABELS_MAGIC, 1)
+    bad = np.flatnonzero(payload >= n_classes)
+    if bad.size:
+        raise DataError(f"{path}: label {payload[bad[0]]} out of range (K={n_classes}) "
+                        f"at sample {bad[0]}")
     y = np.zeros((n_classes, n))
-    for i, lab in enumerate(payload):
-        if lab >= n_classes:
-            raise DataError(f"{path}: label {lab} out of range (K={n_classes}) at sample {i}")
-        y[lab, i] = 1.0
+    y[payload, np.arange(n)] = 1.0
     return y
 
 
@@ -78,20 +82,22 @@ def write_idx_labels(path: str, y: Matrix) -> None:
 
 
 def load_idx_dataset(directory: str, n_classes: int = 10):
-    """(train, test) Datasets from the standard MNIST filenames."""
-    names = {
-        "train_x": "train-images-idx3-ubyte",
-        "train_y": "train-labels-idx1-ubyte",
-        "test_x": "t10k-images-idx3-ubyte",
-        "test_y": "t10k-labels-idx1-ubyte",
-    }
-    paths = {k: os.path.join(directory, v) for k, v in names.items()}
-    for p in paths.values():
+    """(train, test) Datasets from the standard MNIST filenames.  A split
+    whose image and label counts differ or are 0 is a ``DataError`` naming
+    its two files."""
+    paths = [os.path.join(directory, f"{split}-{kind}-ubyte") for split in ("train", "t10k")
+             for kind in ("images-idx3", "labels-idx1")]
+    for p in paths:
         if not os.path.exists(p):
             raise FormatError(f"missing dataset file {p}")
-    train = Dataset(read_idx_images(paths["train_x"]), read_idx_labels(paths["train_y"], n_classes))
-    test = Dataset(read_idx_images(paths["test_x"]), read_idx_labels(paths["test_y"], n_classes))
-    return train, test
+    sets = []
+    for x_path, y_path in (paths[:2], paths[2:]):
+        x, y = read_idx_images(x_path), read_idx_labels(y_path, n_classes)
+        if x.shape[1] != y.shape[1] or x.shape[1] == 0:
+            raise DataError(f"{x_path} holds {x.shape[1]} images but {y_path} {y.shape[1]} labels; "
+                            "a split needs one label per image and at least one image")
+        sets.append(Dataset(x, y))
+    return tuple(sets)
 
 
 def subsample(data: Dataset, n: int, rng: Rng) -> Dataset:

@@ -1,6 +1,6 @@
-"""Runtime convergence checks: sufficient-descent verification, whose H the
-trainers take from ``objective.risk_curvature`` as the output solve does,
-and the output-layer stationarity residual.
+"""Runtime convergence checks: sufficient-descent verification, whose H is
+the curvature of the trainer's ``objective.Risk``, the constant the output
+solve steps by, and the output-layer stationarity residual.
 """
 from __future__ import annotations
 

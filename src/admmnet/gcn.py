@@ -2,17 +2,18 @@
 
 Nodes sit in rows (N x C matrices), matching the propagation rule
 Z_l = f(A_norm Z_{l-1} W_l).  The risk is the masked mean cross-entropy
-over training nodes, whose value and gradient come from ``masked_ce``.
+over training nodes, the ``objective.Risk`` that ``masked_ce`` returns.
 ``gcn_train`` runs ``gcn_iteration`` under the certified driver of
 ``training``, with mu in the role of the MLP's nu and the descent bound's H
-the risk curvature over the training nodes, the output solve's constant.
+that risk's curvature, the output solve's constant.
 
 Iteration.  ``gcn_iteration`` walks the forward block list, W and Z of each
 layer, with ``training.walk_blocks`` (which holds the step seeds) backward
 and then forward on a copy of the state's block lists, then updates the
-dual.  The output block is solved by ``solvers.fista_output_block``, as in
-the MLP.  psi's term of one layer and its slope in the layer's propagation
-are written once, in ``_term`` and ``_term_slope``.
+dual.  Both output solves of an iteration run ``solvers.solve_z_last``, as
+in the MLP, under its one ``masked_ce``.  psi's term of one layer and its
+slope in the layer's propagation are written once, in ``_term`` and
+``_term_slope``.
 
 Cached propagation.  Besides the blocks, the sweep state holds a
 ``Propagations``: the fixed ax = A_norm X and the layer propagations m[l] =
@@ -73,9 +74,9 @@ from . import diagnostics
 from .activations import RELU, Activation
 from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq, require_finite
-from .objective import _ce_grad, _ce_value, _log_softmax, glorot, risk_curvature
+from .objective import Risk, _ce_grad, _ce_value, _log_softmax, _memo_last, glorot, risk_curvature
 # backtrack_quadratic and fista_minimize are unused here: perfbench/tracer.py wraps them on this module
-from .solvers import StepSeeds, _memo_last, backtrack_quadratic, fista_minimize, fista_output_block
+from .solvers import StepSeeds, backtrack_quadratic, fista_minimize, solve_z_last
 from .training import CertifiedTrace, backtrack_shifted, run_certified, walk_blocks
 
 
@@ -195,11 +196,11 @@ def normalize_adjacency(graph: Graph) -> SparseAdjacency:
 # Masked risk (rows = nodes)
 # ---------------------------------------------------------------------------
 
-def masked_ce(labels: Matrix, mask: np.ndarray) -> tuple:
-    """(risk, grad): the mean cross-entropy over the rows in ``mask`` and its
-    gradient, as functions of the output block.  The masked rows, labels and
-    count are gathered once; both share the log-softmax of their last
-    point's masked rows."""
+def masked_ce(labels: Matrix, mask: np.ndarray) -> Risk:
+    """The mean cross-entropy over the rows in ``mask``, as a ``Risk`` of the
+    output block.  The masked rows, labels and count are gathered once; the
+    value and gradient share the log-softmax of their last point's masked
+    rows, and H is the cross-entropy curvature over the count."""
     idx = np.flatnonzero(mask)
     y, count = labels[idx], idx.size
     logp = _memo_last(lambda z: _log_softmax(z[idx].T).T)  # nodes sit in rows
@@ -209,7 +210,7 @@ def masked_ce(labels: Matrix, mask: np.ndarray) -> tuple:
         g[idx] = _ce_grad(logp(z), y, count)
         return g
 
-    return lambda z: _ce_value(logp(z), y, count), grad
+    return Risk(lambda z: _ce_value(logp(z), y, count), grad, risk_curvature("cross_entropy", count))
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +287,10 @@ def psi(state: GcnState, graph: Graph, activation: Activation = RELU,
     return total
 
 
-def lagrangian(state: GcnState, graph: Graph, activation: Activation = RELU,
-               props: Propagations = None, risk: float = None) -> float:
-    """Masked risk plus psi; ``risk``, when given, is the masked risk of
-    ``state``'s output block."""
-    if risk is None:
-        risk = masked_ce(graph.labels, graph.train_mask)[0](state.Z[-1])
+def lagrangian(state: GcnState, graph: Graph, risk: float, activation: Activation = RELU,
+               props: Propagations = None) -> float:
+    """Masked risk plus psi, given ``risk``, the masked risk of ``state``'s
+    output block."""
     return risk + psi(state, graph, activation, props)
 
 
@@ -352,13 +351,10 @@ def _update_Z_hidden(work, props, graph, activation, layer, seed):
     return res
 
 
-def _update_Z_last(work, props, graph):
-    """The output block under the masked cross-entropy (``masked_ce``)."""
+def _update_Z_last(work, props, graph, risk):
+    """The output block under ``risk``, the masked cross-entropy."""
     last = work.n_layers - 1
-    risk, risk_grad = masked_ce(graph.labels, graph.train_mask)
-    res = fista_output_block(risk, risk_grad,
-                             risk_curvature("cross_entropy", int(np.sum(graph.train_mask))),
-                             propagated(work, graph, last, props), work.U, work.rho, work.Z[last])
+    res = solve_z_last(propagated(work, graph, last, props), work.U, work.rho, risk, work.Z[last])
     work.Z[last] = res.z
     return res
 
@@ -378,13 +374,14 @@ def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeed
         props = propagations(state, graph)
     work = state.copy()
     blocks = [(kind, l) for l in range(last + 1) for kind in "WZ"]  # the forward order
+    risk = masked_ce(graph.labels, graph.train_mask)  # both output solves
 
     def update(kind, layer, seed):
         if kind == "W":
             return _update_W_gcn(work, props, graph, act, layer, seed)
         if layer < last:
             return _update_Z_hidden(work, props, graph, act, layer, seed)
-        return _update_Z_last(work, props, graph)
+        return _update_Z_last(work, props, graph, risk)
 
     bsteps, bmoved, bworst, bfista = walk_blocks(blocks, update, seeds, backward=True)
     z_last_bar = work.Z[last]
@@ -436,16 +433,16 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
     state, props = _forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
 
-    risk_of, risk_grad = masked_ce(graph.labels, graph.train_mask)  # one log-softmax per epoch
+    risk = masked_ce(graph.labels, graph.train_mask)  # one log-softmax per epoch
 
     def iterate(seeds: StepSeeds):
         nonlocal state
         state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds, props)
-        risk = risk_of(state.Z[-1])
-        return lagrangian(state, graph, cfg.activation, props, risk), moves, dict(
-            risk=risk,
+        value = risk.value(state.Z[-1])
+        return lagrangian(state, graph, value, cfg.activation, props), moves, dict(
+            risk=value,
             residual_fro=float(np.sqrt(l2sq(eps))),
-            stationarity_residual=diagnostics.stationarity_residual(risk_grad(state.Z[-1]),
+            stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.Z[-1]),
                                                                     state.U),
             train_acc=gcn_accuracy(state, graph, graph.train_mask, props),
             test_acc=gcn_accuracy(state, graph, graph.test_mask, props),
@@ -454,7 +451,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
             fista_converged=fista_ok,
         )
 
-    h = risk_curvature("cross_entropy", int(np.sum(graph.train_mask)))
-    traces = run_certified(cfg.epochs, lagrangian(state, graph, cfg.activation, props), iterate,
-                           GcnTrace, (h, cfg.rho, cfg.mu), trace_sink)
+    lagr0 = lagrangian(state, graph, risk.value(state.Z[-1]), cfg.activation, props)
+    traces = run_certified(cfg.epochs, lagr0, iterate, GcnTrace, (risk.curvature, cfg.rho, cfg.mu),
+                           trace_sink)
     return state, traces

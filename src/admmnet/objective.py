@@ -1,10 +1,15 @@
-"""MLP splitting objective: variables, penalty function, risks and block gradients.
+"""MLP splitting objective: variables, objective terms, penalty and block gradients.
 
 Layer indexing is 0-based: layers 0 .. L-1, where layer L-1 is the output
 layer.  Samples sit in columns; per-sample vectors of the scalar formulation
-become n x m matrices.  Risks are means over samples, so the Lipschitz
-constant of their gradient shrinks with the sample count:
-``risk_curvature`` gives it, and the output-block FISTA steps by it.
+become n x m matrices.
+
+Each term of the objective has one owner here, for the MLP and GCN
+trainers and the baselines alike: a ``Risk`` (``mean_risk`` over columns,
+``gcn.masked_ce`` over masked rows) holds R's value, gradient and H, the
+Lipschitz constant of the gradient, which the output solve steps by and the
+descent certificate reads; a ``Regularizer`` its value, gradient, prox and
+one on/off test, ``active``.
 
 This module holds the only copy of the MLP's penalty phi, its residuals,
 block gradients, objective_F and Lagrangian.  The trainer (``training``)
@@ -16,6 +21,7 @@ terms) + output-layer terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +31,8 @@ from .linalg import Matrix, Rng, l2sq, require_finite
 
 @dataclass(frozen=True)
 class Regularizer:
+    """lam ||W||_1 or lam ||W||_F^2; a "none" kind or a zero weight is off."""
+
     kind: str = "none"  # "none", "l1" or "l2"
     lam: float = 0.0
 
@@ -35,12 +43,26 @@ class Regularizer:
         if self.lam < 0.0:
             raise ValueError("regularization weight must be nonnegative")
 
+    @property
+    def active(self) -> bool:
+        return self.kind != "none" and self.lam > 0.0
+
     def value(self, w: Matrix) -> float:
-        if self.kind == "none" or self.lam == 0.0:
+        if not self.active:
             return 0.0
         if self.kind == "l2":
             return self.lam * l2sq(w)
         return self.lam * float(np.sum(np.abs(w)))
+
+    def grad(self, w: Matrix) -> Matrix:
+        """Gradient of an active regularizer, lam sign(W) for l1."""
+        return 2.0 * self.lam * w if self.kind == "l2" else self.lam * np.sign(w)
+
+    def prox(self, v: Matrix, step: float) -> Matrix:
+        """argmin_w lam Omega(w) + (step/2)||w - v||^2 of an active regularizer."""
+        if self.kind == "l2":
+            return v / (1.0 + 2.0 * (self.lam / step))
+        return np.sign(v) * np.maximum(np.abs(v) - self.lam / step, 0.0)
 
 
 NO_REG = Regularizer()
@@ -140,6 +162,24 @@ def _ce_grad(logp: Matrix, y: Matrix, count: int) -> Matrix:
     return (np.exp(logp) - y) / count
 
 
+def _memo_last(fn):
+    """``fn`` with a one-entry memo keyed by the identity of its argument.
+
+    Identity is a safe key as long as no caller writes into a point after
+    passing it: the memo holds a reference to its point, so that object's
+    id cannot be reused by a new array while the entry lives.
+    """
+    point = value = None
+
+    def memoized(z):
+        nonlocal point, value
+        if z is not point:
+            point, value = z, fn(z)
+        return value
+
+    return memoized
+
+
 def risk_curvature(kind: str, count: int) -> float:
     """Lipschitz constant of the gradient of a risk averaged over ``count``
     samples: 1/(2 count) for cross-entropy, by Boehning's bound
@@ -152,24 +192,28 @@ def risk_curvature(kind: str, count: int) -> float:
     raise ValueError(f"unknown risk kind {kind!r}")
 
 
-def risk(z_last: Matrix, y: Matrix, kind: str) -> float:
-    if z_last.shape != y.shape:
-        raise ShapeError(f"risk: shapes differ, {z_last.shape} vs {y.shape}")
-    m = z_last.shape[1]
-    if kind == "squared":
-        return 0.5 * l2sq(z_last - y) / m
-    if kind == "cross_entropy":
-        return _ce_value(_log_softmax(z_last), y, m)
-    raise ValueError(f"unknown risk kind {kind!r}")
+@dataclass(frozen=True)
+class Risk:
+    """R(z) of the output block z, with H = ``curvature``.  ``minimizer(w_aff,
+    u, rho)``, when set, is the exact minimizer of the output subproblem
+    R(z) + <u, z - w_aff> + (rho/2)||z - w_aff||^2."""
+
+    value: Callable
+    grad: Callable
+    curvature: float
+    minimizer: Callable = None
 
 
-def risk_grad(z_last: Matrix, y: Matrix, kind: str) -> Matrix:
-    m = z_last.shape[1]
+def mean_risk(kind: str, y: Matrix) -> Risk:
+    """The risk of ``kind`` averaged over the columns of y; cross-entropy's
+    value and gradient share the log-softmax of their last point."""
+    m = y.shape[1]
+    h = risk_curvature(kind, m)
     if kind == "squared":
-        return (z_last - y) / m
-    if kind == "cross_entropy":
-        return _ce_grad(_log_softmax(z_last), y, m)
-    raise ValueError(f"unknown risk kind {kind!r}")
+        return Risk(lambda z: 0.5 * l2sq(z - y) / m, lambda z: (z - y) / m, h,
+                    lambda w_aff, u, rho: (y / m + rho * w_aff - u) / (1.0 / m + rho))
+    logp = _memo_last(_log_softmax)
+    return Risk(lambda z: _ce_value(logp(z), y, m), lambda z: _ce_grad(logp(z), y, m), h)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +280,7 @@ def phi(state: MlpState, data: Dataset, activation: Activation = RELU, P: list =
 
 def objective_F(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list = None) -> float:
     """Relaxed training objective: risk + regularizers + nu-penalties only."""
-    total = risk(state.z[-1], data.y, arch.risk)
+    total = mean_risk(arch.risk, data.y).value(state.z[-1])
     total += sum(arch.regularizer.value(w) for w in state.W)
     return _hidden_terms(state, data, arch.activation, P, total)
 

@@ -1,5 +1,6 @@
 """Block subproblem solvers: backtracked quadratic majorization, closed-form
-bias and ReLU updates, FISTA for the output-layer solve, regularizer prox.
+bias and ReLU updates, and the output-layer solve under any ``objective.Risk``,
+whose formulas, like the regularizer's prox, live in ``objective``.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import BacktrackError, ShapeError
 from .linalg import Matrix, l2sq
-from .objective import Regularizer, _ce_grad, _ce_value, _log_softmax, risk_curvature
+from .objective import Regularizer, Risk
 
 # Slack used when accepting a majorization certificate; well inside the
 # 1e-10 certificate tolerance the rest of the package asserts.
@@ -138,11 +139,8 @@ def solve_z_leaky_relu(
 
 
 def prox_regularizer(v: Matrix, reg: Regularizer, lambda_over_step: float) -> Matrix:
-    if reg.kind == "none" or lambda_over_step == 0.0:
-        return v
-    if reg.kind == "l2":
-        return v / (1.0 + 2.0 * lambda_over_step)
-    return np.sign(v) * np.maximum(np.abs(v) - lambda_over_step, 0.0)
+    """``reg.prox`` at step lam / lambda_over_step, as the acceptance suite calls it."""
+    return reg.prox(v, reg.lam / lambda_over_step)
 
 
 # ---------------------------------------------------------------------------
@@ -205,66 +203,21 @@ def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max
     return FistaResult(z=x, iterations=max_iter, converged=float(np.max(np.abs(g))) <= tol)
 
 
-def _memo_last(fn):
-    """``fn`` with a one-entry memo keyed by the identity of its argument.
-
-    Identity is a safe key as long as no caller writes into a point after
-    passing it: the memo holds a reference to its point, so that object's
-    id cannot be reused by a new array while the entry lives.
-    """
-    point = value = None
-
-    def memoized(z):
-        nonlocal point, value
-        if z is not point:
-            point, value = z, fn(z)
-        return value
-
-    return memoized
-
-
-def closed_form_z_last_squared(w_aff: Matrix, u: Matrix, rho: float, y: Matrix) -> Matrix:
-    """Exact minimizer of the squared-risk output subproblem."""
-    m = y.shape[1]
-    return (y / m + rho * w_aff - u) / (1.0 / m + rho)
-
-
-def fista_output_block(risk, risk_grad, curvature: float, w_aff: Matrix, u: Matrix,
-                       rho: float, anchor: Matrix) -> FistaResult:
-    """Minimize risk(z) + <u, z - w_aff> + (rho/2)||z - w_aff||^2 by
-    ``fista_minimize`` from ``anchor``, with step 1/(curvature + rho), where
-    curvature is the Lipschitz constant of ``risk_grad``."""
+def solve_z_last(w_aff: Matrix, u: Matrix, rho: float, risk: Risk, anchor: Matrix) -> FistaResult:
+    """Minimize R(z) + <u, z - w_aff> + (rho/2)||z - w_aff||^2, R = ``risk``:
+    by its ``minimizer`` when it has one, else by ``fista_minimize`` from
+    ``anchor`` with step 1/(H + rho), H = ``risk.curvature``."""
+    if anchor.shape != w_aff.shape:
+        raise ShapeError(f"solve_z_last: shapes differ, {anchor.shape} vs {w_aff.shape}")
+    if risk.minimizer is not None:
+        return FistaResult(z=risk.minimizer(w_aff, u, rho), iterations=0, converged=True)
 
     def grad_fn(z):
-        return risk_grad(z) + u + rho * (z - w_aff)
+        return risk.grad(z) + u + rho * (z - w_aff)
 
     def obj_fn(z):
         d = z - w_aff
-        return risk(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
+        return risk.value(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
 
-    step = 1.0 / (curvature + rho)
+    step = 1.0 / (risk.curvature + rho)
     return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
-
-
-def solve_z_last(
-    w_aff: Matrix,
-    u: Matrix,
-    rho: float,
-    y: Matrix,
-    kind: str,
-    anchor: Matrix,
-) -> FistaResult:
-    """Minimize R(z; y) + <u, z - w_aff> + (rho/2)||z - w_aff||^2.
-
-    Squared risk takes the exact closed form; cross-entropy runs
-    ``fista_output_block`` with L = ``risk_curvature(kind, m)``, the risk
-    gradient's Lipschitz constant over the m columns.  The risk and its
-    gradient share the log-softmax of their last point.
-    """
-    if kind == "squared":
-        return FistaResult(z=closed_form_z_last_squared(w_aff, u, rho, y), iterations=0, converged=True)
-    if anchor.shape != y.shape:
-        raise ShapeError(f"solve_z_last: shapes differ, {anchor.shape} vs {y.shape}")
-    logp, m = _memo_last(_log_softmax), y.shape[1]
-    return fista_output_block(lambda z: _ce_value(logp(z), y, m), lambda z: _ce_grad(logp(z), y, m),
-                              risk_curvature(kind, m), w_aff, u, rho, anchor)

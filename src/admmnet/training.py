@@ -8,11 +8,13 @@ previous Lagrangian, extends the running minimum c_k of the squared block
 moves, assembles the trace, hands it to the sink and stops on a non-finite
 Lagrangian.  On any abort the traces of the completed iterations are
 attached to the ``TrainingAborted`` it raises.  A model supplies its
-initial Lagrangian, the descent constants' H (``objective.risk_curvature``
-over its training samples, the output solve's constant), rho and penalty,
-its trace type, and one iteration returning the new Lagrangian, the squared
-block moves and its own trace fields: ``train`` below (backward sweep,
-forward sweep, dual update), ``gcn.gcn_train`` (``gcn.gcn_iteration``).
+initial Lagrangian, the descent constants' H (the curvature of its own
+``objective.Risk``, the constant the output solve steps by), rho and
+penalty, its trace type, and one iteration returning the new Lagrangian,
+the squared block moves and its own trace fields: ``train`` below
+(backward sweep, forward sweep, dual update), ``gcn.gcn_train``
+(``gcn.gcn_iteration``).  The stationarity residual reads the gradient of
+the same ``Risk``.
 Iteration 1's ``descent_ok`` is reported as measured; from the zero initial
 dual it can miss while ``hypothesis_met``, rho > 2H, holds.
 
@@ -49,13 +51,15 @@ P.  The Lagrangian after iteration k is the one entering iteration k+1.
 
 Block moves.  The squared W and a moves entering the descent bound and c_k
 are the ||candidate - anchor||^2 of the accepted backtracking steps
-(``BacktrackResult.move_sq``), summed in ``block_move_sq_sum``'s order.
+(``BacktrackResult.move_sq``), summed by ``_move_sq_sum``.
 
 Formulas.  This module holds the walk, the shared backtracking, the sweeps,
-the P moves and the driver, and no formula of phi: every residual, block
-gradient, penalty term, objective_F and Lagrangian is a call into
-``objective``, the functions the finite-difference checks test, with the
-cache passed as their ``P``.  Every backtracked block of both models runs
+the P moves and the driver, and no formula of the objective: every
+residual, block gradient, penalty term, objective_F and Lagrangian is a
+call into ``objective``, the functions the finite-difference checks test,
+with the cache passed as their ``P``; the output solve takes the risk's
+``objective.Risk`` and a W step the regularizer's ``prox`` when it is
+``active``.  Every backtracked block of both models runs
 ``backtrack_shifted``: a trial moves one cached linear quantity (a layer
 residual here, a propagation in ``gcn``) by a shift, only the penalty terms
 holding the block are evaluated at the moved quantity, and the accepted
@@ -79,7 +83,6 @@ from .solvers import (
     BacktrackResult,
     StepSeeds,
     backtrack_quadratic,
-    prox_regularizer,
     solve_z_last,
     solve_z_leaky_relu,
     solve_z_relu,
@@ -233,11 +236,9 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     anchor = work.W[layer]
     grad, lin0 = objective.grad_W(work, data, layer, P)
     is_last = layer == work.n_layers - 1
-    reg = arch.regularizer
-    prox = None
-    if reg.kind != "none" and reg.lam > 0.0:
+    prox = arch.regularizer.prox if arch.regularizer.active else None
+    if prox is not None:
         shift_of = lambda cand, step: (anchor - cand) @ a_prev  # a prox trial is not affine
-        prox = lambda v, t: prox_regularizer(v, reg, reg.lam / t)
     else:
         grad_a = grad @ a_prev  # trial residual is lin0 + grad_a / step
         shift_of = lambda cand, step: grad_a / step
@@ -286,7 +287,8 @@ def _update_z_hidden(work: MlpState, P: list, arch: MlpArchitecture, layer: int)
 
 def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture):
     last = work.n_layers - 1
-    res = solve_z_last(P[last] + work.b[last], work.u, work.rho, data.y, arch.risk, work.z[last])
+    res = solve_z_last(P[last] + work.b[last], work.u, work.rho,
+                       objective.mean_risk(arch.risk, data.y), work.z[last])
     work.z[last] = res.z
     return res
 
@@ -341,25 +343,17 @@ def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
     return _sweep(barred, data, arch, seeds, P, backward=False)
 
 
-def _move_sq_sum(old: MlpState, new: MlpState, moved: dict = None) -> float:
+def _move_sq_sum(old: MlpState, new: MlpState, moved: dict) -> float:
     """Squared block movements of one half-iteration: all W and b blocks,
     hidden a blocks, and the output z block only.  ``moved`` maps ("W", l)
     and ("a", l) to the accepted steps' ``move_sq``, bit for bit
-    ||new - old||^2; without it those moves are measured from the arrays."""
-    if moved is None:
-        moved = {("W", l): l2sq(new.W[l] - old.W[l]) for l in range(old.n_layers)}
-        moved.update({("a", l): l2sq(new.a[l] - old.a[l]) for l in range(old.n_layers - 1)})
+    ||new - old||^2."""
     total = 0.0
     for l in range(old.n_layers):
         total += moved["W", l] + l2sq(new.b[l] - old.b[l])
     for l in range(old.n_layers - 1):
         total += moved["a", l]
     return total + l2sq(new.z[-1] - old.z[-1])
-
-
-def block_move_sq_sum(prev: MlpState, barred: MlpState, new: MlpState) -> float:
-    """Squared block movements entering the descent bound and c_k."""
-    return _move_sq_sum(prev, barred) + _move_sq_sum(barred, new)
 
 
 def train(
@@ -370,6 +364,7 @@ def train(
     trace_sink=None,
 ) -> TrainResult:
     state = objective.forward_init(arch, data, Rng(cfg.seed), cfg.rho, cfg.nu)
+    risk = objective.mean_risk(arch.risk, data.y)
     last = state.n_layers - 1
     P = objective.products(state, data)
     lagr0 = objective.lagrangian(state, data, arch, P)
@@ -392,8 +387,8 @@ def train(
         return lagr, moves, dict(
             objective_F=objective_F,
             residual_l2=float(np.sqrt(l2sq(r))),
-            stationarity_residual=diagnostics.stationarity_residual(
-                objective.risk_grad(state.z[-1], data.y, arch.risk), state.u),
+            stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.z[-1]),
+                                                                    state.u),
             train_acc=accuracy(data),
             test_acc=accuracy(eval_data) if eval_data is not None else float("nan"),
             step_stats={**bsteps, **fsteps},
@@ -401,6 +396,6 @@ def train(
             fista_converged=bfista and ffista,
         )
 
-    descent = (objective.risk_curvature(arch.risk, data.n_samples), cfg.rho, cfg.nu)
-    traces = run_certified(cfg.epochs, lagr0, iterate, IterationTrace, descent, trace_sink)
+    traces = run_certified(cfg.epochs, lagr0, iterate, IterationTrace,
+                           (risk.curvature, cfg.rho, cfg.nu), trace_sink)
     return TrainResult(state=state, traces=traces)

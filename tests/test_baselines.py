@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from admmnet.baselines import BaselineConfig, backprop_grads, run_baseline
+from admmnet.baselines import BaselineConfig, _loss, backprop_grads, run_baseline
 from admmnet.linalg import Rng
-from admmnet.objective import Dataset, MlpArchitecture
+from admmnet.objective import Dataset, MlpArchitecture, Regularizer, forward_logits
 from admmnet.synth import make_separable
+from admmnet.training import TrainConfig, train
 
 
 def random_params(arch, seed):
@@ -18,8 +19,6 @@ def random_params(arch, seed):
 class TestBackpropGrads:
     @pytest.mark.parametrize("risk_kind", ["cross_entropy", "squared"])
     def test_matches_finite_differences(self, risk_kind):
-        from admmnet.baselines import _loss
-
         arch = MlpArchitecture(layer_dims=(3, 5, 4, 2), risk=risk_kind)
         rng = Rng(0)
         x = rng.normal(0, 1, (3, 6))
@@ -29,15 +28,19 @@ class TestBackpropGrads:
         W, b = random_params(arch, 1)
         gW, gb = backprop_grads(W, b, data, arch)
         h = 1e-6
+
+        def loss():
+            return _loss(W, forward_logits(W, b, data.x, arch.activation), data, arch)
+
         for params, grads in ((W, gW), (b, gb)):
             for l in range(len(params)):
                 num = np.zeros_like(grads[l])
                 for idx in np.ndindex(*num.shape):
                     orig = params[l][idx]
                     params[l][idx] = orig + h
-                    fp, _ = _loss(W, b, data, arch)
+                    fp = loss()
                     params[l][idx] = orig - h
-                    fm, _ = _loss(W, b, data, arch)
+                    fm = loss()
                     params[l][idx] = orig
                     num[idx] = (fp - fm) / (2 * h)
                 scale = max(1.0, float(np.max(np.abs(num))))
@@ -120,7 +123,8 @@ class TestRunBaseline:
             gW, gb = backprop_grads(W_ref, b_ref, data, arch)
             new = upd.step(W_ref + b_ref, gW + gb)
             W_ref, b_ref = new[: len(W_ref)], new[len(W_ref):]
-            assert trace.loss == baselines._loss(W_ref, b_ref, data, arch)[0]
+            z_last = forward_logits(W_ref, b_ref, data.x, arch.activation)
+            assert trace.loss == _loss(W_ref, z_last, data, arch)
         for p, q in zip(W + b, W_ref + b_ref):
             assert p.tobytes() == q.tobytes()
 
@@ -138,3 +142,30 @@ class TestRunBaseline:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BaselineConfig(optimizer="sgd", learning_rate=0.1, epochs=1)
+
+
+def test_inactive_regularizer_is_off_for_every_consumer():
+    """``Regularizer.active`` is the one on/off test: an inactive regularizer,
+    a "none" kind with a weight included, leaves the baselines' gradient and
+    run, the ADMM trace and the reported value as without it."""
+    data = make_separable(40, rng=Rng(3))
+    plain = MlpArchitecture(layer_dims=(4, 8, 2))
+    gd = BaselineConfig(optimizer="gd", learning_rate=0.05, epochs=1)
+    admm = TrainConfig(rho=4.0, nu=1.0, epochs=3)
+    W0, b0 = random_params(plain, 1)
+    (W_plain, _), _ = run_baseline(gd, plain, data)
+    lagr_plain = [t.lagrangian for t in train(plain, data, admm).traces]
+    for reg in (Regularizer("none", 0.5), Regularizer("l1", 0.0), Regularizer("l2", 0.0)):
+        arch = MlpArchitecture(layer_dims=(4, 8, 2), regularizer=reg)
+        assert not reg.active and reg.value(W0[0]) == 0.0
+        for g, g_plain in zip(backprop_grads(W0, b0, data, arch)[0],
+                              backprop_grads(W0, b0, data, plain)[0]):
+            assert g.tobytes() == g_plain.tobytes()
+        (W, _), _ = run_baseline(gd, arch, data)
+        assert W[0].tobytes() == W_plain[0].tobytes()
+        assert [t.lagrangian for t in train(arch, data, admm).traces] == lagr_plain
+    # an active one moves all three
+    l1 = MlpArchitecture(layer_dims=(4, 8, 2), regularizer=Regularizer("l1", 0.5))
+    assert l1.regularizer.value(W0[0]) > 0.0
+    assert run_baseline(gd, l1, data)[0][0][0].tobytes() != W_plain[0].tobytes()
+    assert [t.lagrangian for t in train(l1, data, admm).traces] != lagr_plain

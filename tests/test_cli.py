@@ -1,4 +1,6 @@
+import re
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -441,3 +443,27 @@ def test_selfcheck_detects_operator_without_self_loops(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  gcn propagation vs dense normalization formula" in out
     assert "PASS  gcn gradient W vs finite differences" in out
+
+
+def idx_bytes(magic, dims, payload=()):
+    return struct.pack(f">{len(dims) + 1}I", magic, *dims) + bytes(payload)
+
+
+@pytest.mark.parametrize("images, labels, message", [
+    # a 64-bit product of these sizes wraps to 0; the count asks for 2^64 bytes
+    (idx_bytes(0x803, (2**31, 2**31, 4)), idx_bytes(0x801, (0,)),
+     r"train-images-idx3-ubyte: truncated payload"),
+    (idx_bytes(0x803, (0, 2, 2)), idx_bytes(0x801, (0,)),
+     r"train-images-idx3-ubyte holds 0 images but \S*train-labels-idx1-ubyte 0 labels"),
+    (idx_bytes(0x803, (5, 2, 2), range(20)), idx_bytes(0x801, (4,), [0, 1, 2, 3]),
+     r"train-images-idx3-ubyte holds 5 images but \S*train-labels-idx1-ubyte 4 labels"),
+], ids=["wrapped-size-product", "no-samples", "count-mismatch"])
+def test_malformed_idx_data_error(images, labels, message, tmp_path, capsys):
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(images)
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(labels)
+    (tmp_path / "t10k-images-idx3-ubyte").write_bytes(idx_bytes(0x803, (3, 2, 2), range(12)))
+    (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(idx_bytes(0x801, (3,), [0, 1, 2]))
+    code = main(["train", "mlp", "--data", str(tmp_path), "--layers", "4,3,10", "--epochs", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert re.search(message, capsys.readouterr().err)

@@ -256,3 +256,10 @@ class TestSubsample:
         data = self.make_data([3, 3])
         with pytest.raises(ValueError):
             subsample(data, n, Rng(0))
+
+
+def test_labels_name_the_first_bad_sample(tmp_path):
+    p = tmp_path / "labels"
+    write_labels_fixture(p, [0, 2, 7, 1, 9])
+    with pytest.raises(DataError, match="label 7 out of range .* at sample 2$"):
+        read_idx_labels(str(p), 3)

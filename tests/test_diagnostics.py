@@ -8,7 +8,7 @@ from admmnet.diagnostics import (
 )
 from admmnet.gcn import GcnConfig, gcn_train
 from admmnet.linalg import Rng
-from admmnet.objective import Dataset, MlpArchitecture, forward_init, risk_grad
+from admmnet.objective import Dataset, MlpArchitecture, forward_init, mean_risk
 from admmnet.synth import make_sbm_graph, make_separable
 from admmnet.training import TrainConfig, train
 
@@ -29,8 +29,8 @@ class TestDescentConstants:
 
 
 class TestDriverCurvature:
-    """The trainers certify with H = risk_curvature over their training
-    samples, the constant the output solve steps by: rho > 2H holds above
+    """The trainers certify with H, the curvature of their own ``Risk``
+    over their training samples, the constant the output solve steps by: rho > 2H holds above
     that threshold and fails below it, at every iteration."""
 
     @pytest.mark.parametrize("rho, met", [(0.03, True), (0.015, False)])
@@ -83,7 +83,7 @@ def test_stationarity_linearity_in_u():
     y[0] = 1.0
     data = Dataset(x, y)
     state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
-    g = risk_grad(state.z[-1], data.y, arch.risk)
+    g = mean_risk(arch.risk, data.y).grad(state.z[-1])
     state.u = -g
     base = stationarity_residual(g, state.u)
     assert base < 1e-14

@@ -75,7 +75,7 @@ def gcn_backprop_grads(W, graph, a_norm, activation):
         m = a_norm @ zs[-1] @ W[l]
         ms.append(m)
         zs.append(activation.value(m) if l < last else m)
-    delta = masked_ce(graph.labels, graph.train_mask)[1](ms[last])
+    delta = masked_ce(graph.labels, graph.train_mask).grad(ms[last])
     gW = [None] * len(W)
     for l in range(last, -1, -1):
         gW[l] = (a_norm @ zs[l]).T @ delta
@@ -250,7 +250,7 @@ def test_masked_risk_grad_zero_off_mask():
     g = small_graph(5)
     rng = Rng(6)
     z = rng.normal(0, 1, g.labels.shape)
-    grad = masked_ce(g.labels, g.train_mask)[1](z)
+    grad = masked_ce(g.labels, g.train_mask).grad(z)
     assert np.all(grad[~g.train_mask] == 0.0)
     assert np.any(grad[g.train_mask] != 0.0)
 
@@ -456,7 +456,8 @@ def test_dense_products_per_iteration(monkeypatch):
     new = gcn_iteration(state, graph, cfg, StepSeeds(), props)[0]
     assert widths == [2] * 8
     widths.clear()
-    gcn.lagrangian(new, graph, RELU, props)
+    gcn.lagrangian(new, graph, gcn.masked_ce(graph.labels, graph.train_mask).value(new.Z[-1]),
+                   RELU, props)
     gcn_accuracy(new, graph, graph.train_mask, props)
     gcn_accuracy(new, graph, graph.test_mask, props)
     assert widths == []

@@ -14,9 +14,8 @@ from admmnet.objective import (
     objective_F,
     phi,
     products,
-    risk,
+    mean_risk,
     risk_curvature,
-    risk_grad,
 )
 from admmnet.gcn import masked_ce
 
@@ -79,7 +78,7 @@ def test_phi_ignores_dual_when_residual_zero():
 
 def test_risk_squared_zero_at_fit():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert risk(y.copy(), y, "squared") == 0.0
+    assert mean_risk("squared", y).value(y.copy()) == 0.0
 
 
 def test_risk_cross_entropy_uniform_logits():
@@ -87,7 +86,7 @@ def test_risk_cross_entropy_uniform_logits():
     z = np.ones((k, m)) * 0.7
     y = np.zeros((k, m))
     y[0] = 1.0
-    assert risk(z, y, "cross_entropy") == pytest.approx(np.log(k), rel=1e-12)
+    assert mean_risk("cross_entropy", y).value(z) == pytest.approx(np.log(k), rel=1e-12)
 
 
 def test_risk_grad_is_softmax_minus_y_over_m():
@@ -95,7 +94,7 @@ def test_risk_grad_is_softmax_minus_y_over_m():
     z = rng.normal(0, 1, (4, 6))
     y = np.zeros((4, 6))
     y[rng.integers(0, 4, 6), np.arange(6)] = 1.0
-    g = risk_grad(z, y, "cross_entropy")
+    g = mean_risk("cross_entropy", y).grad(z)
     assert np.allclose(g, (softmax(z) - y) / 6, atol=1e-12)
     # finite differences
     h = 1e-6
@@ -103,7 +102,8 @@ def test_risk_grad_is_softmax_minus_y_over_m():
     for idx in np.ndindex(*z.shape):
         zp = z.copy(); zp[idx] += h
         zm = z.copy(); zm[idx] -= h
-        num[idx] = (risk(zp, y, "cross_entropy") - risk(zm, y, "cross_entropy")) / (2 * h)
+        value = mean_risk("cross_entropy", y).value
+        num[idx] = (value(zp) - value(zm)) / (2 * h)
     assert np.max(np.abs(g - num)) < 1e-8
 
 
@@ -112,7 +112,7 @@ def test_lagrangian_decomposition():
     state, data = random_state(arch, 5, seed=4)
     total = lagrangian(state, data, arch)
     parts = (
-        risk(state.z[-1], data.y, arch.risk)
+        mean_risk(arch.risk, data.y).value(state.z[-1])
         + sum(arch.regularizer.value(w) for w in state.W)
         + phi(state, data, arch.activation)
     )
@@ -248,8 +248,8 @@ def test_cross_entropy_secant_lipschitz():
     for _ in range(50):
         z1 = rng.normal(0, 2, (4, m))
         z2 = rng.normal(0, 2, (4, m))
-        g1 = risk_grad(z1, y, "cross_entropy")
-        g2 = risk_grad(z2, y, "cross_entropy")
+        g1 = mean_risk("cross_entropy", y).grad(z1)
+        g2 = mean_risk("cross_entropy", y).grad(z2)
         num = np.sqrt(l2sq(g1 - g2))
         den = np.sqrt(l2sq(z1 - z2))
         assert num <= (1.0 + 1e-9) * den
@@ -273,8 +273,10 @@ def test_risk_curvature_bounds_hessian(kind):
         y = np.zeros((k, m))
         y[rng.integers(0, k, m), np.arange(m)] = 1.0
         z = scale * rng.normal(0.0, 1.0, (k, m))
-        lam = top_hessian_eigenvalue(lambda v: risk_grad(v, y, kind), z, rng)
-        bound = risk_curvature(kind, m)
+        risk_m = mean_risk(kind, y)
+        lam = top_hessian_eigenvalue(risk_m.grad, z, rng)
+        bound = risk_m.curvature
+        assert bound == risk_curvature(kind, m)
         assert lam <= bound * (1.0 + 1e-6)
         if scale == 0.0 or kind == "squared":
             # uniform two-class logits attain Boehning's bound; the squared
@@ -289,8 +291,10 @@ def test_risk_curvature_bounds_masked_gcn_hessian():
         mask = rng.random(n) < 0.4
         mask[0] = True
         z = scale * rng.normal(0.0, 1.0, (n, k))
-        lam = top_hessian_eigenvalue(masked_ce(labels, mask)[1], z, rng)
-        bound = risk_curvature("cross_entropy", int(np.sum(mask)))
+        risk_m = masked_ce(labels, mask)
+        lam = top_hessian_eigenvalue(risk_m.grad, z, rng)
+        bound = risk_m.curvature
+        assert bound == risk_curvature("cross_entropy", int(np.sum(mask)))
         assert lam <= bound * (1.0 + 1e-6)
         if scale == 0.0:
             assert lam >= bound * (1.0 - 1e-6)
@@ -299,3 +303,5 @@ def test_risk_curvature_bounds_masked_gcn_hessian():
 def test_risk_curvature_unknown_kind():
     with pytest.raises(ValueError):
         risk_curvature("hinge", 10)
+    with pytest.raises(ValueError):
+        mean_risk("hinge", np.zeros((2, 10)))

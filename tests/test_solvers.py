@@ -1,22 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import admmnet.gcn as gcn
+import admmnet.objective as objective
 import admmnet.solvers as solvers
 from admmnet.activations import RELU
 from admmnet.errors import BacktrackError, ShapeError
 from admmnet.gcn import GcnConfig
 from admmnet.linalg import Rng, l2sq
-from admmnet.objective import Regularizer, _log_softmax, risk, risk_curvature, risk_grad
+from admmnet.objective import Regularizer, _log_softmax, mean_risk
 from admmnet.solvers import (
     FISTA_MAX_ITER,
     FISTA_TOL,
     FistaResult,
     StepSeeds,
     backtrack_quadratic,
-    closed_form_z_last_squared,
     fista_minimize,
-    prox_regularizer,
     solve_z_last,
     solve_z_leaky_relu,
     solve_z_relu,
@@ -234,18 +235,21 @@ class TestSolveZLeakyRelu:
 
 class TestProxRegularizer:
     def test_none_identity(self):
-        v = np.array([[3.0, -0.5]])
-        out = prox_regularizer(v, Regularizer("none", 0.0), 0.0)
-        assert np.array_equal(out, v)
+        # an inactive regularizer is off: the W update takes no prox step and
+        # the objective holds no term of it
+        for reg in (Regularizer("none", 0.0), Regularizer("none", 0.5), Regularizer("l1", 0.0)):
+            assert not reg.active
+            assert reg.value(np.array([[3.0, -0.5]])) == 0.0
+        assert Regularizer("l1", 0.5).active and Regularizer("l2", 0.5).active
 
     def test_l1_soft_threshold(self):
-        out = prox_regularizer(np.array([[3.0, -0.5]]), Regularizer("l1", 1.0), 1.0)
+        out = Regularizer("l1", 1.0).prox(np.array([[3.0, -0.5]]), 1.0)
         assert np.allclose(out, [[2.0, 0.0]])
 
     def test_l2_matches_grid(self):
         lam, step = 0.7, 2.0
         v = 1.3
-        out = prox_regularizer(np.array([[v]]), Regularizer("l2", lam), lam / step)
+        out = Regularizer("l2", lam).prox(np.array([[v]]), step)
         grid = np.linspace(-5, 5, 200001)
         obj = lam * grid**2 + 0.5 * step * (grid - v) ** 2
         assert abs(out[0, 0] - grid[np.argmin(obj)]) < 1e-4
@@ -253,17 +257,14 @@ class TestProxRegularizer:
 
 def squared_fista(w_aff, u, rho, y, anchor):
     """FISTA on the squared-risk output subproblem, which ``solve_z_last``
-    solves in closed form instead."""
+    solves in closed form instead: the same solve with the minimizer
+    dropped from the risk."""
+    return solve_z_last(w_aff, u, rho, replace(mean_risk("squared", y), minimizer=None), anchor)
 
-    def grad_fn(z):
-        return risk_grad(z, y, "squared") + u + rho * (z - w_aff)
 
-    def obj_fn(z):
-        d = z - w_aff
-        return risk(z, y, "squared") + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
-
-    step = 1.0 / (risk_curvature("squared", y.shape[1]) + rho)
-    return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
+def solve(w_aff, u, rho, y, kind, anchor):
+    """``solve_z_last`` under the mean risk of ``kind`` over the columns of y."""
+    return solve_z_last(w_aff, u, rho, mean_risk(kind, y), anchor)
 
 
 class TestFista:
@@ -274,7 +275,7 @@ class TestFista:
         u = rng.normal(0, 1, (3, 4))
         rho = 2.0
         res = squared_fista(w_aff, u, rho, y, anchor=w_aff.copy())
-        closed = closed_form_z_last_squared(w_aff, u, rho, y)
+        closed = mean_risk("squared", y).minimizer(w_aff, u, rho)
         assert np.max(np.abs(res.z - closed)) < 1e-6
 
     def test_closed_form_dispatch(self):
@@ -282,7 +283,8 @@ class TestFista:
         y = rng.normal(0, 1, (3, 4))
         w_aff = rng.normal(0, 1, (3, 4))
         u = rng.normal(0, 1, (3, 4))
-        res = solve_z_last(w_aff, u, 2.0, y, "squared", anchor=w_aff.copy())
+        res = solve(w_aff, u, 2.0, y, "squared", anchor=w_aff.copy())
+        assert (res.iterations, res.converged) == (0, True)
         m = y.shape[1]
         # closed form: gradient (z-y)/m + u + rho (z - w_aff) = 0
         g = (res.z - y) / m + u + 2.0 * (res.z - w_aff)
@@ -296,7 +298,7 @@ class TestFista:
         # pick u so the FOC holds exactly at z = w_aff
         m = y.shape[1]
         u = -(softmax(w_aff) - y) / m
-        res = solve_z_last(w_aff, u, 1.0, y, "cross_entropy", anchor=w_aff.copy())
+        res = solve(w_aff, u, 1.0, y, "cross_entropy", anchor=w_aff.copy())
         assert np.max(np.abs(res.z - w_aff)) < 1e-7
 
     def test_cross_entropy_foc_residual(self):
@@ -307,7 +309,7 @@ class TestFista:
             y = np.zeros((3, 6))
             y[rng.integers(0, 3, 6), np.arange(6)] = 1.0
             rho = 1.0
-            res = solve_z_last(w_aff, u, rho, y, "cross_entropy", anchor=w_aff.copy())
+            res = solve(w_aff, u, rho, y, "cross_entropy", anchor=w_aff.copy())
             m = y.shape[1]
             foc = (softmax(res.z) - y) / m + u + rho * (res.z - w_aff)
             assert np.max(np.abs(foc)) < 1e-6
@@ -316,8 +318,8 @@ class TestFista:
         # a (1, m) anchor would broadcast against (n, m) labels
         y = np.eye(3)[:, [0, 1, 2, 0]]
         with pytest.raises(ShapeError):
-            solve_z_last(np.zeros((3, 4)), np.zeros((3, 4)), 1.0, y, "cross_entropy",
-                         anchor=np.zeros((1, 4)))
+            solve(np.zeros((3, 4)), np.zeros((3, 4)), 1.0, y, "cross_entropy",
+                  anchor=np.zeros((1, 4)))
 
     def test_monotone_objective(self):
         rng = Rng(9)
@@ -437,7 +439,7 @@ def test_output_solve_matches_reference_loop(name):
     if kind == "squared":
         res = squared_fista(w_aff, u, rho, y, anchor)
     else:
-        res = solve_z_last(w_aff, u, rho, y, kind, anchor)
+        res = solve(w_aff, u, rho, y, kind, anchor)
     assert res.z.tobytes() == ref.z.tobytes()
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
     assert res.iterations > 0
@@ -452,7 +454,7 @@ def test_output_solve_stops_at_rejected_plain_step():
     is still above tolerance; every later iteration would form the same
     candidate and reject it again, so the solve ends there, unconverged."""
     problem = output_problem(28, 10.0)
-    res = solve_z_last(*problem)
+    res = solve(*problem)
     ref, _, _ = reference_solve(*problem)
     assert res.z.tobytes() == ref.z.tobytes()
     assert (res.iterations, res.converged) == (ref.iterations, False)
@@ -481,7 +483,7 @@ def solve_gcn_output(monkeypatch, graph, state, props):
 
     monkeypatch.setattr(solvers, "fista_minimize", spy)
     work = state.copy()
-    gcn._update_Z_last(work, props, graph)
+    gcn._update_Z_last(work, props, graph, gcn.masked_ce(graph.labels, graph.train_mask))
     (res,) = results
     return work, res
 
@@ -530,8 +532,8 @@ def counting(monkeypatch, module):
 def test_output_solve_log_softmax_count(monkeypatch, name):
     """At most two log-softmaxes per iteration plus two; the plain loop
     takes up to four per iteration plus two."""
-    calls = counting(monkeypatch, solvers)
-    res = solve_z_last(*OUTPUT_PROBLEMS[name])
+    calls = counting(monkeypatch, objective)
+    res = solve(*OUTPUT_PROBLEMS[name])
     assert res.iterations > 0
     assert len(calls) <= 2 * res.iterations + 2
 

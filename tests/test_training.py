@@ -21,12 +21,27 @@ from admmnet.synth import make_image_classes, make_sbm_graph, make_separable
 from admmnet.training import (
     TrainConfig,
     backward_sweep,
-    block_move_sq_sum,
     dual_update,
     forward_sweep,
     train,
     walk_blocks,
 )
+
+
+def block_move_sq_sum(prev, barred, new):
+    """Squared block moves of one iteration measured from the arrays, summed
+    in the trainer's order: per half, W and b of each layer, then the hidden
+    a, then the output z."""
+
+    def half(old, new):
+        total = 0.0
+        for l in range(old.n_layers):
+            total += l2sq(new.W[l] - old.W[l]) + l2sq(new.b[l] - old.b[l])
+        for l in range(old.n_layers - 1):
+            total += l2sq(new.a[l] - old.a[l])
+        return total + l2sq(new.z[-1] - old.z[-1])
+
+    return half(prev, barred) + half(barred, new)
 
 
 @pytest.fixture(scope="module")
