@@ -272,7 +272,8 @@ def selfcheck(quick: bool = False) -> int:
     # own, on a graph whose node 1 has no edge (a row with its self-loop only)
     adj = np.zeros((4, 4))
     adj[[0, 0, 2, 2, 3, 3], [2, 3, 0, 3, 0, 2]] = 1.0
-    lone = gcn.Graph(4, adj, np.ones((4, 1)), np.eye(4, 2), np.arange(4) == 0, np.arange(4) == 1)
+    lone = gcn.Graph(4, np.argwhere(np.triu(adj)), np.ones((4, 1)), np.eye(4, 2), np.arange(4) == 0,
+                     np.arange(4) == 1)
     inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
     probe = Rng(17).normal(0.0, 1.0, (4, 3))
     want = inv_sqrt[:, None] * (adj + np.eye(4)) * inv_sqrt[None, :] @ probe

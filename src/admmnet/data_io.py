@@ -2,12 +2,17 @@
 
 IDX is the de-facto MNIST encoding: a big-endian magic word, big-endian
 32-bit dimension sizes, then raw unsigned bytes.  The graph bundle is four
-text files in one directory: edges.tsv (u<TAB>v per line), features.csv
-(one row per node), labels.csv (node,class) and masks.csv (node,split).
+UTF-8 text files in one directory: edges.tsv (u<TAB>v per line, one tab),
+features.csv (one row per node), labels.csv (node,class, each node at most
+once) and masks.csv (node,split).  An edge line and its reverse or repeat
+are one edge.  ``load_graph`` reads edges.tsv in one vectorized pass when
+every line is two plain decimal ids joined by a tab, as ``save_graph``
+writes them, and line by line otherwise, which names the first bad line.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import struct
@@ -130,6 +135,17 @@ def subsample(data: Dataset, n: int, rng: Rng) -> Dataset:
 # Graph bundle
 # ---------------------------------------------------------------------------
 
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text with universal newlines, as ``open`` reads it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _check_node(node: int, n: int, path: str, line: int) -> None:
     if not 0 <= node < n:
         raise DataError(f"{path} line {line}: node id {node} out of range (N={n})")
@@ -138,13 +154,81 @@ def _check_node(node: int, n: int, path: str, line: int) -> None:
 def _csv_pairs(path: str, header: str):
     """(line number, first field, second field) of each non-empty row of a
     two-column CSV file."""
-    with open(path) as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
+    rows = csv.reader(io.StringIO(_read_text(path)))
+    try:
+        for row in rows:
             if not row:
                 continue
             if len(row) != 2:
-                raise FormatError(f"{path} line {lineno}: expected '{header}'")
-            yield lineno, row[0], row[1]
+                raise FormatError(f"{path} line {rows.line_num}: expected '{header}'")
+            yield rows.line_num, row[0], row[1]
+    except csv.Error as exc:
+        raise FormatError(f"{path} line {rows.line_num}: {exc}") from None
+
+
+def _plain_edges(data: bytes, n: int):
+    """The (u, v) id arrays of an edges.tsv in one vectorized pass, when each
+    line is empty or two distinct decimal ids below n, of at most 18 digits,
+    joined by one tab; None for any other file."""
+    b = np.frombuffer(data.replace(b"\r\n", b"\n") + b"\n", dtype=np.uint8)
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    tab = b == ord("\t")
+    if not np.all(digit | tab | (b == ord("\n"))):
+        return None
+    bounds = np.flatnonzero(np.diff(digit, prepend=False))  # each id's first byte and the byte after it
+    start, after = bounds[0::2], bounds[1::2]
+    follow = b[after]
+    if not (start.size % 2 == 0 and np.count_nonzero(tab) == start.size // 2
+            and np.all(follow[0::2] == ord("\t")) and np.all(follow[1::2] == ord("\n"))
+            and np.array_equal(start[1::2], after[0::2] + 1)):
+        return None
+    width = after - start
+    if np.any(width > 18):  # int64 holds any 18 digits
+        return None
+    ids = np.zeros(start.size, dtype=np.int64)
+    for k in range(int(width.max(initial=0))):  # the digit of 10^k, where the id has one
+        ids += (b[after - 1 - k] - ord("0")).astype(np.int64) * (width > k) * 10**k
+    u, v = ids[0::2], ids[1::2]
+    if np.any(u >= n) or np.any(v >= n) or np.any(u == v):
+        return None
+    return u, v
+
+
+def _edges_by_line(path: str, n: int):
+    """The (u, v) id arrays of an edges.tsv read line by line: each line
+    stripped of white space is empty or 'u<TAB>v' of integer ids, else a
+    typed error that names it."""
+    us, vs = [], []
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"{path} line {lineno}: expected 'u<TAB>v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"{path} line {lineno}: node ids must be integers") from None
+        _check_node(u, n, path, lineno)
+        _check_node(v, n, path, lineno)
+        if u == v:
+            raise DataError(f"{path} line {lineno}: self-loop on node {u}")
+        us.append(u)
+        vs.append(v)
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+
+
+def _load_edges(path: str, n: int) -> np.ndarray:
+    """The edges of edges.tsv as ``Graph.edges``: a line and its reverse or
+    repeat are one edge.  Read in one vectorized pass, and again line by
+    line, for its error, when that pass finds a line it does not take."""
+    with open(path, "rb") as fh:
+        pairs = _plain_edges(fh.read(), n)
+    u, v = pairs if pairs is not None else _edges_by_line(path, n)
+    keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+    return np.column_stack(np.divmod(keys, n))
 
 
 def load_graph(directory: str) -> Graph:
@@ -158,43 +242,26 @@ def load_graph(directory: str) -> Graph:
         raise DataError(f"{feat_path}: non-finite feature value on node {bad[0]}")
     n = features.shape[0]
 
-    edge_path = os.path.join(directory, "edges.tsv")
-    adjacency = np.zeros((n, n))
-    with open(edge_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{edge_path} line {lineno}: expected 'u<TAB>v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FormatError(f"{edge_path} line {lineno}: node ids must be integers") from None
-            _check_node(u, n, edge_path, lineno)
-            _check_node(v, n, edge_path, lineno)
-            if u == v:
-                raise DataError(f"{edge_path} line {lineno}: self-loop on node {u}")
-            adjacency[u, v] = adjacency[v, u] = 1.0
+    edges = _load_edges(os.path.join(directory, "edges.tsv"), n)
 
     label_path = os.path.join(directory, "labels.csv")
-    pairs = []
+    labels_of = {}
     for lineno, node_text, cls_text in _csv_pairs(label_path, "node,class"):
         try:
             node, cls = int(node_text), int(cls_text)
         except ValueError:
             raise FormatError(f"{label_path} line {lineno}: node and class must be integers") from None
         _check_node(node, n, label_path, lineno)
-        if cls < 0:
-            raise DataError(f"{label_path} line {lineno}: negative class {cls}")
-        pairs.append((node, cls))
-    if not pairs:
+        if not 0 <= cls < n:
+            raise DataError(f"{label_path} line {lineno}: class {cls} out of range "
+                            f"(N={n} nodes hold at most N classes)")
+        if node in labels_of:
+            raise DataError(f"{label_path} line {lineno}: node {node} labeled twice")
+        labels_of[node] = cls
+    if not labels_of:
         raise DataError(f"{label_path}: no labeled nodes")
-    n_classes = max(c for _, c in pairs) + 1
-    labels = np.zeros((n, n_classes))
-    for node, cls in pairs:
-        labels[node, cls] = 1.0
+    labels = np.zeros((n, max(labels_of.values()) + 1))
+    labels[list(labels_of), list(labels_of.values())] = 1.0
 
     mask_path = os.path.join(directory, "masks.csv")
     train_mask = np.zeros(n, dtype=bool)
@@ -221,7 +288,7 @@ def load_graph(directory: str) -> Graph:
 
     return Graph(
         n_nodes=n,
-        adjacency=adjacency,
+        edges=edges,
         features=features,
         labels=labels,
         train_mask=train_mask,
@@ -239,8 +306,8 @@ def save_graph(directory: str, graph: Graph) -> None:
         with open(os.path.join(directory, name), "w") as fh:
             fh.writelines(lines)
 
-    us, vs = np.nonzero(np.triu(graph.adjacency))
-    write("edges.tsv", (f"{u}\t{v}\n" for u, v in zip(us.tolist(), vs.tolist())))
+    # one format call for all edges: a third of the time of a string per edge
+    write("edges.tsv", [("%d\t%d\n" * len(graph.edges)) % tuple(graph.edges.ravel().tolist())])
     row = ",".join(["%.10g"] * graph.features.shape[1]) + "\n"
     write("features.csv", (row % tuple(r) for r in graph.features.tolist()))
     labeled = np.flatnonzero(np.any(graph.labels != 0, axis=1))

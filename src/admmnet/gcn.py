@@ -51,8 +51,10 @@ holds its self-loop, so no row's range is empty; ``np.add.reduceat``, which
 sums the ranges, would silently return the next row's first entry for an
 empty one.  ``_adj`` gathers each column of y at the stored columns, scales
 by the values and sums each row's range, O(C nnz) per product with no N x N
-array.  The graph keeps its dense adjacency; only the trainer's operator is
-sparse.  Every product above is C_{l+1} wide (2 on a two-class graph with
+array.  The graph itself is an edge list (``Graph.edges``), from which
+``normalize_adjacency`` sorts the stored entries, so from the SBM draw or
+the bundle files to A_norm no step forms an N x N array either.  Every
+product above is C_{l+1} wide (2 on a two-class graph with
 one hidden layer), where the gather wins; per product, on an SBM graph of
 mean degree 56 at one BLAS thread (2-core Xeon), in ms:
 
@@ -83,32 +85,48 @@ from .training import CertifiedTrace, backtrack_shifted, run_certified, walk_blo
 @dataclass
 class Graph:
     n_nodes: int
-    adjacency: Matrix  # 0/1, symmetric, zero diagonal
+    edges: np.ndarray  # (E, 2) int: (u, v) with u < v, rows ascending, no repeats
     features: Matrix  # N x C0
     labels: Matrix  # N x K one-hot (zero rows allowed for unlabeled nodes)
     train_mask: np.ndarray  # boolean (N,)
     test_mask: np.ndarray  # boolean (N,)
 
     def __post_init__(self):
-        a = self.adjacency
-        if a.shape != (self.n_nodes, self.n_nodes):
-            raise ShapeError("adjacency must be n_nodes x n_nodes")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise ValueError("adjacency diagonal must be zero")
-        if not np.all((a == 0) | (a == 1)):
-            raise ValueError("adjacency entries must be 0 or 1")
+        e, n = self.edges, self.n_nodes
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ShapeError(f"edges must be an (E, 2) array, not {e.shape}")
+        if not np.issubdtype(e.dtype, np.integer):
+            raise ValueError(f"edges must hold integer node ids, not {e.dtype}")
+        if e.size and (e.min() < 0 or e.max() >= n):
+            raise ValueError(f"edge endpoint out of range (N={n})")
+        if np.any(e[:, 0] >= e[:, 1]):
+            raise ValueError("each edge must be (u, v) with u < v: no self-loops")
+        keys = e[:, 0].astype(np.int64) * n + e[:, 1].astype(np.int64)
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("edges must be in ascending row-major order, each once")
         for name in ("features", "labels", "train_mask", "test_mask"):
             rows = getattr(self, name)
-            if len(rows) != self.n_nodes:
-                raise ShapeError(f"{name} has {len(rows)} rows for {self.n_nodes} nodes")
+            if len(rows) != n:
+                raise ShapeError(f"{name} has {len(rows)} rows for {n} nodes")
             if name.endswith("mask") and (rows.ndim != 1 or rows.dtype != bool):
                 raise ValueError(f"{name} must be a boolean vector, not {rows.dtype} {rows.shape}")
+        y = self.labels
+        if not (np.all((y == 0) | (y == 1)) and np.all(np.count_nonzero(y, axis=1) <= 1)):
+            raise ValueError("each labels row must be one-hot or zero")
         if np.any(self.train_mask & self.test_mask):
             raise ValueError("train and test masks must be disjoint")
         if not np.any(self.train_mask):
             raise ValueError("need at least one training node")
+
+    @property
+    def adjacency(self) -> Matrix:
+        """The dense symmetric 0/1 N x N adjacency, built on each read: for
+        small graphs only, since it is O(N^2); the package itself reads
+        ``edges``."""
+        a = np.zeros((self.n_nodes, self.n_nodes))
+        u, v = self.edges.T
+        a[u, v] = a[v, u] = 1.0
+        return a
 
 
 @dataclass
@@ -181,15 +199,18 @@ def normalize_adjacency(graph: Graph) -> SparseAdjacency:
     """(D + I)^{-1/2} (A + I) (D + I)^{-1/2}, A with self-loops added, in
     compressed rows.  The entry (i, j) is s_i s_j with s = (deg + 1)^{-1/2},
     the same product as (j, i), so the operator equals its transpose bit for
-    bit."""
-    linked = graph.adjacency != 0
-    np.fill_diagonal(linked, True)  # the validated diagonal is zero, so this is A + I
-    rows, cols = np.divmod(np.flatnonzero(linked), graph.n_nodes)  # faster than a 2-D nonzero
-    counts = np.bincount(rows, minlength=graph.n_nodes)  # deg + 1, at least 1
+    bit.  The stored entries are the sorted row-major keys i N + j of the
+    edges both ways and the self-loops, O(nnz log nnz)."""
+    n = graph.n_nodes
+    u, v = graph.edges.T.astype(np.intp)
+    keys = np.concatenate((u * n + v, v * n + u, np.arange(n, dtype=np.intp) * (n + 1)))
+    keys.sort()
+    rows, cols = np.divmod(keys, n)
+    counts = np.bincount(rows, minlength=n)  # deg + 1, at least 1
     inv_sqrt = 1.0 / np.sqrt(counts)
-    starts = np.zeros(graph.n_nodes, dtype=np.intp)
+    starts = np.zeros(n, dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
-    return SparseAdjacency(graph.n_nodes, starts, cols, inv_sqrt[rows] * inv_sqrt[cols])
+    return SparseAdjacency(n, starts, cols, inv_sqrt[rows] * inv_sqrt[cols])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ from .gcn import Graph
 from .linalg import Rng
 from .objective import Dataset
 
+# Uniforms per draw of make_sbm_graph (16 MB of float64); a row longer than
+# this is drawn whole.
+PAIRS_PER_DRAW = 1 << 21
+
 
 def make_image_classes(
     n_samples: int,
@@ -67,16 +71,28 @@ def make_sbm_graph(
     train_frac: float = 0.3,
     rng: Rng = None,
 ) -> Graph:
-    """Stochastic block model with block-informative node features."""
+    """Stochastic block model with block-informative node features.
+
+    One uniform per pair (i, j > i), drawn in row-major order and in runs of
+    whole rows of at most ``PAIRS_PER_DRAW`` pairs; the pair is an edge when
+    its uniform is below p_in (same block) or p_out.  Splitting one draw
+    into runs leaves the generator's stream unchanged."""
     rng = rng or Rng(0)
     blocks = np.arange(n_nodes) % n_blocks
-    adjacency = np.zeros((n_nodes, n_nodes))
-    # One uniform per pair (i, j > i), drawn row by row in that order.
-    for i in range(n_nodes - 1):
-        p = np.where(blocks[i + 1:] == blocks[i], p_in, p_out)
-        edge = rng.random(n_nodes - i - 1) < p
-        adjacency[i, i + 1:] = edge
-        adjacency[i + 1:, i] = edge
+    # first[i]: flat index of the pair (i, i + 1); first[n - 1] is the pair count
+    first = np.concatenate(([0], np.cumsum(np.arange(n_nodes - 1, 0, -1))))
+    p_max = max(p_in, p_out)
+    edges = [np.empty((0, 2), dtype=np.intp)]
+    lo = 0
+    while lo < n_nodes - 1:  # a run of rows lo .. hi - 1: as many as fit, at least one
+        hi = max(lo + 1, int(np.searchsorted(first, first[lo] + PAIRS_PER_DRAW, "right")) - 1)
+        u = rng.random(first[hi] - first[lo])
+        flat = np.flatnonzero(u < p_max)  # candidates, a superset of the edges
+        i = np.searchsorted(first, flat + first[lo], "right") - 1
+        j = flat + first[lo] - first[i] + i + 1
+        keep = u[flat] < np.where(blocks[i] == blocks[j], p_in, p_out)
+        edges.append(np.column_stack((i[keep], j[keep])))
+        lo = hi
 
     centers = rng.normal(0.0, 1.0, (n_blocks, n_features))
     features = centers[blocks] + 0.8 * rng.normal(0.0, 1.0, (n_nodes, n_features))
@@ -91,7 +107,7 @@ def make_sbm_graph(
     test_mask[perm[n_train:]] = True
     return Graph(
         n_nodes=n_nodes,
-        adjacency=adjacency,
+        edges=np.concatenate(edges),
         features=features,
         labels=labels,
         train_mask=train_mask,

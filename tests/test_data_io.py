@@ -1,8 +1,12 @@
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from admmnet import data_io
 from admmnet.cli import main as cli_main
 from admmnet.data_io import (
     load_graph,
@@ -110,6 +114,7 @@ class TestLoadGraph:
             masks=[(0, "train"), (2, "test")],
         )
         g = load_graph(str(tmp_path))
+        assert np.array_equal(g.edges, [[0, 1], [1, 2]])
         assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         assert np.array_equal(g.adjacency, g.adjacency.T)
         assert np.all(np.diag(g.adjacency) == 0)
@@ -132,6 +137,15 @@ class TestLoadGraph:
         with pytest.raises(DataError, match="twice"):
             load_graph(str(tmp_path))
 
+    def test_duplicate_label(self, tmp_path):
+        """A node listed twice in labels.csv would get a two-hot label row."""
+        write_graph_bundle(
+            tmp_path, edges=[(0, 1)], features=[[1.0], [2.0]],
+            labels=[(0, 0), (0, 1)], masks=[(0, "train")],
+        )
+        with pytest.raises(DataError, match="labels.csv line 2: node 0 labeled twice"):
+            load_graph(str(tmp_path))
+
     def test_self_loop_rejected(self, tmp_path):
         write_graph_bundle(
             tmp_path, edges=[(1, 1)], features=[[1.0], [2.0]],
@@ -144,6 +158,7 @@ class TestLoadGraph:
         ("labels.csv", "0,0\n3\n", FormatError),  # row without a comma
         ("labels.csv", "0,0\n1,x\n", FormatError),  # class not an integer
         ("labels.csv", "0,0\n1,-1\n", DataError),  # negative class
+        ("labels.csv", "0,0\n1,4\n", DataError),  # more classes than nodes
         ("labels.csv", "", DataError),  # no labeled node
         ("masks.csv", "0,train\n1\n", FormatError),
         ("masks.csv", "0,test\n1,test\n", DataError),  # no training node
@@ -193,7 +208,7 @@ def partly_labeled_graph():
     labels, train, test = g.labels.copy(), g.train_mask.copy(), g.test_mask.copy()
     labels[[1, 7, 30, 59]] = 0.0
     train[[2, 9]] = test[[3, 40, 59]] = False
-    return Graph(g.n_nodes, g.adjacency, g.features, labels, train, test)
+    return Graph(g.n_nodes, g.edges, g.features, labels, train, test)
 
 
 @pytest.mark.parametrize("make", [lambda: make_sbm_graph(80, rng=Rng(2)), partly_labeled_graph],
@@ -207,6 +222,102 @@ def test_save_graph_matches_node_by_node_writer(make, tmp_path):
     back = load_graph(str(tmp_path / "fast"))
     assert np.array_equal(back.adjacency, g.adjacency)
     assert np.array_equal(back.train_mask, g.train_mask) and np.array_equal(back.test_mask, g.test_mask)
+
+
+def edges_by_line(path, n):
+    """The line-by-line edges.tsv reader that ``load_graph`` must match: the
+    edges it keeps, in the form of ``Graph.edges``, or its typed error."""
+    adjacency = np.zeros((n, n))
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise FormatError(f"{path} line {lineno}: expected 'u<TAB>v'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(f"{path} line {lineno}: node ids must be integers") from None
+            for node in (u, v):
+                if not 0 <= node < n:
+                    raise DataError(f"{path} line {lineno}: node id {node} out of range (N={n})")
+            if u == v:
+                raise DataError(f"{path} line {lineno}: self-loop on node {u}")
+            adjacency[u, v] = adjacency[v, u] = 1.0
+    return np.argwhere(np.triu(adjacency))
+
+
+def outcome(read):
+    """The edges ``read`` returns, or the class and line number of its error."""
+    try:
+        return read()
+    except (FormatError, DataError) as exc:
+        return type(exc), re.search(r"line (\d+)", str(exc)).group(1)
+
+
+ORACLE_NODES = 4
+
+
+def edge_outcomes(directory, raw):
+    """(load_graph's outcome, the line-by-line reader's) for an edges.tsv of
+    bytes ``raw`` in a bundle of ORACLE_NODES nodes."""
+    write_graph_bundle(directory, edges=[], features=[[1.0]] * ORACLE_NODES, labels=[(0, 0)],
+                       masks=[(0, "train")])
+    (directory / "edges.tsv").write_bytes(raw)
+    return (outcome(lambda: load_graph(str(directory)).edges),
+            outcome(lambda: edges_by_line(directory / "edges.tsv", ORACLE_NODES)))
+
+
+def same_outcome(got, want):
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, np.ndarray) and got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("raw, plain", [
+    (b"0 1\n", False),  # a space, not a tab
+    (b"0\t1\t2\n", False),  # two tabs
+    (b"0\t1\r\n1\t2\r\n", True),  # CRLF
+    (b"\n0\t1\n\n\n2\t3\n\n", True),  # blank lines
+    (b"0 \t 1\n", False),
+    (b"1\t0\n0\t1\n0\t1\n2\t1\n", True),  # reversed and repeated
+    (b"-1\t2\n", False),
+    (b"1.0\t2\n", False),
+    (b"", True),
+    (b"0\t1", True),  # no final newline
+    (b"003\t01\n", True),
+    (b"0\t1\r2\t3\r", False),  # CR line ends
+    (b"\t0\t1\t\n", False),  # tab-padded
+    (b"  \n0\t1\n", False),  # a line of spaces
+    (b"+1\t2\n", False),
+    ("\u0663\t1\n".encode(), False),  # an Arabic-Indic 3, which int() reads
+    (b"0\t\n", False),
+    (b"1\t\n2\n", False),  # the second id on the next line
+    (b"\t\n", False),
+    (b"0\t1\n\t2\n", False),
+    (b"0\t1\n3\t3\n", False),  # self-loop
+    (b"0\t1\n2\t4\n", False),  # out of range
+    (b"99999999999999999999\t1\n", False),
+    (b"0\t7\n1\tx\n", False),  # the data error comes first
+    (b"1\tx\n0\t7\n", False),  # the format error comes first
+])
+def test_load_graph_edges_match_line_by_line_reader(tmp_path, raw, plain):
+    """The same edges, or the same error class and line number.  ``plain``
+    files are read by the vectorized pass alone; the others by the line by
+    line re-scan that follows when that pass declines."""
+    got, want = edge_outcomes(tmp_path, raw)
+    assert same_outcome(got, want), (got, want)
+    assert (data_io._plain_edges(raw, ORACLE_NODES) is not None) == plain
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([b"0", b"1", b"3", b"4", b"\t", b"\n", b"\r", b" ", b"-", b"+",
+                                 b"."]), max_size=24).map(b"".join))
+def test_load_graph_edges_match_line_by_line_reader_fuzzed(tmp_path_factory, raw):
+    got, want = edge_outcomes(tmp_path_factory.mktemp("bundle"), raw)
+    assert same_outcome(got, want), (raw, got, want)
 
 
 class TestSubsample:

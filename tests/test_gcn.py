@@ -6,6 +6,7 @@ import pytest
 
 import admmnet.gcn as gcn
 from admmnet.activations import RELU
+from admmnet.data_io import load_graph, save_graph
 from admmnet.errors import ShapeError
 from admmnet.gcn import (
     GcnConfig,
@@ -42,7 +43,7 @@ def small_graph(seed=0, n=6, n_feat=3, n_classes=2):
     test_mask[n // 2:] = True
     return Graph(
         n_nodes=n,
-        adjacency=adj,
+        edges=np.argwhere(np.triu(adj)),
         features=rng.normal(0, 1, (n, n_feat)),
         labels=labels,
         train_mask=train_mask,
@@ -92,9 +93,13 @@ def as_dense(op):
     return out
 
 
+def no_edges():
+    return np.zeros((0, 2), dtype=int)
+
+
 def one_node_graph():
     return Graph(
-        n_nodes=1, adjacency=np.zeros((1, 1)), features=np.array([[2.0]]),
+        n_nodes=1, edges=no_edges(), features=np.array([[2.0]]),
         labels=np.array([[1.0]]), train_mask=np.array([True]),
         test_mask=np.array([False]),
     )
@@ -102,11 +107,9 @@ def one_node_graph():
 
 def isolated_node_graph():
     """A 5-node graph whose node 2 has no edge."""
-    adj = np.zeros((5, 5))
-    for u, v in ((0, 1), (0, 3), (1, 3), (3, 4)):
-        adj[u, v] = adj[v, u] = 1.0
     return Graph(
-        n_nodes=5, adjacency=adj, features=Rng(4).normal(0, 1, (5, 3)),
+        n_nodes=5, edges=np.array([[0, 1], [0, 3], [1, 3], [3, 4]]),
+        features=Rng(4).normal(0, 1, (5, 3)),
         labels=np.eye(5)[:, :2], train_mask=np.array([True, True, False, False, False]),
         test_mask=np.array([False, False, True, True, False]),
     )
@@ -115,7 +118,7 @@ def isolated_node_graph():
 class TestNormalizeAdjacency:
     def test_empty_graph_identity(self):
         g = Graph(
-            n_nodes=3, adjacency=np.zeros((3, 3)), features=np.eye(3),
+            n_nodes=3, edges=no_edges(), features=np.eye(3),
             labels=np.eye(3), train_mask=np.array([True, False, False]),
             test_mask=np.array([False, True, False]),
         )
@@ -123,7 +126,7 @@ class TestNormalizeAdjacency:
 
     def test_single_edge(self):
         g = Graph(
-            n_nodes=2, adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            n_nodes=2, edges=np.array([[0, 1]]),
             features=np.eye(2), labels=np.eye(2),
             train_mask=np.array([True, False]), test_mask=np.array([False, True]),
         )
@@ -137,8 +140,9 @@ class TestNormalizeAdjacency:
 
     def test_equals_dense_identity_formula(self):
         for g in (small_graph(1), make_sbm_graph(50, rng=Rng(3))):
+            edges = g.edges.copy()
             assert np.array_equal(as_dense(normalize_adjacency(g)), dense_normalization(g))
-            assert np.all(np.diag(g.adjacency) == 0)  # the graph is left as it was
+            assert np.array_equal(g.edges, edges)  # the graph is left as it was
 
     @pytest.mark.parametrize("make", [lambda: make_sbm_graph(300, rng=Rng(3)),
                                       isolated_node_graph, one_node_graph],
@@ -165,22 +169,43 @@ class TestNormalizeAdjacency:
 
 
 class TestGraphValidation:
-    def test_asymmetric_rejected(self):
-        adj = np.zeros((2, 2))
-        adj[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            Graph(2, adj, np.eye(2), np.eye(2),
-                  np.array([True, False]), np.array([False, True]))
+    @pytest.mark.parametrize("edges", [
+        [[1, 0]], [[1, 1]], [[0, 3]], [[-1, 2]], [[1, 2], [0, 1]], [[0, 1], [0, 1]], [[0.0, 1.0]],
+    ], ids=["reversed", "self-loop", "too-large", "negative", "unordered", "repeated", "float"])
+    def test_bad_edges_rejected(self, edges):
+        """Each edge is stored once, as (u, v) with u < v, so a symmetric
+        graph has exactly one edge array; a reversed pair is rejected, not
+        read as the other direction."""
+        with pytest.raises(ValueError, match="edge"):
+            Graph(3, np.array(edges), np.eye(3), np.eye(3),
+                  np.array([True, False, False]), np.array([False, True, False]))
+
+    def test_bad_shape(self):
+        for edges in (np.array([0, 1]), np.zeros((1, 3), dtype=int)):
+            with pytest.raises(ShapeError, match="edges"):
+                Graph(3, edges, np.eye(3), np.eye(3),
+                      np.array([True, False, False]), np.array([False, True, False]))
+
+    def test_adjacency_is_built_from_edges(self):
+        g = isolated_node_graph()
+        a = g.adjacency
+        assert a.dtype == float and np.array_equal(a, a.T) and np.all(np.diag(a) == 0)
+        assert np.array_equal(np.argwhere(np.triu(a)), g.edges)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]),  # two-hot
+        np.array([[0.5, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+    ], ids=["two-hot", "fraction", "two"])
+    def test_labels_one_hot_or_zero(self, labels):
+        with pytest.raises(ValueError, match="one-hot"):
+            Graph(3, no_edges(), np.eye(3), labels,
+                  np.array([True, False, False]), np.array([False, True, False]))
 
     def test_mask_overlap_rejected(self):
         with pytest.raises(ValueError):
-            Graph(2, np.zeros((2, 2)), np.eye(2), np.eye(2),
+            Graph(2, no_edges(), np.eye(2), np.eye(2),
                   np.array([True, True]), np.array([True, False]))
-
-    def test_bad_shape(self):
-        with pytest.raises(ShapeError):
-            Graph(3, np.zeros((2, 2)), np.eye(3), np.eye(3),
-                  np.array([True, False, False]), np.array([False, True, False]))
 
     @pytest.mark.parametrize("field,value,error", [
         ("features", np.ones((5, 3)), ShapeError),
@@ -196,7 +221,7 @@ class TestGraphValidation:
         """Every node array has one row per node and the masks are boolean
         vectors: an integer 0/1 mask would index rows by value."""
         g = small_graph()
-        kwargs = {f: getattr(g, f) for f in ("n_nodes", "adjacency", "features", "labels",
+        kwargs = {f: getattr(g, f) for f in ("n_nodes", "edges", "features", "labels",
                                              "train_mask", "test_mask")}
         with pytest.raises(error, match=field):
             Graph(**{**kwargs, field: value})
@@ -506,3 +531,31 @@ def test_training_allocates_no_dense_square():
     finally:
         tracemalloc.stop()
     assert peak < 8 * graph.n_nodes ** 2
+
+
+def test_graph_path_is_o_nnz_at_20k_nodes(tmp_path):
+    """From ``Graph`` validation through the bundle files, ``A_norm`` and one
+    epoch, a 20,000-node graph of mean degree about 10 stays far below one
+    N x N float array (3.2 GB): the graph is built as an edge list, and
+    no step reads or forms a dense adjacency."""
+    n, rng = 20_000, Rng(3)
+    u, v = rng.integers(0, n, 110_000), rng.integers(0, n, 110_000)
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    edges = np.column_stack(np.divmod(keys, n))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    blocks = np.arange(n) % 2
+    split = rng.random(n)
+    tracemalloc.start()
+    try:
+        graph = Graph(n, edges, rng.normal(0, 1, (n, 4)) + blocks[:, None], np.eye(2)[blocks],
+                      split < 0.3, split >= 0.3)
+        save_graph(str(tmp_path), graph)
+        graph = load_graph(str(tmp_path))
+        a_norm = normalize_adjacency(graph)
+        gcn_train(graph, GcnConfig(hidden_dims=(16,), rho=1.0, mu=1.0, epochs=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(graph.edges, edges)
+    assert a_norm.cols.size == n + 2 * len(edges)
+    assert peak < 100e6

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from admmnet import synth
 from admmnet.gcn import Graph
 from admmnet.linalg import Rng
 from admmnet.synth import make_sbm_graph
@@ -26,7 +27,7 @@ def sbm_graph_by_pairs(n_nodes, n_blocks, p_in=0.1, p_out=0.01, n_features=2,
     test_mask = np.zeros(n_nodes, dtype=bool)
     train_mask[perm[:n_train]] = True
     test_mask[perm[n_train:]] = True
-    return Graph(n_nodes, adjacency, features, labels, train_mask, test_mask)
+    return Graph(n_nodes, np.argwhere(np.triu(adjacency)), features, labels, train_mask, test_mask)
 
 
 @pytest.mark.parametrize("n_nodes, n_blocks, seed", [
@@ -35,6 +36,17 @@ def sbm_graph_by_pairs(n_nodes, n_blocks, p_in=0.1, p_out=0.01, n_features=2,
 def test_sbm_graph_matches_pairwise_draws(n_nodes, n_blocks, seed):
     got = make_sbm_graph(n_nodes, n_blocks=n_blocks, rng=Rng(seed))
     want = sbm_graph_by_pairs(n_nodes, n_blocks, rng=Rng(seed))
-    for name in ("adjacency", "features", "labels", "train_mask", "test_mask"):
+    for name in ("edges", "adjacency", "features", "labels", "train_mask", "test_mask"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("pairs_per_draw", [1, 7, 50, 119])
+def test_sbm_graph_draw_runs_keep_the_stream(monkeypatch, pairs_per_draw):
+    """Draws of a few rows each, and rows longer than a draw, give the same
+    graph as one uniform per pair."""
+    monkeypatch.setattr(synth, "PAIRS_PER_DRAW", pairs_per_draw)
+    got = make_sbm_graph(120, n_blocks=3, rng=Rng(4))
+    want = sbm_graph_by_pairs(120, 3, rng=Rng(4))
+    for name in ("edges", "features", "labels", "train_mask", "test_mask"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
