@@ -2,7 +2,7 @@
 block minimization of an augmented Lagrangian, with backprop-based
 reference optimizers for comparison."""
 
-from .activations import RELU, Activation, leaky_relu
+from .activations import RELU, Activation
 from .errors import (
     BacktrackError,
     DataError,
@@ -37,7 +37,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "gcn_train",
-    "leaky_relu",
     "run_baseline",
     "train",
 ]

@@ -1,4 +1,4 @@
-"""Piecewise-linear activations with the fixed subgradient choice at zero."""
+"""The ReLU activation with the fixed subgradient choice at zero."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,30 +8,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Activation:
-    kind: str  # "relu" or "leaky_relu"
-    slope: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("relu", "leaky_relu"):
-            raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.kind == "leaky_relu" and not 0.0 < self.slope < 1.0:
-            raise ValueError("leaky slope must lie in (0, 1)")
+    """ReLU, the activation whose z-update ``solvers.solve_z_relu`` solves
+    in closed form."""
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "relu":
-            return np.maximum(z, 0.0)
-        return np.where(z > 0.0, z, self.slope * z)
+        return np.maximum(z, 0.0)
 
-    # Subgradient at 0 is taken as 0 (resp. slope) so that gradients of the
-    # activation penalty are deterministic at the kink.
+    # The subgradient at 0 is taken as 0 so that gradients of the activation
+    # penalty are deterministic at the kink.
     def deriv(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "relu":
-            return (z > 0.0).astype(np.float64)
-        return np.where(z > 0.0, 1.0, self.slope)
+        return (z > 0.0).astype(np.float64)
 
 
-RELU = Activation("relu")
-
-
-def leaky_relu(slope: float) -> Activation:
-    return Activation("leaky_relu", slope)
+RELU = Activation()

@@ -35,6 +35,8 @@ class BaselineConfig:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -7,11 +7,14 @@ self-check.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from .baselines import BaselineConfig, run_baseline
+from .data_io import (_read_text, load_graph, load_idx_dataset, save_graph, subsample,
+                      write_idx_images, write_idx_labels)
 from .errors import DataError, DivergenceError, FormatError, TrainingAborted
 from .gcn import GcnConfig, gcn_train
 from .linalg import Rng
@@ -61,25 +64,23 @@ def _csv_row(trace, timing: bool) -> str:
     ])
 
 
-def _write_csv(path: str, traces: list, timing: bool) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for t in traces:
-            fh.write(_csv_row(t, timing) + "\n")
+def _write_csv(fh, traces: list, timing: bool) -> None:
+    fh.write(CSV_HEADER + "\n")
+    for t in traces:
+        fh.write(_csv_row(t, timing) + "\n")
 
 
 def _load_config_defaults(path: str) -> dict:
-    """One key=value per line; '#' starts a comment."""
+    """One key=value per line of UTF-8 text; '#' starts a comment."""
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
+    for line in _read_text(path).split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}: expected key=value, got {line!r}")
+        k, v = line.split("=", 1)
+        out[k.strip().replace("-", "_")] = v.strip()
     return out
 
 
@@ -105,16 +106,12 @@ def _cmd_train(args) -> int:
         return _usage_error("--epochs must be >= 1")
 
     if args.model == "mlp":
-        from .data_io import load_idx_dataset, subsample
-
         try:
             train_data, test_data = load_idx_dataset(args.data)
         except (FormatError, DataError, OSError) as exc:
             return _usage_error(str(exc))
         dims = _parse_layers(args.layers)
         try:
-            if args.subsample:
-                train_data = subsample(train_data, args.subsample, Rng(args.seed))
             arch = MlpArchitecture(
                 layer_dims=dims,
                 regularizer=Regularizer("l2", args.lam) if args.lam else NO_REG,
@@ -126,17 +123,19 @@ def _cmd_train(args) -> int:
                 )
             if args.optimizer == "admm":
                 cfg = TrainConfig(rho=args.rho, nu=args.nu, epochs=args.epochs, seed=args.seed)
-                run = lambda: train(arch, train_data, cfg, eval_data=test_data).traces
             else:
-                bcfg = BaselineConfig(optimizer=args.optimizer, learning_rate=args.lr,
-                                      epochs=args.epochs, seed=args.seed)
-                run = lambda: run_baseline(bcfg, arch, train_data, eval_data=test_data)[1]
+                cfg = BaselineConfig(optimizer=args.optimizer, learning_rate=args.lr,
+                                     epochs=args.epochs, seed=args.seed)
+            if args.subsample:  # after the config has checked the seed
+                train_data = subsample(train_data, args.subsample, Rng(args.seed))
         except ValueError as exc:
             return _usage_error(str(exc))
+        if args.optimizer == "admm":
+            run = lambda: train(arch, train_data, cfg, eval_data=test_data).traces
+        else:
+            run = lambda: run_baseline(cfg, arch, train_data, eval_data=test_data)[1]
 
     else:  # gcn
-        from .data_io import load_graph
-
         try:
             graph = load_graph(args.data)
         except (FormatError, DataError, OSError) as exc:
@@ -149,33 +148,41 @@ def _cmd_train(args) -> int:
             return _usage_error(str(exc))
         run = lambda: gcn_train(graph, cfg)[1]
 
-    try:
-        traces = run()
-    except TrainingAborted as exc:
-        # the iterations completed before the abort are still written
-        _write_csv(args.out, exc.traces, args.timing)
-        what = "divergence" if isinstance(exc, DivergenceError) else "step search failed"
-        sys.stderr.write(f"{what}: {exc}\n")
-        return 2
-    _write_csv(args.out, traces, args.timing)
-    return 0
+    try:  # opened before the first epoch, so a path that cannot be written costs no run
+        out = open(args.out, "w")
+    except OSError as exc:
+        return _usage_error(f"cannot write --out: {exc}")
+    with out:
+        try:
+            traces, code = run(), 0
+        except TrainingAborted as exc:
+            # the iterations completed before the abort are still written
+            what = "divergence" if isinstance(exc, DivergenceError) else "step search failed"
+            sys.stderr.write(f"{what}: {exc}\n")
+            traces, code = exc.traces, 2
+        _write_csv(out, traces, args.timing)
+    return code
 
 
 def _cmd_make_data(args) -> int:
-    from . import data_io
-
-    if args.kind == "images":
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        train, test = make_image_classes(args.n, rng=Rng(args.seed))
-        data_io.write_idx_images(os.path.join(args.out, "train-images-idx3-ubyte"), train.x)
-        data_io.write_idx_labels(os.path.join(args.out, "train-labels-idx1-ubyte"), train.y)
-        data_io.write_idx_images(os.path.join(args.out, "t10k-images-idx3-ubyte"), test.x)
-        data_io.write_idx_labels(os.path.join(args.out, "t10k-labels-idx1-ubyte"), test.y)
-    else:
-        graph = make_sbm_graph(args.n, rng=Rng(args.seed))
-        data_io.save_graph(args.out, graph)
+    if args.n < 1:
+        return _usage_error("--n must be >= 1")
+    if args.seed < 0:
+        return _usage_error("--seed must be >= 0")
+    try:
+        if args.kind == "images":
+            os.makedirs(args.out, exist_ok=True)
+            train, test = make_image_classes(args.n, rng=Rng(args.seed))
+            write_idx_images(os.path.join(args.out, "train-images-idx3-ubyte"), train.x)
+            write_idx_labels(os.path.join(args.out, "train-labels-idx1-ubyte"), train.y)
+            write_idx_images(os.path.join(args.out, "t10k-images-idx3-ubyte"), test.x)
+            write_idx_labels(os.path.join(args.out, "t10k-labels-idx1-ubyte"), test.y)
+        else:
+            save_graph(args.out, make_sbm_graph(args.n, rng=Rng(args.seed)))
+    except ValueError as exc:  # a graph too small to hold a training node
+        return _usage_error(f"--n {args.n}: {exc}")
+    except OSError as exc:  # an --out that is a file, or cannot be written
+        return _usage_error(str(exc))
     return 0
 
 
@@ -254,7 +261,7 @@ def selfcheck(quick: bool = False) -> int:
                           lambda: phi(state, data, arch.activation))
         check(f"gradient {block} vs finite differences", worst < 1e-5)
     graph = make_sbm_graph(6, p_in=0.6, p_out=0.3, rng=Rng(13))
-    gstate = gcn.gcn_forward_init(graph, (2, 3, 2), arch.activation, Rng(2), rho=1.0, mu=1.0)
+    gstate = gcn.gcn_forward_init(graph, (2, 3, 2), arch.activation, Rng(2), rho=1.0, mu=1.0)[0]
     gstate.Z = [z + 0.3 * rng.normal(0.0, 1.0, z.shape) for z in gstate.Z]
     gstate.U = rng.normal(0.0, 1.0, gstate.U.shape)
     # with the propagations the trainer keeps too, as one iteration moved them

@@ -161,11 +161,12 @@ class GcnConfig:
     mu: float
     epochs: int
     seed: int = 0
-    activation: Activation = RELU
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         require_finite(rho=self.rho, mu=self.mu)
         if self.rho <= 0 or self.mu <= 0:
             raise ValueError("rho and mu must be positive")
@@ -348,10 +349,10 @@ def grad_psi_block(
 # Block updates
 # ---------------------------------------------------------------------------
 
-def _update_W_gcn(work, props, graph, activation, layer, seed):
-    grad = grad_psi_block(work, graph, "W", layer, activation, props)
+def _update_W_gcn(work, props, graph, layer, seed):
+    grad = grad_psi_block(work, graph, "W", layer, RELU, props)
     neg_dir = _through(work, props.ax, layer, -grad)  # W - G/t moves m[layer] by neg_dir/t
-    res, shift = backtrack_shifted(lambda x, moved: _term(work, layer, moved(), activation),
+    res, shift = backtrack_shifted(lambda x, moved: _term(work, layer, moved(), RELU),
                                    props.m[layer], lambda x, t: neg_dir / t, grad, work.W[layer],
                                    seed)
     work.W[layer] = res.candidate
@@ -359,13 +360,13 @@ def _update_W_gcn(work, props, graph, activation, layer, seed):
     return res
 
 
-def _update_Z_hidden(work, props, graph, activation, layer, seed):
-    grad = grad_psi_block(work, graph, "Z", layer, activation, props)
-    fm = activation.value(props.m[layer])
+def _update_Z_hidden(work, props, graph, layer, seed):
+    grad = grad_psi_block(work, graph, "Z", layer, RELU, props)
+    fm = RELU.value(props.m[layer])
     nxt = layer + 1
     neg_dir = _adj(work.A_norm, grad @ -work.W[nxt])  # Z - G/t moves m[nxt] by neg_dir/t
     res, shift = backtrack_shifted(
-        lambda x, moved: _term(work, nxt, moved(), activation, 0.5 * work.mu * l2sq(x - fm)),
+        lambda x, moved: _term(work, nxt, moved(), RELU, 0.5 * work.mu * l2sq(x - fm)),
         props.m[nxt], lambda x, t: neg_dir / t, grad, work.Z[layer], seed)
     work.Z[layer] = res.candidate
     props.m[nxt] = props.m[nxt] + shift
@@ -389,7 +390,6 @@ def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeed
     props, when given, holds the propagations of ``state`` and is moved in
     place to those of the returned state; when omitted they are computed
     fresh."""
-    act = cfg.activation
     last = state.n_layers - 1
     if props is None:
         props = propagations(state, graph)
@@ -399,9 +399,9 @@ def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeed
 
     def update(kind, layer, seed):
         if kind == "W":
-            return _update_W_gcn(work, props, graph, act, layer, seed)
+            return _update_W_gcn(work, props, graph, layer, seed)
         if layer < last:
-            return _update_Z_hidden(work, props, graph, act, layer, seed)
+            return _update_Z_hidden(work, props, graph, layer, seed)
         return _update_Z_last(work, props, graph, risk)
 
     bsteps, bmoved, bworst, bfista = walk_blocks(blocks, update, seeds, backward=True)
@@ -420,10 +420,10 @@ def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeed
     return work, {**bsteps, **fsteps}, max(bworst, fworst), eps, moves, bfista and ffista
 
 
-def _forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
-                  rho: float, mu: float):
-    """``gcn_forward_init`` plus the propagations of the state it returns
-    (the ones its exact propagation forms)."""
+def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
+                     rho: float, mu: float) -> tuple:
+    """Glorot-uniform weights, Z by exact propagation, zero dual.  Returns
+    the state and its propagations, the ones that exact propagation forms."""
     n_layers = len(dims) - 1
     W = [glorot(rng, (dims[l], dims[l + 1])) for l in range(n_layers)]
     state = GcnState(W=W, Z=[], U=None, A_norm=normalize_adjacency(graph), rho=rho, mu=mu)
@@ -436,12 +436,6 @@ def _forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
     return state, Propagations(ax, m)
 
 
-def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
-                     rho: float, mu: float) -> GcnState:
-    """Glorot-uniform weights, Z by exact propagation, zero dual."""
-    return _forward_init(graph, dims, activation, rng, rho, mu)[0]
-
-
 def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray,
                  props: Propagations = None) -> float:
     logits = propagated(state, graph, state.n_layers - 1, props)
@@ -452,7 +446,7 @@ def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray,
 
 def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
-    state, props = _forward_init(graph, dims, cfg.activation, Rng(cfg.seed), cfg.rho, cfg.mu)
+    state, props = gcn_forward_init(graph, dims, RELU, Rng(cfg.seed), cfg.rho, cfg.mu)
 
     risk = masked_ce(graph.labels, graph.train_mask)  # one log-softmax per epoch
 
@@ -460,7 +454,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
         nonlocal state
         state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds, props)
         value = risk.value(state.Z[-1])
-        return lagrangian(state, graph, value, cfg.activation, props), moves, dict(
+        return lagrangian(state, graph, value, RELU, props), moves, dict(
             risk=value,
             residual_fro=float(np.sqrt(l2sq(eps))),
             stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.Z[-1]),
@@ -472,7 +466,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
             fista_converged=fista_ok,
         )
 
-    lagr0 = lagrangian(state, graph, risk.value(state.Z[-1]), cfg.activation, props)
+    lagr0 = lagrangian(state, graph, risk.value(state.Z[-1]), RELU, props)
     traces = run_certified(cfg.epochs, lagr0, iterate, GcnTrace, (risk.curvature, cfg.rho, cfg.mu),
                            trace_sink)
     return state, traces

@@ -21,24 +21,9 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-class Rng:
-    """Seeded generator with a platform-stable draw sequence (PCG64)."""
+class Rng(np.random.Generator):
+    """A ``numpy.random.Generator`` on PCG64 from ``seed``, whose draw
+    sequence is platform-stable."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc: float, scale: float, size) -> np.ndarray:
-        return self._gen.normal(loc, scale, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def random(self, size=None):
-        return self._gen.random(size)
+        super().__init__(np.random.PCG64(int(seed)))

@@ -21,7 +21,7 @@ terms) + output-layer terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -71,7 +71,7 @@ NO_REG = Regularizer()
 @dataclass(frozen=True)
 class MlpArchitecture:
     layer_dims: tuple  # (n_0, ..., n_L)
-    activation: Activation = RELU
+    activation: ClassVar[Activation] = RELU  # the one activation, not a field
     regularizer: Regularizer = NO_REG
     risk: str = "cross_entropy"  # or "squared"
 

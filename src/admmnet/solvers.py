@@ -120,24 +120,6 @@ def solve_z_relu(linear_in: Matrix, a_target: Matrix, w_lin: float, w_act: float
     return np.where(m + kappa * t < 0.0, np.minimum(m, 0.0), z_pos)
 
 
-def solve_z_leaky_relu(
-    linear_in: Matrix,
-    a_target: Matrix,
-    slope: float,
-    w_lin: float,
-    w_act: float,
-) -> Matrix:
-    """Elementwise minimizer for f(z) = max(z, slope*z), slope in (0, 1)."""
-    if not 0.0 < slope < 1.0:
-        raise ValueError("slope must lie in (0, 1)")
-    m, t = linear_in, a_target
-    z_neg = np.minimum((w_lin * m + w_act * slope * t) / (w_lin + w_act * slope**2), 0.0)
-    obj_neg = w_lin * (z_neg - m) ** 2 + w_act * (t - slope * z_neg) ** 2
-    z_pos = np.maximum((w_lin * m + w_act * t) / (w_lin + w_act), 0.0)
-    obj_pos = w_lin * (z_pos - m) ** 2 + w_act * (t - z_pos) ** 2
-    return np.where(obj_neg < obj_pos, z_neg, z_pos)
-
-
 def prox_regularizer(v: Matrix, reg: Regularizer, lambda_over_step: float) -> Matrix:
     """``reg.prox`` at step lam / lambda_over_step, as the acceptance suite calls it."""
     return reg.prox(v, reg.lam / lambda_over_step)

@@ -84,7 +84,6 @@ from .solvers import (
     StepSeeds,
     backtrack_quadratic,
     solve_z_last,
-    solve_z_leaky_relu,
     solve_z_relu,
     update_b,
 )
@@ -100,6 +99,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         require_finite(rho=self.rho, nu=self.nu)
         if self.rho <= 0 or self.nu <= 0:
             raise ValueError("rho and nu must be positive")
@@ -275,14 +276,9 @@ def _update_b_block(work: MlpState, P: list, data: Dataset, layer: int):
     )
 
 
-def _update_z_hidden(work: MlpState, P: list, arch: MlpArchitecture, layer: int):
-    m_in = P[layer] + work.b[layer]
+def _update_z_hidden(work: MlpState, P: list, layer: int):
     half_nu = 0.5 * work.nu
-    act = arch.activation
-    if act.kind == "relu":
-        work.z[layer] = solve_z_relu(m_in, work.a[layer], half_nu, half_nu)
-    else:
-        work.z[layer] = solve_z_leaky_relu(m_in, work.a[layer], act.slope, half_nu, half_nu)
+    work.z[layer] = solve_z_relu(P[layer] + work.b[layer], work.a[layer], half_nu, half_nu)
 
 
 def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture):
@@ -314,7 +310,7 @@ def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, seeds: StepSee
         elif layer == last:
             return _update_z_last(work, P, data, arch)
         else:
-            _update_z_hidden(work, P, arch, layer)
+            _update_z_hidden(work, P, layer)
         return None
 
     steps, moved, worst, fista_ok = walk_blocks(blocks, update, seeds, backward)

@@ -142,6 +142,8 @@ class TestRunBaseline:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BaselineConfig(optimizer="sgd", learning_rate=0.1, epochs=1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            BaselineConfig(optimizer="adam", learning_rate=0.1, epochs=1, seed=-1)
 
 
 def test_inactive_regularizer_is_off_for_every_consumer():

@@ -467,3 +467,80 @@ def test_malformed_idx_data_error(images, labels, message, tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert re.search(message, capsys.readouterr().err)
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_config_not_utf8_format_error(image_dir, tmp_path, capsys):
+    cfgf = tmp_path / "bad.cfg"
+    cfgf.write_bytes(b"epochs=2\nrho=\xff1\n")
+    out = tmp_path / "x.csv"
+    code = main(["train", "mlp", "--config", str(cfgf), "--data", str(image_dir),
+                 "--layers", "16,8,10", "--out", str(out)])
+    assert code == 1
+    assert one_error_line(capsys) == f"error: {cfgf}: byte 13 is not UTF-8 text"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, flags", [
+    ("mlp", []),
+    ("mlp", ["--optimizer", "adam"]),
+    ("mlp", ["--subsample", "10"]),  # the subsample draw would raise first
+    ("gcn", []),
+], ids=["admm", "adam", "subsample", "gcn"])
+def test_negative_seed_usage_error(model, flags, image_dir, graph_dir, tmp_path, capsys):
+    data = image_dir if model == "mlp" else graph_dir
+    layers = ["--layers", "16,8,10"] if model == "mlp" else []
+    out = tmp_path / "x.csv"
+    code = main(["train", model, "--data", str(data), *layers, "--epochs", "1", "--seed", "-1",
+                 "--out", str(out), *flags])
+    assert code == 1
+    assert one_error_line(capsys) == "error: seed must be >= 0, got -1"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["mlp", "gcn"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_fails_before_training(model, where, image_dir, graph_dir, tmp_path,
+                                              capsys, monkeypatch):
+    """An --out that cannot be opened for writing is a usage error before
+    any epoch runs, not an OSError after the whole run."""
+    def never(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(cli, "train", never)
+    monkeypatch.setattr(cli, "gcn_train", never)
+    out = tmp_path / "nope" / "x.csv" if where == "missing-dir" else tmp_path
+    data = image_dir if model == "mlp" else graph_dir
+    layers = ["--layers", "16,8,10"] if model == "mlp" else []
+    code = main(["train", model, "--data", str(data), *layers, "--epochs", "1",
+                 "--out", str(out)])
+    assert code == 1
+    assert one_error_line(capsys).startswith("error: cannot write --out: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["graph", "--n", "0"], "--n must be >= 1"),
+    (["graph", "--n", "1"], "--n 1: need at least one training node"),
+    (["images", "--n", "-5"], "--n must be >= 1"),
+    (["images", "--n", "20", "--seed", "-3"], "--seed must be >= 0"),
+    (["graph", "--n", "20", "--seed", "-3"], "--seed must be >= 0"),
+], ids=["graph-n0", "graph-n1", "images-negative-n", "images-seed", "graph-seed"])
+def test_make_data_bad_argument_usage_error(argv, message, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["make-data", *argv, "--out", str(out)]) == 1
+    assert one_error_line(capsys) == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["images", "graph"])
+def test_make_data_out_is_a_file_usage_error(kind, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main(["make-data", kind, "--n", "20", "--out", str(out)]) == 1
+    assert "File exists" in one_error_line(capsys)
+    assert out.read_text() == "keep me\n"

@@ -53,7 +53,7 @@ def small_graph(seed=0, n=6, n_feat=3, n_classes=2):
 
 def random_gcn_state(graph, dims, seed, rho=1.0, mu=1.0, perturb=0.3):
     rng = Rng(seed)
-    state = gcn_forward_init(graph, dims, RELU, rng, rho, mu)
+    state = gcn_forward_init(graph, dims, RELU, rng, rho, mu)[0]
     for i, z in enumerate(state.Z):
         state.Z[i] = z + perturb * rng.normal(0, 1, z.shape)
     state.U = rng.normal(0, 1, state.U.shape)
@@ -229,7 +229,7 @@ class TestGraphValidation:
 
 def test_psi_zero_at_consistent_state():
     g = small_graph(2)
-    state = gcn_forward_init(g, (3, 4, 2), RELU, Rng(0), rho=1.0, mu=1.0)
+    state = gcn_forward_init(g, (3, 4, 2), RELU, Rng(0), rho=1.0, mu=1.0)[0]
     state.U = np.zeros_like(state.U)
     assert psi(state, g) == pytest.approx(0.0, abs=1e-12)
 
@@ -384,6 +384,13 @@ def test_gcn_epochs_validated():
         GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=0)
 
 
+def test_gcn_config_takes_no_activation_and_no_negative_seed():
+    with pytest.raises(TypeError):
+        GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, activation=RELU)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=-1)
+
+
 def _without_cache(fn):
     """fn with its propagations argument ``props`` forced to None."""
     sig = inspect.signature(fn)
@@ -410,7 +417,7 @@ def test_cached_products_match_fresh(hidden, monkeypatch):
     graph = make_sbm_graph(120, rng=Rng(8))
     cfg = GcnConfig(hidden_dims=hidden, rho=1.0, mu=1.0, epochs=40, seed=0)
     cached = []
-    real_init = gcn._forward_init
+    real_init = gcn.gcn_forward_init
 
     def spy(*args):
         state, props = real_init(*args)
@@ -422,7 +429,7 @@ def test_cached_products_match_fresh(hidden, monkeypatch):
         return state, props
 
     with monkeypatch.context() as m:
-        m.setattr(gcn, "_forward_init", spy)
+        m.setattr(gcn, "gcn_forward_init", spy)
         state, traces = gcn_train(graph, cfg)
     props, fresh = cached[0], propagations(state, graph)  # moved in place by every iteration
     assert np.array_equal(props.ax, fresh.ax)
@@ -475,7 +482,7 @@ def test_dense_products_per_iteration(monkeypatch):
     graph = make_sbm_graph(60, rng=Rng(1))
     cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=2, seed=0)
 
-    state, props = gcn._forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
+    state, props = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
     assert widths == [2, 2]
     widths.clear()
     new = gcn_iteration(state, graph, cfg, StepSeeds(), props)[0]

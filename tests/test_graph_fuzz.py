@@ -19,6 +19,7 @@ from admmnet.cli import main
 from admmnet.data_io import load_graph, save_graph
 from admmnet.errors import DataError, FormatError
 from admmnet.gcn import Graph
+from fuzzing import corrupted
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 FILES = ("edges.tsv", "features.csv", "labels.csv", "masks.csv")
@@ -49,25 +50,6 @@ def graph(draw):
 
 
 @st.composite
-def corrupted(draw, raw):
-    """``raw`` after one drawn corruption."""
-    kind = draw(st.sampled_from(["replace", "insert", "delete", "repeat", "cut"]))
-    at = draw(st.integers(0, len(raw)))
-    if kind == "replace" and raw:
-        at = min(at, len(raw) - 1)
-        return raw[:at] + bytes([draw(BYTES)]) + raw[at + 1:]
-    if kind == "insert":
-        return raw[:at] + bytes(draw(st.lists(BYTES, min_size=1, max_size=4))) + raw[at:]
-    if kind == "delete":
-        return raw[:at] + raw[at + draw(st.integers(1, 4)):]
-    if kind == "repeat":
-        lines = raw.splitlines(keepends=True) or [b""]
-        k = draw(st.integers(0, len(lines) - 1))
-        return b"".join(lines[:k + 1] + lines[k:])
-    return raw[:at]
-
-
-@st.composite
 def bundle(draw):
     """The four files of a saved graph, one of them, or none, corrupted."""
     with tempfile.TemporaryDirectory() as d:
@@ -78,7 +60,7 @@ def bundle(draw):
                 files[name] = fh.read()
     name = draw(st.sampled_from([None, *FILES]))
     if name is not None:
-        files[name] = draw(corrupted(files[name]))
+        files[name] = draw(corrupted(files[name], BYTES))
     return files
 
 

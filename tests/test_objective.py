@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from admmnet.activations import RELU
+from admmnet.activations import RELU, Activation
 from admmnet.linalg import Rng, l2sq
 from admmnet.objective import (
     Dataset,
@@ -238,6 +240,18 @@ def test_forward_init_contract():
     assert s1.W[0].shape == (3, 2) and s1.W[1].shape == (2, 3)
     assert all(np.all(b == 0) for b in s1.b)
     assert np.all(s1.u == 0)
+
+
+def test_relu_is_the_one_activation():
+    """ReLU has no option to set: ``Activation`` has no fields and the
+    architecture reads it as a constant, not a constructor argument."""
+    assert dataclasses.fields(Activation) == ()
+    assert MlpArchitecture(layer_dims=(2, 3, 2)).activation is RELU
+    with pytest.raises(TypeError):
+        MlpArchitecture(layer_dims=(2, 3, 2), activation=RELU)
+    z = np.array([[-1.0, 0.0, 2.0]])
+    assert np.array_equal(RELU.value(z), [[0.0, 0.0, 2.0]])
+    assert np.array_equal(RELU.deriv(z), [[0.0, 0.0, 1.0]])  # 0 at the kink
 
 
 def test_cross_entropy_secant_lipschitz():

@@ -19,7 +19,6 @@ from admmnet.solvers import (
     backtrack_quadratic,
     fista_minimize,
     solve_z_last,
-    solve_z_leaky_relu,
     solve_z_relu,
     update_b,
 )
@@ -196,41 +195,6 @@ class TestSolveZRelu:
             ours = _relu_obj(z[0, i], m[0, i], t[0, i], w_lin, w_act)
             best = np.min(_relu_obj(grid, m[0, i], t[0, i], w_lin, w_act))
             assert ours <= best + 1e-4
-
-
-class TestSolveZLeakyRelu:
-    def test_consistent_positive(self):
-        z = solve_z_leaky_relu(np.array([[1.5]]), np.array([[1.5]]), 0.1, 1.0, 1.0)
-        assert z[0, 0] == pytest.approx(1.5)
-
-    def test_slope_to_zero_recovers_relu(self):
-        rng = Rng(3)
-        m = rng.normal(0, 2, (1, 200))
-        t = rng.normal(0, 2, (1, 200))
-        z_leaky = solve_z_leaky_relu(m, t, 1e-9, 1.0, 1.0)
-        z_relu = solve_z_relu(m, t, 1.0, 1.0)
-        assert np.max(np.abs(z_leaky - z_relu)) < 1e-6
-
-    def test_beats_grid(self):
-        rng = Rng(4)
-        grid = np.linspace(-5.0, 5.0, 10001)
-        slope = 0.5
-
-        def obj(z, m, t):
-            f = np.maximum(z, slope * z)
-            return (z - m) ** 2 + (t - f) ** 2
-
-        m = rng.normal(0, 2, (1, 300))
-        t = rng.normal(0, 2, (1, 300))
-        z = solve_z_leaky_relu(m, t, slope, 1.0, 1.0)
-        for i in range(300):
-            assert obj(z[0, i], m[0, i], t[0, i]) <= np.min(obj(grid, m[0, i], t[0, i])) + 1e-4
-
-    def test_negative_branch_hand_case(self):
-        # m=-2, t=-1, slope 0.5: unconstrained negative-branch minimizer
-        # (m + slope*t)/(1 + slope^2) = -2.5/1.25 = -2
-        z = solve_z_leaky_relu(np.array([[-2.0]]), np.array([[-1.0]]), 0.5, 1.0, 1.0)
-        assert z[0, 0] == pytest.approx(-2.0)
 
 
 class TestProxRegularizer:
@@ -466,8 +430,7 @@ def gcn_output_problem():
     propagations its sweep moved there."""
     graph = make_sbm_graph(60, rng=Rng(1))
     cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=0)
-    state = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
-    props = gcn.propagations(state, graph)
+    state, props = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
     state = gcn.gcn_iteration(state, graph, cfg, StepSeeds(), props)[0]
     return graph, state, props
 

@@ -383,3 +383,8 @@ def test_boundedness_plateau():
 def test_epochs_validated():
     with pytest.raises(ValueError):
         TrainConfig(rho=1.0, nu=1.0, epochs=0)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(rho=1.0, nu=1.0, epochs=1, seed=-1)
