@@ -20,7 +20,7 @@ from .gcn import GcnConfig, gcn_train
 from .linalg import Rng
 from .objective import MlpArchitecture, Regularizer, NO_REG
 from .synth import make_image_classes, make_sbm_graph, make_separable
-from .training import TrainConfig, train
+from .training import BlockRecord, TrainConfig, train
 
 CSV_HEADER = "iter,objective,lagrangian,residual_l2,train_acc,test_acc,descent_ok,ck,wall_time_s"
 
@@ -266,8 +266,7 @@ def selfcheck(quick: bool = False) -> int:
     gstate.U = rng.normal(0.0, 1.0, gstate.U.shape)
     # with the propagations the trainer keeps too, as one iteration moved them
     props = gcn.propagations(gstate, graph)
-    moved = gcn.gcn_iteration(gstate, graph, gcn.GcnConfig((3,), rho=1.0, mu=1.0, epochs=1),
-                              solvers.StepSeeds(), props)[0]
+    moved = gcn.gcn_iteration(gstate, graph, BlockRecord(solvers.StepSeeds()), props)[0]
     act = arch.activation
     for block in ("W", "Z"):
         for tag, at, cache in (("", gstate, None), (" (cached propagations)", moved, props)):

@@ -4,10 +4,10 @@ IDX is the de-facto MNIST encoding: a big-endian magic word, big-endian
 32-bit dimension sizes, then raw unsigned bytes.  The graph bundle is four
 UTF-8 text files in one directory: edges.tsv (u<TAB>v per line, one tab),
 features.csv (one row per node), labels.csv (node,class, each node at most
-once) and masks.csv (node,split).  An edge line and its reverse or repeat
-are one edge.  ``load_graph`` reads edges.tsv in one vectorized pass when
-every line is two plain decimal ids joined by a tab, as ``save_graph``
-writes them, and line by line otherwise, which names the first bad line.
+once) and masks.csv (node,split); a node in a mask needs a label.  An edge
+line and its reverse or repeat are one edge.  ``load_graph`` reads edges.tsv
+with ``np.loadtxt``, and again line by line, which names the first bad line,
+when that read fails or finds no edge, an id out of range or a self-loop.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import io
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -166,34 +167,6 @@ def _csv_pairs(path: str, header: str):
         raise FormatError(f"{path} line {rows.line_num}: {exc}") from None
 
 
-def _plain_edges(data: bytes, n: int):
-    """The (u, v) id arrays of an edges.tsv in one vectorized pass, when each
-    line is empty or two distinct decimal ids below n, of at most 18 digits,
-    joined by one tab; None for any other file."""
-    b = np.frombuffer(data.replace(b"\r\n", b"\n") + b"\n", dtype=np.uint8)
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    tab = b == ord("\t")
-    if not np.all(digit | tab | (b == ord("\n"))):
-        return None
-    bounds = np.flatnonzero(np.diff(digit, prepend=False))  # each id's first byte and the byte after it
-    start, after = bounds[0::2], bounds[1::2]
-    follow = b[after]
-    if not (start.size % 2 == 0 and np.count_nonzero(tab) == start.size // 2
-            and np.all(follow[0::2] == ord("\t")) and np.all(follow[1::2] == ord("\n"))
-            and np.array_equal(start[1::2], after[0::2] + 1)):
-        return None
-    width = after - start
-    if np.any(width > 18):  # int64 holds any 18 digits
-        return None
-    ids = np.zeros(start.size, dtype=np.int64)
-    for k in range(int(width.max(initial=0))):  # the digit of 10^k, where the id has one
-        ids += (b[after - 1 - k] - ord("0")).astype(np.int64) * (width > k) * 10**k
-    u, v = ids[0::2], ids[1::2]
-    if np.any(u >= n) or np.any(v >= n) or np.any(u == v):
-        return None
-    return u, v
-
-
 def _edges_by_line(path: str, n: int):
     """The (u, v) id arrays of an edges.tsv read line by line: each line
     stripped of white space is empty or 'u<TAB>v' of integer ids, else a
@@ -221,11 +194,18 @@ def _edges_by_line(path: str, n: int):
 
 def _load_edges(path: str, n: int) -> np.ndarray:
     """The edges of edges.tsv as ``Graph.edges``: a line and its reverse or
-    repeat are one edge.  Read in one vectorized pass, and again line by
-    line, for its error, when that pass finds a line it does not take."""
-    with open(path, "rb") as fh:
-        pairs = _plain_edges(fh.read(), n)
-    u, v = pairs if pairs is not None else _edges_by_line(path, n)
+    repeat are one edge.  Read by ``np.loadtxt``, and again line by line, for
+    its error, unless that gives E >= 1 rows of two distinct ids in [0, n)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file
+            pairs = np.loadtxt(path, delimiter="\t", dtype=np.int64, ndmin=2, comments=None,
+                               encoding="utf-8")
+    except (ValueError, UnicodeDecodeError):
+        pairs = np.empty((0, 0))
+    ok = (pairs.shape[0] >= 1 and pairs.shape[1] == 2 and pairs.min() >= 0 and pairs.max() < n
+          and np.all(pairs[:, 0] != pairs[:, 1]))
+    u, v = pairs.T if ok else _edges_by_line(path, n)
     keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
     return np.column_stack(np.divmod(keys, n))
@@ -283,6 +263,9 @@ def load_graph(directory: str) -> Graph:
             test_mask[node] = True
         else:
             raise FormatError(f"{mask_path} line {lineno}: unknown split {split!r}")
+        if node not in labels_of:
+            raise DataError(f"{mask_path} line {lineno}: node {node} is in a mask but "
+                            f"{label_path} gives it no label")
     if not train_mask.any():
         raise DataError(f"{mask_path}: no node in 'train'")
 

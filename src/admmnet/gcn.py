@@ -8,9 +8,9 @@ over training nodes, the ``objective.Risk`` that ``masked_ce`` returns.
 that risk's curvature, the output solve's constant.
 
 Iteration.  ``gcn_iteration`` walks the forward block list, W and Z of each
-layer, with ``training.walk_blocks`` (which holds the step seeds) backward
-and then forward on a copy of the state's block lists, then updates the
-dual.  Both output solves of an iteration run ``solvers.solve_z_last``, as
+layer, with ``training.walk_blocks`` (which keeps each block's record)
+backward and then forward on a copy of the state's block lists, then updates
+the dual.  Both output solves of an iteration run ``solvers.solve_z_last``, as
 in the MLP, under its one ``masked_ce``.  psi's term of one layer and its
 slope in the layer's propagation are written once, in ``_term`` and
 ``_term_slope``.
@@ -78,8 +78,8 @@ from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq, require_finite
 from .objective import Risk, _ce_grad, _ce_value, _log_softmax, _memo_last, glorot, risk_curvature
 # backtrack_quadratic and fista_minimize are unused here: perfbench/tracer.py wraps them on this module
-from .solvers import StepSeeds, backtrack_quadratic, fista_minimize, solve_z_last
-from .training import CertifiedTrace, backtrack_shifted, run_certified, walk_blocks
+from .solvers import backtrack_quadratic, fista_minimize, solve_z_last
+from .training import BlockRecord, CertifiedTrace, backtrack_shifted, run_certified, walk_blocks
 
 
 @dataclass
@@ -87,7 +87,7 @@ class Graph:
     n_nodes: int
     edges: np.ndarray  # (E, 2) int: (u, v) with u < v, rows ascending, no repeats
     features: Matrix  # N x C0
-    labels: Matrix  # N x K one-hot (zero rows allowed for unlabeled nodes)
+    labels: Matrix  # N x K one-hot (zero rows for unlabeled nodes, which no mask holds)
     train_mask: np.ndarray  # boolean (N,)
     test_mask: np.ndarray  # boolean (N,)
 
@@ -115,6 +115,9 @@ class Graph:
             raise ValueError("each labels row must be one-hot or zero")
         if np.any(self.train_mask & self.test_mask):
             raise ValueError("train and test masks must be disjoint")
+        unlabeled = np.flatnonzero((self.train_mask | self.test_mask) & ~np.any(y, axis=1))
+        if unlabeled.size:
+            raise ValueError(f"node {unlabeled[0]} is in a mask but has no label")
         if not np.any(self.train_mask):
             raise ValueError("need at least one training node")
 
@@ -381,11 +384,10 @@ def _update_Z_last(work, props, graph, risk):
     return res
 
 
-def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeeds,
+def gcn_iteration(state: GcnState, graph: Graph, record: BlockRecord,
                   props: Propagations = None):
-    """One backward + forward + dual iteration.  Returns the new state plus
-    (step stats, max certificate violation, residual, squared block moves,
-    both output solves converged).
+    """One backward + forward + dual iteration, its blocks added to
+    ``record``.  Returns the new state and the dual residual.
 
     props, when given, holds the propagations of ``state`` and is moved in
     place to those of the returned state; when omitted they are computed
@@ -404,20 +406,12 @@ def gcn_iteration(state: GcnState, graph: Graph, cfg: GcnConfig, seeds: StepSeed
             return _update_Z_hidden(work, props, graph, layer, seed)
         return _update_Z_last(work, props, graph, risk)
 
-    bsteps, bmoved, bworst, bfista = walk_blocks(blocks, update, seeds, backward=True)
-    z_last_bar = work.Z[last]
-    fsteps, fmoved, fworst, ffista = walk_blocks(blocks, update, seeds, backward=False)
+    walk_blocks(blocks, update, record, backward=True)
+    walk_blocks(blocks, update, record, backward=False)
 
     eps = work.Z[last] - propagated(work, graph, last, props)
     work.U = work.U + work.rho * eps
-
-    moves = 0.0
-    for l in range(last + 1):
-        moves += bmoved["W", l] + fmoved["W", l]
-    for l in range(last):
-        moves += bmoved["Z", l] + fmoved["Z", l]
-    moves += l2sq(z_last_bar - state.Z[last]) + l2sq(work.Z[last] - z_last_bar)
-    return work, {**bsteps, **fsteps}, max(bworst, fworst), eps, moves, bfista and ffista
+    return work, eps
 
 
 def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
@@ -450,20 +444,17 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
 
     risk = masked_ce(graph.labels, graph.train_mask)  # one log-softmax per epoch
 
-    def iterate(seeds: StepSeeds):
+    def iterate(record: BlockRecord):
         nonlocal state
-        state, steps, worst, eps, moves, fista_ok = gcn_iteration(state, graph, cfg, seeds, props)
+        state, eps = gcn_iteration(state, graph, record, props)
         value = risk.value(state.Z[-1])
-        return lagrangian(state, graph, value, RELU, props), moves, dict(
+        return lagrangian(state, graph, value, RELU, props), dict(
             risk=value,
             residual_fro=float(np.sqrt(l2sq(eps))),
             stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.Z[-1]),
                                                                     state.U),
             train_acc=gcn_accuracy(state, graph, graph.train_mask, props),
             test_acc=gcn_accuracy(state, graph, graph.test_mask, props),
-            step_stats=steps,
-            max_cert_violation=worst,
-            fista_converged=fista_ok,
         )
 
     lagr0 = lagrangian(state, graph, risk.value(state.Z[-1]), RELU, props)

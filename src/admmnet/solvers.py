@@ -134,6 +134,7 @@ class FistaResult:
     z: Matrix
     iterations: int
     converged: bool
+    move_sq: float = float("nan")  # ||z - anchor||^2, set by solve_z_last
 
 
 def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max_iter: int) -> FistaResult:
@@ -188,11 +189,10 @@ def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max
 def solve_z_last(w_aff: Matrix, u: Matrix, rho: float, risk: Risk, anchor: Matrix) -> FistaResult:
     """Minimize R(z) + <u, z - w_aff> + (rho/2)||z - w_aff||^2, R = ``risk``:
     by its ``minimizer`` when it has one, else by ``fista_minimize`` from
-    ``anchor`` with step 1/(H + rho), H = ``risk.curvature``."""
+    ``anchor`` with step 1/(H + rho), H = ``risk.curvature``.  Either way the
+    result's ``move_sq`` is ||z - anchor||^2."""
     if anchor.shape != w_aff.shape:
         raise ShapeError(f"solve_z_last: shapes differ, {anchor.shape} vs {w_aff.shape}")
-    if risk.minimizer is not None:
-        return FistaResult(z=risk.minimizer(w_aff, u, rho), iterations=0, converged=True)
 
     def grad_fn(z):
         return risk.grad(z) + u + rho * (z - w_aff)
@@ -201,5 +201,10 @@ def solve_z_last(w_aff: Matrix, u: Matrix, rho: float, risk: Risk, anchor: Matri
         d = z - w_aff
         return risk.value(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
 
-    step = 1.0 / (risk.curvature + rho)
-    return fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
+    if risk.minimizer is not None:
+        res = FistaResult(z=risk.minimizer(w_aff, u, rho), iterations=0, converged=True)
+    else:
+        step = 1.0 / (risk.curvature + rho)
+        res = fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)
+    res.move_sq = l2sq(res.z - anchor)
+    return res

@@ -10,20 +10,20 @@ Lagrangian.  On any abort the traces of the completed iterations are
 attached to the ``TrainingAborted`` it raises.  A model supplies its
 initial Lagrangian, the descent constants' H (the curvature of its own
 ``objective.Risk``, the constant the output solve steps by), rho and
-penalty, its trace type, and one iteration returning the new Lagrangian,
-the squared block moves and its own trace fields: ``train`` below
-(backward sweep, forward sweep, dual update), ``gcn.gcn_train``
-(``gcn.gcn_iteration``).  The stationarity residual reads the gradient of
-the same ``Risk``.
+penalty, its trace type, and one iteration that walks its blocks into a
+``BlockRecord`` and returns the new Lagrangian and its own trace fields:
+``train`` below (backward sweep, forward sweep, dual update),
+``gcn.gcn_train`` (``gcn.gcn_iteration``).  The record gives the step
+stats, moves, worst violation and FISTA flag.  The stationarity residual
+reads the gradient of the same ``Risk``.
 Iteration 1's ``descent_ok`` is reported as measured; from the zero initial
 dual it can miss while ``hypothesis_met``, rho > 2H, holds.
 
 The walk.  Each model states its forward block list once, as (kind, layer)
 pairs.  ``walk_blocks`` runs it in reverse for the backward half, with step
 keys tagged "_bar", and in order for the forward half.  The walk alone reads
-and moves the step seeds, and it records the accepted steps, the moves of
-the backtracked blocks, the worst certificate violation and the output
-solve's convergence from what each block update returns.
+and moves the step seeds, and it adds each block's accepted step, squared
+move, violation and output-solve convergence to the iteration's record.
 
 MLP iteration.  The two halves over W, b, z, a of each hidden layer and W,
 b, z of the output layer, then the residual and dual update.  Each half works
@@ -49,9 +49,10 @@ b and z updates leave P alone.  The b and W gradients, the z-update inputs,
 the output solve, the dual residual, the Lagrangian and objective_F all read
 P.  The Lagrangian after iteration k is the one entering iteration k+1.
 
-Block moves.  The squared W and a moves entering the descent bound and c_k
-are the ||candidate - anchor||^2 of the accepted backtracking steps
-(``BacktrackResult.move_sq``), summed by ``_move_sq_sum``.
+Block moves.  The walk sums the squared moves of the descent bound and c_k
+in block order: the ``move_sq`` of a W or an a step's ``BacktrackResult`` and
+of the output z's ``FistaResult``, and the float the b update returns.  The
+hidden z update returns None, outside the bound.
 
 Formulas.  This module holds the walk, the shared backtracking, the sweeps,
 the P moves and the driver, and no formula of the objective: every
@@ -71,7 +72,7 @@ forms a_l - f(z_l) anyway.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +82,7 @@ from .linalg import Matrix, Rng, l2sq, require_finite
 from .objective import Dataset, MlpArchitecture, MlpState, _a_prev
 from .solvers import (
     BacktrackResult,
+    FistaResult,
     StepSeeds,
     backtrack_quadratic,
     solve_z_last,
@@ -134,6 +136,19 @@ class IterationTrace(CertifiedTrace):
 
 
 @dataclass
+class BlockRecord:
+    """What ``walk_blocks`` adds up over one iteration, with the run's step
+    seeds: accepted steps by step key, the squared block moves, the worst
+    certificate violation and whether every output solve converged."""
+
+    seeds: StepSeeds
+    steps: dict = field(default_factory=dict)
+    moves: float = 0.0
+    worst: float = 0.0
+    fista_ok: bool = True
+
+
+@dataclass
 class TrainResult:
     state: MlpState
     traces: list
@@ -143,10 +158,11 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
                   trace_sink=None) -> list:
     """Runs ``epochs`` iterations of one model and returns their traces.
 
-    ``iterate(seeds)`` advances the model by one iteration and returns
-    (Lagrangian after it, squared block moves, trace fields), where the
-    fields are those of ``trace_type``, a ``CertifiedTrace`` subclass, that
-    this driver does not fill.  ``lagr0`` is the Lagrangian entering
+    ``iterate(record)`` advances the model by one iteration, walking its
+    blocks into ``record``, a fresh ``BlockRecord`` over the run's seeds, and
+    returns (Lagrangian after it, trace fields), where the fields are those
+    of ``trace_type``, a ``CertifiedTrace`` subclass, that neither this
+    driver nor the record fills.  ``lagr0`` is the Lagrangian entering
     iteration 1 and ``descent`` the (H, rho, penalty) of the
     sufficient-descent constants.
     """
@@ -158,11 +174,12 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
         t0 = time.perf_counter()
         lagr_prev = lagr0
         for it in range(1, epochs + 1):
-            lagr_new, moves, fields = iterate(seeds)
+            record = BlockRecord(seeds)
+            lagr_new, fields = iterate(record)
+            moves = record.moves
             ck = moves if it == 1 else min(ck, moves)  # c_k, the running minimum
-            report = diagnostics.check_sufficient_descent(
-                lagr_prev, lagr_new, moves, fields["step_stats"], *descent
-            )
+            report = diagnostics.check_sufficient_descent(lagr_prev, lagr_new, moves, record.steps,
+                                                          *descent)
             trace = trace_type(
                 iter=it,
                 lagrangian=lagr_new,
@@ -172,6 +189,9 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
                 ck=ck,
                 descent_ok=report.satisfied,
                 hypothesis_met=report.hypothesis_met,
+                step_stats=record.steps,
+                max_cert_violation=record.worst,
+                fista_converged=record.fista_ok,
                 wall_time=time.perf_counter() - t0,
                 **fields,
             )
@@ -187,25 +207,24 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
     return traces
 
 
-def walk_blocks(blocks: list, update, seeds: StepSeeds, backward: bool) -> tuple:
+def walk_blocks(blocks: list, update, record: BlockRecord, backward: bool) -> None:
     """One half-iteration over ``blocks``, a model's forward list of (kind,
-    layer).  ``update(kind, layer, seed)`` updates one block from its step
-    key's seed and returns its ``BacktrackResult``, its ``FistaResult`` or
-    None when closed-form.  Returns (step_stats, the backtracked blocks'
-    ``move_sq`` by (kind, layer), worst violation, output solves converged).
-    """
+    layer), added to ``record``.  ``update(kind, layer, seed)`` updates one
+    block from its step key's seed and returns its ``BacktrackResult``, its
+    ``FistaResult``, its squared move when closed-form, or None for a block
+    outside the descent bound."""
     tag = "_bar" if backward else ""
-    steps, moved, worst, fista_ok = {}, {}, 0.0, True
     for kind, layer in (reversed(blocks) if backward else blocks):
         key = (kind + tag, layer)
-        res = update(kind, layer, seeds.get(key))
+        res = update(kind, layer, record.seeds.get(key))
         if isinstance(res, BacktrackResult):
-            seeds.update(key, res.step)
-            steps[key], moved[kind, layer] = res.step, res.move_sq
-            worst = max(worst, res.violation)
-        elif res is not None:
-            fista_ok = fista_ok and res.converged
-    return steps, moved, worst, fista_ok
+            record.seeds.update(key, res.step)
+            record.steps[key] = res.step
+            record.worst = max(record.worst, res.violation)
+        elif isinstance(res, FistaResult):
+            record.fista_ok = record.fista_ok and res.converged
+        if res is not None:
+            record.moves += res if isinstance(res, float) else res.move_sq
 
 
 def backtrack_shifted(terms, base: Matrix, shift_of, grad: Matrix, anchor: Matrix, seed: float,
@@ -269,11 +288,12 @@ def _update_a(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     return res
 
 
-def _update_b_block(work: MlpState, P: list, data: Dataset, layer: int):
+def _update_b_block(work: MlpState, P: list, data: Dataset, layer: int) -> float:
+    anchor = work.b[layer]
     grad = objective.grad_phi_block(work, data, "b", layer, P=P)
-    work.b[layer] = update_b(
-        work.b[layer], grad, layer, work.n_layers, work.nu, work.rho, n_samples=data.n_samples,
-    )
+    work.b[layer] = update_b(anchor, grad, layer, work.n_layers, work.nu, work.rho,
+                             n_samples=data.n_samples)
+    return l2sq(work.b[layer] - anchor)  # the squared move
 
 
 def _update_z_hidden(work: MlpState, P: list, layer: int):
@@ -289,8 +309,8 @@ def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture
     return res
 
 
-def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, seeds: StepSeeds, P: list,
-           backward: bool):
+def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, record: BlockRecord, P: list,
+           backward: bool) -> MlpState:
     """One half-iteration from ``state``, as ``backward_sweep`` returns it."""
     work = state.copy()
     if P is None:
@@ -306,50 +326,31 @@ def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, seeds: StepSee
         if kind == "a":
             return _update_a(work, P, data, arch, layer, seed)
         if kind == "b":
-            _update_b_block(work, P, data, layer)
-        elif layer == last:
+            return _update_b_block(work, P, data, layer)
+        if layer == last:
             return _update_z_last(work, P, data, arch)
-        else:
-            _update_z_hidden(work, P, layer)
+        _update_z_hidden(work, P, layer)
         return None
 
-    steps, moved, worst, fista_ok = walk_blocks(blocks, update, seeds, backward)
-    return work, steps, worst, fista_ok, _move_sq_sum(state, work, moved)
+    walk_blocks(blocks, update, record, backward)
+    return work
 
 
 def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
-                   seeds: StepSeeds, P: list = None):
-    """Returns (barred state, step_stats, max certificate violation, fista
-    ok, squared block moves from ``state``).
-
-    P, when given, holds the products W_l a_{l-1} of ``state`` and is moved
+                   record: BlockRecord, P: list = None) -> MlpState:
+    """Returns the barred state, walking its blocks into ``record``, moves
+    measured from ``state``.  P, when given, holds the products W_l a_{l-1} of ``state`` and is moved
     in place to those of the barred state; without it they are computed
     fresh.
     """
-    return _sweep(state, data, arch, seeds, P, backward=True)
+    return _sweep(state, data, arch, record, P, backward=True)
 
 
 def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
-                  seeds: StepSeeds, P: list = None):
+                  record: BlockRecord, P: list = None) -> MlpState:
     """Continues from the barred state; anchors are the barred blocks.
-
-    Returns as ``backward_sweep``, moves measured from ``barred``, and
-    handles P as it does.
-    """
-    return _sweep(barred, data, arch, seeds, P, backward=False)
-
-
-def _move_sq_sum(old: MlpState, new: MlpState, moved: dict) -> float:
-    """Squared block movements of one half-iteration: all W and b blocks,
-    hidden a blocks, and the output z block only.  ``moved`` maps ("W", l)
-    and ("a", l) to the accepted steps' ``move_sq``, bit for bit
-    ||new - old||^2."""
-    total = 0.0
-    for l in range(old.n_layers):
-        total += moved["W", l] + l2sq(new.b[l] - old.b[l])
-    for l in range(old.n_layers - 1):
-        total += moved["a", l]
-    return total + l2sq(new.z[-1] - old.z[-1])
+    Returns, records and handles P as ``backward_sweep``."""
+    return _sweep(barred, data, arch, record, P, backward=False)
 
 
 def train(
@@ -370,26 +371,22 @@ def train(
             objective.forward_logits(state.W, state.b, d.x, arch.activation), d.y
         )
 
-    def iterate(seeds: StepSeeds):
+    def iterate(record: BlockRecord):
         nonlocal state
-        barred, bsteps, bviol, bfista, moves = backward_sweep(state, data, arch, seeds, P)
+        barred = backward_sweep(state, data, arch, record, P)
         del state  # the forward half needs only the barred blocks
-        state, fsteps, fviol, ffista, fmoves = forward_sweep(barred, data, arch, seeds, P)
-        moves += fmoves
+        state = forward_sweep(barred, data, arch, record, P)
         del barred
         r = objective.linear_residual(state, data, last, P)
         state.u = dual_update(state, r)
         objective_F, lagr = objective.objective_and_lagrangian(state, data, arch, P, r)
-        return lagr, moves, dict(
+        return lagr, dict(
             objective_F=objective_F,
             residual_l2=float(np.sqrt(l2sq(r))),
             stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.z[-1]),
                                                                     state.u),
             train_acc=accuracy(data),
             test_acc=accuracy(eval_data) if eval_data is not None else float("nan"),
-            step_stats={**bsteps, **fsteps},
-            max_cert_violation=max(bviol, fviol),
-            fista_converged=bfista and ffista,
         )
 
     traces = run_certified(cfg.epochs, lagr0, iterate, IterationTrace,

@@ -469,6 +469,20 @@ def test_malformed_idx_data_error(images, labels, message, tmp_path, capsys):
     assert re.search(message, capsys.readouterr().err)
 
 
+def test_unlabeled_node_in_a_mask_data_error(graph_dir, tmp_path, capsys):
+    gdir = tmp_path / "g"
+    shutil.copytree(graph_dir, gdir)
+    lines = (gdir / "labels.csv").read_text().splitlines(keepends=True)
+    node = lines.pop(2).split(",")[0]  # every node of the bundle is in a mask
+    (gdir / "labels.csv").write_text("".join(lines))
+    out = tmp_path / "x.csv"
+    code = main(["train", "gcn", "--data", str(gdir), "--epochs", "1", "--out", str(out)])
+    assert code == 1
+    err = one_error_line(capsys)
+    assert re.search(rf"masks.csv line \d+: node {node} is in a mask but .*no label", err), err
+    assert not out.exists()
+
+
 def one_error_line(capsys):
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error: "), err

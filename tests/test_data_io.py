@@ -146,6 +146,18 @@ class TestLoadGraph:
         with pytest.raises(DataError, match="labels.csv line 2: node 0 labeled twice"):
             load_graph(str(tmp_path))
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_unlabeled_node_in_a_mask(self, tmp_path, split):
+        """A masked node that labels.csv does not list would be scored as
+        class 0."""
+        write_graph_bundle(
+            tmp_path, edges=[(0, 1)], features=[[1.0], [2.0], [3.0]],
+            labels=[(0, 0), (1, 1)], masks=[(0, "train"), (1, "test"), (2, split)],
+        )
+        with pytest.raises(DataError, match=r"masks.csv line 3: node 2 is in a mask but \S*"
+                                            r"labels.csv gives it no label"):
+            load_graph(str(tmp_path))
+
     def test_self_loop_rejected(self, tmp_path):
         write_graph_bundle(
             tmp_path, edges=[(1, 1)], features=[[1.0], [2.0]],
@@ -203,17 +215,25 @@ def save_graph_by_node(directory, graph):
 
 def partly_labeled_graph():
     """An SBM graph in which some nodes have no label and some are in
-    neither mask, with three feature columns."""
+    neither mask, with three feature columns.  The unlabeled nodes are in no
+    mask."""
     g = make_sbm_graph(60, n_blocks=3, n_features=3, rng=Rng(5))
     labels, train, test = g.labels.copy(), g.train_mask.copy(), g.test_mask.copy()
     labels[[1, 7, 30, 59]] = 0.0
-    train[[2, 9]] = test[[3, 40, 59]] = False
+    train[[1, 2, 7, 9, 30]] = test[[1, 3, 7, 30, 40, 59]] = False
     return Graph(g.n_nodes, g.edges, g.features, labels, train, test)
 
 
 @pytest.mark.parametrize("make", [lambda: make_sbm_graph(80, rng=Rng(2)), partly_labeled_graph],
                          ids=["sbm", "partly-labeled"])
-def test_save_graph_matches_node_by_node_writer(make, tmp_path):
+def test_save_graph_matches_node_by_node_writer(make, tmp_path, monkeypatch):
+    """Byte for byte, and read back by ``np.loadtxt`` alone: ``save_graph``'s
+    edges.tsv never takes the line-by-line fallback."""
+
+    def fallback(*args):
+        raise AssertionError("edges.tsv read line by line")
+
+    monkeypatch.setattr(data_io, "_edges_by_line", fallback)
     g = make()
     save_graph(str(tmp_path / "fast"), g)
     save_graph_by_node(tmp_path / "ref", g)
@@ -281,17 +301,17 @@ def same_outcome(got, want):
     (b"0\t1\t2\n", False),  # two tabs
     (b"0\t1\r\n1\t2\r\n", True),  # CRLF
     (b"\n0\t1\n\n\n2\t3\n\n", True),  # blank lines
-    (b"0 \t 1\n", False),
+    (b"0 \t 1\n", True),
     (b"1\t0\n0\t1\n0\t1\n2\t1\n", True),  # reversed and repeated
     (b"-1\t2\n", False),
     (b"1.0\t2\n", False),
-    (b"", True),
+    (b"", False),  # no edge
     (b"0\t1", True),  # no final newline
     (b"003\t01\n", True),
-    (b"0\t1\r2\t3\r", False),  # CR line ends
+    (b"0\t1\r2\t3\r", True),  # CR line ends
     (b"\t0\t1\t\n", False),  # tab-padded
     (b"  \n0\t1\n", False),  # a line of spaces
-    (b"+1\t2\n", False),
+    (b"+1\t2\n", True),
     ("\u0663\t1\n".encode(), False),  # an Arabic-Indic 3, which int() reads
     (b"0\t\n", False),
     (b"1\t\n2\n", False),  # the second id on the next line
@@ -299,23 +319,34 @@ def same_outcome(got, want):
     (b"0\t1\n\t2\n", False),
     (b"0\t1\n3\t3\n", False),  # self-loop
     (b"0\t1\n2\t4\n", False),  # out of range
+    (b"0\t1\n2\t-3\n", False),  # out of range in the second column
     (b"99999999999999999999\t1\n", False),
     (b"0\t7\n1\tx\n", False),  # the data error comes first
     (b"1\tx\n0\t7\n", False),  # the format error comes first
 ])
-def test_load_graph_edges_match_line_by_line_reader(tmp_path, raw, plain):
+def test_load_graph_edges_match_line_by_line_reader(tmp_path, raw, plain, monkeypatch):
     """The same edges, or the same error class and line number.  ``plain``
-    files are read by the vectorized pass alone; the others by the line by
-    line re-scan that follows when that pass declines."""
+    files are read by ``np.loadtxt`` alone; the others again by the line by
+    line reader, which ``load_graph`` calls when that read fails or finds no
+    edge, an id out of range or a self-loop."""
+    fallbacks = []
+    real = data_io._edges_by_line
+    monkeypatch.setattr(data_io, "_edges_by_line",
+                        lambda path, n: fallbacks.append(path) or real(path, n))
     got, want = edge_outcomes(tmp_path, raw)
     assert same_outcome(got, want), (got, want)
-    assert (data_io._plain_edges(raw, ORACLE_NODES) is not None) == plain
+    assert (not fallbacks) == plain
+
+
+EDGE_BYTES = [b"0", b"1", b"3", b"4", b"\t", b"\n", b"\r", b" ", b"-", b"+", b".", b"\x0b", b"\x0c",
+              b"\x1c", b"#", b"_", b"e", b"x"] + [c.encode() for c in "\u00a0\u3000\u0085\u2028\u0663"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.sampled_from([b"0", b"1", b"3", b"4", b"\t", b"\n", b"\r", b" ", b"-", b"+",
-                                 b"."]), max_size=24).map(b"".join))
+@given(st.lists(st.sampled_from(EDGE_BYTES), max_size=24).map(b"".join))
 def test_load_graph_edges_match_line_by_line_reader_fuzzed(tmp_path_factory, raw):
+    """Including white space, digits and signs that Python's ``strip`` and
+    ``int`` read differently from numpy."""
     got, want = edge_outcomes(tmp_path_factory.mktemp("bundle"), raw)
     assert same_outcome(got, want), (raw, got, want)
 

@@ -26,6 +26,7 @@ from admmnet.gcn import (
 from admmnet.linalg import Rng, l2sq
 from admmnet.solvers import FISTA_TOL, StepSeeds
 from admmnet.synth import make_sbm_graph
+from admmnet.training import BlockRecord
 
 
 def small_graph(seed=0, n=6, n_feat=3, n_classes=2):
@@ -110,7 +111,7 @@ def isolated_node_graph():
     return Graph(
         n_nodes=5, edges=np.array([[0, 1], [0, 3], [1, 3], [3, 4]]),
         features=Rng(4).normal(0, 1, (5, 3)),
-        labels=np.eye(5)[:, :2], train_mask=np.array([True, True, False, False, False]),
+        labels=np.eye(2)[[0, 1, 0, 1, 0]], train_mask=np.array([True, True, False, False, False]),
         test_mask=np.array([False, False, True, True, False]),
     )
 
@@ -201,6 +202,17 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="one-hot"):
             Graph(3, no_edges(), np.eye(3), labels,
                   np.array([True, False, False]), np.array([False, True, False]))
+
+    @pytest.mark.parametrize("mask", ["train_mask", "test_mask"])
+    def test_masked_node_needs_a_label(self, mask):
+        """An unlabeled node in a mask would be scored as class 0 by the
+        accuracy and counted in the risk's mean."""
+        g = small_graph()
+        labels = g.labels.copy()
+        node = np.flatnonzero(getattr(g, mask))[0]
+        labels[node] = 0.0
+        with pytest.raises(ValueError, match=f"node {node} is in a mask but has no label"):
+            Graph(g.n_nodes, g.edges, g.features, labels, g.train_mask, g.test_mask)
 
     def test_mask_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -315,6 +327,40 @@ def test_sbm_output_solves_and_stationarity(sbm_run):
     _, _, (state, traces) = sbm_run
     assert all(t.fista_converged for t in traces)
     assert max(t.stationarity_residual for t in traces) <= 10 * FISTA_TOL
+
+
+def test_traced_moves_match_fresh(monkeypatch):
+    """The walk sums every block's move from what its update returns; the
+    traced sum must equal the moves measured from the arrays, added in call
+    order, bit for bit."""
+    moves = []
+
+    def measuring(name, block_of):
+        real = getattr(gcn, name)
+
+        def update(work, props, graph, *args):
+            blocks, layer = block_of(work, *args)
+            old = blocks[layer]
+            res = real(work, props, graph, *args)
+            moves.append(l2sq(blocks[layer] - old))
+            return res
+
+        monkeypatch.setattr(gcn, name, update)
+
+    measuring("_update_W_gcn", lambda work, layer, seed: (work.W, layer))
+    measuring("_update_Z_hidden", lambda work, layer, seed: (work.Z, layer))
+    measuring("_update_Z_last", lambda work, risk: (work.Z, work.n_layers - 1))
+
+    def check(trace):
+        total = 0.0
+        for move in moves:
+            total += move
+        assert trace.block_move_sq_sum == total > 0.0
+        moves.clear()
+
+    cfg = GcnConfig(hidden_dims=(8, 16), rho=2e-2, mu=2e-2, epochs=30, seed=0)
+    _, traces = gcn_train(make_sbm_graph(200, rng=Rng(8)), cfg, trace_sink=check)
+    assert len(traces) == cfg.epochs
 
 
 def test_descent_certificate_from_iteration_2():
@@ -456,11 +502,10 @@ def test_iteration_leaves_its_input_unchanged():
     """``GcnState.copy`` shares arrays, so every block update must rebind a
     list entry and never write into the arrays of the state it was given."""
     graph = make_sbm_graph(60, rng=Rng(1))
-    cfg = GcnConfig(hidden_dims=(8, 4), rho=1.0, mu=1.0, epochs=1, seed=0)
     state = random_gcn_state(graph, (2, 8, 4, 2), seed=5)
     blocks = lambda s: [a.tobytes() for a in (*s.W, *s.Z, s.U)]
     before = blocks(state)
-    new = gcn_iteration(state, graph, cfg, StepSeeds())[0]
+    new = gcn_iteration(state, graph, BlockRecord(StepSeeds()))[0]
     assert blocks(state) == before
     assert all(a != b for a, b in zip(blocks(new), before))
 
@@ -485,7 +530,7 @@ def test_dense_products_per_iteration(monkeypatch):
     state, props = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
     assert widths == [2, 2]
     widths.clear()
-    new = gcn_iteration(state, graph, cfg, StepSeeds(), props)[0]
+    new = gcn_iteration(state, graph, BlockRecord(StepSeeds()), props)[0]
     assert widths == [2] * 8
     widths.clear()
     gcn.lagrangian(new, graph, gcn.masked_ce(graph.labels, graph.train_mask).value(new.Z[-1]),

@@ -30,7 +30,8 @@ BYTES = st.one_of(st.sampled_from(list(b"0123456789\t\n\r ,-+.e\"#x") + [0, 0xFF
 @st.composite
 def graph(draw):
     """A graph of 1-7 nodes with drawn edges, 1-2 feature columns, some
-    nodes unlabeled and some in neither mask, at least one training node."""
+    nodes unlabeled and some in neither mask, at least one training node.
+    An unlabeled node is in no mask, and node 0, which trains, has a label."""
     n = draw(st.integers(1, 7))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -39,11 +40,13 @@ def graph(draw):
     features = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * width,
                                       max_size=n * width))).reshape(n, width)
     classes = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    classes[0] = max(classes[0], 0)
     labels = np.zeros((n, 3))
     for node, cls in enumerate(classes):
         if cls >= 0:
             labels[node, cls] = 1.0
     split = draw(st.lists(st.sampled_from(["train", "test", None]), min_size=n, max_size=n))
+    split = [s if cls >= 0 else None for s, cls in zip(split, classes)]
     split[0] = "train"
     return Graph(n, edges, features, labels, np.array([s == "train" for s in split]),
                  np.array([s == "test" for s in split]))

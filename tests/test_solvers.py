@@ -23,6 +23,7 @@ from admmnet.solvers import (
     update_b,
 )
 from admmnet.synth import make_sbm_graph
+from admmnet.training import BlockRecord
 
 
 def softmax(z):
@@ -431,7 +432,7 @@ def gcn_output_problem():
     graph = make_sbm_graph(60, rng=Rng(1))
     cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=0)
     state, props = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
-    state = gcn.gcn_iteration(state, graph, cfg, StepSeeds(), props)[0]
+    state = gcn.gcn_iteration(state, graph, BlockRecord(StepSeeds()), props)[0]
     return graph, state, props
 
 

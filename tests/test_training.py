@@ -19,6 +19,7 @@ from admmnet.gcn import GcnConfig, gcn_train
 from admmnet.solvers import BacktrackResult, FistaResult, StepSeeds
 from admmnet.synth import make_image_classes, make_sbm_graph, make_separable
 from admmnet.training import (
+    BlockRecord,
     TrainConfig,
     backward_sweep,
     dual_update,
@@ -30,18 +31,17 @@ from admmnet.training import (
 
 def block_move_sq_sum(prev, barred, new):
     """Squared block moves of one iteration measured from the arrays, summed
-    in the trainer's order: per half, W and b of each layer, then the hidden
-    a, then the output z."""
-
-    def half(old, new):
-        total = 0.0
-        for l in range(old.n_layers):
-            total += l2sq(new.W[l] - old.W[l]) + l2sq(new.b[l] - old.b[l])
-        for l in range(old.n_layers - 1):
-            total += l2sq(new.a[l] - old.a[l])
-        return total + l2sq(new.z[-1] - old.z[-1])
-
-    return half(prev, barred) + half(barred, new)
+    in the walk's order: the backward half's blocks in reverse, then the
+    forward half's in order, over W, b and the hidden a of each layer and
+    the output z."""
+    last = prev.n_layers - 1
+    blocks = [(kind, l) for l in range(last) for kind in "Wba"]
+    blocks += [("W", last), ("b", last), ("z", last)]
+    total = 0.0
+    for old, moved, order in ((prev, barred, reversed(blocks)), (barred, new, blocks)):
+        for kind, l in order:
+            total += l2sq(getattr(moved, kind)[l] - getattr(old, kind)[l])
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +54,9 @@ def separable_run():
 
 def test_walk_blocks_bookkeeping():
     """The walk passes each block its key's seed, moves the seed after an
-    accepted step, and collects steps, moves, the worst violation and the
-    output solves' convergence; closed-form blocks leave no record."""
+    accepted step, and adds to the record the steps, the moves of the
+    backtracked, output and closed-form blocks, the worst violation and the
+    output solves' convergence; a block returning None adds nothing."""
     seeds = StepSeeds()
     seeds.update(("W_bar", 1), 8.0)
     calls = []
@@ -65,22 +66,30 @@ def test_walk_blocks_bookkeeping():
         if kind == "W":
             return BacktrackResult(step=2.0 * seed, candidate=None, trials=2,
                                    violation=(layer - 1) * 1e-12, move_sq=layer + 0.5)
-        if kind == "z":
-            return FistaResult(z=None, iterations=3, converged=layer == 1)
-        return None
+        if kind == "b":
+            return 0.25  # a closed-form block's move
+        if layer == 1:  # the output z
+            return FistaResult(z=None, iterations=3, converged=False, move_sq=16.0)
+        return None  # the hidden z, outside the bound
 
     blocks = [("W", 0), ("b", 0), ("z", 0), ("W", 1), ("z", 1)]
-    steps, moved, worst, fista_ok = walk_blocks(blocks, update, seeds, backward=True)
+    record = BlockRecord(seeds)
+    assert walk_blocks(blocks, update, record, backward=True) is None
     assert calls == [("z", 1, 1.0), ("W", 1, 4.0), ("z", 0, 1.0), ("b", 0, 1.0), ("W", 0, 1.0)]
-    assert list(steps.items()) == [(("W_bar", 1), 8.0), (("W_bar", 0), 2.0)]
-    assert moved == {("W", 1): 1.5, ("W", 0): 0.5}
-    assert (worst, fista_ok) == (0.0, False)
+    assert list(record.steps.items()) == [(("W_bar", 1), 8.0), (("W_bar", 0), 2.0)]
+    assert (record.moves, record.worst, record.fista_ok) == (16.0 + 1.5 + 0.25 + 0.5, 0.0, False)
     assert (seeds.get(("W_bar", 1)), seeds.get(("W_bar", 0))) == (4.0, 1.0)
 
     calls.clear()
-    steps, moved, worst, fista_ok = walk_blocks(blocks[:2], update, seeds, backward=False)
+    walk_blocks(blocks[:2], update, record, backward=False)  # adds to the same record
     assert calls == [("W", 0, 1.0), ("b", 0, 1.0)]
-    assert (steps, moved, worst, fista_ok) == ({("W", 0): 2.0}, {("W", 0): 0.5}, 0.0, True)
+    assert list(record.steps) == [("W_bar", 1), ("W_bar", 0), ("W", 0)]
+    assert (record.moves, record.worst, record.fista_ok) == (19.0, 0.0, False)
+
+    fresh = BlockRecord(seeds)
+    walk_blocks(blocks[:2], update, fresh, backward=False)
+    assert (fresh.steps, fresh.moves, fresh.worst, fresh.fista_ok) == ({("W", 0): 2.0}, 0.75, 0.0,
+                                                                       True)
 
 
 @pytest.mark.parametrize("model", ["mlp", "gcn"])
@@ -151,8 +160,9 @@ def test_dual_residual_consistency(separable_run):
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
     seeds = StepSeeds()
     for _ in range(2):
-        barred, *_ = backward_sweep(state, data, arch, seeds)
-        new, *_ = forward_sweep(barred, data, arch, seeds)
+        record = BlockRecord(seeds)
+        barred = backward_sweep(state, data, arch, record)
+        new = forward_sweep(barred, data, arch, record)
         r = objective.linear_residual(new, data, arch.n_layers - 1)
         u_prev = new.u.copy()
         new.u = dual_update(new, r)
@@ -201,9 +211,9 @@ def test_stationary_point_is_fixed():
     cfg = TrainConfig(rho=4.0, nu=1.0, epochs=1000, seed=2)
     result = train(arch, data, cfg)
     state = result.state
-    seeds = StepSeeds()
-    barred, *_ = backward_sweep(state, data, arch, seeds)
-    new, *_ = forward_sweep(barred, data, arch, seeds)
+    record = BlockRecord(StepSeeds())
+    barred = backward_sweep(state, data, arch, record)
+    new = forward_sweep(barred, data, arch, record)
     move = block_move_sq_sum(state, barred, new)
     assert move < 0.01 * result.traces[0].block_move_sq_sum
     assert move < 1e-4
@@ -214,12 +224,12 @@ def test_each_sweep_decreases_lagrangian():
     arch = MlpArchitecture(layer_dims=(4, 8, 2))
     cfg = TrainConfig(rho=2.0, nu=1.0, epochs=1, seed=0)
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
-    seeds = StepSeeds()
+    record = BlockRecord(StepSeeds())
     before = lagrangian(state, data, arch)
-    barred, *_ = backward_sweep(state, data, arch, seeds)
+    barred = backward_sweep(state, data, arch, record)
     mid = lagrangian(barred, data, arch)
     assert mid <= before + 1e-9
-    new, *_ = forward_sweep(barred, data, arch, seeds)
+    new = forward_sweep(barred, data, arch, record)
     after = lagrangian(new, data, arch)
     assert after <= mid + 1e-9
 
@@ -240,7 +250,7 @@ def test_index_discipline_backward_sweep(monkeypatch):
         return real(st, dat, layer, fz, P)
 
     monkeypatch.setattr(objective, "grad_a", spy)
-    backward_sweep(state, data, arch, StepSeeds())
+    backward_sweep(state, data, arch, BlockRecord(StepSeeds()))
 
     # backward order is l = L-1 .. 0; at the a-update of hidden layer 1 the
     # last layer's W must already be barred (changed), W[0..1] untouched
@@ -277,8 +287,8 @@ def test_train_calls_the_checked_formulas(monkeypatch):
 @pytest.mark.parametrize("reg", [NO_REG, Regularizer("l1", 1e-3), Regularizer("l2", 1e-3)],
                          ids=["plain", "l1", "l2"])
 def test_traced_moves_match_fresh(reg, monkeypatch):
-    """The sweeps sum the W and a moves from their accepted backtracking
-    steps; the traced sum must equal the one measured from the arrays."""
+    """The walk sums the blocks' moves from what their updates return; the
+    traced sum must equal the one measured from the arrays, bit for bit."""
     data = make_separable(40, rng=Rng(2))
     arch = MlpArchitecture(layer_dims=(4, 6, 5, 2), regularizer=reg)
     cfg = TrainConfig(rho=1.0, nu=1.0, epochs=30, seed=0)
@@ -287,12 +297,12 @@ def test_traced_moves_match_fresh(reg, monkeypatch):
 
     def backward(state, *args):
         out = real_backward(state, *args)
-        seen.append((state, out[0]))
+        seen.append((state, out))
         return out
 
     def forward(barred, *args):
         out = real_forward(barred, *args)
-        seen[-1] += (out[0],)
+        seen[-1] += (out,)
         return out
 
     def check(trace):
@@ -320,9 +330,9 @@ def test_cached_products_match_fresh(reg, monkeypatch):
     seen = {}
     real = training.forward_sweep
 
-    def spy(barred, dat, arc, seeds, P):
-        out = real(barred, dat, arc, seeds, P)
-        seen["state"], seen["P"] = out[0], P
+    def spy(barred, dat, arc, record, P):
+        out = real(barred, dat, arc, record, P)
+        seen["state"], seen["P"] = out, P
         return out
 
     def check(trace):
@@ -368,8 +378,9 @@ def test_boundedness_plateau():
     seeds = StepSeeds()
     norm_hist = []
     for _ in range(60):
-        barred, *_ = backward_sweep(state, data, arch, seeds)
-        new, *_ = forward_sweep(barred, data, arch, seeds)
+        record = BlockRecord(seeds)
+        barred = backward_sweep(state, data, arch, record)
+        new = forward_sweep(barred, data, arch, record)
         r = objective.linear_residual(new, data, arch.n_layers - 1)
         new.u = dual_update(new, r)
         state = new
