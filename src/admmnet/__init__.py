@@ -2,7 +2,6 @@
 block minimization of an augmented Lagrangian, with backprop-based
 reference optimizers for comparison."""
 
-from .activations import RELU, Activation
 from .errors import (
     BacktrackError,
     DataError,
@@ -19,7 +18,6 @@ from .baselines import BaselineConfig, run_baseline
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activation",
     "BacktrackError",
     "BaselineConfig",
     "DataError",
@@ -30,7 +28,6 @@ __all__ = [
     "Graph",
     "MlpArchitecture",
     "MlpState",
-    "RELU",
     "Regularizer",
     "Rng",
     "ShapeError",

@@ -53,7 +53,7 @@ def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward=None):
 
     ``forward``, when given, is ``objective.forward`` of W, b and the data,
     already formed by the caller."""
-    zs, acts = objective.forward(W, b, data.x, arch.activation) if forward is None else forward
+    zs, acts = objective.forward(W, b, data.x) if forward is None else forward
     last, reg = len(W) - 1, arch.regularizer
     gW = [None] * len(W)
     gb = [None] * len(W)
@@ -64,7 +64,7 @@ def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward=None):
         if reg.active:
             gW[l] = gW[l] + reg.grad(W[l])
         if l > 0:
-            delta = (W[l].T @ delta) * arch.activation.deriv(zs[l - 1])
+            delta = (W[l].T @ delta) * objective.relu_deriv(zs[l - 1])
     return gW, gb
 
 
@@ -126,18 +126,17 @@ def run_baseline(
     t0 = time.perf_counter()
     # the forward pass of the training data that gives one epoch's loss is
     # the one the next epoch's gradients start from
-    forward = objective.forward(W, b, data.x, arch.activation)
+    forward = objective.forward(W, b, data.x)
     for it in range(1, cfg.epochs + 1):
         gW, gb = backprop_grads(W, b, data, arch, forward)
         del forward  # not kept alive while the next one is formed
         new = upd.step(W + b, gW + gb)
         W, b = new[: len(W)], new[len(W):]
-        forward = objective.forward(W, b, data.x, arch.activation)
+        forward = objective.forward(W, b, data.x)
         z_last = forward[0][-1]
         test_acc = float("nan")
         if eval_data is not None:
-            test_acc = accuracy(objective.forward_logits(W, b, eval_data.x, arch.activation),
-                                eval_data.y)
+            test_acc = accuracy(objective.forward_logits(W, b, eval_data.x), eval_data.y)
         trace = BaselineTrace(
             iter=it,
             loss=_loss(W, z_last, data, arch),

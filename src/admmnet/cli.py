@@ -257,21 +257,20 @@ def selfcheck(quick: bool = False) -> int:
     # finite-difference check on every block gradient, then the same for the
     # GCN's blocks on a small graph off its consistent point
     for block, store in {"W": state.W, "b": state.b, "z": state.z, "a": state.a}.items():
-        worst = _fd_error(lambda l: grad_phi_block(state, data, block, l, arch.activation), store,
-                          lambda: phi(state, data, arch.activation))
+        worst = _fd_error(lambda l: grad_phi_block(state, data, block, l), store,
+                          lambda: phi(state, data))
         check(f"gradient {block} vs finite differences", worst < 1e-5)
     graph = make_sbm_graph(6, p_in=0.6, p_out=0.3, rng=Rng(13))
-    gstate = gcn.gcn_forward_init(graph, (2, 3, 2), arch.activation, Rng(2), rho=1.0, mu=1.0)[0]
+    gstate = gcn.gcn_forward_init(graph, (2, 3, 2), Rng(2), rho=1.0, mu=1.0)[0]
     gstate.Z = [z + 0.3 * rng.normal(0.0, 1.0, z.shape) for z in gstate.Z]
     gstate.U = rng.normal(0.0, 1.0, gstate.U.shape)
     # with the propagations the trainer keeps too, as one iteration moved them
     props = gcn.propagations(gstate, graph)
     moved = gcn.gcn_iteration(gstate, graph, BlockRecord(solvers.StepSeeds()), props)[0]
-    act = arch.activation
     for block in ("W", "Z"):
         for tag, at, cache in (("", gstate, None), (" (cached propagations)", moved, props)):
-            worst = _fd_error(lambda l: gcn.grad_psi_block(at, graph, block, l, act, cache),
-                              at.W if block == "W" else at.Z, lambda: gcn.psi(at, graph, act))
+            worst = _fd_error(lambda l: gcn.grad_psi_block(at, graph, block, l, cache),
+                              at.W if block == "W" else at.Z, lambda: gcn.psi(at, graph))
             check(f"gcn gradient {block}{tag} vs finite differences", worst < 1e-5)
     # psi's finite differences go through the same A_norm as its gradient, so
     # the operator is checked against the dense normalization formula on its
@@ -391,7 +390,11 @@ def main(argv=None) -> int:
         path = config.parse_known_args(argv)[0].config
         defaults = _load_config_defaults(path) if path else {}
         if "timing" in defaults:  # a flag, so argparse has no type to convert it with
-            defaults["timing"] = defaults["timing"].lower() in ("1", "true", "yes")
+            text = defaults["timing"].lower()
+            if text not in ("1", "true", "yes", "0", "false", "no"):
+                raise FormatError(f"{path}: timing must be 1, true, yes, 0, false or no, "
+                                  f"not {defaults['timing']!r}")
+            defaults["timing"] = text in ("1", "true", "yes")
         args = build_parser(defaults).parse_args(argv)
         if args.command == "train":  # None defaults show which options the command line gave
             given = build_parser(dict.fromkeys(MODEL_ONLY)).parse_args(argv)

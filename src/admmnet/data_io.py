@@ -214,9 +214,13 @@ def _load_edges(path: str, n: int) -> np.ndarray:
 def load_graph(directory: str) -> Graph:
     feat_path = os.path.join(directory, "features.csv")
     try:
-        features = np.loadtxt(feat_path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file, raised on below
+            features = np.loadtxt(feat_path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{feat_path}: {exc}") from None
+    if features.shape[0] == 0:
+        raise DataError(f"{feat_path}: no feature rows")
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise DataError(f"{feat_path}: non-finite feature value on node {bad[0]}")

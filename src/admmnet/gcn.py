@@ -1,8 +1,9 @@
 """Backward-forward ADMM training for graph convolutional networks.
 
 Nodes sit in rows (N x C matrices), matching the propagation rule
-Z_l = f(A_norm Z_{l-1} W_l).  The risk is the masked mean cross-entropy
-over training nodes, the ``objective.Risk`` that ``masked_ce`` returns.
+Z_l = f(A_norm Z_{l-1} W_l), with f the MLP's ``objective.relu``.  The risk
+is the masked mean cross-entropy over training nodes, the
+``objective.Risk`` that ``masked_ce`` returns.
 ``gcn_train`` runs ``gcn_iteration`` under the certified driver of
 ``training``, with mu in the role of the MLP's nu and the descent bound's H
 that risk's curvature, the output solve's constant.
@@ -73,10 +74,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .activations import RELU, Activation
 from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq, require_finite
-from .objective import Risk, _ce_grad, _ce_value, _log_softmax, _memo_last, glorot, risk_curvature
+from .objective import (Risk, _ce_grad, _ce_value, _log_softmax, _memo_last, glorot, relu,
+                        relu_deriv, risk_curvature)
 # backtrack_quadratic and fista_minimize are unused here: perfbench/tracer.py wraps them on this module
 from .solvers import backtrack_quadratic, fista_minimize, solve_z_last
 from .training import BlockRecord, CertifiedTrace, backtrack_shifted, run_certified, walk_blocks
@@ -283,50 +284,41 @@ def propagated(state: GcnState, graph: Graph, layer: int, props: Propagations = 
 # Penalty function and block gradients
 # ---------------------------------------------------------------------------
 
-def _term(state: GcnState, layer: int, m: Matrix, activation: Activation,
-          total: float = 0.0) -> float:
+def _term(state: GcnState, layer: int, m: Matrix, total: float = 0.0) -> float:
     """``total`` plus psi's term of one layer given its propagation m:
     (mu/2)||Z_l - f(m)||^2 below the output layer, <U, eps> +
     (rho/2)||eps||^2 with eps = Z_L - m at it."""
     if layer == state.n_layers - 1:
         eps = state.Z[layer] - m
         return total + float(np.vdot(state.U, eps)) + 0.5 * state.rho * l2sq(eps)
-    return total + 0.5 * state.mu * l2sq(state.Z[layer] - activation.value(m))
+    return total + 0.5 * state.mu * l2sq(state.Z[layer] - relu(m))
 
 
-def _term_slope(state: GcnState, layer: int, m: Matrix, activation: Activation) -> Matrix:
+def _term_slope(state: GcnState, layer: int, m: Matrix) -> Matrix:
     """Minus the gradient of ``_term`` in the propagation m: U + rho (Z_L -
     m) at the output layer, mu (Z_l - f(m)) f'(m) below it."""
     if layer == state.n_layers - 1:
         return state.U + state.rho * (state.Z[layer] - m)
-    return state.mu * (state.Z[layer] - activation.value(m)) * activation.deriv(m)
+    return state.mu * (state.Z[layer] - relu(m)) * relu_deriv(m)
 
 
-def psi(state: GcnState, graph: Graph, activation: Activation = RELU,
-        props: Propagations = None) -> float:
+def psi(state: GcnState, graph: Graph, props: Propagations = None) -> float:
     if props is None:
         props = propagations(state, graph)
     total = 0.0
     for l in range(state.n_layers):
-        total += _term(state, l, propagated(state, graph, l, props), activation)
+        total += _term(state, l, propagated(state, graph, l, props))
     return total
 
 
-def lagrangian(state: GcnState, graph: Graph, risk: float, activation: Activation = RELU,
-               props: Propagations = None) -> float:
+def lagrangian(state: GcnState, graph: Graph, risk: float, props: Propagations = None) -> float:
     """Masked risk plus psi, given ``risk``, the masked risk of ``state``'s
     output block."""
-    return risk + psi(state, graph, activation, props)
+    return risk + psi(state, graph, props)
 
 
-def grad_psi_block(
-    state: GcnState,
-    graph: Graph,
-    block: str,
-    layer: int,
-    activation: Activation = RELU,
-    props: Propagations = None,
-) -> Matrix:
+def grad_psi_block(state: GcnState, graph: Graph, block: str, layer: int,
+                   props: Propagations = None) -> Matrix:
     last = state.n_layers - 1
     if block not in ("W", "Z"):
         raise ValueError(f"unknown block {block!r}")
@@ -336,15 +328,15 @@ def grad_psi_block(
         props = propagations(state, graph)
     m = props.m
     if block == "W":
-        slope = _term_slope(state, layer, m[layer], activation)
+        slope = _term_slope(state, layer, m[layer])
         if layer == 0:
             return -props.ax.T @ slope
         return -state.Z[layer - 1].T @ _adj(state.A_norm, slope)
     if layer == last:
-        return _term_slope(state, last, m[last], activation)
+        return _term_slope(state, last, m[last])
     nxt = layer + 1
-    g = state.mu * (state.Z[layer] - activation.value(m[layer]))
-    slope = _term_slope(state, nxt, m[nxt], activation)
+    g = state.mu * (state.Z[layer] - relu(m[layer]))
+    slope = _term_slope(state, nxt, m[nxt])
     return g - _adj(state.A_norm, slope) @ state.W[nxt].T
 
 
@@ -353,9 +345,9 @@ def grad_psi_block(
 # ---------------------------------------------------------------------------
 
 def _update_W_gcn(work, props, graph, layer, seed):
-    grad = grad_psi_block(work, graph, "W", layer, RELU, props)
+    grad = grad_psi_block(work, graph, "W", layer, props)
     neg_dir = _through(work, props.ax, layer, -grad)  # W - G/t moves m[layer] by neg_dir/t
-    res, shift = backtrack_shifted(lambda x, moved: _term(work, layer, moved(), RELU),
+    res, shift = backtrack_shifted(lambda x, moved: _term(work, layer, moved()),
                                    props.m[layer], lambda x, t: neg_dir / t, grad, work.W[layer],
                                    seed)
     work.W[layer] = res.candidate
@@ -364,12 +356,12 @@ def _update_W_gcn(work, props, graph, layer, seed):
 
 
 def _update_Z_hidden(work, props, graph, layer, seed):
-    grad = grad_psi_block(work, graph, "Z", layer, RELU, props)
-    fm = RELU.value(props.m[layer])
+    grad = grad_psi_block(work, graph, "Z", layer, props)
+    fm = relu(props.m[layer])
     nxt = layer + 1
     neg_dir = _adj(work.A_norm, grad @ -work.W[nxt])  # Z - G/t moves m[nxt] by neg_dir/t
     res, shift = backtrack_shifted(
-        lambda x, moved: _term(work, nxt, moved(), RELU, 0.5 * work.mu * l2sq(x - fm)),
+        lambda x, moved: _term(work, nxt, moved(), 0.5 * work.mu * l2sq(x - fm)),
         props.m[nxt], lambda x, t: neg_dir / t, grad, work.Z[layer], seed)
     work.Z[layer] = res.candidate
     props.m[nxt] = props.m[nxt] + shift
@@ -414,8 +406,7 @@ def gcn_iteration(state: GcnState, graph: Graph, record: BlockRecord,
     return work, eps
 
 
-def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng,
-                     rho: float, mu: float) -> tuple:
+def gcn_forward_init(graph: Graph, dims: tuple, rng: Rng, rho: float, mu: float) -> tuple:
     """Glorot-uniform weights, Z by exact propagation, zero dual.  Returns
     the state and its propagations, the ones that exact propagation forms."""
     n_layers = len(dims) - 1
@@ -425,7 +416,7 @@ def gcn_forward_init(graph: Graph, dims: tuple, activation: Activation, rng: Rng
     m = []
     for l in range(n_layers):
         m.append(_through(state, ax, l, W[l]))
-        state.Z.append(activation.value(m[l]) if l < n_layers - 1 else m[l])
+        state.Z.append(relu(m[l]) if l < n_layers - 1 else m[l])
     state.U = np.zeros_like(state.Z[-1])
     return state, Propagations(ax, m)
 
@@ -440,7 +431,7 @@ def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray,
 
 def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
-    state, props = gcn_forward_init(graph, dims, RELU, Rng(cfg.seed), cfg.rho, cfg.mu)
+    state, props = gcn_forward_init(graph, dims, Rng(cfg.seed), cfg.rho, cfg.mu)
 
     risk = masked_ce(graph.labels, graph.train_mask)  # one log-softmax per epoch
 
@@ -448,7 +439,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
         nonlocal state
         state, eps = gcn_iteration(state, graph, record, props)
         value = risk.value(state.Z[-1])
-        return lagrangian(state, graph, value, RELU, props), dict(
+        return lagrangian(state, graph, value, props), dict(
             risk=value,
             residual_fro=float(np.sqrt(l2sq(eps))),
             stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.Z[-1]),
@@ -457,7 +448,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
             test_acc=gcn_accuracy(state, graph, graph.test_mask, props),
         )
 
-    lagr0 = lagrangian(state, graph, risk.value(state.Z[-1]), RELU, props)
+    lagr0 = lagrangian(state, graph, risk.value(state.Z[-1]), props)
     traces = run_certified(cfg.epochs, lagr0, iterate, GcnTrace, (risk.curvature, cfg.rho, cfg.mu),
                            trace_sink)
     return state, traces

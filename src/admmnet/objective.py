@@ -11,6 +11,10 @@ Lipschitz constant of the gradient, which the output solve steps by and the
 descent certificate reads; a ``Regularizer`` its value, gradient, prox and
 one on/off test, ``active``.
 
+ReLU is the one activation of both models (the hidden ``z`` update has a
+closed form only for it, ``solvers.solve_z_relu``): ``relu`` and
+``relu_deriv`` are plain functions, not an option.
+
 This module holds the only copy of the MLP's penalty phi, its residuals,
 block gradients, objective_F and Lagrangian.  The trainer (``training``)
 calls these functions with its cached products P_l = W_l a_{l-1}; the
@@ -21,13 +25,23 @@ terms) + output-layer terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
-from .activations import RELU, Activation
 from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq, require_finite
+
+
+def relu(z: Matrix) -> Matrix:
+    return np.maximum(z, 0.0)
+
+
+def relu_deriv(z: Matrix) -> Matrix:
+    # The subgradient at 0 is taken as 0 so that gradients of the activation
+    # penalty are deterministic at the kink.
+    return (z > 0.0).astype(np.float64)
+
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -71,7 +85,6 @@ NO_REG = Regularizer()
 @dataclass(frozen=True)
 class MlpArchitecture:
     layer_dims: tuple  # (n_0, ..., n_L)
-    activation: ClassVar[Activation] = RELU  # the one activation, not a field
     regularizer: Regularizer = NO_REG
     risk: str = "cross_entropy"  # or "squared"
 
@@ -263,26 +276,25 @@ def activation_term(state: MlpState, a: Matrix, fz: Matrix) -> float:
     return 0.5 * state.nu * l2sq(a - fz)
 
 
-def _hidden_terms(state: MlpState, data: Dataset, activation: Activation, P: list,
-                  total: float) -> float:
+def _hidden_terms(state: MlpState, data: Dataset, P: list, total: float) -> float:
     """``total`` plus phi's terms of the hidden layers, added in layer order."""
     for l in range(state.n_layers - 1):
         total = linear_term(state, linear_residual(state, data, l, P), False, total)
-        total += activation_term(state, state.a[l], activation.value(state.z[l]))
+        total += activation_term(state, state.a[l], relu(state.z[l]))
     return total
 
 
-def phi(state: MlpState, data: Dataset, activation: Activation = RELU, P: list = None) -> float:
+def phi(state: MlpState, data: Dataset, P: list = None) -> float:
     last = state.n_layers - 1
     return linear_term(state, linear_residual(state, data, last, P), True,
-                       _hidden_terms(state, data, activation, P, 0.0))
+                       _hidden_terms(state, data, P, 0.0))
 
 
 def objective_F(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list = None) -> float:
     """Relaxed training objective: risk + regularizers + nu-penalties only."""
     total = mean_risk(arch.risk, data.y).value(state.z[-1])
     total += sum(arch.regularizer.value(w) for w in state.W)
-    return _hidden_terms(state, data, arch.activation, P, total)
+    return _hidden_terms(state, data, P, total)
 
 
 def objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture,
@@ -318,14 +330,8 @@ def grad_a(state: MlpState, data: Dataset, layer: int, fz: Matrix, P: list = Non
     return grad, lin, act
 
 
-def grad_phi_block(
-    state: MlpState,
-    data: Dataset,
-    block: str,
-    layer: int,
-    activation: Activation = RELU,
-    P: list = None,
-) -> Matrix:
+def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int,
+                   P: list = None) -> Matrix:
     """Gradient of phi w.r.t. one block, all other blocks held fixed.
 
     block is one of "W", "b", "z", "a"; layer is 0-based.  "a" is defined for
@@ -341,12 +347,12 @@ def grad_phi_block(
     if block == "b":
         return -np.sum(_residual(state, data, layer, P)[1], axis=1, keepdims=True)
     if block == "a":
-        return grad_a(state, data, layer, activation.value(state.z[layer]), P)[0]
+        return grad_a(state, data, layer, relu(state.z[layer]), P)[0]
     _, scaled = _residual(state, data, layer, P)
     if layer == last:
         return scaled
-    act_res = state.a[layer] - activation.value(state.z[layer])
-    return scaled - state.nu * act_res * activation.deriv(state.z[layer])
+    act_res = state.a[layer] - relu(state.z[layer])
+    return scaled - state.nu * act_res * relu_deriv(state.z[layer])
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +365,14 @@ def glorot(rng: Rng, shape: tuple) -> Matrix:
     return rng.uniform(-s, s, shape)
 
 
-def forward(W: list, b: list, x: Matrix, activation: Activation) -> tuple:
+def forward(W: list, b: list, x: Matrix) -> tuple:
     """Exact feed-forward pass: (z, a), the pre-activations of every layer
     and the activations of the hidden ones, as ``MlpState`` holds them."""
     z, a = [], []
     for l in range(len(W)):
         z.append(W[l] @ (x if l == 0 else a[-1]) + b[l])
         if l < len(W) - 1:
-            a.append(activation.value(z[-1]))
+            a.append(relu(z[-1]))
     return z, a
 
 
@@ -375,14 +381,14 @@ def forward_init(arch: MlpArchitecture, data: Dataset, rng: Rng, rho: float, nu:
     dims = arch.layer_dims
     W = [glorot(rng, (dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
     b = [np.zeros((d, 1)) for d in dims[1:]]
-    z, a = forward(W, b, data.x, arch.activation)
+    z, a = forward(W, b, data.x)
     return MlpState(W=W, b=b, z=z, a=a, u=np.zeros((dims[-1], data.n_samples)), rho=rho, nu=nu)
 
 
-def forward_logits(W: list, b: list, x: Matrix, activation: Activation) -> Matrix:
+def forward_logits(W: list, b: list, x: Matrix) -> Matrix:
     cur = x
     for l in range(len(W) - 1):
-        cur = activation.value(W[l] @ cur + b[l])
+        cur = relu(W[l] @ cur + b[l])
     return W[-1] @ cur + b[-1]
 
 

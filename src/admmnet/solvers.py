@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import BacktrackError, ShapeError
 from .linalg import Matrix, l2sq
-from .objective import Regularizer, Risk
+from .objective import Risk
 
 # Slack used when accepting a majorization certificate; well inside the
 # 1e-10 certificate tolerance the rest of the package asserts.
@@ -118,11 +118,6 @@ def solve_z_relu(linear_in: Matrix, a_target: Matrix, w_lin: float, w_act: float
     z_pos = np.maximum((w_lin * m + w_act * t) / (w_lin + w_act), 0.0)
     kappa = np.sqrt(1.0 + w_act / w_lin) - 1.0
     return np.where(m + kappa * t < 0.0, np.minimum(m, 0.0), z_pos)
-
-
-def prox_regularizer(v: Matrix, reg: Regularizer, lambda_over_step: float) -> Matrix:
-    """``reg.prox`` at step lam / lambda_over_step, as the acceptance suite calls it."""
-    return reg.prox(v, reg.lam / lambda_over_step)
 
 
 # ---------------------------------------------------------------------------

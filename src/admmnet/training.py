@@ -269,11 +269,10 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     return res
 
 
-def _update_a(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, layer: int,
-              seed: float) -> BacktrackResult:
+def _update_a(work: MlpState, P: list, data: Dataset, layer: int, seed: float) -> BacktrackResult:
     nxt = layer + 1
     anchor = work.a[layer]
-    fz = arch.activation.value(work.z[layer])
+    fz = objective.relu(work.z[layer])
     grad, lin0, act0 = objective.grad_a(work, data, layer, fz, P)
     w_grad = work.W[nxt] @ grad  # trial residual is lin0 + w_grad / step
     is_last = nxt == work.n_layers - 1
@@ -324,7 +323,7 @@ def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, record: BlockR
         if kind == "W":
             return _update_W(work, P, data, arch, layer, seed)
         if kind == "a":
-            return _update_a(work, P, data, arch, layer, seed)
+            return _update_a(work, P, data, layer, seed)
         if kind == "b":
             return _update_b_block(work, P, data, layer)
         if layer == last:
@@ -367,9 +366,7 @@ def train(
     lagr0 = objective.lagrangian(state, data, arch, P)
 
     def accuracy(d: Dataset) -> float:
-        return objective.accuracy(
-            objective.forward_logits(state.W, state.b, d.x, arch.activation), d.y
-        )
+        return objective.accuracy(objective.forward_logits(state.W, state.b, d.x), d.y)
 
     def iterate(record: BlockRecord):
         nonlocal state

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from admmnet.activations import RELU
 from admmnet.baselines import BaselineConfig, run_baseline
 from admmnet.cli import main as cli_main
 from admmnet.data_io import (
@@ -40,7 +39,7 @@ from admmnet.objective import (
     grad_phi_block,
     phi,
 )
-from admmnet.solvers import prox_regularizer, solve_z_relu, update_b
+from admmnet.solvers import solve_z_relu, update_b
 from admmnet.synth import make_sbm_graph, make_separable
 from admmnet.training import TrainConfig, train
 
@@ -153,18 +152,18 @@ def test_criterion_01_gradient_fidelity():
             rho=1.3,
             nu=0.7,
         )
-        val = lambda: phi(state, data, arch.activation)
+        val = lambda: phi(state, data)
         for layer in range(L):
             for block, arr in (
                 ("W", state.W[layer]),
                 ("b", state.b[layer]),
                 ("z", state.z[layer]),
             ):
-                g = grad_phi_block(state, data, block, layer, arch.activation)
+                g = grad_phi_block(state, data, block, layer)
                 num = _fd_block(val, arr)
                 worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
         for layer in range(L - 1):
-            g = grad_phi_block(state, data, "a", layer, arch.activation)
+            g = grad_phi_block(state, data, "a", layer)
             num = _fd_block(val, state.a[layer])
             worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
 
@@ -182,10 +181,10 @@ def test_criterion_01_gradient_fidelity():
             rho=1.3,
             mu=0.7,
         )
-        val = lambda: psi(state, graph, RELU)
+        val = lambda: psi(state, graph)
         for layer in range(2):
             for block, arr in (("W", state.W[layer]), ("Z", state.Z[layer])):
-                g = grad_psi_block(state, graph, block, layer, RELU)
+                g = grad_psi_block(state, graph, block, layer)
                 num = _fd_block(val, arr)
                 worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
 
@@ -229,7 +228,7 @@ def test_criterion_02_subproblem_oracles():
         v = float(rng.normal(0, 2.0, ()))
         for kind in ("l1", "l2"):
             reg = Regularizer(kind, 1.0)
-            p = float(prox_regularizer(np.array([[v]]), reg, lam_over_step)[0, 0])
+            p = float(reg.prox(np.array([[v]]), reg.lam / lam_over_step)[0, 0])
             if kind == "l2":
                 pen = lam_over_step * grid**2
             else:

@@ -30,7 +30,7 @@ class TestBackpropGrads:
         h = 1e-6
 
         def loss():
-            return _loss(W, forward_logits(W, b, data.x, arch.activation), data, arch)
+            return _loss(W, forward_logits(W, b, data.x), data, arch)
 
         for params, grads in ((W, gW), (b, gb)):
             for l in range(len(params)):
@@ -58,7 +58,7 @@ class TestBackpropGrads:
         data = Dataset(x, y)
         W, b = random_params(arch, 6)
         gW, gb = backprop_grads(W, b, data, arch)
-        _, a = forward(W, b, x, arch.activation)
+        _, a = forward(W, b, x)
         # a[0] is the hidden activation feeding layer 1
         resid = (W[1] @ a[0] + b[1] - y) / 7
         assert np.allclose(gW[1], resid @ a[0].T, atol=1e-12)
@@ -123,7 +123,7 @@ class TestRunBaseline:
             gW, gb = backprop_grads(W_ref, b_ref, data, arch)
             new = upd.step(W_ref + b_ref, gW + gb)
             W_ref, b_ref = new[: len(W_ref)], new[len(W_ref):]
-            z_last = forward_logits(W_ref, b_ref, data.x, arch.activation)
+            z_last = forward_logits(W_ref, b_ref, data.x)
             assert trace.loss == _loss(W_ref, z_last, data, arch)
         for p, q in zip(W + b, W_ref + b_ref):
             assert p.tobytes() == q.tobytes()

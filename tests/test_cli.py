@@ -285,6 +285,31 @@ def test_config_value_of_wrong_type_usage_error(image_dir, tmp_path, line):
     assert main(["train", "mlp", "--config", str(cfgf)]) == 1
 
 
+@pytest.mark.parametrize("value, timed", [("1", True), ("TRUE", True), ("Yes", True),
+                                          ("0", False), ("False", False), ("NO", False)])
+def test_config_timing_values(image_dir, tmp_path, value, timed):
+    out = tmp_path / "t.csv"
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"data={image_dir}\nlayers=16,8,10\nepochs=2\ntiming={value}\nout={out}\n")
+    assert main(["train", "mlp", "--config", str(cfgf)]) == 0
+    header, *rows = out.read_text().strip().split("\n")
+    col = header.split(",").index("wall_time_s")
+    assert [float(row.split(",")[col]) > 0.0 for row in rows] == [timed, timed]
+
+
+@pytest.mark.parametrize("value", ["maybe", "on", "2", ""])
+def test_config_timing_other_value_format_error(image_dir, tmp_path, capsys, value):
+    """Only 1/true/yes and 0/false/no, in any case, set the flag; another
+    value is not read as false."""
+    out = tmp_path / "t.csv"
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"data={image_dir}\nlayers=16,8,10\nepochs=2\ntiming={value}\nout={out}\n")
+    assert main(["train", "mlp", "--config", str(cfgf)]) == 1
+    assert one_error_line(capsys) == (f"error: {cfgf}: timing must be 1, true, yes, 0, false or no, "
+                                      f"not {value!r}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, flags", [
     ("mlp", ["--rho", "0"]),
     ("mlp", ["--nu", "0"]),
@@ -413,8 +438,8 @@ def test_selfcheck_detects_wrong_cached_gcn_gradient(monkeypatch, capsys):
     trainer keeps, so a fault on that path alone fails the check."""
     real = gcn.grad_psi_block
 
-    def scaled(state, graph, block, layer, activation=None, props=None):
-        grad = real(state, graph, block, layer, activation, props)
+    def scaled(state, graph, block, layer, props=None):
+        grad = real(state, graph, block, layer, props)
         return 1.5 * grad if props is not None and block == "W" else grad
 
     monkeypatch.setattr(gcn, "grad_psi_block", scaled)
@@ -467,6 +492,20 @@ def test_malformed_idx_data_error(images, labels, message, tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
     assert re.search(message, capsys.readouterr().err)
+
+
+def test_empty_features_data_error(graph_dir, tmp_path, capsys):
+    """An empty features.csv is blamed on itself, with no numpy warning."""
+    gdir = tmp_path / "g"
+    shutil.copytree(graph_dir, gdir)
+    (gdir / "features.csv").write_text("")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "gcn", "--data", str(gdir), "--epochs", "1", "--out", str(out)])
+    assert code == 1
+    assert one_error_line(capsys) == f"error: {gdir / 'features.csv'}: no feature rows"
+    assert not out.exists()
 
 
 def test_unlabeled_node_in_a_mask_data_error(graph_dir, tmp_path, capsys):

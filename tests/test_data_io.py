@@ -178,6 +178,7 @@ class TestLoadGraph:
         ("features.csv", "1.0\nx\n", FormatError),
         ("features.csv", "1.0\nnan\n3.0\n4.0\n", DataError),  # non-finite feature
         ("features.csv", "1.0\n2.0\n-inf\n4.0\n", DataError),
+        ("features.csv", "", DataError),  # no node
     ])
     def test_malformed_row_is_typed(self, tmp_path, name, text, error):
         write_graph_bundle(

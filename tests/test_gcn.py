@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import admmnet.gcn as gcn
-from admmnet.activations import RELU
 from admmnet.data_io import load_graph, save_graph
 from admmnet.errors import ShapeError
 from admmnet.gcn import (
@@ -24,6 +23,7 @@ from admmnet.gcn import (
     psi,
 )
 from admmnet.linalg import Rng, l2sq
+from admmnet.objective import relu, relu_deriv
 from admmnet.solvers import FISTA_TOL, StepSeeds
 from admmnet.synth import make_sbm_graph
 from admmnet.training import BlockRecord
@@ -54,7 +54,7 @@ def small_graph(seed=0, n=6, n_feat=3, n_classes=2):
 
 def random_gcn_state(graph, dims, seed, rho=1.0, mu=1.0, perturb=0.3):
     rng = Rng(seed)
-    state = gcn_forward_init(graph, dims, RELU, rng, rho, mu)[0]
+    state = gcn_forward_init(graph, dims, rng, rho, mu)[0]
     for i, z in enumerate(state.Z):
         state.Z[i] = z + perturb * rng.normal(0, 1, z.shape)
     state.U = rng.normal(0, 1, state.U.shape)
@@ -68,7 +68,7 @@ def dense_normalization(graph):
     return inv_sqrt[:, None] * (graph.adjacency + np.eye(graph.n_nodes)) * inv_sqrt[None, :]
 
 
-def gcn_backprop_grads(W, graph, a_norm, activation):
+def gcn_backprop_grads(W, graph, a_norm):
     """Full-batch gradients of the masked cross-entropy in every W_l by
     backpropagation through the dense A_norm: the GD oracle."""
     ms, zs = [], [graph.features]
@@ -76,13 +76,13 @@ def gcn_backprop_grads(W, graph, a_norm, activation):
     for l in range(len(W)):
         m = a_norm @ zs[-1] @ W[l]
         ms.append(m)
-        zs.append(activation.value(m) if l < last else m)
+        zs.append(relu(m) if l < last else m)
     delta = masked_ce(graph.labels, graph.train_mask).grad(ms[last])
     gW = [None] * len(W)
     for l in range(last, -1, -1):
         gW[l] = (a_norm @ zs[l]).T @ delta
         if l > 0:
-            delta = (a_norm.T @ delta @ W[l].T) * activation.deriv(ms[l - 1])
+            delta = (a_norm.T @ delta @ W[l].T) * relu_deriv(ms[l - 1])
     return gW
 
 
@@ -241,7 +241,7 @@ class TestGraphValidation:
 
 def test_psi_zero_at_consistent_state():
     g = small_graph(2)
-    state = gcn_forward_init(g, (3, 4, 2), RELU, Rng(0), rho=1.0, mu=1.0)[0]
+    state = gcn_forward_init(g, (3, 4, 2), Rng(0), rho=1.0, mu=1.0)[0]
     state.U = np.zeros_like(state.U)
     assert psi(state, g) == pytest.approx(0.0, abs=1e-12)
 
@@ -406,9 +406,9 @@ def test_gcn_beats_or_matches_gd_oracle(sbm_run):
         s = np.sqrt(6.0 / (dims[l] + dims[l + 1]))
         W.append(rng.uniform(-s, s, (dims[l], dims[l + 1])))
     for _ in range(200):
-        g = gcn_backprop_grads(W, graph, a_norm, RELU)
+        g = gcn_backprop_grads(W, graph, a_norm)
         W = [w - 0.5 * gw for w, gw in zip(W, g)]
-    logits = a_norm @ RELU.value(a_norm @ graph.features @ W[0]) @ W[1]
+    logits = a_norm @ relu(a_norm @ graph.features @ W[0]) @ W[1]
     pred = np.argmax(logits[graph.test_mask], axis=1)
     truth = np.argmax(graph.labels[graph.test_mask], axis=1)
     gd_acc = float(np.mean(pred == truth))
@@ -432,7 +432,7 @@ def test_gcn_epochs_validated():
 
 def test_gcn_config_takes_no_activation_and_no_negative_seed():
     with pytest.raises(TypeError):
-        GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, activation=RELU)
+        GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, activation=None)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=-1)
 
@@ -527,14 +527,14 @@ def test_dense_products_per_iteration(monkeypatch):
     graph = make_sbm_graph(60, rng=Rng(1))
     cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=2, seed=0)
 
-    state, props = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
+    state, props = gcn.gcn_forward_init(graph, (2, 8, 2), Rng(0), cfg.rho, cfg.mu)
     assert widths == [2, 2]
     widths.clear()
     new = gcn_iteration(state, graph, BlockRecord(StepSeeds()), props)[0]
     assert widths == [2] * 8
     widths.clear()
     gcn.lagrangian(new, graph, gcn.masked_ce(graph.labels, graph.train_mask).value(new.Z[-1]),
-                   RELU, props)
+                   props)
     gcn_accuracy(new, graph, graph.train_mask, props)
     gcn_accuracy(new, graph, graph.test_mask, props)
     assert widths == []

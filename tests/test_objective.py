@@ -1,9 +1,6 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from admmnet.activations import RELU, Activation
 from admmnet.linalg import Rng, l2sq
 from admmnet.objective import (
     Dataset,
@@ -17,6 +14,8 @@ from admmnet.objective import (
     phi,
     products,
     mean_risk,
+    relu,
+    relu_deriv,
     risk_curvature,
 )
 from admmnet.gcn import masked_ce
@@ -116,7 +115,7 @@ def test_lagrangian_decomposition():
     parts = (
         mean_risk(arch.risk, data.y).value(state.z[-1])
         + sum(arch.regularizer.value(w) for w in state.W)
-        + phi(state, data, arch.activation)
+        + phi(state, data)
     )
     assert total == pytest.approx(parts, rel=1e-12)
 
@@ -168,14 +167,14 @@ def test_grad_phi_finite_differences(block, risk_kind):
     # z gradient of phi is only defined below the output layer
     store = {"W": state.W, "b": state.b, "z": state.z, "a": state.a}[block]
     for layer in layers:
-        g = grad_phi_block(state, data, block, layer, arch.activation)
+        g = grad_phi_block(state, data, block, layer)
         num = np.zeros_like(g)
         for idx in np.ndindex(*g.shape):
             orig = store[layer][idx]
             store[layer][idx] = orig + h
-            fp = phi(state, data, arch.activation)
+            fp = phi(state, data)
             store[layer][idx] = orig - h
-            fm = phi(state, data, arch.activation)
+            fm = phi(state, data)
             store[layer][idx] = orig
             num[idx] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num))))
@@ -189,13 +188,13 @@ def test_given_products_match_fresh_ones():
     arch = MlpArchitecture(layer_dims=(3, 4, 3, 2))
     state, data = random_state(arch, 5, seed=14)
     P = products(state, data)
-    assert phi(state, data, arch.activation, P) == phi(state, data, arch.activation)
+    assert phi(state, data, P) == phi(state, data)
     assert objective_F(state, data, arch, P) == objective_F(state, data, arch)
     assert lagrangian(state, data, arch, P) == lagrangian(state, data, arch)
     for block in ("W", "b", "z", "a"):
         for layer in range(arch.n_layers - (block == "a")):
-            fresh = grad_phi_block(state, data, block, layer, arch.activation)
-            given = grad_phi_block(state, data, block, layer, arch.activation, P)
+            fresh = grad_phi_block(state, data, block, layer)
+            given = grad_phi_block(state, data, block, layer, P)
             assert given.tobytes() == fresh.tobytes()
 
 
@@ -243,15 +242,15 @@ def test_forward_init_contract():
 
 
 def test_relu_is_the_one_activation():
-    """ReLU has no option to set: ``Activation`` has no fields and the
-    architecture reads it as a constant, not a constructor argument."""
-    assert dataclasses.fields(Activation) == ()
-    assert MlpArchitecture(layer_dims=(2, 3, 2)).activation is RELU
+    """ReLU has no option to set: the architecture has no activation,
+    neither as an attribute nor as a constructor argument, and ``relu`` and
+    ``relu_deriv`` are plain functions."""
+    assert not hasattr(MlpArchitecture(layer_dims=(2, 3, 2)), "activation")
     with pytest.raises(TypeError):
-        MlpArchitecture(layer_dims=(2, 3, 2), activation=RELU)
+        MlpArchitecture(layer_dims=(2, 3, 2), activation=None)
     z = np.array([[-1.0, 0.0, 2.0]])
-    assert np.array_equal(RELU.value(z), [[0.0, 0.0, 2.0]])
-    assert np.array_equal(RELU.deriv(z), [[0.0, 0.0, 1.0]])  # 0 at the kink
+    assert np.array_equal(relu(z), [[0.0, 0.0, 2.0]])
+    assert np.array_equal(relu_deriv(z), [[0.0, 0.0, 1.0]])  # 0 at the kink
 
 
 def test_cross_entropy_secant_lipschitz():

@@ -6,7 +6,6 @@ import pytest
 import admmnet.gcn as gcn
 import admmnet.objective as objective
 import admmnet.solvers as solvers
-from admmnet.activations import RELU
 from admmnet.errors import BacktrackError, ShapeError
 from admmnet.gcn import GcnConfig
 from admmnet.linalg import Rng, l2sq
@@ -431,7 +430,7 @@ def gcn_output_problem():
     propagations its sweep moved there."""
     graph = make_sbm_graph(60, rng=Rng(1))
     cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=0)
-    state, props = gcn.gcn_forward_init(graph, (2, 8, 2), RELU, Rng(0), cfg.rho, cfg.mu)
+    state, props = gcn.gcn_forward_init(graph, (2, 8, 2), Rng(0), cfg.rho, cfg.mu)
     state = gcn.gcn_iteration(state, graph, BlockRecord(StepSeeds()), props)[0]
     return graph, state, props
 

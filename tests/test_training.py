@@ -133,7 +133,7 @@ def test_dual_update_arithmetic():
 
 def test_separable_task_reaches_full_accuracy(separable_run):
     arch, data, cfg, result = separable_run
-    logits = forward_logits(result.state.W, result.state.b, data.x, arch.activation)
+    logits = forward_logits(result.state.W, result.state.b, data.x)
     acc = float(np.mean(np.argmax(logits, 0) == np.argmax(data.y, 0)))
     assert acc == 1.0
 
