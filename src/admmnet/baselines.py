@@ -48,12 +48,10 @@ class BaselineTrace:
     wall_time: float
 
 
-def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward=None):
-    """Exact full-batch gradients of risk + regularizer w.r.t. every W_l, b_l.
-
-    ``forward``, when given, is ``objective.forward`` of W, b and the data,
-    already formed by the caller."""
-    zs, acts = objective.forward(W, b, data.x) if forward is None else forward
+def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward: tuple):
+    """Exact full-batch gradients of risk + regularizer w.r.t. every W_l, b_l,
+    given ``forward``, ``objective.forward`` of W, b and the data."""
+    zs, acts = forward
     last, reg = len(W) - 1, arch.regularizer
     gW = [None] * len(W)
     gb = [None] * len(W)

@@ -232,7 +232,7 @@ def selfcheck(quick: bool = False) -> int:
     propagation through A_norm is compared with the dense normalization
     formula."""
     from . import gcn, objective, solvers
-    from .objective import Dataset, forward_init, grad_phi_block, phi
+    from .objective import Dataset, forward_init, grad_phi_block, phi, products
 
     failures = []
 
@@ -257,8 +257,8 @@ def selfcheck(quick: bool = False) -> int:
     # finite-difference check on every block gradient, then the same for the
     # GCN's blocks on a small graph off its consistent point
     for block, store in {"W": state.W, "b": state.b, "z": state.z, "a": state.a}.items():
-        worst = _fd_error(lambda l: grad_phi_block(state, data, block, l), store,
-                          lambda: phi(state, data))
+        worst = _fd_error(lambda l: grad_phi_block(state, data, block, l, products(state, data)),
+                          store, lambda: phi(state, data, products(state, data)))
         check(f"gradient {block} vs finite differences", worst < 1e-5)
     graph = make_sbm_graph(6, p_in=0.6, p_out=0.3, rng=Rng(13))
     gstate = gcn.gcn_forward_init(graph, (2, 3, 2), Rng(2), rho=1.0, mu=1.0)[0]
@@ -268,9 +268,11 @@ def selfcheck(quick: bool = False) -> int:
     props = gcn.propagations(gstate, graph)
     moved = gcn.gcn_iteration(gstate, graph, BlockRecord(solvers.StepSeeds()), props)[0]
     for block in ("W", "Z"):
-        for tag, at, cache in (("", gstate, None), (" (cached propagations)", moved, props)):
+        for tag, at, cache in (("", gstate, gcn.propagations(gstate, graph)),
+                               (" (cached propagations)", moved, props)):
             worst = _fd_error(lambda l: gcn.grad_psi_block(at, graph, block, l, cache),
-                              at.W if block == "W" else at.Z, lambda: gcn.psi(at, graph))
+                              at.W if block == "W" else at.Z,
+                              lambda: gcn.psi(at, graph, gcn.propagations(at, graph)))
             check(f"gcn gradient {block}{tag} vs finite differences", worst < 1e-5)
     # psi's finite differences go through the same A_norm as its gradient, so
     # the operator is checked against the dense normalization formula on its

@@ -90,7 +90,7 @@ def write_idx_labels(path: str, y: Matrix) -> None:
 def load_idx_dataset(directory: str, n_classes: int = 10):
     """(train, test) Datasets from the standard MNIST filenames.  A split
     whose image and label counts differ or are 0 is a ``DataError`` naming
-    its two files."""
+    its two files, and so are two splits whose images differ in pixel count."""
     paths = [os.path.join(directory, f"{split}-{kind}-ubyte") for split in ("train", "t10k")
              for kind in ("images-idx3", "labels-idx1")]
     for p in paths:
@@ -103,6 +103,9 @@ def load_idx_dataset(directory: str, n_classes: int = 10):
             raise DataError(f"{x_path} holds {x.shape[1]} images but {y_path} {y.shape[1]} labels; "
                             "a split needs one label per image and at least one image")
         sets.append(Dataset(x, y))
+    if sets[0].x.shape[0] != sets[1].x.shape[0]:
+        raise DataError(f"{paths[0]} holds images of {sets[0].x.shape[0]} pixels but {paths[2]} "
+                        f"of {sets[1].x.shape[0]}; both splits need the same image size")
     return tuple(sets)
 
 

@@ -23,14 +23,14 @@ class DescentReport:
     hypothesis_met: bool  # rho > 2H, so the descent bound is in force
 
 
-def descent_constants(h: float, rho: float, nu: float, steps) -> tuple:
+def descent_constants(h: float, rho: float, nu: float, steps: dict) -> tuple:
     """(C1, C2, hypothesis_met) for the sufficient-descent bound, given the
-    risk gradient's Lipschitz constant h."""
+    risk gradient's Lipschitz constant h and the accepted steps by step key."""
     c1 = rho / 2.0 - h / 2.0 - h * h / rho
     hypothesis_met = rho > 2.0 * h and c1 > 0.0
     candidates = [nu / 2.0, c1]
     if steps:
-        candidates.append(min(steps.values() if isinstance(steps, dict) else steps))
+        candidates.append(min(steps.values()))
     return c1, min(candidates), hypothesis_met
 
 
@@ -38,7 +38,7 @@ def check_sufficient_descent(
     lagr_prev: float,
     lagr_new: float,
     block_move_sq_sum: float,
-    steps,
+    steps: dict,
     h: float,
     rho: float,
     nu: float,

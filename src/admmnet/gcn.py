@@ -63,9 +63,9 @@ mean degree 56 at one BLAS thread (2-core Xeon), in ms:
     N=1000, compressed / dense  0.15 / 0.44  0.33 / 1.02  1.35 / 1.21  7.4 / 2.4
     N=2000, compressed / dense  0.72 / 2.66  1.42 / 5.99  7.43 / 6.49  39 / 11
 
-The cache is not part of ``GcnState``: the public functions take an
-optional ``props`` holding the propagations of the state they are given and
-compute them fresh (``propagations``) when it is omitted.
+The cache is not part of ``GcnState``: the public functions take ``props``,
+the propagations of the state they are given, which a caller without the
+trainer's cache forms fresh with ``propagations``.
 """
 from __future__ import annotations
 
@@ -274,10 +274,11 @@ def propagations(state: GcnState, graph: Graph) -> Propagations:
     return Propagations(ax, [_through(state, ax, l, state.W[l]) for l in range(state.n_layers)])
 
 
-def propagated(state: GcnState, graph: Graph, layer: int, props: Propagations = None) -> Matrix:
-    """A_norm Z_{l-1} W_l for the given layer; props, when given, holds the
-    propagations of ``state``."""
-    return (propagations(state, graph) if props is None else props).m[layer]
+def propagated(props: Propagations, layer: int) -> Matrix:
+    """A_norm Z_{l-1} W_l for the given layer, read from ``props``.  It is a
+    function only because perfbench/tracer.py counts its calls, which GCN
+    training must make (tests/test_tracer_targets.py)."""
+    return props.m[layer]
 
 
 # ---------------------------------------------------------------------------
@@ -302,30 +303,26 @@ def _term_slope(state: GcnState, layer: int, m: Matrix) -> Matrix:
     return state.mu * (state.Z[layer] - relu(m)) * relu_deriv(m)
 
 
-def psi(state: GcnState, graph: Graph, props: Propagations = None) -> float:
-    if props is None:
-        props = propagations(state, graph)
+def psi(state: GcnState, graph: Graph, props: Propagations) -> float:
     total = 0.0
     for l in range(state.n_layers):
-        total += _term(state, l, propagated(state, graph, l, props))
+        total += _term(state, l, propagated(props, l))
     return total
 
 
-def lagrangian(state: GcnState, graph: Graph, risk: float, props: Propagations = None) -> float:
+def lagrangian(state: GcnState, graph: Graph, risk: float, props: Propagations) -> float:
     """Masked risk plus psi, given ``risk``, the masked risk of ``state``'s
     output block."""
     return risk + psi(state, graph, props)
 
 
 def grad_psi_block(state: GcnState, graph: Graph, block: str, layer: int,
-                   props: Propagations = None) -> Matrix:
+                   props: Propagations) -> Matrix:
     last = state.n_layers - 1
     if block not in ("W", "Z"):
         raise ValueError(f"unknown block {block!r}")
     if not 0 <= layer <= last:
         raise IndexError(f"layer {layer} out of range")
-    if props is None:
-        props = propagations(state, graph)
     m = props.m
     if block == "W":
         slope = _term_slope(state, layer, m[layer])
@@ -371,22 +368,17 @@ def _update_Z_hidden(work, props, graph, layer, seed):
 def _update_Z_last(work, props, graph, risk):
     """The output block under ``risk``, the masked cross-entropy."""
     last = work.n_layers - 1
-    res = solve_z_last(propagated(work, graph, last, props), work.U, work.rho, risk, work.Z[last])
+    res = solve_z_last(propagated(props, last), work.U, work.rho, risk, work.Z[last])
     work.Z[last] = res.z
     return res
 
 
-def gcn_iteration(state: GcnState, graph: Graph, record: BlockRecord,
-                  props: Propagations = None):
+def gcn_iteration(state: GcnState, graph: Graph, record: BlockRecord, props: Propagations):
     """One backward + forward + dual iteration, its blocks added to
-    ``record``.  Returns the new state and the dual residual.
-
-    props, when given, holds the propagations of ``state`` and is moved in
-    place to those of the returned state; when omitted they are computed
-    fresh."""
+    ``record``.  Returns the new state and the dual residual.  props holds
+    the propagations of ``state`` and is moved in place to those of the
+    returned state."""
     last = state.n_layers - 1
-    if props is None:
-        props = propagations(state, graph)
     work = state.copy()
     blocks = [(kind, l) for l in range(last + 1) for kind in "WZ"]  # the forward order
     risk = masked_ce(graph.labels, graph.train_mask)  # both output solves
@@ -401,7 +393,7 @@ def gcn_iteration(state: GcnState, graph: Graph, record: BlockRecord,
     walk_blocks(blocks, update, record, backward=True)
     walk_blocks(blocks, update, record, backward=False)
 
-    eps = work.Z[last] - propagated(work, graph, last, props)
+    eps = work.Z[last] - propagated(props, last)
     work.U = work.U + work.rho * eps
     return work, eps
 
@@ -421,9 +413,8 @@ def gcn_forward_init(graph: Graph, dims: tuple, rng: Rng, rho: float, mu: float)
     return state, Propagations(ax, m)
 
 
-def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray,
-                 props: Propagations = None) -> float:
-    logits = propagated(state, graph, state.n_layers - 1, props)
+def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray, props: Propagations) -> float:
+    logits = propagated(props, state.n_layers - 1)
     pred = np.argmax(logits[mask], axis=1)
     truth = np.argmax(graph.labels[mask], axis=1)
     return float(np.mean(pred == truth)) if np.any(mask) else float("nan")

@@ -16,9 +16,9 @@ closed form only for it, ``solvers.solve_z_relu``): ``relu`` and
 ``relu_deriv`` are plain functions, not an option.
 
 This module holds the only copy of the MLP's penalty phi, its residuals,
-block gradients, objective_F and Lagrangian.  The trainer (``training``)
-calls these functions with its cached products P_l = W_l a_{l-1}; the
-finite-difference checks call the same functions with P computed fresh.
+block gradients, objective_F and Lagrangian.  Each takes the pre-bias
+products P_l = W_l a_{l-1} of its state as ``P``: the trainer (``training``)
+passes its cache, the finite-difference checks a fresh ``products``.
 Sums run in the trainer's order, ((risk + regularizers) + hidden-layer
 terms) + output-layer terms.
 """
@@ -233,9 +233,7 @@ def mean_risk(kind: str, y: Matrix) -> Risk:
 # Penalty function, Lagrangian and block gradients
 #
 # These are the formulas the trainer runs.  Each one that reads the
-# pre-bias products P_l = W_l a_{l-1} takes them as an optional ``P`` (the
-# trainer's cache, holding the products of ``state``) and computes them
-# fresh when P is None.
+# pre-bias products P_l = W_l a_{l-1} takes those of ``state`` as ``P``.
 # ---------------------------------------------------------------------------
 
 def _a_prev(state: MlpState, data: Dataset, layer: int) -> Matrix:
@@ -247,10 +245,9 @@ def products(state: MlpState, data: Dataset) -> list:
     return [state.W[l] @ _a_prev(state, data, l) for l in range(state.n_layers)]
 
 
-def linear_residual(state: MlpState, data: Dataset, layer: int, P: list = None) -> Matrix:
+def linear_residual(state: MlpState, data: Dataset, layer: int, P: list) -> Matrix:
     """z_l - W_l a_{l-1} - b_l for the given layer."""
-    prod = state.W[layer] @ _a_prev(state, data, layer) if P is None else P[layer]
-    return state.z[layer] - prod - state.b[layer]
+    return state.z[layer] - P[layer] - state.b[layer]
 
 
 def _residual(state: MlpState, data: Dataset, layer: int, P: list):
@@ -284,41 +281,40 @@ def _hidden_terms(state: MlpState, data: Dataset, P: list, total: float) -> floa
     return total
 
 
-def phi(state: MlpState, data: Dataset, P: list = None) -> float:
+def phi(state: MlpState, data: Dataset, P: list) -> float:
     last = state.n_layers - 1
     return linear_term(state, linear_residual(state, data, last, P), True,
                        _hidden_terms(state, data, P, 0.0))
 
 
-def objective_F(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list = None) -> float:
+def objective_F(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list) -> float:
     """Relaxed training objective: risk + regularizers + nu-penalties only."""
     total = mean_risk(arch.risk, data.y).value(state.z[-1])
     total += sum(arch.regularizer.value(w) for w in state.W)
     return _hidden_terms(state, data, P, total)
 
 
-def objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture,
-                             P: list = None, r: Matrix = None) -> tuple:
+def objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list,
+                             r: Matrix) -> tuple:
     """(objective_F, Lagrangian) of ``state``: the Lagrangian adds the output
-    layer's dual and rho terms to objective_F.  r, when given, is the
-    output-layer residual."""
+    layer's dual and rho terms, read from r, the output-layer residual, to
+    objective_F."""
     total = objective_F(state, data, arch, P)
-    if r is None:
-        r = linear_residual(state, data, state.n_layers - 1, P)
     return total, linear_term(state, r, True, total)
 
 
-def lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list = None) -> float:
-    return objective_and_lagrangian(state, data, arch, P)[1]
+def lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list) -> float:
+    r = linear_residual(state, data, state.n_layers - 1, P)
+    return objective_and_lagrangian(state, data, arch, P, r)[1]
 
 
-def grad_W(state: MlpState, data: Dataset, layer: int, P: list = None):
+def grad_W(state: MlpState, data: Dataset, layer: int, P: list):
     """Gradient of phi in W_l, and the layer residual r_l it reads."""
     r, scaled = _residual(state, data, layer, P)
     return -(scaled @ _a_prev(state, data, layer).T), r
 
 
-def grad_a(state: MlpState, data: Dataset, layer: int, fz: Matrix, P: list = None):
+def grad_a(state: MlpState, data: Dataset, layer: int, fz: Matrix, P: list):
     """Gradient of phi in a_l given f(z_l), the layer l+1 residual it reads,
     and phi's activation term (nu/2)||a_l - f(z_l)||^2 from the same
     difference (``activation_term`` of a_l)."""
@@ -330,8 +326,7 @@ def grad_a(state: MlpState, data: Dataset, layer: int, fz: Matrix, P: list = Non
     return grad, lin, act
 
 
-def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int,
-                   P: list = None) -> Matrix:
+def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int, P: list) -> Matrix:
     """Gradient of phi w.r.t. one block, all other blocks held fixed.
 
     block is one of "W", "b", "z", "a"; layer is 0-based.  "a" is defined for

@@ -89,7 +89,7 @@ def update_b(
     n_layers: int,
     nu: float,
     rho: float,
-    n_samples: int = 1,
+    n_samples: int,
 ) -> Matrix:
     """Closed-form bias update: divisor nu below the output layer, rho at it.
 

@@ -35,8 +35,8 @@ layers already hold this sweep's values and lower layers the previous ones.
 Cached products.  Besides the blocks, the sweep state holds the pre-bias
 product P_l = W_l a_{l-1} of every layer (a_{-1} is the input x), so a
 layer residual z_l - P_l - b_l costs no matrix product.  P is computed
-fresh once per ``train()`` call (once per sweep call when the caller passes
-none) and afterwards moves only with the two blocks it depends on:
+fresh once per ``train()`` call and afterwards moves only with the two
+blocks it depends on:
 
 * an accepted W_l step, W_l - G/t, moves P_l by -(G a_{l-1})/t, the shift
   the accepted trial already formed for its residual; a regularized (prox)
@@ -312,8 +312,6 @@ def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, record: BlockR
            backward: bool) -> MlpState:
     """One half-iteration from ``state``, as ``backward_sweep`` returns it."""
     work = state.copy()
-    if P is None:
-        P = objective.products(state, data)
     last = work.n_layers - 1
     # the forward block order: W, b, z, a of each hidden layer, then W, b, z
     blocks = [(kind, l) for l in range(last) for kind in "Wbza"]
@@ -336,17 +334,16 @@ def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, record: BlockR
 
 
 def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
-                   record: BlockRecord, P: list = None) -> MlpState:
+                   record: BlockRecord, P: list) -> MlpState:
     """Returns the barred state, walking its blocks into ``record``, moves
-    measured from ``state``.  P, when given, holds the products W_l a_{l-1} of ``state`` and is moved
-    in place to those of the barred state; without it they are computed
-    fresh.
+    measured from ``state``.  P holds the products W_l a_{l-1} of ``state``
+    and is moved in place to those of the barred state.
     """
     return _sweep(state, data, arch, record, P, backward=True)
 
 
 def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
-                  record: BlockRecord, P: list = None) -> MlpState:
+                  record: BlockRecord, P: list) -> MlpState:
     """Continues from the barred state; anchors are the barred blocks.
     Returns, records and handles P as ``backward_sweep``."""
     return _sweep(barred, data, arch, record, P, backward=False)

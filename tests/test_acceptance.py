@@ -28,6 +28,7 @@ from admmnet.gcn import (
     gcn_train,
     grad_psi_block,
     normalize_adjacency,
+    propagations,
     psi,
 )
 from admmnet.linalg import Rng, l2sq
@@ -38,6 +39,7 @@ from admmnet.objective import (
     Regularizer,
     grad_phi_block,
     phi,
+    products,
 )
 from admmnet.solvers import solve_z_relu, update_b
 from admmnet.synth import make_sbm_graph, make_separable
@@ -152,18 +154,18 @@ def test_criterion_01_gradient_fidelity():
             rho=1.3,
             nu=0.7,
         )
-        val = lambda: phi(state, data)
+        val = lambda: phi(state, data, products(state, data))
         for layer in range(L):
             for block, arr in (
                 ("W", state.W[layer]),
                 ("b", state.b[layer]),
                 ("z", state.z[layer]),
             ):
-                g = grad_phi_block(state, data, block, layer)
+                g = grad_phi_block(state, data, block, layer, products(state, data))
                 num = _fd_block(val, arr)
                 worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
         for layer in range(L - 1):
-            g = grad_phi_block(state, data, "a", layer)
+            g = grad_phi_block(state, data, "a", layer, products(state, data))
             num = _fd_block(val, state.a[layer])
             worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
 
@@ -181,10 +183,10 @@ def test_criterion_01_gradient_fidelity():
             rho=1.3,
             mu=0.7,
         )
-        val = lambda: psi(state, graph)
+        val = lambda: psi(state, graph, propagations(state, graph))
         for layer in range(2):
             for block, arr in (("W", state.W[layer]), ("Z", state.Z[layer])):
-                g = grad_psi_block(state, graph, block, layer)
+                g = grad_psi_block(state, graph, block, layer, propagations(state, graph))
                 num = _fd_block(val, arr)
                 worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
 
@@ -321,7 +323,7 @@ def test_criterion_09_gcn(sbm_run):
     lag = [t.lagrangian for t in traces]
     monotone = all(b <= a + 1e-9 for a, b in zip(lag, lag[1:]))
     ratio = traces[-1].residual_fro / traces[0].residual_fro
-    acc = gcn_accuracy(state, graph, graph.test_mask)
+    acc = gcn_accuracy(state, graph, graph.test_mask, propagations(state, graph))
     report(9, monotone and ratio < 1e-3 and acc >= 0.9,
            f"monotone={monotone}, residual ratio {ratio:.2e}, test accuracy {acc:.3f}")
 

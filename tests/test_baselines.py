@@ -3,7 +3,7 @@ import pytest
 
 from admmnet.baselines import BaselineConfig, _loss, backprop_grads, run_baseline
 from admmnet.linalg import Rng
-from admmnet.objective import Dataset, MlpArchitecture, Regularizer, forward_logits
+from admmnet.objective import Dataset, MlpArchitecture, Regularizer, forward, forward_logits
 from admmnet.synth import make_separable
 from admmnet.training import TrainConfig, train
 
@@ -26,7 +26,7 @@ class TestBackpropGrads:
         y[rng.integers(0, 2, 6), np.arange(6)] = 1.0
         data = Dataset(x, y)
         W, b = random_params(arch, 1)
-        gW, gb = backprop_grads(W, b, data, arch)
+        gW, gb = backprop_grads(W, b, data, arch, forward(W, b, data.x))
         h = 1e-6
 
         def loss():
@@ -49,16 +49,15 @@ class TestBackpropGrads:
     def test_last_layer_squared_gradient_analytic(self):
         # with squared risk the output-layer gradients have a closed form:
         # gW = resid @ a_prev.T / m, gb = row sums of resid / m
-        from admmnet.objective import forward
-
         arch = MlpArchitecture(layer_dims=(3, 5, 2), risk="squared")
         rng = Rng(2)
         x = rng.normal(0, 1, (3, 7))
         y = rng.normal(0, 1, (2, 7))
         data = Dataset(x, y)
         W, b = random_params(arch, 6)
-        gW, gb = backprop_grads(W, b, data, arch)
-        _, a = forward(W, b, x)
+        fwd = forward(W, b, x)
+        gW, gb = backprop_grads(W, b, data, arch, fwd)
+        _, a = fwd
         # a[0] is the hidden activation feeding layer 1
         resid = (W[1] @ a[0] + b[1] - y) / 7
         assert np.allclose(gW[1], resid @ a[0].T, atol=1e-12)
@@ -120,7 +119,7 @@ class TestRunBaseline:
                                                         epochs=1, seed=2), arch, data)
         upd = baselines._Updater(cfg, W_ref + b_ref)
         for trace in traces:
-            gW, gb = backprop_grads(W_ref, b_ref, data, arch)
+            gW, gb = backprop_grads(W_ref, b_ref, data, arch, forward(W_ref, b_ref, data.x))
             new = upd.step(W_ref + b_ref, gW + gb)
             W_ref, b_ref = new[: len(W_ref)], new[len(W_ref):]
             z_last = forward_logits(W_ref, b_ref, data.x)
@@ -160,8 +159,9 @@ def test_inactive_regularizer_is_off_for_every_consumer():
     for reg in (Regularizer("none", 0.5), Regularizer("l1", 0.0), Regularizer("l2", 0.0)):
         arch = MlpArchitecture(layer_dims=(4, 8, 2), regularizer=reg)
         assert not reg.active and reg.value(W0[0]) == 0.0
-        for g, g_plain in zip(backprop_grads(W0, b0, data, arch)[0],
-                              backprop_grads(W0, b0, data, plain)[0]):
+        fwd = forward(W0, b0, data.x)
+        for g, g_plain in zip(backprop_grads(W0, b0, data, arch, fwd)[0],
+                              backprop_grads(W0, b0, data, plain, fwd)[0]):
             assert g.tobytes() == g_plain.tobytes()
         (W, _), _ = run_baseline(gd, arch, data)
         assert W[0].tobytes() == W_plain[0].tobytes()

@@ -435,14 +435,16 @@ def test_shared_config_may_set_options_of_either_model(image_dir, graph_dir, tmp
 
 def test_selfcheck_detects_wrong_cached_gcn_gradient(monkeypatch, capsys):
     """The GCN gradient is also finite-differenced with the propagations the
-    trainer keeps, so a fault on that path alone fails the check."""
-    real = gcn.grad_psi_block
+    trainer keeps, as an iteration moved them, so a fault in that cache alone
+    fails the check while the fresh propagations still pass."""
+    real = gcn.gcn_iteration
 
-    def scaled(state, graph, block, layer, props=None):
-        grad = real(state, graph, block, layer, props)
-        return 1.5 * grad if props is not None and block == "W" else grad
+    def misplaced(state, graph, record, props):
+        out = real(state, graph, record, props)
+        props.m = [1.5 * m for m in props.m]
+        return out
 
-    monkeypatch.setattr(gcn, "grad_psi_block", scaled)
+    monkeypatch.setattr(gcn, "gcn_iteration", misplaced)
     assert selfcheck(quick=True) == 3
     out = capsys.readouterr().out
     assert "PASS  gcn gradient W vs finite differences" in out

@@ -10,6 +10,7 @@ from admmnet import data_io
 from admmnet.cli import main as cli_main
 from admmnet.data_io import (
     load_graph,
+    load_idx_dataset,
     read_idx_images,
     read_idx_labels,
     save_graph,
@@ -93,6 +94,21 @@ class TestIdxLabels:
         p = tmp_path / "labels"
         write_idx_labels(str(p), y)
         assert np.array_equal(read_idx_labels(str(p), 4), y)
+
+
+def test_splits_of_different_image_sizes(tmp_path):
+    """A test split whose images differ in size from the training split's
+    is a data error before training, not a failed product after it."""
+    for split, rows in (("train", 2), ("t10k", 1)):
+        write_images_fixture(tmp_path / f"{split}-images-idx3-ubyte", 3, rows, 2, range(6 * rows))
+        write_labels_fixture(tmp_path / f"{split}-labels-idx1-ubyte", [0, 1, 2])
+    with pytest.raises(DataError, match=r"train-images-idx3-ubyte holds images of 4 pixels but "
+                                        r".*t10k-images-idx3-ubyte of 2;"):
+        load_idx_dataset(str(tmp_path))
+    out = tmp_path / "run.csv"
+    assert cli_main(["train", "mlp", "--data", str(tmp_path), "--layers", "4,3,10", "--epochs",
+                     "1", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def write_graph_bundle(d, edges, features, labels, masks):

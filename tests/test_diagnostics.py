@@ -15,14 +15,14 @@ from admmnet.training import TrainConfig, train
 
 class TestDescentConstants:
     def test_hypothesis_met_large_rho(self):
-        c1, c2, met = descent_constants(0.01, rho=4.0, nu=1.0, steps=[1.0, 2.0])
+        c1, c2, met = descent_constants(0.01, rho=4.0, nu=1.0, steps={("W", 0): 1.0, ("a", 0): 2.0})
         # C1 = rho/2 - H/2 - H^2/rho with H = 0.01: 2 - 0.005 - 0.000025
         assert c1 == pytest.approx(1.994975)
         assert c2 == pytest.approx(min(0.5, 1.994975, 1.0))
         assert met
 
     def test_hypothesis_unmet_small_rho(self):
-        c1, c2, met = descent_constants(0.01, rho=1e-6, nu=1.0, steps=[1.0])
+        c1, c2, met = descent_constants(0.01, rho=1e-6, nu=1.0, steps={("W", 0): 1.0})
         assert c1 < 0
         assert c2 == c1
         assert not met

@@ -243,7 +243,7 @@ def test_psi_zero_at_consistent_state():
     g = small_graph(2)
     state = gcn_forward_init(g, (3, 4, 2), Rng(0), rho=1.0, mu=1.0)[0]
     state.U = np.zeros_like(state.U)
-    assert psi(state, g) == pytest.approx(0.0, abs=1e-12)
+    assert psi(state, g, propagations(state, g)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psi_hand_case_single_node():
@@ -259,7 +259,7 @@ def test_psi_hand_case_single_node():
     )
     # psi = (mu/2)(Z1 - relu(1*2*1))^2 + U*(Z2 - 1*3*1) + (rho/2)(Z2 - 3)^2
     expect = 0.5 * 4.0 * (3.0 - 2.0) ** 2 + 0.5 * (5.0 - 3.0) + 0.5 * 2.0 * (5.0 - 3.0) ** 2
-    assert psi(state, g) == pytest.approx(expect, rel=1e-12)
+    assert psi(state, g, propagations(state, g)) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("block", ["W", "Z"])
@@ -269,14 +269,14 @@ def test_grad_psi_finite_differences(block):
     h = 1e-6
     store = state.W if block == "W" else state.Z
     for layer in range(2):
-        grad = grad_psi_block(state, g, block, layer)
+        grad = grad_psi_block(state, g, block, layer, propagations(state, g))
         num = np.zeros_like(grad)
         for idx in np.ndindex(*grad.shape):
             orig = store[layer][idx]
             store[layer][idx] = orig + h
-            fp = psi(state, g)
+            fp = psi(state, g, propagations(state, g))
             store[layer][idx] = orig - h
-            fm = psi(state, g)
+            fm = psi(state, g, propagations(state, g))
             store[layer][idx] = orig
             num[idx] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num))))
@@ -312,7 +312,7 @@ def test_sbm_residual_collapse(sbm_run):
 
 def test_sbm_test_accuracy(sbm_run):
     graph, _, (state, traces) = sbm_run
-    assert gcn_accuracy(state, graph, graph.test_mask) >= 0.9
+    assert gcn_accuracy(state, graph, graph.test_mask, propagations(state, graph)) >= 0.9
 
 
 def test_sbm_certificates(sbm_run):
@@ -413,7 +413,7 @@ def test_gcn_beats_or_matches_gd_oracle(sbm_run):
     truth = np.argmax(graph.labels[graph.test_mask], axis=1)
     gd_acc = float(np.mean(pred == truth))
     assert gd_acc >= 0.85
-    assert gcn_accuracy(state, graph, graph.test_mask) >= gd_acc - 0.1
+    assert gcn_accuracy(state, graph, graph.test_mask, propagations(state, graph)) >= gd_acc - 0.1
 
 
 def test_gcn_determinism():
@@ -437,13 +437,15 @@ def test_gcn_config_takes_no_activation_and_no_negative_seed():
         GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=-1)
 
 
-def _without_cache(fn):
-    """fn with its propagations argument ``props`` forced to None."""
+def _with_fresh_cache(fn):
+    """fn with its propagations argument ``props`` replaced by fresh
+    propagations of its ``state``."""
     sig = inspect.signature(fn)
 
     def call(*args, **kwargs):
         bound = sig.bind(*args, **kwargs)
-        bound.arguments["props"] = None
+        named = bound.arguments
+        named["props"] = propagations(named["state"], named["graph"])
         return fn(*bound.args, **bound.kwargs)
 
     return call
@@ -483,7 +485,7 @@ def test_cached_products_match_fresh(hidden, monkeypatch):
         assert _rel_err(a, b) <= 1e-12
 
     for name in ("gcn_iteration", "lagrangian", "gcn_accuracy"):
-        monkeypatch.setattr(gcn, name, _without_cache(getattr(gcn, name)))
+        monkeypatch.setattr(gcn, name, _with_fresh_cache(getattr(gcn, name)))
     fresh_state, fresh_traces = gcn_train(graph, cfg)
     assert len(fresh_traces) == len(traces) == cfg.epochs
     for a, b in zip(traces, fresh_traces):
@@ -505,7 +507,7 @@ def test_iteration_leaves_its_input_unchanged():
     state = random_gcn_state(graph, (2, 8, 4, 2), seed=5)
     blocks = lambda s: [a.tobytes() for a in (*s.W, *s.Z, s.U)]
     before = blocks(state)
-    new = gcn_iteration(state, graph, BlockRecord(StepSeeds()))[0]
+    new = gcn_iteration(state, graph, BlockRecord(StepSeeds()), propagations(state, graph))[0]
     assert blocks(state) == before
     assert all(a != b for a, b in zip(blocks(new), before))
 

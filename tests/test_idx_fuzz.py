@@ -105,6 +105,8 @@ def test_labels_load_or_raise_typed(raw):
 @example({IMAGES: idx(IMAGES_MAGIC, (0, 2, 2)), LABELS: idx(LABELS_MAGIC, (0,)), **VALID_TEST})
 @example({IMAGES: idx(IMAGES_MAGIC, (5, 2, 2), range(20)),
           LABELS: idx(LABELS_MAGIC, (4,), [0, 1, 2, 3]), **VALID_TEST})
+@example({IMAGES: idx(IMAGES_MAGIC, (3, 2, 2), range(12)), LABELS: idx(LABELS_MAGIC, (3,), [0, 1, 2]),
+          **VALID_TEST, "t10k-images-idx3-ubyte": idx(IMAGES_MAGIC, (3, 1, 2), range(6))})
 def test_train_mlp_exits_0_or_1(files):
     with tempfile.TemporaryDirectory() as d:
         for name, raw in files.items():

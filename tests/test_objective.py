@@ -47,7 +47,7 @@ def test_phi_zero_at_consistent_point():
     rng = Rng(0)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
     state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
-    assert phi(state, data) == 0.0
+    assert phi(state, data, products(state, data)) == 0.0
 
 
 def test_phi_hand_case_scalar_net():
@@ -64,7 +64,7 @@ def test_phi_hand_case_scalar_net():
         nu=2.0,
     )
     # phi = (nu/2)[(1-0)^2 + (1-1)^2] + 0 + (rho/2)(1-1)^2 = 1
-    assert phi(state, data) == pytest.approx(1.0, abs=1e-12)
+    assert phi(state, data, products(state, data)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phi_ignores_dual_when_residual_zero():
@@ -72,9 +72,9 @@ def test_phi_ignores_dual_when_residual_zero():
     rng = Rng(1)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
     state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
-    base = phi(state, data)
+    base = phi(state, data, products(state, data))
     state.u = rng.normal(0, 1, state.u.shape) * 100.0
-    assert phi(state, data) == pytest.approx(base, abs=1e-12)
+    assert phi(state, data, products(state, data)) == pytest.approx(base, abs=1e-12)
 
 
 def test_risk_squared_zero_at_fit():
@@ -111,11 +111,12 @@ def test_risk_grad_is_softmax_minus_y_over_m():
 def test_lagrangian_decomposition():
     arch = MlpArchitecture(layer_dims=(3, 4, 2), regularizer=Regularizer("l2", 0.1))
     state, data = random_state(arch, 5, seed=4)
-    total = lagrangian(state, data, arch)
+    P = products(state, data)
+    total = lagrangian(state, data, arch, P)
     parts = (
         mean_risk(arch.risk, data.y).value(state.z[-1])
         + sum(arch.regularizer.value(w) for w in state.W)
-        + phi(state, data)
+        + phi(state, data, P)
     )
     assert total == pytest.approx(parts, rel=1e-12)
 
@@ -124,7 +125,8 @@ def test_l2_regularizer_term():
     arch = MlpArchitecture(layer_dims=(3, 4, 2), regularizer=Regularizer("l2", 0.5))
     plain = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=5)
-    diff = lagrangian(state, data, arch) - lagrangian(state, data, plain)
+    P = products(state, data)
+    diff = lagrangian(state, data, arch, P) - lagrangian(state, data, plain, P)
     assert diff == pytest.approx(0.5 * sum(l2sq(w) for w in state.W), rel=1e-12)
 
 
@@ -133,9 +135,9 @@ def test_dual_shift_identity():
     arch = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=6)
     r = state.z[-1] - state.W[-1] @ state.a[-1] - state.b[-1]
-    before = lagrangian(state, data, arch)
+    before = lagrangian(state, data, arch, products(state, data))
     state.u = state.u + state.rho * r
-    after = lagrangian(state, data, arch)
+    after = lagrangian(state, data, arch, products(state, data))
     assert after - before == pytest.approx(state.rho * l2sq(r), rel=1e-9)
 
 
@@ -144,17 +146,17 @@ def test_objective_F_identity():
     state, data = random_state(arch, 5, seed=7)
     r = state.z[-1] - state.W[-1] @ state.a[-1] - state.b[-1]
     expect = (
-        lagrangian(state, data, arch)
+        lagrangian(state, data, arch, products(state, data))
         - float(np.vdot(state.u, r))
         - 0.5 * state.rho * l2sq(r)
     )
-    assert objective_F(state, data, arch) == pytest.approx(expect, rel=1e-10)
+    assert objective_F(state, data, arch, products(state, data)) == pytest.approx(expect, rel=1e-10)
 
 
 def test_objective_F_nonnegative():
     arch = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=8)
-    assert objective_F(state, data, arch) >= 0.0
+    assert objective_F(state, data, arch, products(state, data)) >= 0.0
 
 
 @pytest.mark.parametrize("risk_kind", ["cross_entropy", "squared"])
@@ -167,35 +169,18 @@ def test_grad_phi_finite_differences(block, risk_kind):
     # z gradient of phi is only defined below the output layer
     store = {"W": state.W, "b": state.b, "z": state.z, "a": state.a}[block]
     for layer in layers:
-        g = grad_phi_block(state, data, block, layer)
+        g = grad_phi_block(state, data, block, layer, products(state, data))
         num = np.zeros_like(g)
         for idx in np.ndindex(*g.shape):
             orig = store[layer][idx]
             store[layer][idx] = orig + h
-            fp = phi(state, data)
+            fp = phi(state, data, products(state, data))
             store[layer][idx] = orig - h
-            fm = phi(state, data)
+            fm = phi(state, data, products(state, data))
             store[layer][idx] = orig
             num[idx] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num))))
         assert np.max(np.abs(g - num)) / scale < 1e-5
-
-
-def test_given_products_match_fresh_ones():
-    """With P = products(state, data) passed in, phi, objective_F, the
-    Lagrangian and every block gradient return the bits they return when
-    they form the products themselves."""
-    arch = MlpArchitecture(layer_dims=(3, 4, 3, 2))
-    state, data = random_state(arch, 5, seed=14)
-    P = products(state, data)
-    assert phi(state, data, P) == phi(state, data)
-    assert objective_F(state, data, arch, P) == objective_F(state, data, arch)
-    assert lagrangian(state, data, arch, P) == lagrangian(state, data, arch)
-    for block in ("W", "b", "z", "a"):
-        for layer in range(arch.n_layers - (block == "a")):
-            fresh = grad_phi_block(state, data, block, layer)
-            given = grad_phi_block(state, data, block, layer, P)
-            assert given.tobytes() == fresh.tobytes()
 
 
 def test_grad_phi_zero_at_feasible_point():
@@ -203,11 +188,12 @@ def test_grad_phi_zero_at_feasible_point():
     rng = Rng(10)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
     state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
+    P = products(state, data)
     for block in ("W", "b"):
         for layer in range(2):
-            assert np.allclose(grad_phi_block(state, data, block, layer), 0.0, atol=1e-12)
-    assert np.allclose(grad_phi_block(state, data, "z", 0), 0.0, atol=1e-12)
-    assert np.allclose(grad_phi_block(state, data, "a", 0), 0.0, atol=1e-12)
+            assert np.allclose(grad_phi_block(state, data, block, layer, P), 0.0, atol=1e-12)
+    assert np.allclose(grad_phi_block(state, data, "z", 0, P), 0.0, atol=1e-12)
+    assert np.allclose(grad_phi_block(state, data, "a", 0, P), 0.0, atol=1e-12)
 
 
 def test_grad_b_last_hand_form():
@@ -215,17 +201,18 @@ def test_grad_b_last_hand_form():
     state, data = random_state(arch, 5, seed=11)
     r = state.z[-1] - state.W[-1] @ state.a[-1] - state.b[-1]
     expect = -np.sum(state.u + state.rho * r, axis=1, keepdims=True)
-    got = grad_phi_block(state, data, "b", arch.n_layers - 1)
+    got = grad_phi_block(state, data, "b", arch.n_layers - 1, products(state, data))
     assert np.allclose(got, expect, atol=1e-10)
 
 
 def test_grad_phi_errors():
     arch = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=12)
+    P = products(state, data)
     with pytest.raises(IndexError):
-        grad_phi_block(state, data, "W", 5)
+        grad_phi_block(state, data, "W", 5, P)
     with pytest.raises(ValueError):
-        grad_phi_block(state, data, "q", 0)
+        grad_phi_block(state, data, "q", 0, P)
 
 
 def test_forward_init_contract():
@@ -234,7 +221,7 @@ def test_forward_init_contract():
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
     s1 = forward_init(arch, data, Rng(42), rho=1.0, nu=1.0)
     s2 = forward_init(arch, data, Rng(42), rho=1.0, nu=1.0)
-    assert phi(s1, data) == 0.0
+    assert phi(s1, data, products(s1, data)) == 0.0
     assert all(np.array_equal(a, b) for a, b in zip(s1.W, s2.W))
     assert s1.W[0].shape == (3, 2) and s1.W[1].shape == (2, 3)
     assert all(np.all(b == 0) for b in s1.b)

@@ -106,15 +106,15 @@ def test_step_seeds_warm_start():
 class TestUpdateB:
     def test_zero_grad_unchanged(self):
         b = np.array([[1.0], [2.0]])
-        out = update_b(b, np.zeros_like(b), 0, 3, nu=2.0, rho=5.0)
+        out = update_b(b, np.zeros_like(b), 0, 3, nu=2.0, rho=5.0, n_samples=1)
         assert np.array_equal(out, b)
 
     def test_hidden_layer_divisor_nu(self):
-        out = update_b(np.array([[0.0]]), np.array([[4.0]]), 0, 2, nu=2.0, rho=7.0)
+        out = update_b(np.array([[0.0]]), np.array([[4.0]]), 0, 2, nu=2.0, rho=7.0, n_samples=1)
         assert out[0, 0] == pytest.approx(-2.0)
 
     def test_last_layer_divisor_rho(self):
-        out = update_b(np.array([[0.0]]), np.array([[4.0]]), 1, 2, nu=2.0, rho=8.0)
+        out = update_b(np.array([[0.0]]), np.array([[4.0]]), 1, 2, nu=2.0, rho=8.0, n_samples=1)
         assert out[0, 0] == pytest.approx(-0.5)
 
     def test_matches_grid_minimum(self):
@@ -125,7 +125,7 @@ class TestUpdateB:
             b0 = float(rng.normal(0, 1, ()))
             g = float(rng.normal(0, 2, ()))
             d = nu if layer < n_layers - 1 else rho
-            out = update_b(np.array([[b0]]), np.array([[g]]), layer, n_layers, nu, rho)
+            out = update_b(np.array([[b0]]), np.array([[g]]), layer, n_layers, nu, rho, n_samples=1)
             grid = b0 + np.linspace(-5, 5, 20001)
             model = g * (grid - b0) + 0.5 * d * (grid - b0) ** 2
             best = grid[np.argmin(model)]

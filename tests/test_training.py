@@ -14,6 +14,7 @@ from admmnet.objective import (
     forward_init,
     forward_logits,
     lagrangian,
+    products,
 )
 from admmnet.gcn import GcnConfig, gcn_train
 from admmnet.solvers import BacktrackResult, FistaResult, StepSeeds
@@ -161,9 +162,9 @@ def test_dual_residual_consistency(separable_run):
     seeds = StepSeeds()
     for _ in range(2):
         record = BlockRecord(seeds)
-        barred = backward_sweep(state, data, arch, record)
-        new = forward_sweep(barred, data, arch, record)
-        r = objective.linear_residual(new, data, arch.n_layers - 1)
+        barred = backward_sweep(state, data, arch, record, products(state, data))
+        new = forward_sweep(barred, data, arch, record, products(barred, data))
+        r = objective.linear_residual(new, data, arch.n_layers - 1, products(new, data))
         u_prev = new.u.copy()
         new.u = dual_update(new, r)
         assert np.array_equal(new.u, u_prev + cfg.rho * r)
@@ -212,8 +213,8 @@ def test_stationary_point_is_fixed():
     result = train(arch, data, cfg)
     state = result.state
     record = BlockRecord(StepSeeds())
-    barred = backward_sweep(state, data, arch, record)
-    new = forward_sweep(barred, data, arch, record)
+    barred = backward_sweep(state, data, arch, record, products(state, data))
+    new = forward_sweep(barred, data, arch, record, products(barred, data))
     move = block_move_sq_sum(state, barred, new)
     assert move < 0.01 * result.traces[0].block_move_sq_sum
     assert move < 1e-4
@@ -225,12 +226,12 @@ def test_each_sweep_decreases_lagrangian():
     cfg = TrainConfig(rho=2.0, nu=1.0, epochs=1, seed=0)
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
     record = BlockRecord(StepSeeds())
-    before = lagrangian(state, data, arch)
-    barred = backward_sweep(state, data, arch, record)
-    mid = lagrangian(barred, data, arch)
+    before = lagrangian(state, data, arch, products(state, data))
+    barred = backward_sweep(state, data, arch, record, products(state, data))
+    mid = lagrangian(barred, data, arch, products(barred, data))
     assert mid <= before + 1e-9
-    new = forward_sweep(barred, data, arch, record)
-    after = lagrangian(new, data, arch)
+    new = forward_sweep(barred, data, arch, record, products(barred, data))
+    after = lagrangian(new, data, arch, products(new, data))
     assert after <= mid + 1e-9
 
 
@@ -250,7 +251,7 @@ def test_index_discipline_backward_sweep(monkeypatch):
         return real(st, dat, layer, fz, P)
 
     monkeypatch.setattr(objective, "grad_a", spy)
-    backward_sweep(state, data, arch, BlockRecord(StepSeeds()))
+    backward_sweep(state, data, arch, BlockRecord(StepSeeds()), products(state, data))
 
     # backward order is l = L-1 .. 0; at the a-update of hidden layer 1 the
     # last layer's W must already be barred (changed), W[0..1] untouched
@@ -337,10 +338,10 @@ def test_cached_products_match_fresh(reg, monkeypatch):
 
     def check(trace):
         state = seen["state"]  # its dual is updated before the trace is made
-        assert trace.lagrangian == pytest.approx(lagrangian(state, data, arch), rel=1e-10)
-        assert trace.objective_F == pytest.approx(
-            objective.objective_F(state, data, arch), rel=1e-10
-        )
+        P = products(state, data)
+        assert trace.lagrangian == pytest.approx(lagrangian(state, data, arch, P), rel=1e-10)
+        assert trace.objective_F == pytest.approx(objective.objective_F(state, data, arch, P),
+                                                  rel=1e-10)
         seen["checked"] = seen.get("checked", 0) + 1
 
     monkeypatch.setattr(training, "forward_sweep", spy)
@@ -379,9 +380,9 @@ def test_boundedness_plateau():
     norm_hist = []
     for _ in range(60):
         record = BlockRecord(seeds)
-        barred = backward_sweep(state, data, arch, record)
-        new = forward_sweep(barred, data, arch, record)
-        r = objective.linear_residual(new, data, arch.n_layers - 1)
+        barred = backward_sweep(state, data, arch, record, products(state, data))
+        new = forward_sweep(barred, data, arch, record, products(barred, data))
+        r = objective.linear_residual(new, data, arch.n_layers - 1, products(new, data))
         new.u = dual_update(new, r)
         state = new
         total = sum(l2sq(w) for w in state.W) + sum(l2sq(b) for b in state.b)
