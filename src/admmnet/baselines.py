@@ -48,9 +48,9 @@ class BaselineTrace:
     wall_time: float
 
 
-def backprop_grads(W, b, data: Dataset, arch: MlpArchitecture, forward: tuple):
+def backprop_grads(W, data: Dataset, arch: MlpArchitecture, forward: tuple):
     """Exact full-batch gradients of risk + regularizer w.r.t. every W_l, b_l,
-    given ``forward``, ``objective.forward`` of W, b and the data."""
+    given ``forward``, ``objective.forward`` of W, the biases and the data."""
     zs, acts = forward
     last, reg = len(W) - 1, arch.regularizer
     gW = [None] * len(W)
@@ -126,7 +126,7 @@ def run_baseline(
     # the one the next epoch's gradients start from
     forward = objective.forward(W, b, data.x)
     for it in range(1, cfg.epochs + 1):
-        gW, gb = backprop_grads(W, b, data, arch, forward)
+        gW, gb = backprop_grads(W, data, arch, forward)
         del forward  # not kept alive while the next one is formed
         new = upd.step(W + b, gW + gb)
         W, b = new[: len(W)], new[len(W):]

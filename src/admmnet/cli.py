@@ -258,7 +258,7 @@ def selfcheck(quick: bool = False) -> int:
     # GCN's blocks on a small graph off its consistent point
     for block, store in {"W": state.W, "b": state.b, "z": state.z, "a": state.a}.items():
         worst = _fd_error(lambda l: grad_phi_block(state, data, block, l, products(state, data)),
-                          store, lambda: phi(state, data, products(state, data)))
+                          store, lambda: phi(state, products(state, data)))
         check(f"gradient {block} vs finite differences", worst < 1e-5)
     graph = make_sbm_graph(6, p_in=0.6, p_out=0.3, rng=Rng(13))
     gstate = gcn.gcn_forward_init(graph, (2, 3, 2), Rng(2), rho=1.0, mu=1.0)[0]
@@ -266,13 +266,14 @@ def selfcheck(quick: bool = False) -> int:
     gstate.U = rng.normal(0.0, 1.0, gstate.U.shape)
     # with the propagations the trainer keeps too, as one iteration moved them
     props = gcn.propagations(gstate, graph)
-    moved = gcn.gcn_iteration(gstate, graph, BlockRecord(solvers.StepSeeds()), props)[0]
+    risk = gcn.masked_ce(graph.labels, graph.train_mask)
+    moved = gcn.gcn_iteration(gstate, risk, BlockRecord(solvers.StepSeeds()), props)[0]
     for block in ("W", "Z"):
         for tag, at, cache in (("", gstate, gcn.propagations(gstate, graph)),
                                (" (cached propagations)", moved, props)):
-            worst = _fd_error(lambda l: gcn.grad_psi_block(at, graph, block, l, cache),
+            worst = _fd_error(lambda l: gcn.grad_psi_block(at, block, l, cache),
                               at.W if block == "W" else at.Z,
-                              lambda: gcn.psi(at, graph, gcn.propagations(at, graph)))
+                              lambda: gcn.psi(at, gcn.propagations(at, graph)))
             check(f"gcn gradient {block}{tag} vs finite differences", worst < 1e-5)
     # psi's finite differences go through the same A_norm as its gradient, so
     # the operator is checked against the dense normalization formula on its

@@ -27,6 +27,7 @@ from .objective import Dataset
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+N_CLASSES = 10  # the classes of an IDX dataset, as in MNIST
 
 
 def _read_u32(buf: bytes, offset: int, path: str) -> int:
@@ -87,7 +88,7 @@ def write_idx_labels(path: str, y: Matrix) -> None:
         fh.write(labels.tobytes())
 
 
-def load_idx_dataset(directory: str, n_classes: int = 10):
+def load_idx_dataset(directory: str):
     """(train, test) Datasets from the standard MNIST filenames.  A split
     whose image and label counts differ or are 0 is a ``DataError`` naming
     its two files, and so are two splits whose images differ in pixel count."""
@@ -98,7 +99,7 @@ def load_idx_dataset(directory: str, n_classes: int = 10):
             raise FormatError(f"missing dataset file {p}")
     sets = []
     for x_path, y_path in (paths[:2], paths[2:]):
-        x, y = read_idx_images(x_path), read_idx_labels(y_path, n_classes)
+        x, y = read_idx_images(x_path), read_idx_labels(y_path, N_CLASSES)
         if x.shape[1] != y.shape[1] or x.shape[1] == 0:
             raise DataError(f"{x_path} holds {x.shape[1]} images but {y_path} {y.shape[1]} labels; "
                             "a split needs one label per image and at least one image")

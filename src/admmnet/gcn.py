@@ -12,9 +12,9 @@ Iteration.  ``gcn_iteration`` walks the forward block list, W and Z of each
 layer, with ``training.walk_blocks`` (which keeps each block's record)
 backward and then forward on a copy of the state's block lists, then updates
 the dual.  Both output solves of an iteration run ``solvers.solve_z_last``, as
-in the MLP, under its one ``masked_ce``.  psi's term of one layer and its
-slope in the layer's propagation are written once, in ``_term`` and
-``_term_slope``.
+in the MLP, under the ``masked_ce`` that ``gcn_train`` passes in.  psi's term
+of one layer and its slope in the layer's propagation are written once, in
+``_term`` and ``_term_slope``.
 
 Cached propagation.  Besides the blocks, the sweep state holds a
 ``Propagations``: the fixed ax = A_norm X and the layer propagations m[l] =
@@ -303,21 +303,20 @@ def _term_slope(state: GcnState, layer: int, m: Matrix) -> Matrix:
     return state.mu * (state.Z[layer] - relu(m)) * relu_deriv(m)
 
 
-def psi(state: GcnState, graph: Graph, props: Propagations) -> float:
+def psi(state: GcnState, props: Propagations) -> float:
     total = 0.0
     for l in range(state.n_layers):
         total += _term(state, l, propagated(props, l))
     return total
 
 
-def lagrangian(state: GcnState, graph: Graph, risk: float, props: Propagations) -> float:
-    """Masked risk plus psi, given ``risk``, the masked risk of ``state``'s
-    output block."""
-    return risk + psi(state, graph, props)
+def lagrangian(state: GcnState, risk_value: float, props: Propagations) -> float:
+    """Masked risk plus psi, given ``risk_value``, the masked risk of
+    ``state``'s output block."""
+    return risk_value + psi(state, props)
 
 
-def grad_psi_block(state: GcnState, graph: Graph, block: str, layer: int,
-                   props: Propagations) -> Matrix:
+def grad_psi_block(state: GcnState, block: str, layer: int, props: Propagations) -> Matrix:
     last = state.n_layers - 1
     if block not in ("W", "Z"):
         raise ValueError(f"unknown block {block!r}")
@@ -341,8 +340,8 @@ def grad_psi_block(state: GcnState, graph: Graph, block: str, layer: int,
 # Block updates
 # ---------------------------------------------------------------------------
 
-def _update_W_gcn(work, props, graph, layer, seed):
-    grad = grad_psi_block(work, graph, "W", layer, props)
+def _update_W_gcn(work, props, layer, seed):
+    grad = grad_psi_block(work, "W", layer, props)
     neg_dir = _through(work, props.ax, layer, -grad)  # W - G/t moves m[layer] by neg_dir/t
     res, shift = backtrack_shifted(lambda x, moved: _term(work, layer, moved()),
                                    props.m[layer], lambda x, t: neg_dir / t, grad, work.W[layer],
@@ -352,8 +351,8 @@ def _update_W_gcn(work, props, graph, layer, seed):
     return res
 
 
-def _update_Z_hidden(work, props, graph, layer, seed):
-    grad = grad_psi_block(work, graph, "Z", layer, props)
+def _update_Z_hidden(work, props, layer, seed):
+    grad = grad_psi_block(work, "Z", layer, props)
     fm = relu(props.m[layer])
     nxt = layer + 1
     neg_dir = _adj(work.A_norm, grad @ -work.W[nxt])  # Z - G/t moves m[nxt] by neg_dir/t
@@ -365,30 +364,28 @@ def _update_Z_hidden(work, props, graph, layer, seed):
     return res
 
 
-def _update_Z_last(work, props, graph, risk):
+def _update_Z_last(work, props, risk):
     """The output block under ``risk``, the masked cross-entropy."""
-    last = work.n_layers - 1
-    res = solve_z_last(propagated(props, last), work.U, work.rho, risk, work.Z[last])
-    work.Z[last] = res.z
+    res = solve_z_last(propagated(props, work.n_layers - 1), work.U, work.rho, risk, work.Z[-1])
+    work.Z[-1] = res.z
     return res
 
 
-def gcn_iteration(state: GcnState, graph: Graph, record: BlockRecord, props: Propagations):
-    """One backward + forward + dual iteration, its blocks added to
-    ``record``.  Returns the new state and the dual residual.  props holds
-    the propagations of ``state`` and is moved in place to those of the
-    returned state."""
+def gcn_iteration(state: GcnState, risk: Risk, record: BlockRecord, props: Propagations):
+    """One backward + forward + dual iteration under ``risk``, the run's
+    masked cross-entropy, its blocks added to ``record``.  Returns the new
+    state and the dual residual.  props holds the propagations of ``state``
+    and is moved in place to those of the returned state."""
     last = state.n_layers - 1
     work = state.copy()
     blocks = [(kind, l) for l in range(last + 1) for kind in "WZ"]  # the forward order
-    risk = masked_ce(graph.labels, graph.train_mask)  # both output solves
 
     def update(kind, layer, seed):
         if kind == "W":
-            return _update_W_gcn(work, props, graph, layer, seed)
+            return _update_W_gcn(work, props, layer, seed)
         if layer < last:
-            return _update_Z_hidden(work, props, graph, layer, seed)
-        return _update_Z_last(work, props, graph, risk)
+            return _update_Z_hidden(work, props, layer, seed)
+        return _update_Z_last(work, props, risk)
 
     walk_blocks(blocks, update, record, backward=True)
     walk_blocks(blocks, update, record, backward=False)
@@ -424,13 +421,13 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     dims = (graph.features.shape[1], *cfg.hidden_dims, graph.labels.shape[1])
     state, props = gcn_forward_init(graph, dims, Rng(cfg.seed), cfg.rho, cfg.mu)
 
-    risk = masked_ce(graph.labels, graph.train_mask)  # one log-softmax per epoch
+    risk = masked_ce(graph.labels, graph.train_mask)  # one per run: every iteration shares its memo
 
     def iterate(record: BlockRecord):
         nonlocal state
-        state, eps = gcn_iteration(state, graph, record, props)
+        state, eps = gcn_iteration(state, risk, record, props)
         value = risk.value(state.Z[-1])
-        return lagrangian(state, graph, value, props), dict(
+        return lagrangian(state, value, props), dict(
             risk=value,
             residual_fro=float(np.sqrt(l2sq(eps))),
             stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.Z[-1]),
@@ -439,7 +436,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
             test_acc=gcn_accuracy(state, graph, graph.test_mask, props),
         )
 
-    lagr0 = lagrangian(state, graph, risk.value(state.Z[-1]), props)
+    lagr0 = lagrangian(state, risk.value(state.Z[-1]), props)
     traces = run_certified(cfg.epochs, lagr0, iterate, GcnTrace, (risk.curvature, cfg.rho, cfg.mu),
                            trace_sink)
     return state, traces

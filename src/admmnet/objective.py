@@ -245,15 +245,15 @@ def products(state: MlpState, data: Dataset) -> list:
     return [state.W[l] @ _a_prev(state, data, l) for l in range(state.n_layers)]
 
 
-def linear_residual(state: MlpState, data: Dataset, layer: int, P: list) -> Matrix:
+def linear_residual(state: MlpState, layer: int, P: list) -> Matrix:
     """z_l - W_l a_{l-1} - b_l for the given layer."""
     return state.z[layer] - P[layer] - state.b[layer]
 
 
-def _residual(state: MlpState, data: Dataset, layer: int, P: list):
+def _residual(state: MlpState, layer: int, P: list):
     """(r_l, d phi / d r_l) with r_l the layer's linear residual: the
     gradient is nu r_l below the output layer and u + rho r_l at it."""
-    r = linear_residual(state, data, layer, P)
+    r = linear_residual(state, layer, P)
     if layer < state.n_layers - 1:
         return r, state.nu * r
     return r, state.u + state.rho * r
@@ -273,25 +273,26 @@ def activation_term(state: MlpState, a: Matrix, fz: Matrix) -> float:
     return 0.5 * state.nu * l2sq(a - fz)
 
 
-def _hidden_terms(state: MlpState, data: Dataset, P: list, total: float) -> float:
+def _hidden_terms(state: MlpState, P: list, total: float) -> float:
     """``total`` plus phi's terms of the hidden layers, added in layer order."""
     for l in range(state.n_layers - 1):
-        total = linear_term(state, linear_residual(state, data, l, P), False, total)
+        total = linear_term(state, linear_residual(state, l, P), False, total)
         total += activation_term(state, state.a[l], relu(state.z[l]))
     return total
 
 
-def phi(state: MlpState, data: Dataset, P: list) -> float:
+def phi(state: MlpState, P: list) -> float:
     last = state.n_layers - 1
-    return linear_term(state, linear_residual(state, data, last, P), True,
-                       _hidden_terms(state, data, P, 0.0))
+    return linear_term(state, linear_residual(state, last, P), True, _hidden_terms(state, P, 0.0))
 
 
 def objective_F(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list) -> float:
     """Relaxed training objective: risk + regularizers + nu-penalties only."""
     total = mean_risk(arch.risk, data.y).value(state.z[-1])
-    total += sum(arch.regularizer.value(w) for w in state.W)
-    return _hidden_terms(state, data, P, total)
+    reg = 0.0
+    for w in state.W:  # one by one: sum() of floats compensates from Python 3.12 on
+        reg += arch.regularizer.value(w)
+    return _hidden_terms(state, P, total + reg)
 
 
 def objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list,
@@ -304,21 +305,21 @@ def objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitectu
 
 
 def lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list) -> float:
-    r = linear_residual(state, data, state.n_layers - 1, P)
+    r = linear_residual(state, state.n_layers - 1, P)
     return objective_and_lagrangian(state, data, arch, P, r)[1]
 
 
 def grad_W(state: MlpState, data: Dataset, layer: int, P: list):
     """Gradient of phi in W_l, and the layer residual r_l it reads."""
-    r, scaled = _residual(state, data, layer, P)
+    r, scaled = _residual(state, layer, P)
     return -(scaled @ _a_prev(state, data, layer).T), r
 
 
-def grad_a(state: MlpState, data: Dataset, layer: int, fz: Matrix, P: list):
+def grad_a(state: MlpState, layer: int, fz: Matrix, P: list):
     """Gradient of phi in a_l given f(z_l), the layer l+1 residual it reads,
     and phi's activation term (nu/2)||a_l - f(z_l)||^2 from the same
     difference (``activation_term`` of a_l)."""
-    lin, scaled = _residual(state, data, layer + 1, P)
+    lin, scaled = _residual(state, layer + 1, P)
     grad = state.a[layer] - fz
     act = 0.5 * state.nu * l2sq(grad)
     grad *= state.nu
@@ -340,10 +341,10 @@ def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int, P: li
     if block == "W":
         return grad_W(state, data, layer, P)[0]
     if block == "b":
-        return -np.sum(_residual(state, data, layer, P)[1], axis=1, keepdims=True)
+        return -np.sum(_residual(state, layer, P)[1], axis=1, keepdims=True)
     if block == "a":
-        return grad_a(state, data, layer, relu(state.z[layer]), P)[0]
-    _, scaled = _residual(state, data, layer, P)
+        return grad_a(state, layer, relu(state.z[layer]), P)[0]
+    _, scaled = _residual(state, layer, P)
     if layer == last:
         return scaled
     act_res = state.a[layer] - relu(state.z[layer])

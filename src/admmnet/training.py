@@ -269,11 +269,11 @@ def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, lay
     return res
 
 
-def _update_a(work: MlpState, P: list, data: Dataset, layer: int, seed: float) -> BacktrackResult:
+def _update_a(work: MlpState, P: list, layer: int, seed: float) -> BacktrackResult:
     nxt = layer + 1
     anchor = work.a[layer]
     fz = objective.relu(work.z[layer])
-    grad, lin0, act0 = objective.grad_a(work, data, layer, fz, P)
+    grad, lin0, act0 = objective.grad_a(work, layer, fz, P)
     w_grad = work.W[nxt] @ grad  # trial residual is lin0 + w_grad / step
     is_last = nxt == work.n_layers - 1
 
@@ -321,7 +321,7 @@ def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, record: BlockR
         if kind == "W":
             return _update_W(work, P, data, arch, layer, seed)
         if kind == "a":
-            return _update_a(work, P, data, layer, seed)
+            return _update_a(work, P, layer, seed)
         if kind == "b":
             return _update_b_block(work, P, data, layer)
         if layer == last:
@@ -371,7 +371,7 @@ def train(
         del state  # the forward half needs only the barred blocks
         state = forward_sweep(barred, data, arch, record, P)
         del barred
-        r = objective.linear_residual(state, data, last, P)
+        r = objective.linear_residual(state, last, P)
         state.u = dual_update(state, r)
         objective_F, lagr = objective.objective_and_lagrangian(state, data, arch, P, r)
         return lagr, dict(

@@ -154,7 +154,7 @@ def test_criterion_01_gradient_fidelity():
             rho=1.3,
             nu=0.7,
         )
-        val = lambda: phi(state, data, products(state, data))
+        val = lambda: phi(state, products(state, data))
         for layer in range(L):
             for block, arr in (
                 ("W", state.W[layer]),
@@ -183,10 +183,10 @@ def test_criterion_01_gradient_fidelity():
             rho=1.3,
             mu=0.7,
         )
-        val = lambda: psi(state, graph, propagations(state, graph))
+        val = lambda: psi(state, propagations(state, graph))
         for layer in range(2):
             for block, arr in (("W", state.W[layer]), ("Z", state.Z[layer])):
-                g = grad_psi_block(state, graph, block, layer, propagations(state, graph))
+                g = grad_psi_block(state, block, layer, propagations(state, graph))
                 num = _fd_block(val, arr)
                 worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
 

@@ -26,7 +26,7 @@ class TestBackpropGrads:
         y[rng.integers(0, 2, 6), np.arange(6)] = 1.0
         data = Dataset(x, y)
         W, b = random_params(arch, 1)
-        gW, gb = backprop_grads(W, b, data, arch, forward(W, b, data.x))
+        gW, gb = backprop_grads(W, data, arch, forward(W, b, data.x))
         h = 1e-6
 
         def loss():
@@ -56,7 +56,7 @@ class TestBackpropGrads:
         data = Dataset(x, y)
         W, b = random_params(arch, 6)
         fwd = forward(W, b, x)
-        gW, gb = backprop_grads(W, b, data, arch, fwd)
+        gW, gb = backprop_grads(W, data, arch, fwd)
         _, a = fwd
         # a[0] is the hidden activation feeding layer 1
         resid = (W[1] @ a[0] + b[1] - y) / 7
@@ -119,7 +119,7 @@ class TestRunBaseline:
                                                         epochs=1, seed=2), arch, data)
         upd = baselines._Updater(cfg, W_ref + b_ref)
         for trace in traces:
-            gW, gb = backprop_grads(W_ref, b_ref, data, arch, forward(W_ref, b_ref, data.x))
+            gW, gb = backprop_grads(W_ref, data, arch, forward(W_ref, b_ref, data.x))
             new = upd.step(W_ref + b_ref, gW + gb)
             W_ref, b_ref = new[: len(W_ref)], new[len(W_ref):]
             z_last = forward_logits(W_ref, b_ref, data.x)
@@ -160,8 +160,8 @@ def test_inactive_regularizer_is_off_for_every_consumer():
         arch = MlpArchitecture(layer_dims=(4, 8, 2), regularizer=reg)
         assert not reg.active and reg.value(W0[0]) == 0.0
         fwd = forward(W0, b0, data.x)
-        for g, g_plain in zip(backprop_grads(W0, b0, data, arch, fwd)[0],
-                              backprop_grads(W0, b0, data, plain, fwd)[0]):
+        for g, g_plain in zip(backprop_grads(W0, data, arch, fwd)[0],
+                              backprop_grads(W0, data, plain, fwd)[0]):
             assert g.tobytes() == g_plain.tobytes()
         (W, _), _ = run_baseline(gd, arch, data)
         assert W[0].tobytes() == W_plain[0].tobytes()

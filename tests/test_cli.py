@@ -439,8 +439,8 @@ def test_selfcheck_detects_wrong_cached_gcn_gradient(monkeypatch, capsys):
     fails the check while the fresh propagations still pass."""
     real = gcn.gcn_iteration
 
-    def misplaced(state, graph, record, props):
-        out = real(state, graph, record, props)
+    def misplaced(state, risk, record, props):
+        out = real(state, risk, record, props)
         props.m = [1.5 * m for m in props.m]
         return out
 

@@ -243,7 +243,7 @@ def test_psi_zero_at_consistent_state():
     g = small_graph(2)
     state = gcn_forward_init(g, (3, 4, 2), Rng(0), rho=1.0, mu=1.0)[0]
     state.U = np.zeros_like(state.U)
-    assert psi(state, g, propagations(state, g)) == pytest.approx(0.0, abs=1e-12)
+    assert psi(state, propagations(state, g)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psi_hand_case_single_node():
@@ -259,7 +259,7 @@ def test_psi_hand_case_single_node():
     )
     # psi = (mu/2)(Z1 - relu(1*2*1))^2 + U*(Z2 - 1*3*1) + (rho/2)(Z2 - 3)^2
     expect = 0.5 * 4.0 * (3.0 - 2.0) ** 2 + 0.5 * (5.0 - 3.0) + 0.5 * 2.0 * (5.0 - 3.0) ** 2
-    assert psi(state, g, propagations(state, g)) == pytest.approx(expect, rel=1e-12)
+    assert psi(state, propagations(state, g)) == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("block", ["W", "Z"])
@@ -269,14 +269,14 @@ def test_grad_psi_finite_differences(block):
     h = 1e-6
     store = state.W if block == "W" else state.Z
     for layer in range(2):
-        grad = grad_psi_block(state, g, block, layer, propagations(state, g))
+        grad = grad_psi_block(state, block, layer, propagations(state, g))
         num = np.zeros_like(grad)
         for idx in np.ndindex(*grad.shape):
             orig = store[layer][idx]
             store[layer][idx] = orig + h
-            fp = psi(state, g, propagations(state, g))
+            fp = psi(state, propagations(state, g))
             store[layer][idx] = orig - h
-            fm = psi(state, g, propagations(state, g))
+            fm = psi(state, propagations(state, g))
             store[layer][idx] = orig
             num[idx] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num))))
@@ -338,10 +338,10 @@ def test_traced_moves_match_fresh(monkeypatch):
     def measuring(name, block_of):
         real = getattr(gcn, name)
 
-        def update(work, props, graph, *args):
+        def update(work, props, *args):
             blocks, layer = block_of(work, *args)
             old = blocks[layer]
-            res = real(work, props, graph, *args)
+            res = real(work, props, *args)
             moves.append(l2sq(blocks[layer] - old))
             return res
 
@@ -437,15 +437,15 @@ def test_gcn_config_takes_no_activation_and_no_negative_seed():
         GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=-1)
 
 
-def _with_fresh_cache(fn):
+def _with_fresh_cache(fn, graph):
     """fn with its propagations argument ``props`` replaced by fresh
-    propagations of its ``state``."""
+    propagations of its ``state`` on ``graph``."""
     sig = inspect.signature(fn)
 
     def call(*args, **kwargs):
         bound = sig.bind(*args, **kwargs)
         named = bound.arguments
-        named["props"] = propagations(named["state"], named["graph"])
+        named["props"] = propagations(named["state"], graph)
         return fn(*bound.args, **bound.kwargs)
 
     return call
@@ -485,7 +485,7 @@ def test_cached_products_match_fresh(hidden, monkeypatch):
         assert _rel_err(a, b) <= 1e-12
 
     for name in ("gcn_iteration", "lagrangian", "gcn_accuracy"):
-        monkeypatch.setattr(gcn, name, _with_fresh_cache(getattr(gcn, name)))
+        monkeypatch.setattr(gcn, name, _with_fresh_cache(getattr(gcn, name), graph))
     fresh_state, fresh_traces = gcn_train(graph, cfg)
     assert len(fresh_traces) == len(traces) == cfg.epochs
     for a, b in zip(traces, fresh_traces):
@@ -507,7 +507,8 @@ def test_iteration_leaves_its_input_unchanged():
     state = random_gcn_state(graph, (2, 8, 4, 2), seed=5)
     blocks = lambda s: [a.tobytes() for a in (*s.W, *s.Z, s.U)]
     before = blocks(state)
-    new = gcn_iteration(state, graph, BlockRecord(StepSeeds()), propagations(state, graph))[0]
+    new = gcn_iteration(state, masked_ce(graph.labels, graph.train_mask), BlockRecord(StepSeeds()),
+                        propagations(state, graph))[0]
     assert blocks(state) == before
     assert all(a != b for a, b in zip(blocks(new), before))
 
@@ -532,11 +533,11 @@ def test_dense_products_per_iteration(monkeypatch):
     state, props = gcn.gcn_forward_init(graph, (2, 8, 2), Rng(0), cfg.rho, cfg.mu)
     assert widths == [2, 2]
     widths.clear()
-    new = gcn_iteration(state, graph, BlockRecord(StepSeeds()), props)[0]
+    risk = masked_ce(graph.labels, graph.train_mask)
+    new = gcn_iteration(state, risk, BlockRecord(StepSeeds()), props)[0]
     assert widths == [2] * 8
     widths.clear()
-    gcn.lagrangian(new, graph, gcn.masked_ce(graph.labels, graph.train_mask).value(new.Z[-1]),
-                   props)
+    gcn.lagrangian(new, risk.value(new.Z[-1]), props)
     gcn_accuracy(new, graph, graph.train_mask, props)
     gcn_accuracy(new, graph, graph.test_mask, props)
     assert widths == []

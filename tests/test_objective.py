@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import admmnet.objective as objective
 from admmnet.linalg import Rng, l2sq
 from admmnet.objective import (
     Dataset,
@@ -47,7 +50,7 @@ def test_phi_zero_at_consistent_point():
     rng = Rng(0)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
     state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
-    assert phi(state, data, products(state, data)) == 0.0
+    assert phi(state, products(state, data)) == 0.0
 
 
 def test_phi_hand_case_scalar_net():
@@ -64,7 +67,7 @@ def test_phi_hand_case_scalar_net():
         nu=2.0,
     )
     # phi = (nu/2)[(1-0)^2 + (1-1)^2] + 0 + (rho/2)(1-1)^2 = 1
-    assert phi(state, data, products(state, data)) == pytest.approx(1.0, abs=1e-12)
+    assert phi(state, products(state, data)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phi_ignores_dual_when_residual_zero():
@@ -72,9 +75,9 @@ def test_phi_ignores_dual_when_residual_zero():
     rng = Rng(1)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
     state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
-    base = phi(state, data, products(state, data))
+    base = phi(state, products(state, data))
     state.u = rng.normal(0, 1, state.u.shape) * 100.0
-    assert phi(state, data, products(state, data)) == pytest.approx(base, abs=1e-12)
+    assert phi(state, products(state, data)) == pytest.approx(base, abs=1e-12)
 
 
 def test_risk_squared_zero_at_fit():
@@ -116,9 +119,25 @@ def test_lagrangian_decomposition():
     parts = (
         mean_risk(arch.risk, data.y).value(state.z[-1])
         + sum(arch.regularizer.value(w) for w in state.W)
-        + phi(state, data, P)
+        + phi(state, P)
     )
     assert total == pytest.approx(parts, rel=1e-12)
+
+
+def test_regularizer_total_added_in_layer_order(monkeypatch):
+    """objective_F adds the layers' regularizer values one at a time, so its
+    total is the same on every Python: from 3.12 the built-in ``sum`` of
+    floats is compensated, here stood in for by ``math.fsum``."""
+    arch = MlpArchitecture(layer_dims=(1, 1, 1, 1), regularizer=Regularizer("l2", 1.0),
+                           risk="squared")
+    zero = np.zeros((1, 1))
+    data = Dataset(zero, zero)
+    state = MlpState(W=[np.array([[1.0]]), np.array([[1e-8]]), np.array([[1e-8]])],
+                     b=[zero] * 3, z=[zero] * 3, a=[zero] * 2, u=zero, rho=1.0, nu=1.0)
+    P = products(state, data)
+    assert objective_F(state, data, arch, P) == 1.0  # 1 + 1e-16 + 1e-16, rounded each step
+    monkeypatch.setattr(objective, "sum", math.fsum, raising=False)
+    assert objective_F(state, data, arch, P) == 1.0
 
 
 def test_l2_regularizer_term():
@@ -174,9 +193,9 @@ def test_grad_phi_finite_differences(block, risk_kind):
         for idx in np.ndindex(*g.shape):
             orig = store[layer][idx]
             store[layer][idx] = orig + h
-            fp = phi(state, data, products(state, data))
+            fp = phi(state, products(state, data))
             store[layer][idx] = orig - h
-            fm = phi(state, data, products(state, data))
+            fm = phi(state, products(state, data))
             store[layer][idx] = orig
             num[idx] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num))))
@@ -221,7 +240,7 @@ def test_forward_init_contract():
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
     s1 = forward_init(arch, data, Rng(42), rho=1.0, nu=1.0)
     s2 = forward_init(arch, data, Rng(42), rho=1.0, nu=1.0)
-    assert phi(s1, data, products(s1, data)) == 0.0
+    assert phi(s1, products(s1, data)) == 0.0
     assert all(np.array_equal(a, b) for a, b in zip(s1.W, s2.W))
     assert s1.W[0].shape == (3, 2) and s1.W[1].shape == (2, 3)
     assert all(np.all(b == 0) for b in s1.b)

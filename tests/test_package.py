@@ -1,11 +1,19 @@
 """The package's public names: ``admmnet.__all__`` is what ``from admmnet
 import *`` gives, and every name in it resolves.  The formulas take their
-caches as required arguments."""
+caches as required arguments and no parameter they do not read, and the
+package imports nothing beyond the standard library and numpy."""
+import ast
 import importlib.util
 import inspect
+import pathlib
+import sys
 
 import admmnet
 from admmnet import baselines, gcn, objective, training
+from admmnet.linalg import Rng
+from admmnet.synth import make_sbm_graph
+
+SOURCES = sorted(pathlib.Path(admmnet.__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -35,3 +43,54 @@ def test_caches_are_required_arguments():
             for param in inspect.signature(fn).parameters.values():
                 if param.name in ("P", "props", "forward", "r"):
                     assert param.default is param.empty, f"{module.__name__}.{name}: {param}"
+
+
+def test_every_parameter_is_read():
+    """Each parameter of each ``def`` is read in its body, directly or by a
+    nested function; a lambda's signature is a callback protocol and is
+    exempt."""
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            if "super" in read:  # super() without arguments reads the first one
+                read.add(params[0].arg)
+            unread += [f"{path.name}:{node.lineno} {node.name}({p.arg})"
+                       for p in params if p is not None and p.arg not in read]
+    assert unread == []
+
+
+def test_imports_only_declared_dependencies():
+    """The package imports the standard library, numpy (its one runtime
+    dependency in pyproject.toml) and itself; a module that is merely
+    installed alongside, such as scipy, would break an install."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "admmnet"}
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert found - allowed == set()
+
+
+def test_gcn_train_builds_one_masked_risk(monkeypatch):
+    """One ``gcn_train`` call builds its masked risk once; every iteration
+    runs under it."""
+    built = []
+    real = gcn.masked_ce
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gcn, "masked_ce", counting)
+    cfg = gcn.GcnConfig(hidden_dims=(4,), rho=1.0, mu=1.0, epochs=3)
+    gcn.gcn_train(make_sbm_graph(40, rng=Rng(2)), cfg)
+    assert len(built) == 1

@@ -431,7 +431,8 @@ def gcn_output_problem():
     graph = make_sbm_graph(60, rng=Rng(1))
     cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=0)
     state, props = gcn.gcn_forward_init(graph, (2, 8, 2), Rng(0), cfg.rho, cfg.mu)
-    state = gcn.gcn_iteration(state, graph, BlockRecord(StepSeeds()), props)[0]
+    risk = gcn.masked_ce(graph.labels, graph.train_mask)
+    state = gcn.gcn_iteration(state, risk, BlockRecord(StepSeeds()), props)[0]
     return graph, state, props
 
 
@@ -446,7 +447,7 @@ def solve_gcn_output(monkeypatch, graph, state, props):
 
     monkeypatch.setattr(solvers, "fista_minimize", spy)
     work = state.copy()
-    gcn._update_Z_last(work, props, graph, gcn.masked_ce(graph.labels, graph.train_mask))
+    gcn._update_Z_last(work, props, gcn.masked_ce(graph.labels, graph.train_mask))
     (res,) = results
     return work, res
 

@@ -164,7 +164,7 @@ def test_dual_residual_consistency(separable_run):
         record = BlockRecord(seeds)
         barred = backward_sweep(state, data, arch, record, products(state, data))
         new = forward_sweep(barred, data, arch, record, products(barred, data))
-        r = objective.linear_residual(new, data, arch.n_layers - 1, products(new, data))
+        r = objective.linear_residual(new, arch.n_layers - 1, products(new, data))
         u_prev = new.u.copy()
         new.u = dual_update(new, r)
         assert np.array_equal(new.u, u_prev + cfg.rho * r)
@@ -246,9 +246,9 @@ def test_index_discipline_backward_sweep(monkeypatch):
     seen = {}
     real = objective.grad_a
 
-    def spy(st, dat, layer, fz, P):
+    def spy(st, layer, fz, P):
         seen[layer] = [w.copy() for w in st.W]
-        return real(st, dat, layer, fz, P)
+        return real(st, layer, fz, P)
 
     monkeypatch.setattr(objective, "grad_a", spy)
     backward_sweep(state, data, arch, BlockRecord(StepSeeds()), products(state, data))
@@ -382,7 +382,7 @@ def test_boundedness_plateau():
         record = BlockRecord(seeds)
         barred = backward_sweep(state, data, arch, record, products(state, data))
         new = forward_sweep(barred, data, arch, record, products(barred, data))
-        r = objective.linear_residual(new, data, arch.n_layers - 1, products(new, data))
+        r = objective.linear_residual(new, arch.n_layers - 1, products(new, data))
         new.u = dual_update(new, r)
         state = new
         total = sum(l2sq(w) for w in state.W) + sum(l2sq(b) for b in state.b)
