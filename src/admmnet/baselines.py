@@ -1,7 +1,8 @@
 """Full-batch backpropagation baselines: GD, Adagrad, Adadelta, Adam.
 
 These train the same forward model (the network the splitting scheme
-relaxes) so that traces are comparable run-for-run.
+relaxes) so that traces are comparable run-for-run, under one
+``objective.Risk`` per run and ``objective.loss``, objective_F's head.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from . import objective
 from .errors import DivergenceError
-from .linalg import Rng, require_finite
-from .objective import Dataset, MlpArchitecture, accuracy
+from .linalg import Matrix, Rng, require_finite
+from .objective import Dataset, MlpArchitecture, Regularizer, Risk, accuracy
 
 
 # Adam's moment decays, Adadelta's decay and the denominators' guard
@@ -48,30 +49,22 @@ class BaselineTrace:
     wall_time: float
 
 
-def backprop_grads(W, data: Dataset, arch: MlpArchitecture, forward: tuple):
+def backprop_grads(W, x: Matrix, risk: Risk, regularizer: Regularizer, forward: tuple):
     """Exact full-batch gradients of risk + regularizer w.r.t. every W_l, b_l,
-    given ``forward``, ``objective.forward`` of W, the biases and the data."""
+    given ``forward``, ``objective.forward`` of W and the biases at x."""
     zs, acts = forward
-    last, reg = len(W) - 1, arch.regularizer
+    last = len(W) - 1
     gW = [None] * len(W)
     gb = [None] * len(W)
-    delta = objective.mean_risk(arch.risk, data.y).grad(zs[last])
+    delta = risk.grad(zs[last])
     for l in range(last, -1, -1):
-        gW[l] = delta @ (data.x if l == 0 else acts[l - 1]).T
+        gW[l] = delta @ (x if l == 0 else acts[l - 1]).T
         gb[l] = np.sum(delta, axis=1, keepdims=True)
-        if reg.active:
-            gW[l] = gW[l] + reg.grad(W[l])
+        if regularizer.active:
+            gW[l] = gW[l] + regularizer.grad(W[l])
         if l > 0:
             delta = (W[l].T @ delta) * objective.relu_deriv(zs[l - 1])
     return gW, gb
-
-
-def _loss(W, z_last, data, arch) -> float:
-    """Risk of the output logits ``z_last`` plus the regularizer of W."""
-    val = objective.mean_risk(arch.risk, data.y).value(z_last)
-    for w in W:  # one by one: sum() of floats compensates from Python 3.12 on
-        val += arch.regularizer.value(w)
-    return val
 
 
 class _Updater:
@@ -116,6 +109,8 @@ def run_baseline(
     trace_sink=None,
 ):
     """Trains by full-batch backprop; returns ((W, b), traces)."""
+    objective.check_fit(arch, data, eval_data)
+    risk, reg = objective.mean_risk(arch.risk, data.y), arch.regularizer  # one risk, one memo
     rng, dims = Rng(cfg.seed), arch.layer_dims
     W = [objective.glorot(rng, (dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
     b = [np.zeros((d, 1)) for d in dims[1:]]
@@ -126,7 +121,7 @@ def run_baseline(
     # the one the next epoch's gradients start from
     forward = objective.forward(W, b, data.x)
     for it in range(1, cfg.epochs + 1):
-        gW, gb = backprop_grads(W, data, arch, forward)
+        gW, gb = backprop_grads(W, data.x, risk, reg, forward)
         del forward  # not kept alive while the next one is formed
         new = upd.step(W + b, gW + gb)
         W, b = new[: len(W)], new[len(W):]
@@ -137,7 +132,7 @@ def run_baseline(
             test_acc = accuracy(objective.forward_logits(W, b, eval_data.x), eval_data.y)
         trace = BaselineTrace(
             iter=it,
-            loss=_loss(W, z_last, data, arch),
+            loss=objective.loss(risk, reg, z_last, W),
             train_acc=accuracy(z_last, data.y),
             test_acc=test_acc,
             wall_time=time.perf_counter() - t0,

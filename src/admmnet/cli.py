@@ -18,7 +18,7 @@ from .data_io import (_read_text, load_graph, load_idx_dataset, save_graph, subs
 from .errors import DataError, DivergenceError, FormatError, TrainingAborted
 from .gcn import GcnConfig, gcn_train
 from .linalg import Rng
-from .objective import MlpArchitecture, Regularizer, NO_REG
+from .objective import MlpArchitecture, Regularizer, NO_REG, check_fit
 from .synth import make_image_classes, make_sbm_graph, make_separable
 from .training import BlockRecord, TrainConfig, train
 
@@ -116,11 +116,7 @@ def _cmd_train(args) -> int:
                 layer_dims=dims,
                 regularizer=Regularizer("l2", args.lam) if args.lam else NO_REG,
             )
-            if dims[0] != train_data.x.shape[0] or dims[-1] != train_data.y.shape[0]:
-                raise ValueError(
-                    f"--layers {args.layers} does not fit the data: it has "
-                    f"{train_data.x.shape[0]} inputs and {train_data.y.shape[0]} classes"
-                )
+            check_fit(arch, train_data, test_data)
             if args.optimizer == "admm":
                 cfg = TrainConfig(rho=args.rho, nu=args.nu, epochs=args.epochs, seed=args.seed)
             else:
@@ -267,7 +263,7 @@ def selfcheck(quick: bool = False) -> int:
     # with the propagations the trainer keeps too, as one iteration moved them
     props = gcn.propagations(gstate, graph)
     risk = gcn.masked_ce(graph.labels, graph.train_mask)
-    moved = gcn.gcn_iteration(gstate, risk, BlockRecord(solvers.StepSeeds()), props)[0]
+    moved = gcn.gcn_iteration(gstate, risk, BlockRecord(), props)[0]
     for block in ("W", "Z"):
         for tag, at, cache in (("", gstate, gcn.propagations(gstate, graph)),
                                (" (cached propagations)", moved, props)):

@@ -107,6 +107,8 @@ class Graph:
             raise ValueError("edges must be in ascending row-major order, each once")
         for name in ("features", "labels", "train_mask", "test_mask"):
             rows = getattr(self, name)
+            if not name.endswith("mask") and np.ndim(rows) != 2:
+                raise ShapeError(f"{name} must be a 2-D array, not shape {np.shape(rows)}")
             if len(rows) != n:
                 raise ShapeError(f"{name} has {len(rows)} rows for {n} nodes")
             if name.endswith("mask") and (rows.ndim != 1 or rows.dtype != bool):

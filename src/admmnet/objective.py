@@ -9,7 +9,8 @@ trainers and the baselines alike: a ``Risk`` (``mean_risk`` over columns,
 ``gcn.masked_ce`` over masked rows) holds R's value, gradient and H, the
 Lipschitz constant of the gradient, which the output solve steps by and the
 descent certificate reads; a ``Regularizer`` its value, gradient, prox and
-one on/off test, ``active``.
+one on/off test, ``active``.  Each run builds one ``Risk``, and every
+formula that evaluates R takes it, so all share one cross-entropy memo.
 
 ReLU is the one activation of both models (the hidden ``z`` update has a
 closed form only for it, ``solvers.solve_z_relu``): ``relu`` and
@@ -109,14 +110,22 @@ class Dataset:
     y: Matrix  # n_L x m
 
     def __post_init__(self):
-        if self.x.shape[1] != self.y.shape[1]:
-            raise ShapeError(
-                f"sample counts differ: x has {self.x.shape[1]}, y has {self.y.shape[1]}"
-            )
+        x, y = np.shape(self.x), np.shape(self.y)
+        if len(x) != 2 or len(y) != 2 or x[1] != y[1]:
+            raise ShapeError(f"x and y must be 2-D with one column per sample, not {x} and {y}")
 
     @property
     def n_samples(self) -> int:
         return self.x.shape[1]
+
+
+def check_fit(arch: MlpArchitecture, data: Dataset, eval_data: Dataset) -> None:
+    """ShapeError unless data and eval_data (if given) have arch's input and output widths."""
+    dims = arch.layer_dims
+    for name, d in (("data", data), ("eval_data", eval_data)):
+        if d is not None and (d.x.shape[0], d.y.shape[0]) != (dims[0], dims[-1]):
+            raise ShapeError(f"{name} does not fit layers {dims}: it has {d.x.shape[0]} inputs "
+                             f"and {d.y.shape[0]} classes, not {dims[0]} and {dims[-1]}")
 
 
 @dataclass
@@ -286,27 +295,32 @@ def phi(state: MlpState, P: list) -> float:
     return linear_term(state, linear_residual(state, last, P), True, _hidden_terms(state, P, 0.0))
 
 
-def objective_F(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list) -> float:
-    """Relaxed training objective: risk + regularizers + nu-penalties only."""
-    total = mean_risk(arch.risk, data.y).value(state.z[-1])
+def loss(risk: Risk, regularizer: Regularizer, z_last: Matrix, W: list) -> float:
+    """R(z_last) + the regularizers of W added in layer order: objective_F's
+    head and the baselines' loss."""
     reg = 0.0
-    for w in state.W:  # one by one: sum() of floats compensates from Python 3.12 on
-        reg += arch.regularizer.value(w)
-    return _hidden_terms(state, P, total + reg)
+    for w in W:  # one by one: sum() of floats compensates from Python 3.12 on
+        reg += regularizer.value(w)
+    return risk.value(z_last) + reg
 
 
-def objective_and_lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list,
+def objective_F(state: MlpState, risk: Risk, regularizer: Regularizer, P: list) -> float:
+    """Relaxed training objective: risk + regularizers + nu-penalties only."""
+    return _hidden_terms(state, P, loss(risk, regularizer, state.z[-1], state.W))
+
+
+def objective_and_lagrangian(state: MlpState, risk: Risk, regularizer: Regularizer, P: list,
                              r: Matrix) -> tuple:
     """(objective_F, Lagrangian) of ``state``: the Lagrangian adds the output
     layer's dual and rho terms, read from r, the output-layer residual, to
     objective_F."""
-    total = objective_F(state, data, arch, P)
+    total = objective_F(state, risk, regularizer, P)
     return total, linear_term(state, r, True, total)
 
 
-def lagrangian(state: MlpState, data: Dataset, arch: MlpArchitecture, P: list) -> float:
+def lagrangian(state: MlpState, risk: Risk, regularizer: Regularizer, P: list) -> float:
     r = linear_residual(state, state.n_layers - 1, P)
-    return objective_and_lagrangian(state, data, arch, P, r)[1]
+    return objective_and_lagrangian(state, risk, regularizer, P, r)[1]
 
 
 def grad_W(state: MlpState, data: Dataset, layer: int, P: list):

@@ -4,7 +4,7 @@ whose formulas, like the regularizer's prox, live in ``objective``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from .objective import Risk
 CERT_SLACK = 1e-12
 
 # Backtracking grows the step by STEP_GROWTH per trial, for at most MAX_TRIALS
-# trials, from a seed: SEED_INIT, then the last accepted step / STEP_GROWTH.
+# trials, from a seed (``training.walk_blocks``): SEED_INIT, then the block's
+# step of the previous iteration / STEP_GROWTH, floored at SEED_FLOOR.
 STEP_GROWTH = 2.0
 MAX_TRIALS = 60
 SEED_INIT = 1.0
@@ -36,19 +37,6 @@ class BacktrackResult:
     trials: int
     violation: float  # phi(candidate) - Q(candidate; step) at acceptance
     move_sq: float  # ||candidate - anchor||^2
-
-
-@dataclass
-class StepSeeds:
-    """Warm-started step seeds, one per (block kind, layer)."""
-
-    values: dict = field(default_factory=dict)
-
-    def get(self, key) -> float:
-        return self.values.get(key, SEED_INIT)
-
-    def update(self, key, accepted: float):
-        self.values[key] = max(accepted / STEP_GROWTH, SEED_FLOOR)
 
 
 def backtrack_quadratic(eval_phi, grad: Matrix, anchor: Matrix, seed_step: float,

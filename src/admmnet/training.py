@@ -1,12 +1,11 @@
 """Backward-then-forward ADMM training: the certified iteration driver, the
 block walk, and the MLP model.
 
-The driver, ``run_certified``, is the loop both models share.  It creates
-the step seeds, rejects a non-finite Lagrangian before iteration 1, and
-after each iteration checks the sufficient-descent bound against the
-previous Lagrangian, extends the running minimum c_k of the squared block
-moves, assembles the trace, hands it to the sink and stops on a non-finite
-Lagrangian.  On any abort the traces of the completed iterations are
+The driver, ``run_certified``, is the loop both models share.  It rejects
+a non-finite Lagrangian before iteration 1, and after each iteration checks
+the sufficient-descent bound against the previous Lagrangian, extends the
+running minimum c_k of the squared block moves, assembles the trace, hands
+it to the sink and stops on a non-finite Lagrangian.  On any abort the traces of the completed iterations are
 attached to the ``TrainingAborted`` it raises.  A model supplies its
 initial Lagrangian, the descent constants' H (the curvature of its own
 ``objective.Risk``, the constant the output solve steps by), rho and
@@ -14,16 +13,17 @@ penalty, its trace type, and one iteration that walks its blocks into a
 ``BlockRecord`` and returns the new Lagrangian and its own trace fields:
 ``train`` below (backward sweep, forward sweep, dual update),
 ``gcn.gcn_train`` (``gcn.gcn_iteration``).  The record gives the step
-stats, moves, worst violation and FISTA flag.  The stationarity residual
-reads the gradient of the same ``Risk``.
+stats, moves, worst violation and FISTA flag.  Each run builds one
+``Risk``, which its output solves, Lagrangian and stationarity residual read.
 Iteration 1's ``descent_ok`` is reported as measured; from the zero initial
 dual it can miss while ``hypothesis_met``, rho > 2H, holds.
 
 The walk.  Each model states its forward block list once, as (kind, layer)
 pairs.  ``walk_blocks`` runs it in reverse for the backward half, with step
-keys tagged "_bar", and in order for the forward half.  The walk alone reads
-and moves the step seeds, and it adds each block's accepted step, squared
-move, violation and output-solve convergence to the iteration's record.
+keys tagged "_bar", and in order for the forward half.  The walk alone
+seeds the step search from the key's previous accepted step, and it adds
+each block's accepted step, squared move, violation and output-solve
+convergence to the iteration's record.
 
 MLP iteration.  The two halves over W, b, z, a of each hidden layer and W,
 b, z of the output layer, then the residual and dual update.  Each half works
@@ -58,7 +58,7 @@ Formulas.  This module holds the walk, the shared backtracking, the sweeps,
 the P moves and the driver, and no formula of the objective: every
 residual, block gradient, penalty term, objective_F and Lagrangian is a
 call into ``objective``, the functions the finite-difference checks test,
-with the cache passed as their ``P``; the output solve takes the risk's
+with the cache passed as their ``P``; the output solve takes the run's
 ``objective.Risk`` and a W step the regularizer's ``prox`` when it is
 ``active``.  Every backtracked block of both models runs
 ``backtrack_shifted``: a trial moves one cached linear quantity (a layer
@@ -79,11 +79,13 @@ import numpy as np
 from . import diagnostics, objective
 from .errors import DivergenceError, TrainingAborted
 from .linalg import Matrix, Rng, l2sq, require_finite
-from .objective import Dataset, MlpArchitecture, MlpState, _a_prev
+from .objective import Dataset, MlpArchitecture, MlpState, Regularizer, Risk, _a_prev
 from .solvers import (
+    SEED_FLOOR,
+    SEED_INIT,
+    STEP_GROWTH,
     BacktrackResult,
     FistaResult,
-    StepSeeds,
     backtrack_quadratic,
     solve_z_last,
     solve_z_relu,
@@ -137,11 +139,11 @@ class IterationTrace(CertifiedTrace):
 
 @dataclass
 class BlockRecord:
-    """What ``walk_blocks`` adds up over one iteration, with the run's step
-    seeds: accepted steps by step key, the squared block moves, the worst
-    certificate violation and whether every output solve converged."""
+    """What ``walk_blocks`` adds up over one iteration, seeded by the
+    previous one's steps: accepted steps by step key, the squared moves, the
+    worst certificate violation and whether every output solve converged."""
 
-    seeds: StepSeeds
+    prev_steps: dict = field(default_factory=dict)
     steps: dict = field(default_factory=dict)
     moves: float = 0.0
     worst: float = 0.0
@@ -159,7 +161,7 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
     """Runs ``epochs`` iterations of one model and returns their traces.
 
     ``iterate(record)`` advances the model by one iteration, walking its
-    blocks into ``record``, a fresh ``BlockRecord`` over the run's seeds, and
+    blocks into ``record``, a ``BlockRecord`` of the previous steps, and
     returns (Lagrangian after it, trace fields), where the fields are those
     of ``trace_type``, a ``CertifiedTrace`` subclass, that neither this
     driver nor the record fills.  ``lagr0`` is the Lagrangian entering
@@ -170,11 +172,10 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
     try:
         if not np.isfinite(lagr0):
             raise DivergenceError("non-finite Lagrangian entering iteration 1")
-        seeds = StepSeeds()
         t0 = time.perf_counter()
-        lagr_prev = lagr0
+        lagr_prev, steps = lagr0, {}
         for it in range(1, epochs + 1):
-            record = BlockRecord(seeds)
+            record = BlockRecord(steps)
             lagr_new, fields = iterate(record)
             moves = record.moves
             ck = moves if it == 1 else min(ck, moves)  # c_k, the running minimum
@@ -200,7 +201,7 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
                 trace_sink(trace)
             if not np.isfinite(lagr_new):
                 raise DivergenceError(f"non-finite Lagrangian at iteration {it}")
-            lagr_prev = lagr_new
+            lagr_prev, steps = lagr_new, record.steps
     except TrainingAborted as exc:
         exc.traces = traces
         raise
@@ -210,15 +211,16 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
 def walk_blocks(blocks: list, update, record: BlockRecord, backward: bool) -> None:
     """One half-iteration over ``blocks``, a model's forward list of (kind,
     layer), added to ``record``.  ``update(kind, layer, seed)`` updates one
-    block from its step key's seed and returns its ``BacktrackResult``, its
-    ``FistaResult``, its squared move when closed-form, or None for a block
-    outside the descent bound."""
+    block from its step key's seed, solvers' rule applied to its step in
+    ``record.prev_steps``, and returns its ``BacktrackResult``, its
+    ``FistaResult``, its squared move when closed-form, or None."""
     tag = "_bar" if backward else ""
     for kind, layer in (reversed(blocks) if backward else blocks):
         key = (kind + tag, layer)
-        res = update(kind, layer, record.seeds.get(key))
+        prev = record.prev_steps.get(key)
+        seed = SEED_INIT if prev is None else max(prev / STEP_GROWTH, SEED_FLOOR)
+        res = update(kind, layer, seed)
         if isinstance(res, BacktrackResult):
-            record.seeds.update(key, res.step)
             record.steps[key] = res.step
             record.worst = max(record.worst, res.violation)
         elif isinstance(res, FistaResult):
@@ -250,13 +252,13 @@ def dual_update(state: MlpState, r: Matrix) -> Matrix:
     return state.u + state.rho * r
 
 
-def _update_W(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture, layer: int,
+def _update_W(work: MlpState, P: list, data: Dataset, regularizer: Regularizer, layer: int,
               seed: float) -> BacktrackResult:
     a_prev = _a_prev(work, data, layer)
     anchor = work.W[layer]
     grad, lin0 = objective.grad_W(work, data, layer, P)
     is_last = layer == work.n_layers - 1
-    prox = arch.regularizer.prox if arch.regularizer.active else None
+    prox = regularizer.prox if regularizer.active else None
     if prox is not None:
         shift_of = lambda cand, step: (anchor - cand) @ a_prev  # a prox trial is not affine
     else:
@@ -300,16 +302,15 @@ def _update_z_hidden(work: MlpState, P: list, layer: int):
     work.z[layer] = solve_z_relu(P[layer] + work.b[layer], work.a[layer], half_nu, half_nu)
 
 
-def _update_z_last(work: MlpState, P: list, data: Dataset, arch: MlpArchitecture):
+def _update_z_last(work: MlpState, P: list, risk: Risk):
     last = work.n_layers - 1
-    res = solve_z_last(P[last] + work.b[last], work.u, work.rho,
-                       objective.mean_risk(arch.risk, data.y), work.z[last])
+    res = solve_z_last(P[last] + work.b[last], work.u, work.rho, risk, work.z[last])
     work.z[last] = res.z
     return res
 
 
-def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, record: BlockRecord, P: list,
-           backward: bool) -> MlpState:
+def _sweep(state: MlpState, data: Dataset, risk: Risk, regularizer: Regularizer,
+           record: BlockRecord, P: list, backward: bool) -> MlpState:
     """One half-iteration from ``state``, as ``backward_sweep`` returns it."""
     work = state.copy()
     last = work.n_layers - 1
@@ -319,13 +320,13 @@ def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, record: BlockR
 
     def update(kind, layer, seed):
         if kind == "W":
-            return _update_W(work, P, data, arch, layer, seed)
+            return _update_W(work, P, data, regularizer, layer, seed)
         if kind == "a":
             return _update_a(work, P, layer, seed)
         if kind == "b":
             return _update_b_block(work, P, data, layer)
         if layer == last:
-            return _update_z_last(work, P, data, arch)
+            return _update_z_last(work, P, risk)
         _update_z_hidden(work, P, layer)
         return None
 
@@ -333,20 +334,20 @@ def _sweep(state: MlpState, data: Dataset, arch: MlpArchitecture, record: BlockR
     return work
 
 
-def backward_sweep(state: MlpState, data: Dataset, arch: MlpArchitecture,
+def backward_sweep(state: MlpState, data: Dataset, risk: Risk, regularizer: Regularizer,
                    record: BlockRecord, P: list) -> MlpState:
     """Returns the barred state, walking its blocks into ``record``, moves
     measured from ``state``.  P holds the products W_l a_{l-1} of ``state``
     and is moved in place to those of the barred state.
     """
-    return _sweep(state, data, arch, record, P, backward=True)
+    return _sweep(state, data, risk, regularizer, record, P, backward=True)
 
 
-def forward_sweep(barred: MlpState, data: Dataset, arch: MlpArchitecture,
+def forward_sweep(barred: MlpState, data: Dataset, risk: Risk, regularizer: Regularizer,
                   record: BlockRecord, P: list) -> MlpState:
     """Continues from the barred state; anchors are the barred blocks.
     Returns, records and handles P as ``backward_sweep``."""
-    return _sweep(barred, data, arch, record, P, backward=False)
+    return _sweep(barred, data, risk, regularizer, record, P, backward=False)
 
 
 def train(
@@ -356,24 +357,25 @@ def train(
     eval_data: Dataset = None,
     trace_sink=None,
 ) -> TrainResult:
+    objective.check_fit(arch, data, eval_data)
     state = objective.forward_init(arch, data, Rng(cfg.seed), cfg.rho, cfg.nu)
-    risk = objective.mean_risk(arch.risk, data.y)
+    risk, reg = objective.mean_risk(arch.risk, data.y), arch.regularizer  # one risk, one memo
     last = state.n_layers - 1
     P = objective.products(state, data)
-    lagr0 = objective.lagrangian(state, data, arch, P)
+    lagr0 = objective.lagrangian(state, risk, reg, P)
 
     def accuracy(d: Dataset) -> float:
         return objective.accuracy(objective.forward_logits(state.W, state.b, d.x), d.y)
 
     def iterate(record: BlockRecord):
         nonlocal state
-        barred = backward_sweep(state, data, arch, record, P)
+        barred = backward_sweep(state, data, risk, reg, record, P)
         del state  # the forward half needs only the barred blocks
-        state = forward_sweep(barred, data, arch, record, P)
+        state = forward_sweep(barred, data, risk, reg, record, P)
         del barred
         r = objective.linear_residual(state, last, P)
         state.u = dual_update(state, r)
-        objective_F, lagr = objective.objective_and_lagrangian(state, data, arch, P, r)
+        objective_F, lagr = objective.objective_and_lagrangian(state, risk, reg, P, r)
         return lagr, dict(
             objective_F=objective_F,
             residual_l2=float(np.sqrt(l2sq(r))),

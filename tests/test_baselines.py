@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from admmnet.baselines import BaselineConfig, _loss, backprop_grads, run_baseline
+from admmnet.baselines import BaselineConfig, backprop_grads, run_baseline
 from admmnet.linalg import Rng
-from admmnet.objective import Dataset, MlpArchitecture, Regularizer, forward, forward_logits
+from admmnet.objective import (Dataset, MlpArchitecture, Regularizer, forward, forward_logits, loss,
+                               mean_risk)
 from admmnet.synth import make_separable
 from admmnet.training import TrainConfig, train
 
@@ -26,11 +27,12 @@ class TestBackpropGrads:
         y[rng.integers(0, 2, 6), np.arange(6)] = 1.0
         data = Dataset(x, y)
         W, b = random_params(arch, 1)
-        gW, gb = backprop_grads(W, data, arch, forward(W, b, data.x))
+        risk = mean_risk(arch.risk, data.y)
+        gW, gb = backprop_grads(W, data.x, risk, arch.regularizer, forward(W, b, data.x))
         h = 1e-6
 
-        def loss():
-            return _loss(W, forward_logits(W, b, data.x), data, arch)
+        def value():
+            return loss(risk, arch.regularizer, forward_logits(W, b, data.x), W)
 
         for params, grads in ((W, gW), (b, gb)):
             for l in range(len(params)):
@@ -38,9 +40,9 @@ class TestBackpropGrads:
                 for idx in np.ndindex(*num.shape):
                     orig = params[l][idx]
                     params[l][idx] = orig + h
-                    fp = loss()
+                    fp = value()
                     params[l][idx] = orig - h
-                    fm = loss()
+                    fm = value()
                     params[l][idx] = orig
                     num[idx] = (fp - fm) / (2 * h)
                 scale = max(1.0, float(np.max(np.abs(num))))
@@ -56,7 +58,7 @@ class TestBackpropGrads:
         data = Dataset(x, y)
         W, b = random_params(arch, 6)
         fwd = forward(W, b, x)
-        gW, gb = backprop_grads(W, data, arch, fwd)
+        gW, gb = backprop_grads(W, x, mean_risk(arch.risk, y), arch.regularizer, fwd)
         _, a = fwd
         # a[0] is the hidden activation feeding layer 1
         resid = (W[1] @ a[0] + b[1] - y) / 7
@@ -118,12 +120,14 @@ class TestRunBaseline:
         (W_ref, b_ref), _ = run_baseline(BaselineConfig(optimizer="gd", learning_rate=0.0,
                                                         epochs=1, seed=2), arch, data)
         upd = baselines._Updater(cfg, W_ref + b_ref)
+        risk = mean_risk(arch.risk, data.y)
         for trace in traces:
-            gW, gb = backprop_grads(W_ref, data, arch, forward(W_ref, b_ref, data.x))
+            gW, gb = backprop_grads(W_ref, data.x, risk, arch.regularizer,
+                                    forward(W_ref, b_ref, data.x))
             new = upd.step(W_ref + b_ref, gW + gb)
             W_ref, b_ref = new[: len(W_ref)], new[len(W_ref):]
             z_last = forward_logits(W_ref, b_ref, data.x)
-            assert trace.loss == _loss(W_ref, z_last, data, arch)
+            assert trace.loss == loss(risk, arch.regularizer, z_last, W_ref)
         for p, q in zip(W + b, W_ref + b_ref):
             assert p.tobytes() == q.tobytes()
 
@@ -159,9 +163,9 @@ def test_inactive_regularizer_is_off_for_every_consumer():
     for reg in (Regularizer("none", 0.5), Regularizer("l1", 0.0), Regularizer("l2", 0.0)):
         arch = MlpArchitecture(layer_dims=(4, 8, 2), regularizer=reg)
         assert not reg.active and reg.value(W0[0]) == 0.0
-        fwd = forward(W0, b0, data.x)
-        for g, g_plain in zip(backprop_grads(W0, data, arch, fwd)[0],
-                              backprop_grads(W0, data, plain, fwd)[0]):
+        fwd, risk = forward(W0, b0, data.x), mean_risk(plain.risk, data.y)
+        for g, g_plain in zip(backprop_grads(W0, data.x, risk, reg, fwd)[0],
+                              backprop_grads(W0, data.x, risk, plain.regularizer, fwd)[0]):
             assert g.tobytes() == g_plain.tobytes()
         (W, _), _ = run_baseline(gd, arch, data)
         assert W[0].tobytes() == W_plain[0].tobytes()

@@ -24,7 +24,7 @@ from admmnet.gcn import (
 )
 from admmnet.linalg import Rng, l2sq
 from admmnet.objective import relu, relu_deriv
-from admmnet.solvers import FISTA_TOL, StepSeeds
+from admmnet.solvers import FISTA_TOL
 from admmnet.synth import make_sbm_graph
 from admmnet.training import BlockRecord
 
@@ -227,11 +227,16 @@ class TestGraphValidation:
         ("train_mask", (np.arange(6) < 3).astype(int), ValueError),
         ("test_mask", (np.arange(6) >= 3).astype(float), ValueError),
         ("train_mask", (np.arange(6) < 3)[:, None], ValueError),
+        ("features", np.ones(6), ShapeError),
+        ("labels", np.ones(6), ShapeError),
+        ("features", np.ones((6, 3, 1)), ShapeError),
+        ("labels", np.eye(6, 2)[:, :, None], ShapeError),
     ], ids=["features-rows", "labels-rows", "train-count", "test-count", "int-mask",
-            "float-mask", "column-mask"])
+            "float-mask", "column-mask", "features-1d", "labels-1d", "features-3d", "labels-3d"])
     def test_node_arrays_validated(self, field, value, error):
-        """Every node array has one row per node and the masks are boolean
-        vectors: an integer 0/1 mask would index rows by value."""
+        """Every node array has one row per node, features and labels are
+        matrices, and the masks are boolean vectors: an integer 0/1 mask
+        would index rows by value."""
         g = small_graph()
         kwargs = {f: getattr(g, f) for f in ("n_nodes", "edges", "features", "labels",
                                              "train_mask", "test_mask")}
@@ -507,7 +512,7 @@ def test_iteration_leaves_its_input_unchanged():
     state = random_gcn_state(graph, (2, 8, 4, 2), seed=5)
     blocks = lambda s: [a.tobytes() for a in (*s.W, *s.Z, s.U)]
     before = blocks(state)
-    new = gcn_iteration(state, masked_ce(graph.labels, graph.train_mask), BlockRecord(StepSeeds()),
+    new = gcn_iteration(state, masked_ce(graph.labels, graph.train_mask), BlockRecord(),
                         propagations(state, graph))[0]
     assert blocks(state) == before
     assert all(a != b for a, b in zip(blocks(new), before))
@@ -534,7 +539,7 @@ def test_dense_products_per_iteration(monkeypatch):
     assert widths == [2, 2]
     widths.clear()
     risk = masked_ce(graph.labels, graph.train_mask)
-    new = gcn_iteration(state, risk, BlockRecord(StepSeeds()), props)[0]
+    new = gcn_iteration(state, risk, BlockRecord(), props)[0]
     assert widths == [2] * 8
     widths.clear()
     gcn.lagrangian(new, risk.value(new.Z[-1]), props)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import admmnet.objective as objective
+from admmnet.errors import ShapeError
 from admmnet.linalg import Rng, l2sq
 from admmnet.objective import (
     Dataset,
@@ -43,6 +45,24 @@ def random_state(arch, m, seed, rho=1.0, nu=1.0, perturb=0.3):
             lst[i] = p + perturb * rng.normal(0.0, 1.0, p.shape)
     state.u = rng.normal(0.0, 1.0, state.u.shape)
     return state, data
+
+
+def terms(arch, data):
+    """The risk and regularizer that a run of ``arch`` on ``data`` holds."""
+    return mean_risk(arch.risk, data.y), arch.regularizer
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.ones(4), np.ones((2, 4))),
+    (np.ones((3, 4)), np.ones(4)),
+    (np.ones((3, 4, 1)), np.ones((2, 4))),
+    (np.ones((3, 4)), np.ones((2, 5))),
+], ids=["x-1d", "y-1d", "x-3d", "counts"])
+def test_dataset_arrays_validated(x, y):
+    """x and y are matrices with one column per sample."""
+    want = f"x and y must be 2-D with one column per sample, not {x.shape} and {y.shape}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+        Dataset(x, y)
 
 
 def test_phi_zero_at_consistent_point():
@@ -115,7 +135,7 @@ def test_lagrangian_decomposition():
     arch = MlpArchitecture(layer_dims=(3, 4, 2), regularizer=Regularizer("l2", 0.1))
     state, data = random_state(arch, 5, seed=4)
     P = products(state, data)
-    total = lagrangian(state, data, arch, P)
+    total = lagrangian(state, *terms(arch, data), P)
     parts = (
         mean_risk(arch.risk, data.y).value(state.z[-1])
         + sum(arch.regularizer.value(w) for w in state.W)
@@ -135,9 +155,9 @@ def test_regularizer_total_added_in_layer_order(monkeypatch):
     state = MlpState(W=[np.array([[1.0]]), np.array([[1e-8]]), np.array([[1e-8]])],
                      b=[zero] * 3, z=[zero] * 3, a=[zero] * 2, u=zero, rho=1.0, nu=1.0)
     P = products(state, data)
-    assert objective_F(state, data, arch, P) == 1.0  # 1 + 1e-16 + 1e-16, rounded each step
+    assert objective_F(state, *terms(arch, data), P) == 1.0  # 1 + 1e-16 + 1e-16, rounded each step
     monkeypatch.setattr(objective, "sum", math.fsum, raising=False)
-    assert objective_F(state, data, arch, P) == 1.0
+    assert objective_F(state, *terms(arch, data), P) == 1.0
 
 
 def test_l2_regularizer_term():
@@ -145,7 +165,7 @@ def test_l2_regularizer_term():
     plain = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=5)
     P = products(state, data)
-    diff = lagrangian(state, data, arch, P) - lagrangian(state, data, plain, P)
+    diff = lagrangian(state, *terms(arch, data), P) - lagrangian(state, *terms(plain, data), P)
     assert diff == pytest.approx(0.5 * sum(l2sq(w) for w in state.W), rel=1e-12)
 
 
@@ -154,9 +174,9 @@ def test_dual_shift_identity():
     arch = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=6)
     r = state.z[-1] - state.W[-1] @ state.a[-1] - state.b[-1]
-    before = lagrangian(state, data, arch, products(state, data))
+    before = lagrangian(state, *terms(arch, data), products(state, data))
     state.u = state.u + state.rho * r
-    after = lagrangian(state, data, arch, products(state, data))
+    after = lagrangian(state, *terms(arch, data), products(state, data))
     assert after - before == pytest.approx(state.rho * l2sq(r), rel=1e-9)
 
 
@@ -165,17 +185,18 @@ def test_objective_F_identity():
     state, data = random_state(arch, 5, seed=7)
     r = state.z[-1] - state.W[-1] @ state.a[-1] - state.b[-1]
     expect = (
-        lagrangian(state, data, arch, products(state, data))
+        lagrangian(state, *terms(arch, data), products(state, data))
         - float(np.vdot(state.u, r))
         - 0.5 * state.rho * l2sq(r)
     )
-    assert objective_F(state, data, arch, products(state, data)) == pytest.approx(expect, rel=1e-10)
+    value = objective_F(state, *terms(arch, data), products(state, data))
+    assert value == pytest.approx(expect, rel=1e-10)
 
 
 def test_objective_F_nonnegative():
     arch = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=8)
-    assert objective_F(state, data, arch, products(state, data)) >= 0.0
+    assert objective_F(state, *terms(arch, data), products(state, data)) >= 0.0
 
 
 @pytest.mark.parametrize("risk_kind", ["cross_entropy", "squared"])

@@ -1,17 +1,21 @@
 """The package's public names: ``admmnet.__all__`` is what ``from admmnet
 import *`` gives, and every name in it resolves.  The formulas take their
-caches as required arguments and no parameter they do not read, and the
-package imports nothing beyond the standard library and numpy."""
+caches as required arguments and no parameter they do not read, each run
+builds its risk once, and the package imports nothing beyond the standard
+library and numpy."""
 import ast
 import importlib.util
 import inspect
 import pathlib
 import sys
 
+import pytest
+
 import admmnet
 from admmnet import baselines, gcn, objective, training
 from admmnet.linalg import Rng
-from admmnet.synth import make_sbm_graph
+from admmnet.objective import MlpArchitecture
+from admmnet.synth import make_image_classes, make_sbm_graph
 
 SOURCES = sorted(pathlib.Path(admmnet.__file__).parent.glob("*.py"))
 
@@ -36,12 +40,13 @@ def test_relu_is_no_type():
 
 def test_caches_are_required_arguments():
     """A formula that reads the products P, the propagations ``props``, a
-    forward pass or a residual r takes them from its caller: a call that
-    leaves one out fails instead of quietly forming it afresh."""
+    forward pass, a residual r or the run's risk takes them from its caller:
+    a call that leaves one out fails instead of quietly forming it
+    afresh."""
     for module in (objective, gcn, training, baselines):
         for name, fn in inspect.getmembers(module, inspect.isfunction):
             for param in inspect.signature(fn).parameters.values():
-                if param.name in ("P", "props", "forward", "r"):
+                if param.name in ("P", "props", "forward", "r", "risk"):
                     assert param.default is param.empty, f"{module.__name__}.{name}: {param}"
 
 
@@ -94,3 +99,60 @@ def test_gcn_train_builds_one_masked_risk(monkeypatch):
     cfg = gcn.GcnConfig(hidden_dims=(4,), rho=1.0, mu=1.0, epochs=3)
     gcn.gcn_train(make_sbm_graph(40, rng=Rng(2)), cfg)
     assert len(built) == 1
+
+
+MLP_RUNS = {
+    "admm": lambda arch, data: training.train(
+        arch, data, training.TrainConfig(rho=1.0, nu=1.0, epochs=4)),
+    "adam": lambda arch, data: baselines.run_baseline(
+        baselines.BaselineConfig("adam", 1e-3, 4), arch, data),
+}
+
+
+@pytest.mark.parametrize("run", MLP_RUNS)
+def test_mlp_run_builds_one_risk(run, monkeypatch):
+    """One ``train`` or ``run_baseline`` call builds its risk once; its
+    output solves, objective_F, Lagrangian, gradients and losses all read
+    it."""
+    built = []
+    real = objective.mean_risk
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(objective, "mean_risk", counting)
+    data = make_image_classes(200, n_pixels=16, n_classes=10, rng=Rng(1))[0]
+    MLP_RUNS[run](MlpArchitecture(layer_dims=(16, 8, 10)), data)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("run", MLP_RUNS)
+def test_mlp_run_forms_each_log_softmax_once(run, monkeypatch):
+    """Within one run no output point's log-softmax is formed twice: the
+    one risk's memo serves every formula that evaluates it at the same
+    point.  The points are held, so no id is reused."""
+    points = []
+    real = objective._log_softmax
+
+    def recording(z):
+        points.append(z)
+        return real(z)
+
+    monkeypatch.setattr(objective, "_log_softmax", recording)
+    data = make_image_classes(200, n_pixels=16, n_classes=10, rng=Rng(1))[0]
+    MLP_RUNS[run](MlpArchitecture(layer_dims=(16, 8, 10)), data)
+    repeats = len(points) - len({id(z) for z in points})
+    assert points and repeats == 0, f"{repeats} of {len(points)} points repeat"
+
+
+def test_only_the_runs_build_risks():
+    """``mean_risk`` and ``masked_ce`` are called only where a run starts
+    (and by the self-check): every formula takes the run's risk."""
+    builders, callers = ("mean_risk", "masked_ce"), set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            calls = [n.func for n in ast.walk(top) if isinstance(n, ast.Call)]
+            if any(getattr(f, "attr", getattr(f, "id", None)) in builders for f in calls):
+                callers.add(top.name)
+    assert callers == {"train", "run_baseline", "gcn_train", "selfcheck"}

@@ -13,8 +13,8 @@ from admmnet.objective import Regularizer, _log_softmax, mean_risk
 from admmnet.solvers import (
     FISTA_MAX_ITER,
     FISTA_TOL,
+    BacktrackResult,
     FistaResult,
-    StepSeeds,
     backtrack_quadratic,
     fista_minimize,
     solve_z_last,
@@ -22,7 +22,7 @@ from admmnet.solvers import (
     update_b,
 )
 from admmnet.synth import make_sbm_graph
-from admmnet.training import BlockRecord
+from admmnet.training import BlockRecord, walk_blocks
 
 
 def softmax(z):
@@ -95,12 +95,21 @@ class TestBacktrack:
 
 
 def test_step_seeds_warm_start():
-    seeds = StepSeeds()
-    assert seeds.get(("W", 0)) == 1.0
-    seeds.update(("W", 0), accepted=8.0)
-    assert seeds.get(("W", 0)) == 4.0
-    seeds.update(("W", 0), accepted=1e-12)
-    assert seeds.get(("W", 0)) == 1e-8  # floored
+    """The walk seeds a step key's search with SEED_INIT at its first visit,
+    then with the key's accepted step of the previous iteration over
+    STEP_GROWTH, floored at SEED_FLOOR."""
+    seeds, accepted = [], iter([8.0, 1e-12, 3.0])
+
+    def update(kind, layer, seed):
+        seeds.append(seed)
+        return BacktrackResult(step=next(accepted), candidate=None, trials=1, violation=0.0,
+                               move_sq=0.0)
+
+    record = BlockRecord()
+    for _ in range(3):
+        record = BlockRecord(record.steps)
+        walk_blocks([("W", 0)], update, record, backward=False)
+    assert seeds == [solvers.SEED_INIT, 4.0, solvers.SEED_FLOOR] == [1.0, 4.0, 1e-8]
 
 
 class TestUpdateB:
@@ -432,7 +441,7 @@ def gcn_output_problem():
     cfg = GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=0)
     state, props = gcn.gcn_forward_init(graph, (2, 8, 2), Rng(0), cfg.rho, cfg.mu)
     risk = gcn.masked_ce(graph.labels, graph.train_mask)
-    state = gcn.gcn_iteration(state, risk, BlockRecord(StepSeeds()), props)[0]
+    state = gcn.gcn_iteration(state, risk, BlockRecord(), props)[0]
     return graph, state, props
 
 

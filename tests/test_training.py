@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 import admmnet.objective as objective
 import admmnet.solvers as solvers
 import admmnet.training as training
-from admmnet.errors import DivergenceError
+from admmnet.baselines import BaselineConfig, run_baseline
+from admmnet.errors import DivergenceError, ShapeError
 from admmnet.linalg import Rng, l2sq
 from admmnet.objective import (
     NO_REG,
@@ -14,10 +17,11 @@ from admmnet.objective import (
     forward_init,
     forward_logits,
     lagrangian,
+    mean_risk,
     products,
 )
 from admmnet.gcn import GcnConfig, gcn_train
-from admmnet.solvers import BacktrackResult, FistaResult, StepSeeds
+from admmnet.solvers import BacktrackResult, FistaResult
 from admmnet.synth import make_image_classes, make_sbm_graph, make_separable
 from admmnet.training import (
     BlockRecord,
@@ -54,12 +58,10 @@ def separable_run():
 
 
 def test_walk_blocks_bookkeeping():
-    """The walk passes each block its key's seed, moves the seed after an
-    accepted step, and adds to the record the steps, the moves of the
-    backtracked, output and closed-form blocks, the worst violation and the
-    output solves' convergence; a block returning None adds nothing."""
-    seeds = StepSeeds()
-    seeds.update(("W_bar", 1), 8.0)
+    """The walk passes each block the seed of its key's previous step, and
+    adds to the record the steps, the moves of the backtracked, output and
+    closed-form blocks, the worst violation and the output solves'
+    convergence; a block returning None adds nothing."""
     calls = []
 
     def update(kind, layer, seed):
@@ -74,12 +76,11 @@ def test_walk_blocks_bookkeeping():
         return None  # the hidden z, outside the bound
 
     blocks = [("W", 0), ("b", 0), ("z", 0), ("W", 1), ("z", 1)]
-    record = BlockRecord(seeds)
+    record = BlockRecord({("W_bar", 1): 8.0})
     assert walk_blocks(blocks, update, record, backward=True) is None
     assert calls == [("z", 1, 1.0), ("W", 1, 4.0), ("z", 0, 1.0), ("b", 0, 1.0), ("W", 0, 1.0)]
     assert list(record.steps.items()) == [(("W_bar", 1), 8.0), (("W_bar", 0), 2.0)]
     assert (record.moves, record.worst, record.fista_ok) == (16.0 + 1.5 + 0.25 + 0.5, 0.0, False)
-    assert (seeds.get(("W_bar", 1)), seeds.get(("W_bar", 0))) == (4.0, 1.0)
 
     calls.clear()
     walk_blocks(blocks[:2], update, record, backward=False)  # adds to the same record
@@ -87,10 +88,10 @@ def test_walk_blocks_bookkeeping():
     assert list(record.steps) == [("W_bar", 1), ("W_bar", 0), ("W", 0)]
     assert (record.moves, record.worst, record.fista_ok) == (19.0, 0.0, False)
 
-    fresh = BlockRecord(seeds)
-    walk_blocks(blocks[:2], update, fresh, backward=False)
-    assert (fresh.steps, fresh.moves, fresh.worst, fresh.fista_ok) == ({("W", 0): 2.0}, 0.75, 0.0,
-                                                                       True)
+    nxt = BlockRecord(record.steps)  # the next iteration, seeded by this one's steps
+    walk_blocks(blocks[:2], update, nxt, backward=False)
+    assert calls[-2:] == [("W", 0, 1.0), ("b", 0, 1.0)]  # W's seed: its step 2.0 / 2
+    assert (nxt.steps, nxt.moves, nxt.worst, nxt.fista_ok) == ({("W", 0): 2.0}, 0.75, 0.0, True)
 
 
 @pytest.mark.parametrize("model", ["mlp", "gcn"])
@@ -159,11 +160,12 @@ def test_dual_residual_consistency(separable_run):
     arch, data, cfg, _ = separable_run
     # replay two iterations by hand and compare u increments to rho*r
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
-    seeds = StepSeeds()
+    risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
+    record = BlockRecord()
     for _ in range(2):
-        record = BlockRecord(seeds)
-        barred = backward_sweep(state, data, arch, record, products(state, data))
-        new = forward_sweep(barred, data, arch, record, products(barred, data))
+        record = BlockRecord(record.steps)
+        barred = backward_sweep(state, data, risk, reg, record, products(state, data))
+        new = forward_sweep(barred, data, risk, reg, record, products(barred, data))
         r = objective.linear_residual(new, arch.n_layers - 1, products(new, data))
         u_prev = new.u.copy()
         new.u = dual_update(new, r)
@@ -212,9 +214,10 @@ def test_stationary_point_is_fixed():
     cfg = TrainConfig(rho=4.0, nu=1.0, epochs=1000, seed=2)
     result = train(arch, data, cfg)
     state = result.state
-    record = BlockRecord(StepSeeds())
-    barred = backward_sweep(state, data, arch, record, products(state, data))
-    new = forward_sweep(barred, data, arch, record, products(barred, data))
+    risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
+    record = BlockRecord()
+    barred = backward_sweep(state, data, risk, reg, record, products(state, data))
+    new = forward_sweep(barred, data, risk, reg, record, products(barred, data))
     move = block_move_sq_sum(state, barred, new)
     assert move < 0.01 * result.traces[0].block_move_sq_sum
     assert move < 1e-4
@@ -225,13 +228,14 @@ def test_each_sweep_decreases_lagrangian():
     arch = MlpArchitecture(layer_dims=(4, 8, 2))
     cfg = TrainConfig(rho=2.0, nu=1.0, epochs=1, seed=0)
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
-    record = BlockRecord(StepSeeds())
-    before = lagrangian(state, data, arch, products(state, data))
-    barred = backward_sweep(state, data, arch, record, products(state, data))
-    mid = lagrangian(barred, data, arch, products(barred, data))
+    risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
+    record = BlockRecord()
+    before = lagrangian(state, risk, reg, products(state, data))
+    barred = backward_sweep(state, data, risk, reg, record, products(state, data))
+    mid = lagrangian(barred, risk, reg, products(barred, data))
     assert mid <= before + 1e-9
-    new = forward_sweep(barred, data, arch, record, products(barred, data))
-    after = lagrangian(new, data, arch, products(new, data))
+    new = forward_sweep(barred, data, risk, reg, record, products(barred, data))
+    after = lagrangian(new, risk, reg, products(new, data))
     assert after <= mid + 1e-9
 
 
@@ -251,7 +255,8 @@ def test_index_discipline_backward_sweep(monkeypatch):
         return real(st, layer, fz, P)
 
     monkeypatch.setattr(objective, "grad_a", spy)
-    backward_sweep(state, data, arch, BlockRecord(StepSeeds()), products(state, data))
+    risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
+    backward_sweep(state, data, risk, reg, BlockRecord(), products(state, data))
 
     # backward order is l = L-1 .. 0; at the a-update of hidden layer 1 the
     # last layer's W must already be barred (changed), W[0..1] untouched
@@ -331,16 +336,18 @@ def test_cached_products_match_fresh(reg, monkeypatch):
     seen = {}
     real = training.forward_sweep
 
-    def spy(barred, dat, arc, record, P):
-        out = real(barred, dat, arc, record, P)
+    risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
+
+    def spy(barred, dat, rsk, rg, record, P):
+        out = real(barred, dat, rsk, rg, record, P)
         seen["state"], seen["P"] = out, P
         return out
 
     def check(trace):
         state = seen["state"]  # its dual is updated before the trace is made
         P = products(state, data)
-        assert trace.lagrangian == pytest.approx(lagrangian(state, data, arch, P), rel=1e-10)
-        assert trace.objective_F == pytest.approx(objective.objective_F(state, data, arch, P),
+        assert trace.lagrangian == pytest.approx(lagrangian(state, risk, reg, P), rel=1e-10)
+        assert trace.objective_F == pytest.approx(objective.objective_F(state, risk, reg, P),
                                                   rel=1e-10)
         seen["checked"] = seen.get("checked", 0) + 1
 
@@ -376,12 +383,13 @@ def test_boundedness_plateau():
 
     # explicit norm tracking over a manual replay
     state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
-    seeds = StepSeeds()
+    risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
+    record = BlockRecord()
     norm_hist = []
     for _ in range(60):
-        record = BlockRecord(seeds)
-        barred = backward_sweep(state, data, arch, record, products(state, data))
-        new = forward_sweep(barred, data, arch, record, products(barred, data))
+        record = BlockRecord(record.steps)
+        barred = backward_sweep(state, data, risk, reg, record, products(state, data))
+        new = forward_sweep(barred, data, risk, reg, record, products(barred, data))
         r = objective.linear_residual(new, arch.n_layers - 1, products(new, data))
         new.u = dual_update(new, r)
         state = new
@@ -390,6 +398,30 @@ def test_boundedness_plateau():
         total += l2sq(state.u)
         norm_hist.append(np.sqrt(total))
     assert max(norm_hist[50:]) <= 10.0 * norm_hist[9]
+
+
+@pytest.mark.parametrize("optimizer", ["admm", "adam"])
+@pytest.mark.parametrize("split, shape, widths", [
+    ("data", (5, 2), "5 inputs and 2 classes, not 4 and 2"),
+    ("data", (4, 3), "4 inputs and 3 classes, not 4 and 2"),
+    ("eval_data", (5, 2), "5 inputs and 2 classes, not 4 and 2"),
+    ("eval_data", (4, 3), "4 inputs and 3 classes, not 4 and 2"),
+], ids=["data-inputs", "data-classes", "eval-inputs", "eval-classes"])
+def test_architecture_must_fit_its_data(optimizer, split, shape, widths):
+    """A network whose input or output width differs from the features or
+    classes of its training or evaluation data is a ``ShapeError`` naming
+    both widths, before the first epoch."""
+    arch = MlpArchitecture(layer_dims=(4, 6, 2))
+    fits = make_separable(10, rng=Rng(0))
+    y = np.eye(shape[1])[np.arange(10) % shape[1]].T
+    misfit = Dataset(np.ones((shape[0], 10)), y)
+    data, eval_data = (misfit, fits) if split == "data" else (fits, misfit)
+    message = f"{split} does not fit layers (4, 6, 2): it has {widths}"
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        if optimizer == "admm":
+            train(arch, data, TrainConfig(rho=1.0, nu=1.0, epochs=1), eval_data=eval_data)
+        else:
+            run_baseline(BaselineConfig(optimizer, 1e-3, 1), arch, data, eval_data=eval_data)
 
 
 def test_epochs_validated():
