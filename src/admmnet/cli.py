@@ -219,8 +219,8 @@ def _fd_error(grad_fn, store: list, value_fn, h: float = 1e-6) -> float:
 
 def selfcheck(quick: bool = False) -> int:
     """Gradient checks, subproblem oracles, the output-risk curvature against
-    H, the constant the FISTA step and the descent certificate share, and a
-    short descent run; returns the exit code.
+    H, the constant the FISTA step and the descent certificate share, the
+    Newton direction, and a short descent run; returns the exit code.
     The gradients checked against finite differences are the ones the
     trainers step with: ``objective.grad_phi_block`` (``grad_W`` and
     ``grad_a`` behind it) and ``gcn.grad_psi_block``, the latter both fresh
@@ -310,6 +310,12 @@ def selfcheck(quick: bool = False) -> int:
         for z in (state.z[-1], np.zeros_like(y)):
             ratio = max(ratio, _top_eigenvalue(risk.grad, z, Rng(5)) / risk.curvature)
     check("output-risk curvature <= FISTA step constant", ratio <= 1.0 + 1e-6)
+
+    # Newton direction d: (Hessian + rho I) d = g, Hessian times d by central differences
+    risk, z, g = objective.mean_risk("cross_entropy", y), state.z[-1], Rng(19).normal(0.0, 1.0, y.shape)
+    d = risk.newton(z, g, 1e-3)
+    hd = (risk.grad(z + 1e-5 * d) - risk.grad(z - 1e-5 * d)) / 2e-5 + 1e-3 * d
+    check("cross-entropy Newton direction vs finite-difference Hessian", np.max(np.abs(hd - g)) < 1e-6)
 
     # short run: certificate + monotone Lagrangian
     sep = make_separable(40, rng=Rng(3))

@@ -1,6 +1,6 @@
 """Runtime convergence checks: sufficient-descent verification, whose H is
-the curvature of the trainer's ``objective.Risk``, the constant the output
-solve steps by, and the output-layer stationarity residual.
+the curvature of the trainer's ``objective.Risk``, and the output-layer
+stationarity residual.
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ is the masked mean cross-entropy over training nodes, the
 ``objective.Risk`` that ``masked_ce`` returns.
 ``gcn_train`` runs ``gcn_iteration`` under the certified driver of
 ``training``, with mu in the role of the MLP's nu and the descent bound's H
-that risk's curvature, the output solve's constant.
+that risk's curvature, the step constant of its FISTA output solve.
 
 Iteration.  ``gcn_iteration`` walks the forward block list, W and Z of each
 layer, with ``training.walk_blocks`` (which keeps each block's record)
@@ -398,8 +398,8 @@ def gcn_iteration(state: GcnState, risk: Risk, record: BlockRecord, props: Propa
 
 
 def gcn_forward_init(graph: Graph, dims: tuple, rng: Rng, rho: float, mu: float) -> tuple:
-    """Glorot-uniform weights, Z by exact propagation, zero dual.  Returns
-    the state and its propagations, the ones that exact propagation forms."""
+    """Glorot-uniform weights, Z by exact propagation (Z_L a row-major copy of
+    the transposed m[L-1]), zero dual.  Returns the state and its propagations."""
     n_layers = len(dims) - 1
     W = [glorot(rng, (dims[l], dims[l + 1])) for l in range(n_layers)]
     state = GcnState(W=W, Z=[], U=None, A_norm=normalize_adjacency(graph), rho=rho, mu=mu)
@@ -407,16 +407,16 @@ def gcn_forward_init(graph: Graph, dims: tuple, rng: Rng, rho: float, mu: float)
     m = []
     for l in range(n_layers):
         m.append(_through(state, ax, l, W[l]))
-        state.Z.append(relu(m[l]) if l < n_layers - 1 else m[l])
+        state.Z.append(relu(m[l]) if l < n_layers - 1 else m[l].copy())
     state.U = np.zeros_like(state.Z[-1])
     return state, Propagations(ax, m)
 
 
-def gcn_accuracy(state: GcnState, graph: Graph, mask: np.ndarray, props: Propagations) -> float:
-    logits = propagated(props, state.n_layers - 1)
-    pred = np.argmax(logits[mask], axis=1)
-    truth = np.argmax(graph.labels[mask], axis=1)
-    return float(np.mean(pred == truth)) if np.any(mask) else float("nan")
+def gcn_accuracy(state: GcnState, mask: np.ndarray, truth: np.ndarray, props: Propagations) -> float:
+    """Accuracy over the nodes in ``mask``, whose classes, in node order, are
+    ``truth``: np.argmax(labels[mask], axis=1), formed once per run."""
+    pred = np.argmax(propagated(props, state.n_layers - 1)[mask], axis=1)
+    return float(np.mean(pred == truth)) if truth.size else float("nan")
 
 
 def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
@@ -424,6 +424,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
     state, props = gcn_forward_init(graph, dims, Rng(cfg.seed), cfg.rho, cfg.mu)
 
     risk = masked_ce(graph.labels, graph.train_mask)  # one per run: every iteration shares its memo
+    scored = [(mask, np.argmax(graph.labels[mask], axis=1)) for mask in (graph.train_mask, graph.test_mask)]
 
     def iterate(record: BlockRecord):
         nonlocal state
@@ -434,8 +435,8 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
             residual_fro=float(np.sqrt(l2sq(eps))),
             stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.Z[-1]),
                                                                     state.U),
-            train_acc=gcn_accuracy(state, graph, graph.train_mask, props),
-            test_acc=gcn_accuracy(state, graph, graph.test_mask, props),
+            train_acc=gcn_accuracy(state, *scored[0], props),
+            test_acc=gcn_accuracy(state, *scored[1], props),
         )
 
     lagr0 = lagrangian(state, risk.value(state.Z[-1]), props)

@@ -6,10 +6,10 @@ become n x m matrices.
 
 Each term of the objective has one owner here, for the MLP and GCN
 trainers and the baselines alike: a ``Risk`` (``mean_risk`` over columns,
-``gcn.masked_ce`` over masked rows) holds R's value, gradient and H, the
-Lipschitz constant of the gradient, which the output solve steps by and the
-descent certificate reads; a ``Regularizer`` its value, gradient, prox and
-one on/off test, ``active``.  Each run builds one ``Risk``, and every
+``gcn.masked_ce`` over masked rows) holds R's value, gradient, H (the
+gradient's Lipschitz constant, read by the descent certificate and FISTA)
+and what an exact output solve needs; a ``Regularizer`` its value, gradient,
+prox and one on/off test, ``active``.  Each run builds one ``Risk``, and every
 formula that evaluates R takes it, so all share one cross-entropy memo.
 
 ReLU is the one activation of both models (the hidden ``z`` update has a
@@ -217,25 +217,34 @@ def risk_curvature(kind: str, count: int) -> float:
 @dataclass(frozen=True)
 class Risk:
     """R(z) of the output block z, with H = ``curvature``.  ``minimizer(w_aff,
-    u, rho)``, when set, is the exact minimizer of the output subproblem
-    R(z) + <u, z - w_aff> + (rho/2)||z - w_aff||^2."""
+    u, rho)`` is the output subproblem's minimizer, ``newton(z, g, rho)`` its
+    Newton direction (Hessian of R at z + rho I)^{-1} g, where R has them."""
 
     value: Callable
     grad: Callable
     curvature: float
     minimizer: Callable = None
+    newton: Callable = None
 
 
 def mean_risk(kind: str, y: Matrix) -> Risk:
     """The risk of ``kind`` averaged over the columns of y; cross-entropy's
-    value and gradient share the log-softmax of their last point."""
+    oracles share their last point's log-softmax.  Its Hessian + rho I, per
+    column D - p p^T/m (p = softmax, D = p/m + rho), has Sherman-Morrison's
+    inverse, whose m - p^T (p/D) is m rho sum(p/D) as sum(p) = 1."""
     m = y.shape[1]
     h = risk_curvature(kind, m)
     if kind == "squared":
         return Risk(lambda z: 0.5 * l2sq(z - y) / m, lambda z: (z - y) / m, h,
                     lambda w_aff, u, rho: (y / m + rho * w_aff - u) / (1.0 / m + rho))
     logp = _memo_last(_log_softmax)
-    return Risk(lambda z: _ce_value(logp(z), y, m), lambda z: _ce_grad(logp(z), y, m), h)
+
+    def newton(z, g, rho):
+        p = np.exp(logp(z))
+        q, s = g / (p / m + rho), p / (p / m + rho)
+        return q + s * (np.sum(p * q, axis=0) / (m * rho * np.sum(s, axis=0)))
+
+    return Risk(lambda z: _ce_value(logp(z), y, m), lambda z: _ce_grad(logp(z), y, m), h, newton=newton)
 
 
 # ---------------------------------------------------------------------------

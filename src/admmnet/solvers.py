@@ -25,9 +25,11 @@ SEED_INIT = 1.0
 SEED_FLOOR = 1e-8
 
 # Output-layer solves stop once the gradient's infinity norm is at most
-# FISTA_TOL; a solve that reaches FISTA_MAX_ITER first is flagged unconverged.
+# FISTA_TOL, so within FISTA_TOL/rho of the rho-strongly convex subproblem's
+# minimizer; one that reaches FISTA_MAX_ITER first is flagged unconverged.
 FISTA_TOL = 1e-8
 FISTA_MAX_ITER = 100
+ARMIJO = 1e-4  # Newton's sufficient-decrease constant
 
 
 @dataclass
@@ -132,21 +134,19 @@ def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max
     direction (O'Donoghue and Candes, 2015).  Stops when the objective
     gradient at the kept iterate has infinity norm at most tol.  A non-tight
     solve is flagged, not fatal.  A rejected plain step (one taken from the
-    kept iterate, as after a restart) ends the solve unconverged: every later
-    iteration would form the same candidate and reject it again.
+    kept iterate, the extrapolation point at t = 1, after a start or a
+    restart) ends the solve unconverged: every later iteration would form
+    the same candidate and reject it again.
 
     The gradient of the kept iterate is kept with it: it is evaluated at the
     anchor and then only after an accepted step, since a rejected step keeps
     the iterate and so its gradient.  At every new kept point (the anchor,
     each accepted candidate) obj_fn is called just before grad_fn, so an
     oracle that memoizes its last point shares work between the two.  No
-    iterate is written into once formed.
+    iterate, the anchor included, is written into.
     """
-    x = anchor.copy()
-    x_obj = obj_fn(x)
-    g = grad_fn(x)
-    y = x
-    t = 1.0
+    x = y = anchor
+    x_obj, g, t = obj_fn(x), grad_fn(x), 1.0
     for it in range(1, max_iter + 1):
         if float(np.max(np.abs(g))) <= tol:
             return FistaResult(z=x, iterations=it - 1, converged=True)
@@ -164,16 +164,40 @@ def fista_minimize(grad_fn, obj_fn, anchor: Matrix, step: float, tol: float, max
             y, t = x, 1.0
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            y = x if t == 1.0 else x + ((t - 1.0) / t_next) * (x - x_prev)
             t = t_next
+    return FistaResult(z=x, iterations=max_iter, converged=float(np.max(np.abs(g))) <= tol)
+
+
+def newton_minimize(grad_fn, obj_fn, direction, anchor: Matrix, tol: float, max_iter: int) -> FistaResult:
+    """Damped Newton (Boyd and Vandenberghe 2004, 9.5) from ``anchor``: d =
+    ``direction(x, g)``, the inverse Hessian times the gradient g, and x - s d
+    is kept for the first s of 1, 1/2, ... that moves x and lowers obj by
+    ARMIJO s <g, d>; after MAX_TRIALS halvings the solve ends unconverged.
+    It stops as ``fista_minimize``, and at each kept point calls obj_fn,
+    grad_fn, direction in that order, to share a memo.  No array is written."""
+    x, x_obj, g = anchor, obj_fn(anchor), grad_fn(anchor)
+    for it in range(1, max_iter + 1):
+        if float(np.max(np.abs(g))) <= tol:
+            return FistaResult(z=x, iterations=it - 1, converged=True)
+        d, s = direction(x, g), 1.0
+        for _ in range(MAX_TRIALS):
+            cand = x - s * d
+            cand_obj = obj_fn(cand)
+            if cand_obj <= x_obj - s * ARMIJO * np.vdot(g, d) and not np.array_equal(cand, x):
+                break
+            s *= 0.5
+        else:  # no halving moved x and lowered the objective
+            return FistaResult(z=x, iterations=it, converged=False)
+        x, x_obj, g = cand, cand_obj, grad_fn(cand)
     return FistaResult(z=x, iterations=max_iter, converged=float(np.max(np.abs(g))) <= tol)
 
 
 def solve_z_last(w_aff: Matrix, u: Matrix, rho: float, risk: Risk, anchor: Matrix) -> FistaResult:
     """Minimize R(z) + <u, z - w_aff> + (rho/2)||z - w_aff||^2, R = ``risk``:
-    by its ``minimizer`` when it has one, else by ``fista_minimize`` from
-    ``anchor`` with step 1/(H + rho), H = ``risk.curvature``.  Either way the
-    result's ``move_sq`` is ||z - anchor||^2."""
+    by its ``minimizer`` (squared risk), else from ``anchor`` along its
+    ``newton`` direction (MLP cross-entropy), else by FISTA with step 1/(H +
+    rho), H = ``risk.curvature`` (GCN).  Each way, ``move_sq`` = ||z - anchor||^2."""
     if anchor.shape != w_aff.shape:
         raise ShapeError(f"solve_z_last: shapes differ, {anchor.shape} vs {w_aff.shape}")
 
@@ -186,6 +210,9 @@ def solve_z_last(w_aff: Matrix, u: Matrix, rho: float, risk: Risk, anchor: Matri
 
     if risk.minimizer is not None:
         res = FistaResult(z=risk.minimizer(w_aff, u, rho), iterations=0, converged=True)
+    elif risk.newton is not None:
+        res = newton_minimize(grad_fn, obj_fn, lambda z, g: risk.newton(z, g, rho), anchor,
+                              FISTA_TOL, FISTA_MAX_ITER)
     else:
         step = 1.0 / (risk.curvature + rho)
         res = fista_minimize(grad_fn, obj_fn, anchor, step, FISTA_TOL, FISTA_MAX_ITER)

@@ -8,13 +8,15 @@ running minimum c_k of the squared block moves, assembles the trace, hands
 it to the sink and stops on a non-finite Lagrangian.  On any abort the traces of the completed iterations are
 attached to the ``TrainingAborted`` it raises.  A model supplies its
 initial Lagrangian, the descent constants' H (the curvature of its own
-``objective.Risk``, the constant the output solve steps by), rho and
+``objective.Risk``), rho and
 penalty, its trace type, and one iteration that walks its blocks into a
 ``BlockRecord`` and returns the new Lagrangian and its own trace fields:
 ``train`` below (backward sweep, forward sweep, dual update),
 ``gcn.gcn_train`` (``gcn.gcn_iteration``).  The record gives the step
 stats, moves, worst violation and FISTA flag.  Each run builds one
-``Risk``, which its output solves, Lagrangian and stationarity residual read.
+``Risk``, which its output solves (Newton's for the MLP's cross-entropy,
+whose Hessian inverts in O(K) per sample, FISTA's for the GCN's masked
+risk), Lagrangian and stationarity residual read.
 Iteration 1's ``descent_ok`` is reported as measured; from the zero initial
 dual it can miss while ``hypothesis_met``, rho > 2H, holds.
 

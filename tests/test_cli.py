@@ -2,6 +2,7 @@ import re
 import shutil
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ def test_selfcheck_detects_understated_risk_curvature(monkeypatch, capsys):
     assert f"PASS  {line}" in capsys.readouterr().out
     real = objective.risk_curvature
     monkeypatch.setattr(objective, "risk_curvature", lambda kind, count: 0.9 * real(kind, count))
+    assert selfcheck(quick=True) == 3
+    assert f"FAIL  {line}" in capsys.readouterr().out
+
+
+def test_selfcheck_detects_wrong_newton_direction(monkeypatch, capsys):
+    """The output solve's Newton direction is checked against the risk
+    Hessian: a direction 1.5 times too long fails."""
+    import admmnet.objective as objective
+
+    line = "cross-entropy Newton direction vs finite-difference Hessian"
+    assert selfcheck(quick=True) == 0
+    assert f"PASS  {line}" in capsys.readouterr().out
+    real = objective.mean_risk
+
+    def scaled(kind, y):
+        risk = real(kind, y)
+        if risk.newton is None:
+            return risk
+        return replace(risk, newton=lambda z, g, rho: 1.5 * risk.newton(z, g, rho))
+
+    monkeypatch.setattr(objective, "mean_risk", scaled)
     assert selfcheck(quick=True) == 3
     assert f"FAIL  {line}" in capsys.readouterr().out
 

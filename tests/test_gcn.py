@@ -52,6 +52,13 @@ def small_graph(seed=0, n=6, n_feat=3, n_classes=2):
     )
 
 
+def held_out_accuracy(state, graph):
+    """``gcn_accuracy`` over the test mask, with fresh propagations."""
+    test = graph.test_mask
+    return gcn_accuracy(state, test, np.argmax(graph.labels[test], axis=1),
+                        propagations(state, graph))
+
+
 def random_gcn_state(graph, dims, seed, rho=1.0, mu=1.0, perturb=0.3):
     rng = Rng(seed)
     state = gcn_forward_init(graph, dims, rng, rho, mu)[0]
@@ -317,7 +324,7 @@ def test_sbm_residual_collapse(sbm_run):
 
 def test_sbm_test_accuracy(sbm_run):
     graph, _, (state, traces) = sbm_run
-    assert gcn_accuracy(state, graph, graph.test_mask, propagations(state, graph)) >= 0.9
+    assert held_out_accuracy(state, graph) >= 0.9
 
 
 def test_sbm_certificates(sbm_run):
@@ -418,7 +425,7 @@ def test_gcn_beats_or_matches_gd_oracle(sbm_run):
     truth = np.argmax(graph.labels[graph.test_mask], axis=1)
     gd_acc = float(np.mean(pred == truth))
     assert gd_acc >= 0.85
-    assert gcn_accuracy(state, graph, graph.test_mask, propagations(state, graph)) >= gd_acc - 0.1
+    assert held_out_accuracy(state, graph) >= gd_acc - 0.1
 
 
 def test_gcn_determinism():
@@ -505,6 +512,30 @@ def test_cached_products_match_fresh(hidden, monkeypatch):
         assert _rel_err(a, b) <= 1e-9
 
 
+class CountedReads(np.ndarray):
+    """An array that counts the reads of its items; what they return is a
+    plain array."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        CountedReads.reads += 1
+        return np.asarray(super().__getitem__(key))
+
+
+def test_labels_read_once_per_run():
+    """``gcn_train`` gathers each mask's labels once per run, for the risk
+    and the accuracies, and none in an iteration."""
+    graph = make_sbm_graph(60, rng=Rng(1))
+    graph.labels = graph.labels.view(CountedReads)
+    reads = []
+    for epochs in (2, 3):
+        CountedReads.reads = 0
+        gcn_train(graph, GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=epochs))
+        reads.append(CountedReads.reads)
+    assert reads == [3, 3]  # the risk's rows, then the train and test classes
+
+
 def test_iteration_leaves_its_input_unchanged():
     """``GcnState.copy`` shares arrays, so every block update must rebind a
     list entry and never write into the arrays of the state it was given."""
@@ -543,8 +574,8 @@ def test_dense_products_per_iteration(monkeypatch):
     assert widths == [2] * 8
     widths.clear()
     gcn.lagrangian(new, risk.value(new.Z[-1]), props)
-    gcn_accuracy(new, graph, graph.train_mask, props)
-    gcn_accuracy(new, graph, graph.test_mask, props)
+    for mask in (graph.train_mask, graph.test_mask):
+        gcn_accuracy(new, mask, np.argmax(graph.labels[mask], axis=1), props)
     assert widths == []
 
     def in_training(epochs):  # the Lagrangian and accuracies included

@@ -17,6 +17,7 @@ from admmnet.solvers import (
     FistaResult,
     backtrack_quadratic,
     fista_minimize,
+    newton_minimize,
     solve_z_last,
     solve_z_relu,
     update_b,
@@ -240,6 +241,12 @@ def solve(w_aff, u, rho, y, kind, anchor):
     return solve_z_last(w_aff, u, rho, mean_risk(kind, y), anchor)
 
 
+def fista_solve(w_aff, u, rho, y, kind, anchor):
+    """``solve`` by FISTA: cross-entropy's Newton direction dropped from the
+    risk, as ``squared_fista`` drops the squared risk's minimizer."""
+    return solve_z_last(w_aff, u, rho, replace(mean_risk(kind, y), newton=None), anchor)
+
+
 class TestFista:
     def test_matches_closed_form_squared(self):
         rng = Rng(5)
@@ -353,6 +360,8 @@ def reference_fista(grad_fn, obj_fn, anchor, step, tol, max_iter):
             restart = True
         if restart:
             y, t_next = x_new, 1.0
+        elif t == 1.0:  # no momentum yet: the extrapolation point is the kept iterate
+            y = x_new
         else:
             y = x_new + (t / t_next) * (cand - x_new) + ((t - 1.0) / t_next) * (x_new - x)
         x, x_obj, t = x_new, x_new_obj, t_next
@@ -361,8 +370,9 @@ def reference_fista(grad_fn, obj_fn, anchor, step, tol, max_iter):
     return FistaResult(z=x, iterations=max_iter, converged=converged), rejected, restarted
 
 
-def reference_solve(w_aff, u, rho, y, kind, anchor):
-    """The output solve with unmemoized oracles written out in full."""
+def reference_oracles(w_aff, u, rho, y, kind):
+    """The output subproblem's gradient and objective, unmemoized and
+    written out in full."""
     m = y.shape[1]
 
     def risk_at(z):
@@ -378,9 +388,14 @@ def reference_solve(w_aff, u, rho, y, kind, anchor):
         d = z - w_aff
         return risk_at(z) + float(np.vdot(u, d)) + 0.5 * rho * l2sq(d)
 
-    lipschitz = 1.0 / m if kind == "squared" else 0.5 / m
-    return reference_fista(grad_fn, obj_fn, anchor, 1.0 / (lipschitz + rho), FISTA_TOL,
-                           FISTA_MAX_ITER)
+    return grad_fn, obj_fn
+
+
+def reference_solve(w_aff, u, rho, y, kind, anchor):
+    """The FISTA output solve with the reference oracles."""
+    lipschitz = 1.0 / y.shape[1] if kind == "squared" else 0.5 / y.shape[1]
+    return reference_fista(*reference_oracles(w_aff, u, rho, y, kind), anchor,
+                           1.0 / (lipschitz + rho), FISTA_TOL, FISTA_MAX_ITER)
 
 
 def output_problem(seed, rho, kind="cross_entropy", scale=3.0, n=5, m=40):
@@ -412,7 +427,7 @@ def test_output_solve_matches_reference_loop(name):
     if kind == "squared":
         res = squared_fista(w_aff, u, rho, y, anchor)
     else:
-        res = solve(w_aff, u, rho, y, kind, anchor)
+        res = fista_solve(w_aff, u, rho, y, kind, anchor)
     assert res.z.tobytes() == ref.z.tobytes()
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
     assert res.iterations > 0
@@ -427,7 +442,7 @@ def test_output_solve_stops_at_rejected_plain_step():
     is still above tolerance; every later iteration would form the same
     candidate and reject it again, so the solve ends there, unconverged."""
     problem = output_problem(28, 10.0)
-    res = solve(*problem)
+    res = fista_solve(*problem)
     ref, _, _ = reference_solve(*problem)
     assert res.z.tobytes() == ref.z.tobytes()
     assert (res.iterations, res.converged) == (ref.iterations, False)
@@ -506,14 +521,124 @@ def test_output_solve_log_softmax_count(monkeypatch, name):
     """At most two log-softmaxes per iteration plus two; the plain loop
     takes up to four per iteration plus two."""
     calls = counting(monkeypatch, objective)
-    res = solve(*OUTPUT_PROBLEMS[name])
+    res = fista_solve(*OUTPUT_PROBLEMS[name])
     assert res.iterations > 0
     assert len(calls) <= 2 * res.iterations + 2
 
 
 def test_gcn_output_solve_log_softmax_count(monkeypatch):
+    """One log-softmax at the anchor, one per candidate and one per
+    extrapolated point.  This solve's steps are a plain step from the
+    anchor, one at t = 1, whose extrapolation point is the kept iterate
+    itself, and one extrapolated step: five in all."""
     graph, state, props = gcn_output_problem()
     calls = counting(monkeypatch, gcn)
     _, res = solve_gcn_output(monkeypatch, graph, state, props)
-    assert res.iterations > 0
-    assert len(calls) <= 2 * res.iterations + 2
+    assert (res.iterations, len(calls)) == (3, 5)
+
+
+@pytest.mark.parametrize("method", ["newton", "fista"])
+def test_output_solve_starts_at_the_anchor(monkeypatch, method):
+    """Both iterative solves start from the anchor itself, not a copy, so a
+    risk whose memo holds the anchor forms no log-softmax for it."""
+    problem = OUTPUT_PROBLEMS["gradient-restart"]
+    w_aff, u, rho, y, kind, anchor = problem
+    counts = []
+    for warm in (False, True):
+        with monkeypatch.context() as patch:
+            calls = counting(patch, objective)
+            risk = mean_risk(kind, y)
+            if method == "fista":
+                risk = replace(risk, newton=None)
+            if warm:
+                risk.value(anchor)
+                calls.clear()
+            solve_z_last(w_aff, u, rho, risk, anchor)
+        counts.append(len(calls))
+    assert counts[1] == counts[0] - 1
+
+
+# ---------------------------------------------------------------------------
+# The Newton output solve of the mean cross-entropy
+# ---------------------------------------------------------------------------
+
+# seeds 0-29 at five rho, the three named cross-entropy problems and the one
+# whose FISTA solve ends at a rejected plain step
+NEWTON_PROBLEMS = [output_problem(seed, rho) for seed in range(30)
+                   for rho in (1e-3, 1e-2, 1e-1, 1.0, 10.0)]
+NEWTON_PROBLEMS += [p for p in OUTPUT_PROBLEMS.values() if p[4] == "cross_entropy"]
+NEWTON_PROBLEMS += [output_problem(28, 10.0)]
+
+
+def test_newton_output_solve_converges_on_the_grid():
+    """Every solve converges, to the gradient tolerance by the reference
+    oracles, at an objective no higher than the anchor's, and leaves its
+    inputs unchanged (FISTA leaves 18 of these 154 solves unconverged)."""
+    assert len(NEWTON_PROBLEMS) == 154
+    for problem in NEWTON_PROBLEMS:
+        before = [a.tobytes() for a in problem if isinstance(a, np.ndarray)]
+        res = solve(*problem)
+        grad_fn, obj_fn = reference_oracles(*problem[:5])
+        assert res.converged
+        assert float(np.max(np.abs(grad_fn(res.z)))) <= FISTA_TOL
+        assert obj_fn(res.z) <= obj_fn(problem[5])
+        assert [a.tobytes() for a in problem if isinstance(a, np.ndarray)] == before
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-2, 10.0])
+def test_newton_direction_solves_the_hessian(rho):
+    """(Hessian of R + rho I) d = g, column by column, with the Hessian
+    (diag(p) - p p^T)/m of the mean cross-entropy written out densely."""
+    rng = Rng(3)
+    n, m = 5, 7
+    z = 3.0 * rng.normal(0, 1, (n, m))
+    y = np.zeros((n, m))
+    y[rng.integers(0, n, m), np.arange(m)] = 1.0
+    g = rng.normal(0, 1, (n, m))
+    d = mean_risk("cross_entropy", y).newton(z, g, rho)
+    p = softmax(z)
+    for j in range(m):
+        hess = (np.diag(p[:, j]) - np.outer(p[:, j], p[:, j])) / m + rho * np.eye(n)
+        assert np.max(np.abs(hess @ d[:, j] - g[:, j])) <= 1e-9 * np.max(np.abs(g[:, j]))
+
+
+def test_newton_output_solve_log_softmax_count(monkeypatch):
+    """Every log-softmax of a Newton solve is of a point the objective
+    evaluates: the gradient and the direction at a kept point reuse it."""
+    problem = OUTPUT_PROBLEMS["rejected-steps"]
+    w_aff, u, rho, y, kind, anchor = problem
+    calls = counting(monkeypatch, objective)
+    risk = mean_risk(kind, y)
+    points = []
+    value = risk.value
+    risk = replace(risk, value=lambda z: (points.append(z), value(z))[1])
+    res = solve_z_last(w_aff, u, rho, risk, anchor)
+    assert res.converged and res.iterations > 0
+    assert len(calls) == len(points) >= res.iterations + 1
+
+
+def test_newton_exact_on_a_quadratic():
+    """On a quadratic the full step lands on the minimizer."""
+    a = np.array([[3.0, 1.0], [1.0, 2.0]])
+    b = np.array([[1.0], [-2.0]])
+    res = newton_minimize(lambda x: a @ x - b, lambda x: (0.5 * x.T @ a @ x - b.T @ x).item(),
+                          lambda x, g: np.linalg.solve(a, g), np.zeros((2, 1)), 1e-12, 10)
+    assert (res.iterations, res.converged) == (1, True)
+    assert np.allclose(res.z, np.linalg.solve(a, b), rtol=1e-14, atol=0.0)
+
+
+def test_newton_ends_unconverged_when_no_halving_lowers():
+    """Along an ascent direction no halving of the step lowers the
+    objective: the solve ends at the anchor, unconverged, after MAX_TRIALS
+    candidates."""
+    anchor = np.array([[1.0, -2.0]])
+    objs = []
+
+    def obj_fn(x):
+        objs.append(x)
+        return 0.5 * l2sq(x)
+
+    res = newton_minimize(lambda x: x, obj_fn, lambda x, g: -g, anchor, 1e-8, FISTA_MAX_ITER)
+    assert (res.iterations, res.converged) == (1, False)
+    assert res.z is anchor
+    assert len(objs) == 1 + solvers.MAX_TRIALS

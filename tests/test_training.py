@@ -198,12 +198,13 @@ def test_nonmonotone_at_tiny_rho():
 
 
 def test_output_solves_converge_at_tiny_rho():
-    # the output FISTA steps by the risk's curvature 1/(2m), not by 1
+    # the output solve is damped Newton on the cross-entropy Hessian; every
+    # solve converges, where FISTA's stop would bound z's error by tol/rho = 1e-2
     data = make_image_classes(5000, n_pixels=64, n_classes=10, rng=Rng(1))[0]
     arch = MlpArchitecture(layer_dims=(64, 16, 10))
     cfg = TrainConfig(rho=1e-6, nu=1e-6, epochs=30, seed=0)
     traces = train(arch, data, cfg).traces
-    assert sum(t.fista_converged for t in traces) >= 0.95 * len(traces)
+    assert all(t.fista_converged for t in traces)
 
 
 def test_stationary_point_is_fixed():
