@@ -111,9 +111,7 @@ def run_baseline(
     """Trains by full-batch backprop; returns ((W, b), traces)."""
     objective.check_fit(arch, data, eval_data)
     risk, reg = objective.mean_risk(arch.risk, data.y), arch.regularizer  # one risk, one memo
-    rng, dims = Rng(cfg.seed), arch.layer_dims
-    W = [objective.glorot(rng, (dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
-    b = [np.zeros((d, 1)) for d in dims[1:]]
+    W, b = objective.init_weights(arch.layer_dims, Rng(cfg.seed))
     upd = _Updater(cfg, W + b)
     traces = []
     t0 = time.perf_counter()

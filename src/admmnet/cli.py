@@ -219,8 +219,9 @@ def _fd_error(grad_fn, store: list, value_fn, h: float = 1e-6) -> float:
 
 def selfcheck(quick: bool = False) -> int:
     """Gradient checks, subproblem oracles, the output-risk curvature against
-    H, the constant the FISTA step and the descent certificate share, the
-    Newton direction, and a short descent run; returns the exit code.
+    H, the constant the descent certificate and the GCN's FISTA step share,
+    the Newton direction, and a short descent run of each model; returns
+    the exit code.
     The gradients checked against finite differences are the ones the
     trainers step with: ``objective.grad_phi_block`` (``grad_W`` and
     ``grad_a`` behind it) and ``gcn.grad_psi_block``, the latter both fresh
@@ -301,8 +302,8 @@ def selfcheck(quick: bool = False) -> int:
             ok = False
     check("relu z-subproblem vs grid", ok)
 
-    # a Risk's H sets the output FISTA step 1/(H + rho) and the descent
-    # certificate: the risk Hessian's top eigenvalue, by power iteration on
+    # a Risk's H sets the descent certificate and the GCN's output FISTA step
+    # 1/(H + rho): the risk Hessian's top eigenvalue, by power iteration on
     # finite-difference products of its gradient, must not exceed it (uniform logits attain it)
     ratio = 0.0
     for kind in ("cross_entropy", "squared"):
@@ -317,19 +318,22 @@ def selfcheck(quick: bool = False) -> int:
     hd = (risk.grad(z + 1e-5 * d) - risk.grad(z - 1e-5 * d)) / 2e-5 + 1e-3 * d
     check("cross-entropy Newton direction vs finite-difference Hessian", np.max(np.abs(hd - g)) < 1e-6)
 
-    # short run: certificate + monotone Lagrangian
-    sep = make_separable(40, rng=Rng(3))
-    arch2 = MlpArchitecture(layer_dims=(4, 8, 2))
-    cfg = TrainConfig(rho=4.0, nu=1.0, epochs=5 if quick else 25, seed=0)
-    try:
-        result = train(arch2, sep, cfg)
-        cert_ok = max(t.max_cert_violation for t in result.traces) <= 1e-10
-        lagr = [t.lagrangian for t in result.traces]
+    # a short run of each model: certificate + monotone Lagrangian
+    epochs = 5 if quick else 25
+    mlp_run = lambda: train(MlpArchitecture(layer_dims=(4, 8, 2)), make_separable(40, rng=Rng(3)),
+                            TrainConfig(rho=4.0, nu=1.0, epochs=epochs)).traces
+    gcn_run = lambda: gcn_train(make_sbm_graph(200, rng=Rng(8)),
+                                GcnConfig((32,), rho=1.0, mu=1.0, epochs=epochs))[1]
+    for model, params, run in (("", "rho=4, nu=1", mlp_run), ("gcn ", "rho=1, mu=1", gcn_run)):
+        try:
+            traces = run()
+        except TrainingAborted:
+            check(f"{model}training run completes", False)
+            continue
+        lagr = [t.lagrangian for t in traces]
         mono = all(b <= a + 1e-9 for a, b in zip(lagr, lagr[1:]))
-        check("backtracking certificate", cert_ok)
-        check("Lagrangian monotone (rho=4, nu=1)", mono)
-    except TrainingAborted:
-        check("training run completes", False)
+        check(f"{model}backtracking certificate", max(t.max_cert_violation for t in traces) <= 1e-10)
+        check(f"{model}Lagrangian monotone ({params})", mono)
 
     if failures:
         print(f"{len(failures)} check(s) failed: {', '.join(failures)}")

@@ -21,11 +21,11 @@ Cached propagation.  Besides the blocks, the sweep state holds a
 A_norm Z_{l-1} W_l, N x C_{l+1} each.  ``gcn_train`` takes it from the
 initial exact propagation, which forms exactly these products.  Like the
 MLP's P, m then moves only with the blocks it depends on, and both blocks
-backtrack through ``training.backtrack_shifted``, as the MLP's W and a do,
-with m as the moved quantity.  Trials are affine in the inverse step, so
-each update forms one direction product d, negated through its small factor
-(sign flips are exact, so m + (-d)/t is m - d/t bit for bit), and the
-accepted trial's shift then moves m:
+call ``solvers.backtrack_quadratic``, as the MLP's W and a do, with m as the
+moved quantity.  Trials are affine in the inverse step, so each update
+forms one direction product d, negated through its small factor (sign flips
+are exact, so m + (-d)/t is m - d/t bit for bit), and the accepted trial's
+shift then moves m:
 
 * an accepted W_l step, W_l - G/t, moves m[l] by -(A_norm Z_{l-1} G)/t, with
   the direction formed as ax G at the first layer and A_norm (Z_{l-1} G)
@@ -78,9 +78,9 @@ from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq, require_finite
 from .objective import (Risk, _ce_grad, _ce_value, _log_softmax, _memo_last, glorot, relu,
                         relu_deriv, risk_curvature)
-# backtrack_quadratic and fista_minimize are unused here: perfbench/tracer.py wraps them on this module
+# fista_minimize is unused here: perfbench/tracer.py wraps it on this module
 from .solvers import backtrack_quadratic, fista_minimize, solve_z_last
-from .training import BlockRecord, CertifiedTrace, backtrack_shifted, run_certified, walk_blocks
+from .training import BlockRecord, CertifiedTrace, run_certified, walk_blocks
 
 
 @dataclass
@@ -345,11 +345,10 @@ def grad_psi_block(state: GcnState, block: str, layer: int, props: Propagations)
 def _update_W_gcn(work, props, layer, seed):
     grad = grad_psi_block(work, "W", layer, props)
     neg_dir = _through(work, props.ax, layer, -grad)  # W - G/t moves m[layer] by neg_dir/t
-    res, shift = backtrack_shifted(lambda x, moved: _term(work, layer, moved()),
-                                   props.m[layer], lambda x, t: neg_dir / t, grad, work.W[layer],
-                                   seed)
+    res = backtrack_quadratic(lambda x, moved: _term(work, layer, moved()), props.m[layer],
+                              lambda x, t: neg_dir / t, grad, work.W[layer], seed)
     work.W[layer] = res.candidate
-    props.m[layer] = props.m[layer] + shift
+    props.m[layer] = props.m[layer] + res.shift
     return res
 
 
@@ -358,11 +357,11 @@ def _update_Z_hidden(work, props, layer, seed):
     fm = relu(props.m[layer])
     nxt = layer + 1
     neg_dir = _adj(work.A_norm, grad @ -work.W[nxt])  # Z - G/t moves m[nxt] by neg_dir/t
-    res, shift = backtrack_shifted(
+    res = backtrack_quadratic(
         lambda x, moved: _term(work, nxt, moved(), 0.5 * work.mu * l2sq(x - fm)),
         props.m[nxt], lambda x, t: neg_dir / t, grad, work.Z[layer], seed)
     work.Z[layer] = res.candidate
-    props.m[nxt] = props.m[nxt] + shift
+    props.m[nxt] = props.m[nxt] + res.shift
     return res
 
 

@@ -395,13 +395,18 @@ def forward(W: list, b: list, x: Matrix) -> tuple:
     return z, a
 
 
-def forward_init(arch: MlpArchitecture, data: Dataset, rng: Rng, rho: float, nu: float) -> MlpState:
-    """Glorot-uniform weights, zero biases, exact forward pass for z and a."""
-    dims = arch.layer_dims
+def init_weights(dims: tuple, rng: Rng) -> tuple:
+    """(W, b) of an MLP of layer widths ``dims``: Glorot-uniform weights and
+    zero biases, the start that ADMM and the baselines share."""
     W = [glorot(rng, (dims[l + 1], dims[l])) for l in range(len(dims) - 1)]
-    b = [np.zeros((d, 1)) for d in dims[1:]]
+    return W, [np.zeros((d, 1)) for d in dims[1:]]
+
+
+def forward_init(arch: MlpArchitecture, data: Dataset, rng: Rng, rho: float, nu: float) -> MlpState:
+    """``init_weights``, then the exact forward pass for z and a."""
+    W, b = init_weights(arch.layer_dims, rng)
     z, a = forward(W, b, data.x)
-    return MlpState(W=W, b=b, z=z, a=a, u=np.zeros((dims[-1], data.n_samples)), rho=rho, nu=nu)
+    return MlpState(W=W, b=b, z=z, a=a, u=np.zeros(z[-1].shape), rho=rho, nu=nu)
 
 
 def forward_logits(W: list, b: list, x: Matrix) -> Matrix:

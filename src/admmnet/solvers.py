@@ -1,6 +1,8 @@
 """Block subproblem solvers: backtracked quadratic majorization, closed-form
 bias and ReLU updates, and the output-layer solve under any ``objective.Risk``,
-whose formulas, like the regularizer's prox, live in ``objective``.
+whose formulas, like the regularizer's prox, live in ``objective``.  Every
+backtracked block of both models calls ``backtrack_quadratic``, which moves
+one cached linear quantity per trial and returns the accepted trial's shift.
 """
 from __future__ import annotations
 
@@ -39,19 +41,25 @@ class BacktrackResult:
     trials: int
     violation: float  # phi(candidate) - Q(candidate; step) at acceptance
     move_sq: float  # ||candidate - anchor||^2
+    shift: Matrix  # shift_of(candidate, step), the accepted trial's move of base
 
 
-def backtrack_quadratic(eval_phi, grad: Matrix, anchor: Matrix, seed_step: float,
-                        prox=None) -> BacktrackResult:
+def backtrack_quadratic(terms, base: Matrix, shift_of, grad: Matrix, anchor: Matrix,
+                        seed_step: float, prox=None) -> BacktrackResult:
     """Grow the step parameter geometrically until the quadratic model
     Q(x; t) = phi(anchor) + <grad, x - anchor> + (t/2) ||x - anchor||^2
     majorizes phi at the candidate x = anchor - grad/t (prox-mapped when a
     regularizer is present).
 
-    eval_phi(candidate, step) may evaluate phi up to an additive constant
-    that does not depend on the trial block; the certificate is unaffected.
+    The block moves a cached linear quantity, ``base`` at the anchor, by
+    ``shift_of(x, t)`` at a trial x.  phi(x) is ``terms(x, moved)``, the
+    penalty terms holding the block, which calls ``moved()`` for the moved
+    quantity after its terms of x alone, so their temporaries are freed
+    first; at the anchor ``moved()`` returns ``base`` itself.  terms may
+    leave out an additive constant that does not depend on the block; the
+    certificate is unaffected.
     """
-    phi0 = eval_phi(anchor, None)
+    phi0 = terms(anchor, lambda: base)
     t = seed_step
     for trial in range(1, MAX_TRIALS + 1):
         cand = anchor - grad / t
@@ -60,11 +68,12 @@ def backtrack_quadratic(eval_phi, grad: Matrix, anchor: Matrix, seed_step: float
         delta = cand - anchor
         move_sq = l2sq(delta)
         q = phi0 + float(np.vdot(grad, delta)) + 0.5 * t * move_sq
-        del delta  # not held while eval_phi forms its own temporaries
-        val = eval_phi(cand, t)
+        del delta  # not held while the trial forms its own temporaries
+        shift = shift_of(cand, t)
+        val = terms(cand, lambda: base + shift)
         if np.isfinite(val) and val <= q + CERT_SLACK:
             return BacktrackResult(step=t, candidate=cand, trials=trial, violation=val - q,
-                                   move_sq=move_sq)
+                                   move_sq=move_sq, shift=shift)
         t *= STEP_GROWTH
     raise BacktrackError(
         f"no certified step after {MAX_TRIALS} trials (seed {seed_step:g}); "

@@ -56,18 +56,16 @@ in block order: the ``move_sq`` of a W or an a step's ``BacktrackResult`` and
 of the output z's ``FistaResult``, and the float the b update returns.  The
 hidden z update returns None, outside the bound.
 
-Formulas.  This module holds the walk, the shared backtracking, the sweeps,
-the P moves and the driver, and no formula of the objective: every
-residual, block gradient, penalty term, objective_F and Lagrangian is a
-call into ``objective``, the functions the finite-difference checks test,
-with the cache passed as their ``P``; the output solve takes the run's
-``objective.Risk`` and a W step the regularizer's ``prox`` when it is
-``active``.  Every backtracked block of both models runs
-``backtrack_shifted``: a trial moves one cached linear quantity (a layer
-residual here, a propagation in ``gcn``) by a shift, only the penalty terms
-holding the block are evaluated at the moved quantity, and the accepted
-trial's shift then moves the cache.  Plain trials are affine in the inverse
-step, so their shifts reuse one precomputed product.  The a anchor's
+Formulas.  This module holds the walk, the sweeps, the P moves and the
+driver, and no formula of the objective: every residual, block gradient,
+penalty term, objective_F and Lagrangian is a call into ``objective``, the
+functions the finite-difference checks test, with the cache passed as their
+``P``; the output solve takes the run's ``objective.Risk`` and a W step the
+regularizer's ``prox`` when it is ``active``.  A W or an a step calls
+``solvers.backtrack_quadratic`` with the layer residual as the moved
+quantity: only the penalty terms holding the block are evaluated at it, and
+the accepted trial's ``shift`` then moves P.  Plain trials are affine in the
+inverse step, so their shifts reuse one precomputed product.  The a anchor's
 activation term comes with its gradient from ``objective.grad_a``, which
 forms a_l - f(z_l) anyway.
 """
@@ -229,25 +227,7 @@ def walk_blocks(blocks: list, update, record: BlockRecord, backward: bool) -> No
             record.fista_ok = record.fista_ok and res.converged
         if res is not None:
             record.moves += res if isinstance(res, float) else res.move_sq
-
-
-def backtrack_shifted(terms, base: Matrix, shift_of, grad: Matrix, anchor: Matrix, seed: float,
-                      prox=None) -> tuple:
-    """Backtracks one block whose trial x moves a cached linear quantity,
-    ``base`` at the anchor, by ``shift_of(x, t)``.  ``terms(x, moved)`` sums
-    the penalty terms holding the block, calling ``moved()`` for the moved
-    quantity after its terms of x alone, so their temporaries are freed
-    first.  Returns the ``BacktrackResult`` and the last (accepted) shift."""
-    shift = None
-
-    def eval_phi(cand, step):
-        nonlocal shift
-        if step is None:
-            return terms(cand, lambda: base)
-        shift = shift_of(cand, step)
-        return terms(cand, lambda: base + shift)
-
-    return backtrack_quadratic(eval_phi, grad, anchor, seed, prox=prox), shift
+        del res  # a step's shift is not held through the next block's update
 
 
 def dual_update(state: MlpState, r: Matrix) -> Matrix:
@@ -266,10 +246,10 @@ def _update_W(work: MlpState, P: list, data: Dataset, regularizer: Regularizer, 
     else:
         grad_a = grad @ a_prev  # trial residual is lin0 + grad_a / step
         shift_of = lambda cand, step: grad_a / step
-    res, shift = backtrack_shifted(lambda x, moved: objective.linear_term(work, moved(), is_last),
-                                   lin0, shift_of, grad, anchor, seed, prox)
+    res = backtrack_quadratic(lambda x, moved: objective.linear_term(work, moved(), is_last),
+                              lin0, shift_of, grad, anchor, seed, prox)
     work.W[layer] = res.candidate
-    P[layer] = P[layer] - shift
+    P[layer] = P[layer] - res.shift
     return res
 
 
@@ -285,9 +265,9 @@ def _update_a(work: MlpState, P: list, layer: int, seed: float) -> BacktrackResu
         act = act0 if x is anchor else objective.activation_term(work, x, fz)  # act0: from grad_a
         return act + objective.linear_term(work, moved(), is_last)
 
-    res, shift = backtrack_shifted(terms, lin0, lambda x, t: w_grad / t, grad, anchor, seed)
+    res = backtrack_quadratic(terms, lin0, lambda x, t: w_grad / t, grad, anchor, seed)
     work.a[layer] = res.candidate
-    P[nxt] = P[nxt] - shift
+    P[nxt] = P[nxt] - res.shift
     return res
 
 

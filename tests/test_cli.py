@@ -1,3 +1,4 @@
+import itertools
 import re
 import shutil
 import struct
@@ -129,6 +130,28 @@ def test_selfcheck_quick_passes():
     assert main(["selfcheck", "--quick"]) == 0
 
 
+RUN_CHECKS = ["backtracking certificate", "Lagrangian monotone (rho=4, nu=1)",
+              "gcn backtracking certificate", "gcn Lagrangian monotone (rho=1, mu=1)"]
+
+
+def test_selfcheck_runs_both_models(capsys):
+    """The certificate and the monotone Lagrangian are checked on a short
+    run of each model."""
+    assert main(["selfcheck", "--quick"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert all(f"PASS  {line}" in out for line in RUN_CHECKS)
+
+
+def test_selfcheck_detects_rising_gcn_lagrangian(monkeypatch, capsys):
+    """A GCN run whose Lagrangian rises fails that line alone, and exit 3."""
+    rise = itertools.count()
+    real = gcn.lagrangian
+    monkeypatch.setattr(gcn, "lagrangian", lambda *args: real(*args) + 10.0 * next(rise))
+    assert main(["selfcheck", "--quick"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [f"FAIL  {RUN_CHECKS[3]}"]
+
+
 def test_selfcheck_detects_injected_gradient_bug(monkeypatch, capsys):
     """A wrong W gradient in the function the trainer steps with must fail
     the finite-difference check."""
@@ -251,8 +274,7 @@ def test_backtrack_failure_exit_code(path, image_dir, tmp_path, monkeypatch):
         gdir = tmp_path / "graph"
         assert main(["make-data", "graph", "--n", "40", "--seed", "0",
                      "--out", str(gdir)]) == 0
-        monkeypatch.setattr(training, "backtrack_quadratic",  # the GCN steps through training
-                            _fail_after(training.backtrack_quadratic, 12))
+        monkeypatch.setattr(gcn, "backtrack_quadratic", _fail_after(gcn.backtrack_quadratic, 12))
         code = main(["train", "gcn", "--data", str(gdir), "--layers", "8",
                      "--epochs", "5", "--out", str(out)])
         rows = 2

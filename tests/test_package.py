@@ -18,6 +18,7 @@ from admmnet.objective import MlpArchitecture
 from admmnet.synth import make_image_classes, make_sbm_graph
 
 SOURCES = sorted(pathlib.Path(admmnet.__file__).parent.glob("*.py"))
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -68,6 +69,34 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {node.name}({p.arg})"
                        for p in params if p is not None and p.arg not in read]
     assert unread == []
+
+
+def test_every_import_is_used():
+    """Each name a module imports is read in that module, re-exported
+    through its ``__all__``, or a target that perfbench/tracer.py wraps on
+    that module; an import kept for the tracer alone goes once the tracer
+    stops wrapping it."""
+    tracer = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(tracer)
+    tracer.loader.exec_module(module)
+    wrapped = {(mod, attr) for mod, attr, _, _ in module.TARGETS}
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read.add("annotations")  # from __future__: a compiler directive
+        read |= {e.value for n in nodes if isinstance(n, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in n.targets)
+                 for e in n.value.elts}
+        for node in nodes:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and (path.stem, name) not in wrapped:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_imports_only_declared_dependencies():

@@ -31,19 +31,24 @@ def softmax(z):
     return np.exp(_log_softmax(z))
 
 
-def quad_phi(curvature, anchor0):
-    """phi(x) = (c/2)||x - x*||^2 with minimum at anchor0 - grad/c."""
+def quad_terms(curvature, anchor0):
+    """phi(x) = (c/2)||x - x*||^2 with minimum at anchor0 - grad/c, as the
+    ``terms`` of a block that moves no cached quantity."""
 
-    def eval_phi(x, step):
+    def terms(x, moved):
         return 0.5 * curvature * l2sq(x - anchor0)
 
-    return eval_phi
+    return terms
+
+
+def backtrack_unshifted(terms, grad, anchor, seed_step):
+    return backtrack_quadratic(terms, 0.0, lambda x, t: 0.0, grad, anchor, seed_step)
 
 
 class TestBacktrack:
     def test_zero_gradient_trivial(self):
         anchor = np.array([[1.0, 2.0]])
-        res = backtrack_quadratic(quad_phi(3.0, anchor), np.zeros((1, 2)), anchor, 1.0)
+        res = backtrack_unshifted(quad_terms(3.0, anchor), np.zeros((1, 2)), anchor, 1.0)
         assert res.trials == 1
         assert np.array_equal(res.candidate, anchor)
 
@@ -54,7 +59,7 @@ class TestBacktrack:
         c = 5.0
         anchor = np.array([[2.0]])
         grad = c * (anchor - x0)
-        res = backtrack_quadratic(quad_phi(c, x0), grad, anchor, seed_step=c)
+        res = backtrack_unshifted(quad_terms(c, x0), grad, anchor, seed_step=c)
         assert res.trials == 1
         assert res.step == c
 
@@ -64,7 +69,7 @@ class TestBacktrack:
         c = 8.0
         anchor = np.array([[1.0]])
         grad = c * anchor
-        res = backtrack_quadratic(quad_phi(c, x0), grad, anchor, seed_step=1.0)
+        res = backtrack_unshifted(quad_terms(c, x0), grad, anchor, seed_step=1.0)
         assert res.step == 8.0
         assert res.trials == 4
 
@@ -75,24 +80,57 @@ class TestBacktrack:
             c = float(rng.uniform(0.5, 20.0, ()))
             anchor = rng.normal(0, 1, (3, 2))
             grad = c * (anchor - x0)
-            res = backtrack_quadratic(quad_phi(c, x0), grad, anchor, seed_step=0.25)
+            res = backtrack_unshifted(quad_terms(c, x0), grad, anchor, seed_step=0.25)
             assert res.violation <= 1e-10
 
     def test_trial_cap_raises(self):
         # phi rises at every candidate while the model predicts a decrease,
-        # so no step certifies: the search stops after MAX_TRIALS trials
+        # so no step certifies: the search stops after MAX_TRIALS trials,
+        # each shifting once
         anchor = np.array([[1.0]])
         trials = []
 
-        def eval_phi(x, step):
-            if step is None:
-                return 0.0
+        def shift_of(x, step):
             trials.append(step)
-            return 1.0
+            return 0.0
+
+        def terms(x, moved):
+            return 0.0 if x is anchor else 1.0
 
         with pytest.raises(BacktrackError, match=f"after {solvers.MAX_TRIALS} trials"):
-            backtrack_quadratic(eval_phi, np.array([[-100.0]]), anchor, 1.0)
+            backtrack_quadratic(terms, 0.0, shift_of, np.array([[-100.0]]), anchor, 1.0)
         assert len(trials) == solvers.MAX_TRIALS == 60
+
+    @pytest.mark.parametrize("regularized", [False, True])
+    def test_shifted_trials(self, regularized):
+        """A block W whose trials move the cached residual r = y - W a, as
+        the MLP's W step does: a plain trial by (G a)/t, affine in 1/t, a
+        prox trial by its own (anchor - W) a.  The anchor's ``moved()`` is
+        ``base`` itself; the result's shift is the accepted trial's, bit for
+        bit, and moves the cache to the candidate's residual."""
+        rng = Rng(3)
+        a, y, anchor = rng.normal(0, 1, (4, 6)), rng.normal(0, 1, (2, 6)), rng.normal(0, 1, (2, 4))
+        base = y - anchor @ a
+        grad = -base @ a.T  # of (1/2)||y - W a||^2 at the anchor
+        if regularized:
+            prox = Regularizer("l1", 0.5).prox
+            shift_of = lambda x, t: (anchor - x) @ a
+        else:
+            prox, grad_a = None, grad @ a
+            shift_of = lambda x, t: grad_a / t
+        seen = []
+
+        def terms(x, moved):
+            r = moved()
+            seen.append((x, r))
+            return 0.5 * l2sq(r)  # the smooth part; the prox handles the regularizer
+
+        res = backtrack_quadratic(terms, base, shift_of, grad, anchor, 1e-3, prox)
+        assert res.trials > 1 and res.violation <= 1e-10
+        assert seen[0][0] is anchor and seen[0][1] is base
+        assert np.array_equal(res.shift, shift_of(res.candidate, res.step))
+        assert np.array_equal(seen[-1][1], base + res.shift)
+        np.testing.assert_allclose(base + res.shift, y - res.candidate @ a, rtol=0, atol=1e-12)
 
 
 def test_step_seeds_warm_start():
@@ -104,7 +142,7 @@ def test_step_seeds_warm_start():
     def update(kind, layer, seed):
         seeds.append(seed)
         return BacktrackResult(step=next(accepted), candidate=None, trials=1, violation=0.0,
-                               move_sq=0.0)
+                               move_sq=0.0, shift=None)
 
     record = BlockRecord()
     for _ in range(3):

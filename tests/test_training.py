@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_walk_blocks_bookkeeping():
         calls.append((kind, layer, seed))
         if kind == "W":
             return BacktrackResult(step=2.0 * seed, candidate=None, trials=2,
-                                   violation=(layer - 1) * 1e-12, move_sq=layer + 0.5)
+                                   violation=(layer - 1) * 1e-12, move_sq=layer + 0.5, shift=None)
         if kind == "b":
             return 0.25  # a closed-form block's move
         if layer == 1:  # the output z
@@ -92,6 +93,22 @@ def test_walk_blocks_bookkeeping():
     walk_blocks(blocks[:2], update, nxt, backward=False)
     assert calls[-2:] == [("W", 0, 1.0), ("b", 0, 1.0)]  # W's seed: its step 2.0 / 2
     assert (nxt.steps, nxt.moves, nxt.worst, nxt.fista_ok) == ({("W", 0): 2.0}, 0.75, 0.0, True)
+
+
+def test_walk_blocks_drops_each_result():
+    """A block's result, which holds its accepted shift, is unreachable once
+    the next block's update starts: no shift outlives its update."""
+    refs = []
+
+    def update(kind, layer, seed):
+        assert [r() for r in refs] == [None] * len(refs)
+        res = BacktrackResult(step=seed, candidate=None, trials=1, violation=0.0, move_sq=0.0,
+                              shift=np.zeros(3))
+        refs.append(weakref.ref(res))
+        return res
+
+    walk_blocks([("W", 0), ("a", 0), ("W", 1)], update, BlockRecord(), backward=True)
+    assert len(refs) == 3 and refs[-1]() is None
 
 
 @pytest.mark.parametrize("model", ["mlp", "gcn"])
@@ -171,6 +188,28 @@ def test_dual_residual_consistency(separable_run):
         new.u = dual_update(new, r)
         assert np.array_equal(new.u, u_prev + cfg.rho * r)
         state = new
+
+
+def test_admm_and_baselines_share_the_start(monkeypatch):
+    """At one seed ``train`` and ``run_baseline`` start from equal W and b,
+    as the comparison of ADMM with the baselines assumes; each run's first
+    forward pass is of its start, whose arrays no update writes into."""
+    starts = []
+    real = objective.forward
+
+    def recording(W, b, x):
+        starts.append(list(W) + list(b))
+        return real(W, b, x)
+
+    monkeypatch.setattr(objective, "forward", recording)
+    data = make_separable(30, rng=Rng(5))
+    arch = MlpArchitecture(layer_dims=(4, 6, 5, 2))
+    train(arch, data, TrainConfig(rho=1.0, nu=1.0, epochs=1, seed=9))
+    admm_calls = len(starts)
+    run_baseline(BaselineConfig("adam", 1e-3, 1, seed=9), arch, data)
+    admm, adam = starts[0], starts[admm_calls]
+    assert len(admm) == len(adam) == 6
+    assert all(np.array_equal(p, q) for p, q in zip(admm, adam))
 
 
 def test_determinism():
