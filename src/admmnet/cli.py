@@ -218,10 +218,10 @@ def _fd_error(grad_fn, store: list, value_fn, h: float = 1e-6) -> float:
 
 
 def selfcheck(quick: bool = False) -> int:
-    """Gradient checks, subproblem oracles, the output-risk curvature against
-    H, the constant the descent certificate and the GCN's FISTA step share,
-    the Newton direction, and a short descent run of each model; returns
-    the exit code.
+    """Gradient checks, subproblem oracles, each output risk's curvature (the
+    MLP's and the GCN's masked one) against its H, the constant the descent
+    certificate and the GCN's FISTA step share, the Newton direction, and a
+    short descent run of each model; returns the exit code.
     The gradients checked against finite differences are the ones the
     trainers step with: ``objective.grad_phi_block`` (``grad_W`` and
     ``grad_a`` behind it) and ``gcn.grad_psi_block``, the latter both fresh
@@ -304,13 +304,13 @@ def selfcheck(quick: bool = False) -> int:
 
     # a Risk's H sets the descent certificate and the GCN's output FISTA step
     # 1/(H + rho): the risk Hessian's top eigenvalue, by power iteration on
-    # finite-difference products of its gradient, must not exceed it (uniform logits attain it)
-    ratio = 0.0
-    for kind in ("cross_entropy", "squared"):
-        risk = objective.mean_risk(kind, y)
-        for z in (state.z[-1], np.zeros_like(y)):
-            ratio = max(ratio, _top_eigenvalue(risk.grad, z, Rng(5)) / risk.curvature)
-    check("output-risk curvature <= FISTA step constant", ratio <= 1.0 + 1e-6)
+    # finite-difference products of its gradient, must not exceed it (uniform logits attain it),
+    # for the MLP's risks and the GCN's masked one
+    mlp_risks = [objective.mean_risk(kind, y) for kind in ("cross_entropy", "squared")]
+    for model, risks, z in (("", mlp_risks, state.z[-1]), ("gcn ", [risk], gstate.Z[-1])):
+        ratio = max(_top_eigenvalue(r.grad, at, Rng(5)) / r.curvature
+                    for r in risks for at in (z, np.zeros_like(z)))
+        check(f"{model}output-risk curvature <= FISTA step constant", ratio <= 1.0 + 1e-6)
 
     # Newton direction d: (Hessian + rho I) d = g, Hessian times d by central differences
     risk, z, g = objective.mean_risk("cross_entropy", y), state.z[-1], Rng(19).normal(0.0, 1.0, y.shape)

@@ -3,9 +3,11 @@
 Nodes sit in rows (N x C matrices), matching the propagation rule
 Z_l = f(A_norm Z_{l-1} W_l), with f the MLP's ``objective.relu``.  The risk
 is the masked mean cross-entropy over training nodes, the
-``objective.Risk`` that ``masked_ce`` returns.
+``objective.Risk`` that ``masked_ce`` returns: the MLP's ``mean_risk`` on
+the training nodes' rows, without its Newton direction.
 ``gcn_train`` runs ``gcn_iteration`` under the certified driver of
-``training``, with mu in the role of the MLP's nu and the descent bound's H
+``training``, which forms the descent certificate and the stationarity
+residual, with mu in the role of the MLP's nu and the descent bound's H
 that risk's curvature, the step constant of its FISTA output solve.
 
 Iteration.  ``gcn_iteration`` walks the forward block list, W and Z of each
@@ -73,14 +75,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics
 from .errors import ShapeError
 from .linalg import Matrix, Rng, l2sq, require_finite
-from .objective import (Risk, _ce_grad, _ce_value, _log_softmax, _memo_last, glorot, relu,
-                        relu_deriv, risk_curvature)
+from .objective import Risk, _memo_last, glorot, mean_risk, relu, relu_deriv
 # fista_minimize is unused here: perfbench/tracer.py wraps it on this module
 from .solvers import backtrack_quadratic, fista_minimize, solve_z_last
-from .training import BlockRecord, CertifiedTrace, run_certified, walk_blocks
+from .training import (BlockRecord, CertifiedTrace, run_certified, stationarity_residual,
+                       walk_blocks)
 
 
 @dataclass
@@ -226,19 +227,20 @@ def normalize_adjacency(graph: Graph) -> SparseAdjacency:
 
 def masked_ce(labels: Matrix, mask: np.ndarray) -> Risk:
     """The mean cross-entropy over the rows in ``mask``, as a ``Risk`` of the
-    output block.  The masked rows, labels and count are gathered once; the
-    value and gradient share the log-softmax of their last point's masked
-    rows, and H is the cross-entropy curvature over the count."""
+    output block: ``objective.mean_risk`` over the masked rows as columns,
+    with its H.  The value and gradient share their last point's row
+    gather, and so that risk's log-softmax memo; the gradient is zero off
+    the mask.  It has no Newton direction: its output solve is FISTA's."""
     idx = np.flatnonzero(mask)
-    y, count = labels[idx], idx.size
-    logp = _memo_last(lambda z: _log_softmax(z[idx].T).T)  # nodes sit in rows
+    ce = mean_risk("cross_entropy", labels[idx].T)
+    rows = _memo_last(lambda z: z[idx].T)  # nodes sit in rows
 
     def grad(z):
         g = np.zeros_like(z)
-        g[idx] = _ce_grad(logp(z), y, count)
+        g[idx] = ce.grad(rows(z)).T
         return g
 
-    return Risk(lambda z: _ce_value(logp(z), y, count), grad, risk_curvature("cross_entropy", count))
+    return Risk(lambda z: ce.value(rows(z)), grad, ce.curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +434,7 @@ def gcn_train(graph: Graph, cfg: GcnConfig, trace_sink=None):
         return lagrangian(state, value, props), dict(
             risk=value,
             residual_fro=float(np.sqrt(l2sq(eps))),
-            stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.Z[-1]),
-                                                                    state.U),
+            stationarity_residual=stationarity_residual(risk.grad(state.Z[-1]), state.U),
             train_acc=gcn_accuracy(state, *scored[0], props),
             test_acc=gcn_accuracy(state, *scored[1], props),
         )

@@ -1,16 +1,18 @@
 """Backward-then-forward ADMM training: the certified iteration driver, the
 block walk, and the MLP model.
 
-The driver, ``run_certified``, is the loop both models share.  It rejects
-a non-finite Lagrangian before iteration 1, and after each iteration checks
-the sufficient-descent bound against the previous Lagrangian, extends the
-running minimum c_k of the squared block moves, assembles the trace, hands
-it to the sink and stops on a non-finite Lagrangian.  On any abort the traces of the completed iterations are
-attached to the ``TrainingAborted`` it raises.  A model supplies its
-initial Lagrangian, the descent constants' H (the curvature of its own
-``objective.Risk``), rho and
-penalty, its trace type, and one iteration that walks its blocks into a
-``BlockRecord`` and returns the new Lagrangian and its own trace fields:
+The driver, ``run_certified``, is the loop both models share, and the one
+owner of the convergence certificate.  It rejects a non-finite Lagrangian
+before iteration 1; it forms C1 and the bound's hypothesis once per run,
+and after each iteration checks the sufficient-descent bound against the
+previous Lagrangian, extends the running minimum c_k of the squared block
+moves, assembles the trace, hands it to the sink and stops on a
+non-finite Lagrangian.  On any abort the traces of the completed
+iterations are attached to the ``TrainingAborted`` it raises.  A model
+supplies its initial Lagrangian, the bound's H (the curvature of its own
+``objective.Risk``), rho and penalty, its trace type, and one iteration
+that walks its blocks into a ``BlockRecord`` and returns the new
+Lagrangian and its own trace fields, among them ``stationarity_residual``:
 ``train`` below (backward sweep, forward sweep, dual update),
 ``gcn.gcn_train`` (``gcn.gcn_iteration``).  The record gives the step
 stats, moves, worst violation and FISTA flag.  Each run builds one
@@ -76,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import diagnostics, objective
+from . import objective
 from .errors import DivergenceError, TrainingAborted
 from .linalg import Matrix, Rng, l2sq, require_finite
 from .objective import Dataset, MlpArchitecture, MlpState, Regularizer, Risk, _a_prev
@@ -91,6 +93,11 @@ from .solvers import (
     solve_z_relu,
     update_b,
 )
+
+
+# Absolute slack on the sufficient-descent inequality, for rounding in the
+# Lagrangian difference.
+DESCENT_SLACK = 1e-8
 
 
 @dataclass
@@ -156,6 +163,12 @@ class TrainResult:
     traces: list
 
 
+def stationarity_residual(risk_grad: Matrix, dual: Matrix) -> float:
+    """Infinity norm of grad R(z_last) + u, given the risk gradient at the
+    output block and the dual, after a completed iteration."""
+    return float(np.max(np.abs(risk_grad + dual)))
+
+
 def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple,
                   trace_sink=None) -> list:
     """Runs ``epochs`` iterations of one model and returns their traces.
@@ -166,8 +179,13 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
     of ``trace_type``, a ``CertifiedTrace`` subclass, that neither this
     driver nor the record fills.  ``lagr0`` is the Lagrangian entering
     iteration 1 and ``descent`` the (H, rho, penalty) of the
-    sufficient-descent constants.
+    sufficient-descent bound L_prev - L_new >= C2 (block moves), C2 the
+    least of penalty/2, C1 = rho/2 - H/2 - H^2/rho and the accepted steps.
+    It is in force, ``hypothesis_met``, when rho > 2H and C1 > 0.
     """
+    h, rho, penalty = descent
+    c1 = rho / 2.0 - h / 2.0 - h * h / rho
+    hypothesis_met = rho > 2.0 * h and c1 > 0.0
     traces = []
     try:
         if not np.isfinite(lagr0):
@@ -179,17 +197,17 @@ def run_certified(epochs: int, lagr0: float, iterate, trace_type, descent: tuple
             lagr_new, fields = iterate(record)
             moves = record.moves
             ck = moves if it == 1 else min(ck, moves)  # c_k, the running minimum
-            report = diagnostics.check_sufficient_descent(lagr_prev, lagr_new, moves, record.steps,
-                                                          *descent)
+            lhs = lagr_prev - lagr_new
+            c2 = min(penalty / 2.0, c1, *record.steps.values())
             trace = trace_type(
                 iter=it,
                 lagrangian=lagr_new,
-                descent_lhs=report.lhs,
+                descent_lhs=lhs,
                 block_move_sq_sum=moves,
-                c2=report.c2,
+                c2=c2,
                 ck=ck,
-                descent_ok=report.satisfied,
-                hypothesis_met=report.hypothesis_met,
+                descent_ok=lhs >= c2 * moves - DESCENT_SLACK,
+                hypothesis_met=hypothesis_met,
                 step_stats=record.steps,
                 max_cert_violation=record.worst,
                 fista_converged=record.fista_ok,
@@ -361,8 +379,7 @@ def train(
         return lagr, dict(
             objective_F=objective_F,
             residual_l2=float(np.sqrt(l2sq(r))),
-            stationarity_residual=diagnostics.stationarity_residual(risk.grad(state.z[-1]),
-                                                                    state.u),
+            stationarity_residual=stationarity_residual(risk.grad(state.z[-1]), state.u),
             train_acc=accuracy(data),
             test_acc=accuracy(eval_data) if eval_data is not None else float("nan"),
         )

@@ -208,6 +208,18 @@ def test_selfcheck_detects_understated_risk_curvature(monkeypatch, capsys):
     assert f"FAIL  {line}" in capsys.readouterr().out
 
 
+def test_selfcheck_detects_understated_masked_curvature(monkeypatch, capsys):
+    """The GCN's masked risk, whose H sets its output FISTA step, is checked
+    against its own Hessian: 0.9 of its curvature fails that line alone."""
+    real = gcn.masked_ce
+    monkeypatch.setattr(gcn, "masked_ce", lambda labels, mask: replace(
+        real(labels, mask), curvature=0.9 * real(labels, mask).curvature))
+    assert selfcheck(quick=True) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL  gcn output-risk curvature <= FISTA step constant"]
+
+
 def test_selfcheck_detects_wrong_newton_direction(monkeypatch, capsys):
     """The output solve's Newton direction is checked against the risk
     Hessian: a direction 1.5 times too long fails."""

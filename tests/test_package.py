@@ -7,6 +7,7 @@ import ast
 import importlib.util
 import inspect
 import pathlib
+import re
 import sys
 
 import pytest
@@ -177,11 +178,22 @@ def test_mlp_run_forms_each_log_softmax_once(run, monkeypatch):
 
 def test_only_the_runs_build_risks():
     """``mean_risk`` and ``masked_ce`` are called only where a run starts
-    (and by the self-check): every formula takes the run's risk."""
+    (and by the self-check), and ``masked_ce`` builds on ``mean_risk``:
+    every formula takes the run's risk."""
     builders, callers = ("mean_risk", "masked_ce"), set()
     for path in SOURCES:
         for top in ast.parse(path.read_text()).body:
             calls = [n.func for n in ast.walk(top) if isinstance(n, ast.Call)]
             if any(getattr(f, "attr", getattr(f, "id", None)) in builders for f in calls):
                 callers.add(top.name)
-    assert callers == {"train", "run_baseline", "gcn_train", "selfcheck"}
+    assert callers == {"train", "run_baseline", "gcn_train", "selfcheck", "masked_ce"}
+
+
+def test_readme_code_map_names_every_module():
+    """README's code map names exactly the package's modules, so none is
+    added or deleted without it."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Code map", 1)[1].split("\n## ", 1)[0]
+    entries = re.findall(r"^- (.+?) —", section, re.M)
+    named = {name for entry in entries for name in re.findall(r"`(\w+)`", entry)}
+    assert named == {path.stem for path in SOURCES} - {"__init__"}

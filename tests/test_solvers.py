@@ -570,7 +570,7 @@ def test_gcn_output_solve_log_softmax_count(monkeypatch):
     anchor, one at t = 1, whose extrapolation point is the kept iterate
     itself, and one extrapolated step: five in all."""
     graph, state, props = gcn_output_problem()
-    calls = counting(monkeypatch, gcn)
+    calls = counting(monkeypatch, objective)
     _, res = solve_gcn_output(monkeypatch, graph, state, props)
     assert (res.iterations, len(calls)) == (3, 5)
 

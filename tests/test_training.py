@@ -26,10 +26,13 @@ from admmnet.solvers import BacktrackResult, FistaResult
 from admmnet.synth import make_image_classes, make_sbm_graph, make_separable
 from admmnet.training import (
     BlockRecord,
+    CertifiedTrace,
     TrainConfig,
     backward_sweep,
     dual_update,
     forward_sweep,
+    run_certified,
+    stationarity_residual,
     train,
     walk_blocks,
 )
@@ -109,6 +112,109 @@ def test_walk_blocks_drops_each_result():
 
     walk_blocks([("W", 0), ("a", 0), ("W", 1)], update, BlockRecord(), backward=True)
     assert len(refs) == 3 and refs[-1]() is None
+
+
+def certify(lagrs, moves, steps, descent, lagr0=5.0):
+    """Traces of ``run_certified`` under a scripted iterate: iteration k
+    returns the Lagrangian lagrs[k] after walking squared moves moves[k] and
+    accepted ``steps`` into its record."""
+    script = iter(zip(lagrs, moves))
+
+    def iterate(record):
+        lagr, record.moves = next(script)
+        record.steps.update(steps)
+        return lagr, dict(stationarity_residual=0.0, train_acc=0.0, test_acc=0.0)
+
+    return run_certified(len(lagrs), lagr0, iterate, CertifiedTrace, descent)
+
+
+def test_driver_c1():
+    """C1 = rho/2 - H/2 - H^2/rho, read through c2 when penalty/2 and every
+    step exceed it: 2 - 0.005 - 0.000025 at H = 0.01, rho = 4."""
+    (trace,) = certify([4.0], [1.0], {("W", 0): 3.0, ("a", 0): 4.0}, (0.01, 4.0, 5.0))
+    assert trace.c2 == pytest.approx(1.994975)
+    assert trace.hypothesis_met
+
+
+@pytest.mark.parametrize("penalty, steps, c2", [
+    (1.0, {("W", 0): 1.0, ("a", 0): 2.0}, 0.5),  # penalty/2
+    (4.0, {("W", 0): 1.0, ("a", 0): 2.0}, 1.0),  # the least step
+    (5.0, {}, 1.994975),  # C1, with no step accepted
+])
+def test_driver_c2_is_the_least_constant(penalty, steps, c2):
+    """c2 = min(penalty/2, C1, accepted steps), at every iteration."""
+    traces = certify([4.0, 3.0], [1.0, 0.5], steps, (0.01, 4.0, penalty))
+    assert [t.c2 for t in traces] == [pytest.approx(c2)] * 2
+
+
+def test_driver_hypothesis_unmet_small_rho():
+    """At rho = 1e-6 < 2H, C1 is negative and c2 is C1."""
+    h, rho = 0.01, 1e-6
+    traces = certify([5.5, 5.0], [1.0, 1.0], {("W", 0): 1.0}, (h, rho, 1.0))
+    c1 = rho / 2.0 - h / 2.0 - h * h / rho
+    assert c1 < 0
+    assert [(t.c2, t.hypothesis_met) for t in traces] == [(c1, False)] * 2
+
+
+def test_driver_hypothesis_flagged_small_rho():
+    """A rise from 5 to 5.5 at rho = 1e-6 is reported with the hypothesis
+    flagged unmet, so the bound is not in force."""
+    (trace,) = certify([5.5], [1.0], {"w": 1.0}, (0.01, 1e-6, 1.0))
+    assert not trace.hypothesis_met
+
+
+def test_driver_zero_move_flat_lagrangian():
+    (trace,) = certify([5.0], [0.0], {"w": 1.0}, (0.01, 4.0, 1.0))
+    assert trace.descent_ok
+    assert trace.descent_lhs == 0.0
+
+
+def test_driver_detects_a_rise():
+    """A Lagrangian rising from 5 to 5.5 over a move of 1 fails the bound
+    where it is in force."""
+    (trace,) = certify([5.5], [1.0], {"w": 1.0}, (0.01, 4.0, 1.0))
+    assert trace.descent_lhs == -0.5
+    assert not trace.descent_ok
+    assert trace.hypothesis_met
+
+
+class TestDriverCurvature:
+    """The trainers certify with H, the curvature of their own ``Risk``
+    over their training samples, the constant the output solve steps by: rho > 2H holds above
+    that threshold and fails below it, at every iteration."""
+
+    @pytest.mark.parametrize("rho, met", [(0.03, True), (0.015, False)])
+    def test_mlp_cross_entropy(self, rho, met):
+        # 50 samples: 2H = 2 / (2 * 50) = 0.02
+        data = make_separable(50, rng=Rng(3))
+        arch = MlpArchitecture(layer_dims=(4, 8, 2))
+        traces = train(arch, data, TrainConfig(rho=rho, nu=1.0, epochs=3)).traces
+        assert [t.hypothesis_met for t in traces] == [met] * 3
+
+    @pytest.mark.parametrize("rho, met", [(0.02, True), (0.015, False)])
+    def test_gcn_training_nodes(self, rho, met):
+        # 60 of 200 nodes train: 2H = 2 / (2 * 60) = 1/60, about 0.0167
+        graph = make_sbm_graph(200, rng=Rng(8))
+        assert int(np.sum(graph.train_mask)) == 60
+        _, traces = gcn_train(graph, GcnConfig(hidden_dims=(8,), rho=rho, mu=1.0, epochs=3))
+        assert [t.hypothesis_met for t in traces] == [met] * 3
+
+
+def test_stationarity_linearity_in_u():
+    arch = MlpArchitecture(layer_dims=(3, 4, 2))
+    rng = Rng(1)
+    x = rng.normal(0, 1, (3, 5))
+    y = np.zeros((2, 5))
+    y[0] = 1.0
+    data = Dataset(x, y)
+    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
+    g = mean_risk(arch.risk, data.y).grad(state.z[-1])
+    state.u = -g
+    base = stationarity_residual(g, state.u)
+    assert base < 1e-14
+    eps = 0.25
+    state.u[0, 0] += eps
+    assert stationarity_residual(g, state.u) == pytest.approx(base + eps, abs=1e-12)
 
 
 @pytest.mark.parametrize("model", ["mlp", "gcn"])
