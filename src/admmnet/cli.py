@@ -229,7 +229,7 @@ def selfcheck(quick: bool = False) -> int:
     propagation through A_norm is compared with the dense normalization
     formula."""
     from . import gcn, objective, solvers
-    from .objective import Dataset, forward_init, grad_phi_block, phi, products
+    from .objective import Dataset, forward_init, grad_phi_block, phi, residuals
 
     failures = []
 
@@ -244,7 +244,7 @@ def selfcheck(quick: bool = False) -> int:
     y = np.zeros((2, 6))
     y[rng.integers(0, 2, 6), np.arange(6)] = 1.0
     data = Dataset(x, y)
-    state = forward_init(arch, data, Rng(1), rho=1.0, nu=1.0)
+    state = forward_init(arch, data, Rng(1), rho=1.0, nu=1.0)[0]
     for l, p in enumerate(state.z):
         state.z[l] = p + 0.1 * rng.normal(0.0, 1.0, p.shape)
     for l, p in enumerate(state.a):
@@ -254,8 +254,8 @@ def selfcheck(quick: bool = False) -> int:
     # finite-difference check on every block gradient, then the same for the
     # GCN's blocks on a small graph off its consistent point
     for block, store in {"W": state.W, "b": state.b, "z": state.z, "a": state.a}.items():
-        worst = _fd_error(lambda l: grad_phi_block(state, data, block, l, products(state, data)),
-                          store, lambda: phi(state, products(state, data)))
+        worst = _fd_error(lambda l: grad_phi_block(state, data, block, l, residuals(state, data)),
+                          store, lambda: phi(state, residuals(state, data)))
         check(f"gradient {block} vs finite differences", worst < 1e-5)
     graph = make_sbm_graph(6, p_in=0.6, p_out=0.3, rng=Rng(13))
     gstate = gcn.gcn_forward_init(graph, (2, 3, 2), Rng(2), rho=1.0, mu=1.0)[0]

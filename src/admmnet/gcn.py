@@ -22,12 +22,13 @@ Cached propagation.  Besides the blocks, the sweep state holds a
 ``Propagations``: the fixed ax = A_norm X and the layer propagations m[l] =
 A_norm Z_{l-1} W_l, N x C_{l+1} each.  ``gcn_train`` takes it from the
 initial exact propagation, which forms exactly these products.  Like the
-MLP's P, m then moves only with the blocks it depends on, and both blocks
-call ``solvers.backtrack_quadratic``, as the MLP's W and a do, with m as the
-moved quantity.  Trials are affine in the inverse step, so each update
-forms one direction product d, negated through its small factor (sign flips
-are exact, so m + (-d)/t is m - d/t bit for bit), and the accepted trial's
-shift then moves m:
+MLP's residuals R, m then moves only with the blocks it depends on, and both
+blocks call ``solvers.backtrack_quadratic``, as the MLP's W and a do, with m
+as the moved quantity.  Trials are affine in the inverse step, so each
+update forms one direction product d, negated through its small factor
+(sign flips are exact, so m + (-d)/t is m - d/t bit for bit), and the
+accepted trial's moved m, m + (-d)/t as its penalty term read it, becomes
+the cache:
 
 * an accepted W_l step, W_l - G/t, moves m[l] by -(A_norm Z_{l-1} G)/t, with
   the direction formed as ax G at the first layer and A_norm (Z_{l-1} G)
@@ -347,10 +348,10 @@ def grad_psi_block(state: GcnState, block: str, layer: int, props: Propagations)
 def _update_W_gcn(work, props, layer, seed):
     grad = grad_psi_block(work, "W", layer, props)
     neg_dir = _through(work, props.ax, layer, -grad)  # W - G/t moves m[layer] by neg_dir/t
-    res = backtrack_quadratic(lambda x, moved: _term(work, layer, moved()), props.m[layer],
+    res = backtrack_quadratic(lambda x, moved: _term(work, layer, moved), props.m[layer],
                               lambda x, t: neg_dir / t, grad, work.W[layer], seed)
     work.W[layer] = res.candidate
-    props.m[layer] = props.m[layer] + res.shift
+    props.m[layer] = res.moved
     return res
 
 
@@ -360,10 +361,10 @@ def _update_Z_hidden(work, props, layer, seed):
     nxt = layer + 1
     neg_dir = _adj(work.A_norm, grad @ -work.W[nxt])  # Z - G/t moves m[nxt] by neg_dir/t
     res = backtrack_quadratic(
-        lambda x, moved: _term(work, nxt, moved(), 0.5 * work.mu * l2sq(x - fm)),
+        lambda x, moved: _term(work, nxt, moved, 0.5 * work.mu * l2sq(x - fm)),
         props.m[nxt], lambda x, t: neg_dir / t, grad, work.Z[layer], seed)
     work.Z[layer] = res.candidate
-    props.m[nxt] = props.m[nxt] + res.shift
+    props.m[nxt] = res.moved
     return res
 
 

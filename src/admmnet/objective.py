@@ -17,11 +17,11 @@ closed form only for it, ``solvers.solve_z_relu``): ``relu`` and
 ``relu_deriv`` are plain functions, not an option.
 
 This module holds the only copy of the MLP's penalty phi, its residuals,
-block gradients, objective_F and Lagrangian.  Each takes the pre-bias
-products P_l = W_l a_{l-1} of its state as ``P``: the trainer (``training``)
-passes its cache, the finite-difference checks a fresh ``products``.
-Sums run in the trainer's order, ((risk + regularizers) + hidden-layer
-terms) + output-layer terms.
+block gradients, objective_F and Lagrangian.  Each takes the layer
+residuals R_l = z_l - W_l a_{l-1} - b_l of its state as ``R``: the trainer
+(``training``) passes its cache, the finite-difference checks a fresh
+``residuals``.  Sums run in the trainer's order, ((risk + regularizers) +
+hidden-layer terms) + output-layer terms.
 """
 from __future__ import annotations
 
@@ -250,31 +250,30 @@ def mean_risk(kind: str, y: Matrix) -> Risk:
 # ---------------------------------------------------------------------------
 # Penalty function, Lagrangian and block gradients
 #
-# These are the formulas the trainer runs.  Each one that reads the
-# pre-bias products P_l = W_l a_{l-1} takes those of ``state`` as ``P``.
+# These are the formulas the trainer runs.  Each one that reads the layer
+# residuals R_l = z_l - W_l a_{l-1} - b_l takes those of ``state`` as ``R``.
 # ---------------------------------------------------------------------------
 
 def _a_prev(state: MlpState, data: Dataset, layer: int) -> Matrix:
     return data.x if layer == 0 else state.a[layer - 1]
 
 
-def products(state: MlpState, data: Dataset) -> list:
-    """Fresh pre-bias products W_l a_{l-1}, one per layer."""
-    return [state.W[l] @ _a_prev(state, data, l) for l in range(state.n_layers)]
+def linear_residual(state: MlpState, data: Dataset, layer: int) -> Matrix:
+    """z_l - W_l a_{l-1} - b_l for the given layer, formed fresh."""
+    return state.z[layer] - state.W[layer] @ _a_prev(state, data, layer) - state.b[layer]
 
 
-def linear_residual(state: MlpState, layer: int, P: list) -> Matrix:
-    """z_l - W_l a_{l-1} - b_l for the given layer."""
-    return state.z[layer] - P[layer] - state.b[layer]
+def residuals(state: MlpState, data: Dataset) -> list:
+    """Fresh layer residuals, one per layer: the ``R`` of ``state``."""
+    return [linear_residual(state, data, l) for l in range(state.n_layers)]
 
 
-def _residual(state: MlpState, layer: int, P: list):
-    """(r_l, d phi / d r_l) with r_l the layer's linear residual: the
-    gradient is nu r_l below the output layer and u + rho r_l at it."""
-    r = linear_residual(state, layer, P)
+def _slope(state: MlpState, layer: int, r: Matrix) -> Matrix:
+    """d phi / d r_l at the layer residual r_l: nu r_l below the output
+    layer and u + rho r_l at it."""
     if layer < state.n_layers - 1:
-        return r, state.nu * r
-    return r, state.u + state.rho * r
+        return state.nu * r
+    return state.u + state.rho * r
 
 
 def linear_term(state: MlpState, lin: Matrix, is_last: bool, total: float = 0.0) -> float:
@@ -291,17 +290,16 @@ def activation_term(state: MlpState, a: Matrix, fz: Matrix) -> float:
     return 0.5 * state.nu * l2sq(a - fz)
 
 
-def _hidden_terms(state: MlpState, P: list, total: float) -> float:
+def _hidden_terms(state: MlpState, R: list, total: float) -> float:
     """``total`` plus phi's terms of the hidden layers, added in layer order."""
     for l in range(state.n_layers - 1):
-        total = linear_term(state, linear_residual(state, l, P), False, total)
+        total = linear_term(state, R[l], False, total)
         total += activation_term(state, state.a[l], relu(state.z[l]))
     return total
 
 
-def phi(state: MlpState, P: list) -> float:
-    last = state.n_layers - 1
-    return linear_term(state, linear_residual(state, last, P), True, _hidden_terms(state, P, 0.0))
+def phi(state: MlpState, R: list) -> float:
+    return linear_term(state, R[-1], True, _hidden_terms(state, R, 0.0))
 
 
 def loss(risk: Risk, regularizer: Regularizer, z_last: Matrix, W: list) -> float:
@@ -313,44 +311,46 @@ def loss(risk: Risk, regularizer: Regularizer, z_last: Matrix, W: list) -> float
     return risk.value(z_last) + reg
 
 
-def objective_F(state: MlpState, risk: Risk, regularizer: Regularizer, P: list) -> float:
+def objective_F(state: MlpState, risk: Risk, regularizer: Regularizer, R: list) -> float:
     """Relaxed training objective: risk + regularizers + nu-penalties only."""
-    return _hidden_terms(state, P, loss(risk, regularizer, state.z[-1], state.W))
+    return _hidden_terms(state, R, loss(risk, regularizer, state.z[-1], state.W))
 
 
-def objective_and_lagrangian(state: MlpState, risk: Risk, regularizer: Regularizer, P: list,
-                             r: Matrix) -> tuple:
+def objective_and_lagrangian(state: MlpState, risk: Risk, regularizer: Regularizer,
+                             R: list) -> tuple:
     """(objective_F, Lagrangian) of ``state``: the Lagrangian adds the output
-    layer's dual and rho terms, read from r, the output-layer residual, to
+    layer's dual and rho terms, read from its residual R[-1], to
     objective_F."""
-    total = objective_F(state, risk, regularizer, P)
-    return total, linear_term(state, r, True, total)
+    total = objective_F(state, risk, regularizer, R)
+    return total, linear_term(state, R[-1], True, total)
 
 
-def lagrangian(state: MlpState, risk: Risk, regularizer: Regularizer, P: list) -> float:
-    r = linear_residual(state, state.n_layers - 1, P)
-    return objective_and_lagrangian(state, risk, regularizer, P, r)[1]
+def lagrangian(state: MlpState, risk: Risk, regularizer: Regularizer, R: list) -> float:
+    return objective_and_lagrangian(state, risk, regularizer, R)[1]
 
 
-def grad_W(state: MlpState, data: Dataset, layer: int, P: list):
-    """Gradient of phi in W_l, and the layer residual r_l it reads."""
-    r, scaled = _residual(state, layer, P)
-    return -(scaled @ _a_prev(state, data, layer).T), r
+def grad_W(state: MlpState, data: Dataset, layer: int, R: list):
+    """Gradient of phi in W_l, and the layer residual r_l it reads.  Below
+    the output layer nu scales the n_{l+1} x n_l product, not r_l."""
+    r, a_prev = R[layer], _a_prev(state, data, layer)
+    if layer < state.n_layers - 1:
+        return -state.nu * (r @ a_prev.T), r
+    return -(_slope(state, layer, r) @ a_prev.T), r
 
 
-def grad_a(state: MlpState, layer: int, fz: Matrix, P: list):
+def grad_a(state: MlpState, layer: int, fz: Matrix, R: list):
     """Gradient of phi in a_l given f(z_l), the layer l+1 residual it reads,
     and phi's activation term (nu/2)||a_l - f(z_l)||^2 from the same
     difference (``activation_term`` of a_l)."""
-    lin, scaled = _residual(state, layer + 1, P)
+    lin = R[layer + 1]
     grad = state.a[layer] - fz
     act = 0.5 * state.nu * l2sq(grad)
     grad *= state.nu
-    grad -= state.W[layer + 1].T @ scaled
+    grad -= state.W[layer + 1].T @ _slope(state, layer + 1, lin)
     return grad, lin, act
 
 
-def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int, P: list) -> Matrix:
+def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int, R: list) -> Matrix:
     """Gradient of phi w.r.t. one block, all other blocks held fixed.
 
     block is one of "W", "b", "z", "a"; layer is 0-based.  "a" is defined for
@@ -362,12 +362,14 @@ def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int, P: li
     if not 0 <= layer <= (last - 1 if block == "a" else last):
         raise IndexError(f"layer {layer} out of range for block {block}")
     if block == "W":
-        return grad_W(state, data, layer, P)[0]
+        return grad_W(state, data, layer, R)[0]
     if block == "b":
-        return -np.sum(_residual(state, layer, P)[1], axis=1, keepdims=True)
+        if layer < last:  # nu scales the n_{l+1} x 1 sum, not r_l
+            return -state.nu * np.sum(R[layer], axis=1, keepdims=True)
+        return -np.sum(_slope(state, layer, R[layer]), axis=1, keepdims=True)
     if block == "a":
-        return grad_a(state, layer, relu(state.z[layer]), P)[0]
-    _, scaled = _residual(state, layer, P)
+        return grad_a(state, layer, relu(state.z[layer]), R)[0]
+    scaled = _slope(state, layer, R[layer])
     if layer == last:
         return scaled
     act_res = state.a[layer] - relu(state.z[layer])
@@ -402,11 +404,15 @@ def init_weights(dims: tuple, rng: Rng) -> tuple:
     return W, [np.zeros((d, 1)) for d in dims[1:]]
 
 
-def forward_init(arch: MlpArchitecture, data: Dataset, rng: Rng, rho: float, nu: float) -> MlpState:
-    """``init_weights``, then the exact forward pass for z and a."""
+def forward_init(arch: MlpArchitecture, data: Dataset, rng: Rng, rho: float, nu: float) -> tuple:
+    """``init_weights``, then the exact forward pass for z and a.  Returns
+    the state and its residuals R, taken from the pass's own products: the
+    biases are zero, so each z_l is the product W_l a_{l-1} itself, and
+    z_l - z_l - b_l is bit for bit the fresh ``residuals``."""
     W, b = init_weights(arch.layer_dims, rng)
     z, a = forward(W, b, data.x)
-    return MlpState(W=W, b=b, z=z, a=a, u=np.zeros(z[-1].shape), rho=rho, nu=nu)
+    R = [zl - zl - bl for zl, bl in zip(z, b)]
+    return MlpState(W=W, b=b, z=z, a=a, u=np.zeros(z[-1].shape), rho=rho, nu=nu), R
 
 
 def forward_logits(W: list, b: list, x: Matrix) -> Matrix:

@@ -2,7 +2,8 @@
 bias and ReLU updates, and the output-layer solve under any ``objective.Risk``,
 whose formulas, like the regularizer's prox, live in ``objective``.  Every
 backtracked block of both models calls ``backtrack_quadratic``, which moves
-one cached linear quantity per trial and returns the accepted trial's shift.
+one cached linear quantity per trial and returns the accepted trial's moved
+quantity, which the model keeps as its cache.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ class BacktrackResult:
     trials: int
     violation: float  # phi(candidate) - Q(candidate; step) at acceptance
     move_sq: float  # ||candidate - anchor||^2
-    shift: Matrix  # shift_of(candidate, step), the accepted trial's move of base
+    moved: Matrix  # base + shift_of(candidate, step), as terms evaluated it
 
 
 def backtrack_quadratic(terms, base: Matrix, shift_of, grad: Matrix, anchor: Matrix,
@@ -53,13 +54,12 @@ def backtrack_quadratic(terms, base: Matrix, shift_of, grad: Matrix, anchor: Mat
 
     The block moves a cached linear quantity, ``base`` at the anchor, by
     ``shift_of(x, t)`` at a trial x.  phi(x) is ``terms(x, moved)``, the
-    penalty terms holding the block, which calls ``moved()`` for the moved
-    quantity after its terms of x alone, so their temporaries are freed
-    first; at the anchor ``moved()`` returns ``base`` itself.  terms may
+    penalty terms holding the block, given the moved quantity base +
+    shift_of(x, t); at the anchor ``moved`` is ``base`` itself.  terms may
     leave out an additive constant that does not depend on the block; the
     certificate is unaffected.
     """
-    phi0 = terms(anchor, lambda: base)
+    phi0 = terms(anchor, base)
     t = seed_step
     for trial in range(1, MAX_TRIALS + 1):
         cand = anchor - grad / t
@@ -69,11 +69,12 @@ def backtrack_quadratic(terms, base: Matrix, shift_of, grad: Matrix, anchor: Mat
         move_sq = l2sq(delta)
         q = phi0 + float(np.vdot(grad, delta)) + 0.5 * t * move_sq
         del delta  # not held while the trial forms its own temporaries
-        shift = shift_of(cand, t)
-        val = terms(cand, lambda: base + shift)
+        moved = base + shift_of(cand, t)
+        val = terms(cand, moved)
         if np.isfinite(val) and val <= q + CERT_SLACK:
             return BacktrackResult(step=t, candidate=cand, trials=trial, violation=val - q,
-                                   move_sq=move_sq, shift=shift)
+                                   move_sq=move_sq, moved=moved)
+        del moved  # not held while the next trial forms its own
         t *= STEP_GROWTH
     raise BacktrackError(
         f"no certified step after {MAX_TRIALS} trials (seed {seed_step:g}); "

@@ -36,40 +36,42 @@ entry, so arrays are shared, never written into.  This reproduces the mixed
 old/new indexing of the block subproblems: when layer l is visited, higher
 layers already hold this sweep's values and lower layers the previous ones.
 
-Cached products.  Besides the blocks, the sweep state holds the pre-bias
-product P_l = W_l a_{l-1} of every layer (a_{-1} is the input x), so a
-layer residual z_l - P_l - b_l costs no matrix product.  P is computed
-fresh once per ``train()`` call and afterwards moves only with the two
-blocks it depends on:
+Cached residuals.  Besides the blocks, the sweep state holds the residual
+R_l = z_l - W_l a_{l-1} - b_l of every layer (a_{-1} is the input x), so no
+reader forms a matrix product for it.  ``objective.forward_init`` returns R
+with the initial state, and each block update then sets what it moves:
 
-* an accepted W_l step, W_l - G/t, moves P_l by -(G a_{l-1})/t, the shift
-  the accepted trial already formed for its residual; a regularized (prox)
-  step, whose trials are not affine in 1/t, moves it likewise by the
-  accepted trial's own product (W_l - anchor) a_{l-1};
-* an accepted a_l step, a_l - G/t, moves P_{l+1} by -(W_{l+1} G)/t, the
-  accepted trial's shift likewise.
+* an accepted W_l step, W_l - G/t, sets R_l to the residual its accepted
+  trial formed and evaluated, R_l + (G a_{l-1})/t, or R_l + (anchor - W_l)
+  a_{l-1} for a regularized (prox) step, whose trials are not affine in 1/t;
+* an accepted a_l step, a_l - G/t, sets R_{l+1} to its trial's
+  R_{l+1} + (W_{l+1} G)/t;
+* a b_l step subtracts its move from R_l;
+* a z_l step solves from m = z_l - R_l = W_l a_{l-1} + b_l and sets R_l to
+  z_new - m.
 
-b and z updates leave P alone.  The b and W gradients, the z-update inputs,
-the output solve, the dual residual, the Lagrangian and objective_F all read
-P.  The Lagrangian after iteration k is the one entering iteration k+1.
+The b and W gradients, the z-update inputs, the output solve, the dual
+residual, the Lagrangian and objective_F all read R, and the train accuracy
+starts from relu(z_0 - R_0), with no product W_0 x.  The Lagrangian after
+iteration k is the one entering iteration k+1.
 
 Block moves.  The walk sums the squared moves of the descent bound and c_k
 in block order: the ``move_sq`` of a W or an a step's ``BacktrackResult`` and
 of the output z's ``FistaResult``, and the float the b update returns.  The
 hidden z update returns None, outside the bound.
 
-Formulas.  This module holds the walk, the sweeps, the P moves and the
-driver, and no formula of the objective: every residual, block gradient,
-penalty term, objective_F and Lagrangian is a call into ``objective``, the
+Formulas.  This module holds the walk, the sweeps, the cache updates and
+the driver, and no formula of the objective: every block gradient, penalty
+term, objective_F and Lagrangian is a call into ``objective``, the
 functions the finite-difference checks test, with the cache passed as their
-``P``; the output solve takes the run's ``objective.Risk`` and a W step the
+``R``; the output solve takes the run's ``objective.Risk`` and a W step the
 regularizer's ``prox`` when it is ``active``.  A W or an a step calls
 ``solvers.backtrack_quadratic`` with the layer residual as the moved
 quantity: only the penalty terms holding the block are evaluated at it, and
-the accepted trial's ``shift`` then moves P.  Plain trials are affine in the
-inverse step, so their shifts reuse one precomputed product.  The a anchor's
-activation term comes with its gradient from ``objective.grad_a``, which
-forms a_l - f(z_l) anyway.
+the accepted trial's ``moved`` residual becomes the cache entry.  Plain
+trials are affine in the inverse step, so their shifts reuse one
+precomputed product.  The a anchor's activation term comes with its
+gradient from ``objective.grad_a``, which forms a_l - f(z_l) anyway.
 """
 from __future__ import annotations
 
@@ -245,18 +247,18 @@ def walk_blocks(blocks: list, update, record: BlockRecord, backward: bool) -> No
             record.fista_ok = record.fista_ok and res.converged
         if res is not None:
             record.moves += res if isinstance(res, float) else res.move_sq
-        del res  # a step's shift is not held through the next block's update
+        del res  # a replaced cache entry is not held through the next block's update
 
 
 def dual_update(state: MlpState, r: Matrix) -> Matrix:
     return state.u + state.rho * r
 
 
-def _update_W(work: MlpState, P: list, data: Dataset, regularizer: Regularizer, layer: int,
+def _update_W(work: MlpState, R: list, data: Dataset, regularizer: Regularizer, layer: int,
               seed: float) -> BacktrackResult:
     a_prev = _a_prev(work, data, layer)
     anchor = work.W[layer]
-    grad, lin0 = objective.grad_W(work, data, layer, P)
+    grad, lin0 = objective.grad_W(work, data, layer, R)
     is_last = layer == work.n_layers - 1
     prox = regularizer.prox if regularizer.active else None
     if prox is not None:
@@ -264,53 +266,58 @@ def _update_W(work: MlpState, P: list, data: Dataset, regularizer: Regularizer, 
     else:
         grad_a = grad @ a_prev  # trial residual is lin0 + grad_a / step
         shift_of = lambda cand, step: grad_a / step
-    res = backtrack_quadratic(lambda x, moved: objective.linear_term(work, moved(), is_last),
+    res = backtrack_quadratic(lambda x, moved: objective.linear_term(work, moved, is_last),
                               lin0, shift_of, grad, anchor, seed, prox)
     work.W[layer] = res.candidate
-    P[layer] = P[layer] - res.shift
+    R[layer] = res.moved
     return res
 
 
-def _update_a(work: MlpState, P: list, layer: int, seed: float) -> BacktrackResult:
+def _update_a(work: MlpState, R: list, layer: int, seed: float) -> BacktrackResult:
     nxt = layer + 1
     anchor = work.a[layer]
     fz = objective.relu(work.z[layer])
-    grad, lin0, act0 = objective.grad_a(work, layer, fz, P)
+    grad, lin0, act0 = objective.grad_a(work, layer, fz, R)
     w_grad = work.W[nxt] @ grad  # trial residual is lin0 + w_grad / step
     is_last = nxt == work.n_layers - 1
 
     def terms(x, moved):
         act = act0 if x is anchor else objective.activation_term(work, x, fz)  # act0: from grad_a
-        return act + objective.linear_term(work, moved(), is_last)
+        return act + objective.linear_term(work, moved, is_last)
 
     res = backtrack_quadratic(terms, lin0, lambda x, t: w_grad / t, grad, anchor, seed)
     work.a[layer] = res.candidate
-    P[nxt] = P[nxt] - res.shift
+    R[nxt] = res.moved
     return res
 
 
-def _update_b_block(work: MlpState, P: list, data: Dataset, layer: int) -> float:
+def _update_b_block(work: MlpState, R: list, data: Dataset, layer: int) -> float:
     anchor = work.b[layer]
-    grad = objective.grad_phi_block(work, data, "b", layer, P=P)
+    grad = objective.grad_phi_block(work, data, "b", layer, R)
     work.b[layer] = update_b(anchor, grad, layer, work.n_layers, work.nu, work.rho,
                              n_samples=data.n_samples)
-    return l2sq(work.b[layer] - anchor)  # the squared move
+    move = work.b[layer] - anchor
+    R[layer] -= move  # a cache array, never a block of a state
+    return l2sq(move)  # the squared move
 
 
-def _update_z_hidden(work: MlpState, P: list, layer: int):
+def _update_z_hidden(work: MlpState, R: list, layer: int):
     half_nu = 0.5 * work.nu
-    work.z[layer] = solve_z_relu(P[layer] + work.b[layer], work.a[layer], half_nu, half_nu)
+    m = work.z[layer] - R[layer]
+    work.z[layer] = solve_z_relu(m, work.a[layer], half_nu, half_nu)
+    R[layer] = work.z[layer] - m
 
 
-def _update_z_last(work: MlpState, P: list, risk: Risk):
-    last = work.n_layers - 1
-    res = solve_z_last(P[last] + work.b[last], work.u, work.rho, risk, work.z[last])
-    work.z[last] = res.z
+def _update_z_last(work: MlpState, R: list, risk: Risk):
+    m = work.z[-1] - R[-1]
+    res = solve_z_last(m, work.u, work.rho, risk, work.z[-1])
+    work.z[-1] = res.z
+    R[-1] = res.z - m
     return res
 
 
 def _sweep(state: MlpState, data: Dataset, risk: Risk, regularizer: Regularizer,
-           record: BlockRecord, P: list, backward: bool) -> MlpState:
+           record: BlockRecord, R: list, backward: bool) -> MlpState:
     """One half-iteration from ``state``, as ``backward_sweep`` returns it."""
     work = state.copy()
     last = work.n_layers - 1
@@ -320,14 +327,14 @@ def _sweep(state: MlpState, data: Dataset, risk: Risk, regularizer: Regularizer,
 
     def update(kind, layer, seed):
         if kind == "W":
-            return _update_W(work, P, data, regularizer, layer, seed)
+            return _update_W(work, R, data, regularizer, layer, seed)
         if kind == "a":
-            return _update_a(work, P, layer, seed)
+            return _update_a(work, R, layer, seed)
         if kind == "b":
-            return _update_b_block(work, P, data, layer)
+            return _update_b_block(work, R, data, layer)
         if layer == last:
-            return _update_z_last(work, P, risk)
-        _update_z_hidden(work, P, layer)
+            return _update_z_last(work, R, risk)
+        _update_z_hidden(work, R, layer)
         return None
 
     walk_blocks(blocks, update, record, backward)
@@ -335,19 +342,19 @@ def _sweep(state: MlpState, data: Dataset, risk: Risk, regularizer: Regularizer,
 
 
 def backward_sweep(state: MlpState, data: Dataset, risk: Risk, regularizer: Regularizer,
-                   record: BlockRecord, P: list) -> MlpState:
+                   record: BlockRecord, R: list) -> MlpState:
     """Returns the barred state, walking its blocks into ``record``, moves
-    measured from ``state``.  P holds the products W_l a_{l-1} of ``state``
-    and is moved in place to those of the barred state.
+    measured from ``state``.  R holds the layer residuals of ``state`` and
+    is moved in place to those of the barred state.
     """
-    return _sweep(state, data, risk, regularizer, record, P, backward=True)
+    return _sweep(state, data, risk, regularizer, record, R, backward=True)
 
 
 def forward_sweep(barred: MlpState, data: Dataset, risk: Risk, regularizer: Regularizer,
-                  record: BlockRecord, P: list) -> MlpState:
+                  record: BlockRecord, R: list) -> MlpState:
     """Continues from the barred state; anchors are the barred blocks.
-    Returns, records and handles P as ``backward_sweep``."""
-    return _sweep(barred, data, risk, regularizer, record, P, backward=False)
+    Returns, records and handles R as ``backward_sweep``."""
+    return _sweep(barred, data, risk, regularizer, record, R, backward=False)
 
 
 def train(
@@ -358,30 +365,29 @@ def train(
     trace_sink=None,
 ) -> TrainResult:
     objective.check_fit(arch, data, eval_data)
-    state = objective.forward_init(arch, data, Rng(cfg.seed), cfg.rho, cfg.nu)
+    state, R = objective.forward_init(arch, data, Rng(cfg.seed), cfg.rho, cfg.nu)
     risk, reg = objective.mean_risk(arch.risk, data.y), arch.regularizer  # one risk, one memo
-    last = state.n_layers - 1
-    P = objective.products(state, data)
-    lagr0 = objective.lagrangian(state, risk, reg, P)
+    lagr0 = objective.lagrangian(state, risk, reg, R)
 
-    def accuracy(d: Dataset) -> float:
-        return objective.accuracy(objective.forward_logits(state.W, state.b, d.x), d.y)
+    def accuracy(W: list, b: list, x: Matrix, y: Matrix) -> float:
+        return objective.accuracy(objective.forward_logits(W, b, x), y)
 
     def iterate(record: BlockRecord):
         nonlocal state
-        barred = backward_sweep(state, data, risk, reg, record, P)
+        barred = backward_sweep(state, data, risk, reg, record, R)
         del state  # the forward half needs only the barred blocks
-        state = forward_sweep(barred, data, risk, reg, record, P)
+        state = forward_sweep(barred, data, risk, reg, record, R)
         del barred
-        r = objective.linear_residual(state, last, P)
-        state.u = dual_update(state, r)
-        objective_F, lagr = objective.objective_and_lagrangian(state, risk, reg, P, r)
+        state.u = dual_update(state, R[-1])
+        objective_F, lagr = objective.objective_and_lagrangian(state, risk, reg, R)
         return lagr, dict(
             objective_F=objective_F,
-            residual_l2=float(np.sqrt(l2sq(r))),
+            residual_l2=float(np.sqrt(l2sq(R[-1]))),
             stationarity_residual=stationarity_residual(risk.grad(state.z[-1]), state.u),
-            train_acc=accuracy(data),
-            test_acc=accuracy(eval_data) if eval_data is not None else float("nan"),
+            # the first hidden layer is relu(W_0 x + b_0) = relu(z_0 - R_0)
+            train_acc=accuracy(state.W[1:], state.b[1:], objective.relu(state.z[0] - R[0]), data.y),
+            test_acc=(accuracy(state.W, state.b, eval_data.x, eval_data.y)
+                      if eval_data is not None else float("nan")),
         )
 
     traces = run_certified(cfg.epochs, lagr0, iterate, IterationTrace,

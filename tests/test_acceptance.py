@@ -39,7 +39,7 @@ from admmnet.objective import (
     Regularizer,
     grad_phi_block,
     phi,
-    products,
+    residuals,
 )
 from admmnet.solvers import solve_z_relu, update_b
 from admmnet.synth import make_sbm_graph, make_separable
@@ -154,18 +154,18 @@ def test_criterion_01_gradient_fidelity():
             rho=1.3,
             nu=0.7,
         )
-        val = lambda: phi(state, products(state, data))
+        val = lambda: phi(state, residuals(state, data))
         for layer in range(L):
             for block, arr in (
                 ("W", state.W[layer]),
                 ("b", state.b[layer]),
                 ("z", state.z[layer]),
             ):
-                g = grad_phi_block(state, data, block, layer, products(state, data))
+                g = grad_phi_block(state, data, block, layer, residuals(state, data))
                 num = _fd_block(val, arr)
                 worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
         for layer in range(L - 1):
-            g = grad_phi_block(state, data, "a", layer, products(state, data))
+            g = grad_phi_block(state, data, "a", layer, residuals(state, data))
             num = _fd_block(val, state.a[layer])
             worst = max(worst, np.linalg.norm(g - num) / max(np.linalg.norm(num), 1e-3))
 

@@ -17,7 +17,7 @@ from admmnet.objective import (
     lagrangian,
     objective_F,
     phi,
-    products,
+    residuals,
     mean_risk,
     relu,
     relu_deriv,
@@ -39,7 +39,7 @@ def random_state(arch, m, seed, rho=1.0, nu=1.0, perturb=0.3):
     y = np.zeros((dims[-1], m))
     y[rng.integers(0, dims[-1], m), np.arange(m)] = 1.0
     data = Dataset(x, y)
-    state = forward_init(arch, data, rng, rho=rho, nu=nu)
+    state = forward_init(arch, data, rng, rho=rho, nu=nu)[0]
     for lst in (state.z, state.a, state.b):
         for i, p in enumerate(lst):
             lst[i] = p + perturb * rng.normal(0.0, 1.0, p.shape)
@@ -69,8 +69,8 @@ def test_phi_zero_at_consistent_point():
     arch = MlpArchitecture(layer_dims=(2, 3, 2))
     rng = Rng(0)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
-    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
-    assert phi(state, products(state, data)) == 0.0
+    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)[0]
+    assert phi(state, residuals(state, data)) == 0.0
 
 
 def test_phi_hand_case_scalar_net():
@@ -87,17 +87,17 @@ def test_phi_hand_case_scalar_net():
         nu=2.0,
     )
     # phi = (nu/2)[(1-0)^2 + (1-1)^2] + 0 + (rho/2)(1-1)^2 = 1
-    assert phi(state, products(state, data)) == pytest.approx(1.0, abs=1e-12)
+    assert phi(state, residuals(state, data)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phi_ignores_dual_when_residual_zero():
     arch = MlpArchitecture(layer_dims=(2, 3, 2))
     rng = Rng(1)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
-    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
-    base = phi(state, products(state, data))
+    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)[0]
+    base = phi(state, residuals(state, data))
     state.u = rng.normal(0, 1, state.u.shape) * 100.0
-    assert phi(state, products(state, data)) == pytest.approx(base, abs=1e-12)
+    assert phi(state, residuals(state, data)) == pytest.approx(base, abs=1e-12)
 
 
 def test_risk_squared_zero_at_fit():
@@ -134,12 +134,12 @@ def test_risk_grad_is_softmax_minus_y_over_m():
 def test_lagrangian_decomposition():
     arch = MlpArchitecture(layer_dims=(3, 4, 2), regularizer=Regularizer("l2", 0.1))
     state, data = random_state(arch, 5, seed=4)
-    P = products(state, data)
-    total = lagrangian(state, *terms(arch, data), P)
+    R = residuals(state, data)
+    total = lagrangian(state, *terms(arch, data), R)
     parts = (
         mean_risk(arch.risk, data.y).value(state.z[-1])
         + sum(arch.regularizer.value(w) for w in state.W)
-        + phi(state, P)
+        + phi(state, R)
     )
     assert total == pytest.approx(parts, rel=1e-12)
 
@@ -154,18 +154,18 @@ def test_regularizer_total_added_in_layer_order(monkeypatch):
     data = Dataset(zero, zero)
     state = MlpState(W=[np.array([[1.0]]), np.array([[1e-8]]), np.array([[1e-8]])],
                      b=[zero] * 3, z=[zero] * 3, a=[zero] * 2, u=zero, rho=1.0, nu=1.0)
-    P = products(state, data)
-    assert objective_F(state, *terms(arch, data), P) == 1.0  # 1 + 1e-16 + 1e-16, rounded each step
+    R = residuals(state, data)
+    assert objective_F(state, *terms(arch, data), R) == 1.0  # 1 + 1e-16 + 1e-16, rounded each step
     monkeypatch.setattr(objective, "sum", math.fsum, raising=False)
-    assert objective_F(state, *terms(arch, data), P) == 1.0
+    assert objective_F(state, *terms(arch, data), R) == 1.0
 
 
 def test_l2_regularizer_term():
     arch = MlpArchitecture(layer_dims=(3, 4, 2), regularizer=Regularizer("l2", 0.5))
     plain = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=5)
-    P = products(state, data)
-    diff = lagrangian(state, *terms(arch, data), P) - lagrangian(state, *terms(plain, data), P)
+    R = residuals(state, data)
+    diff = lagrangian(state, *terms(arch, data), R) - lagrangian(state, *terms(plain, data), R)
     assert diff == pytest.approx(0.5 * sum(l2sq(w) for w in state.W), rel=1e-12)
 
 
@@ -174,9 +174,9 @@ def test_dual_shift_identity():
     arch = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=6)
     r = state.z[-1] - state.W[-1] @ state.a[-1] - state.b[-1]
-    before = lagrangian(state, *terms(arch, data), products(state, data))
+    before = lagrangian(state, *terms(arch, data), residuals(state, data))
     state.u = state.u + state.rho * r
-    after = lagrangian(state, *terms(arch, data), products(state, data))
+    after = lagrangian(state, *terms(arch, data), residuals(state, data))
     assert after - before == pytest.approx(state.rho * l2sq(r), rel=1e-9)
 
 
@@ -185,18 +185,18 @@ def test_objective_F_identity():
     state, data = random_state(arch, 5, seed=7)
     r = state.z[-1] - state.W[-1] @ state.a[-1] - state.b[-1]
     expect = (
-        lagrangian(state, *terms(arch, data), products(state, data))
+        lagrangian(state, *terms(arch, data), residuals(state, data))
         - float(np.vdot(state.u, r))
         - 0.5 * state.rho * l2sq(r)
     )
-    value = objective_F(state, *terms(arch, data), products(state, data))
+    value = objective_F(state, *terms(arch, data), residuals(state, data))
     assert value == pytest.approx(expect, rel=1e-10)
 
 
 def test_objective_F_nonnegative():
     arch = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=8)
-    assert objective_F(state, *terms(arch, data), products(state, data)) >= 0.0
+    assert objective_F(state, *terms(arch, data), residuals(state, data)) >= 0.0
 
 
 @pytest.mark.parametrize("risk_kind", ["cross_entropy", "squared"])
@@ -209,14 +209,14 @@ def test_grad_phi_finite_differences(block, risk_kind):
     # z gradient of phi is only defined below the output layer
     store = {"W": state.W, "b": state.b, "z": state.z, "a": state.a}[block]
     for layer in layers:
-        g = grad_phi_block(state, data, block, layer, products(state, data))
+        g = grad_phi_block(state, data, block, layer, residuals(state, data))
         num = np.zeros_like(g)
         for idx in np.ndindex(*g.shape):
             orig = store[layer][idx]
             store[layer][idx] = orig + h
-            fp = phi(state, products(state, data))
+            fp = phi(state, residuals(state, data))
             store[layer][idx] = orig - h
-            fm = phi(state, products(state, data))
+            fm = phi(state, residuals(state, data))
             store[layer][idx] = orig
             num[idx] = (fp - fm) / (2 * h)
         scale = max(1.0, float(np.max(np.abs(num))))
@@ -227,13 +227,13 @@ def test_grad_phi_zero_at_feasible_point():
     arch = MlpArchitecture(layer_dims=(2, 3, 2))
     rng = Rng(10)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
-    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
-    P = products(state, data)
+    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)[0]
+    R = residuals(state, data)
     for block in ("W", "b"):
         for layer in range(2):
-            assert np.allclose(grad_phi_block(state, data, block, layer, P), 0.0, atol=1e-12)
-    assert np.allclose(grad_phi_block(state, data, "z", 0, P), 0.0, atol=1e-12)
-    assert np.allclose(grad_phi_block(state, data, "a", 0, P), 0.0, atol=1e-12)
+            assert np.allclose(grad_phi_block(state, data, block, layer, R), 0.0, atol=1e-12)
+    assert np.allclose(grad_phi_block(state, data, "z", 0, R), 0.0, atol=1e-12)
+    assert np.allclose(grad_phi_block(state, data, "a", 0, R), 0.0, atol=1e-12)
 
 
 def test_grad_b_last_hand_form():
@@ -241,27 +241,29 @@ def test_grad_b_last_hand_form():
     state, data = random_state(arch, 5, seed=11)
     r = state.z[-1] - state.W[-1] @ state.a[-1] - state.b[-1]
     expect = -np.sum(state.u + state.rho * r, axis=1, keepdims=True)
-    got = grad_phi_block(state, data, "b", arch.n_layers - 1, products(state, data))
+    got = grad_phi_block(state, data, "b", arch.n_layers - 1, residuals(state, data))
     assert np.allclose(got, expect, atol=1e-10)
 
 
 def test_grad_phi_errors():
     arch = MlpArchitecture(layer_dims=(3, 4, 2))
     state, data = random_state(arch, 5, seed=12)
-    P = products(state, data)
+    R = residuals(state, data)
     with pytest.raises(IndexError):
-        grad_phi_block(state, data, "W", 5, P)
+        grad_phi_block(state, data, "W", 5, R)
     with pytest.raises(ValueError):
-        grad_phi_block(state, data, "q", 0, P)
+        grad_phi_block(state, data, "q", 0, R)
 
 
 def test_forward_init_contract():
     arch = MlpArchitecture(layer_dims=(2, 3, 2))
     rng = Rng(13)
     data = Dataset(rng.normal(0, 1, (2, 4)), np.tile([[1.0], [0.0]], (1, 4)))
-    s1 = forward_init(arch, data, Rng(42), rho=1.0, nu=1.0)
-    s2 = forward_init(arch, data, Rng(42), rho=1.0, nu=1.0)
-    assert phi(s1, products(s1, data)) == 0.0
+    s1, R = forward_init(arch, data, Rng(42), rho=1.0, nu=1.0)
+    s2 = forward_init(arch, data, Rng(42), rho=1.0, nu=1.0)[0]
+    assert phi(s1, residuals(s1, data)) == 0.0
+    # the returned residuals are the fresh ones, bit for bit
+    assert all(np.array_equal(c, f) for c, f in zip(R, residuals(s1, data)))
     assert all(np.array_equal(a, b) for a, b in zip(s1.W, s2.W))
     assert s1.W[0].shape == (3, 2) and s1.W[1].shape == (2, 3)
     assert all(np.all(b == 0) for b in s1.b)

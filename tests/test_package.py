@@ -41,14 +41,14 @@ def test_relu_is_no_type():
 
 
 def test_caches_are_required_arguments():
-    """A formula that reads the products P, the propagations ``props``, a
+    """A formula that reads the residuals R, the propagations ``props``, a
     forward pass, a residual r or the run's risk takes them from its caller:
     a call that leaves one out fails instead of quietly forming it
     afresh."""
     for module in (objective, gcn, training, baselines):
         for name, fn in inspect.getmembers(module, inspect.isfunction):
             for param in inspect.signature(fn).parameters.values():
-                if param.name in ("P", "props", "forward", "r", "risk"):
+                if param.name in ("R", "props", "forward", "r", "risk"):
                     assert param.default is param.empty, f"{module.__name__}.{name}: {param}"
 
 

@@ -105,9 +105,10 @@ class TestBacktrack:
     def test_shifted_trials(self, regularized):
         """A block W whose trials move the cached residual r = y - W a, as
         the MLP's W step does: a plain trial by (G a)/t, affine in 1/t, a
-        prox trial by its own (anchor - W) a.  The anchor's ``moved()`` is
-        ``base`` itself; the result's shift is the accepted trial's, bit for
-        bit, and moves the cache to the candidate's residual."""
+        prox trial by its own (anchor - W) a.  The anchor's ``moved`` is
+        ``base`` itself; the result's ``moved`` is the accepted trial's,
+        base + shift_of(candidate, step) bit for bit, as terms evaluated it,
+        and is the candidate's residual."""
         rng = Rng(3)
         a, y, anchor = rng.normal(0, 1, (4, 6)), rng.normal(0, 1, (2, 6)), rng.normal(0, 1, (2, 4))
         base = y - anchor @ a
@@ -121,16 +122,16 @@ class TestBacktrack:
         seen = []
 
         def terms(x, moved):
-            r = moved()
+            r = moved
             seen.append((x, r))
             return 0.5 * l2sq(r)  # the smooth part; the prox handles the regularizer
 
         res = backtrack_quadratic(terms, base, shift_of, grad, anchor, 1e-3, prox)
         assert res.trials > 1 and res.violation <= 1e-10
         assert seen[0][0] is anchor and seen[0][1] is base
-        assert np.array_equal(res.shift, shift_of(res.candidate, res.step))
-        assert np.array_equal(seen[-1][1], base + res.shift)
-        np.testing.assert_allclose(base + res.shift, y - res.candidate @ a, rtol=0, atol=1e-12)
+        assert np.array_equal(res.moved, base + shift_of(res.candidate, res.step))
+        assert seen[-1][1] is res.moved
+        np.testing.assert_allclose(res.moved, y - res.candidate @ a, rtol=0, atol=1e-12)
 
 
 def test_step_seeds_warm_start():
@@ -142,7 +143,7 @@ def test_step_seeds_warm_start():
     def update(kind, layer, seed):
         seeds.append(seed)
         return BacktrackResult(step=next(accepted), candidate=None, trials=1, violation=0.0,
-                               move_sq=0.0, shift=None)
+                               move_sq=0.0, moved=None)
 
     record = BlockRecord()
     for _ in range(3):

@@ -19,7 +19,7 @@ from admmnet.objective import (
     forward_logits,
     lagrangian,
     mean_risk,
-    products,
+    residuals,
 )
 from admmnet.gcn import GcnConfig, gcn_train
 from admmnet.solvers import BacktrackResult, FistaResult
@@ -72,7 +72,7 @@ def test_walk_blocks_bookkeeping():
         calls.append((kind, layer, seed))
         if kind == "W":
             return BacktrackResult(step=2.0 * seed, candidate=None, trials=2,
-                                   violation=(layer - 1) * 1e-12, move_sq=layer + 0.5, shift=None)
+                                   violation=(layer - 1) * 1e-12, move_sq=layer + 0.5, moved=None)
         if kind == "b":
             return 0.25  # a closed-form block's move
         if layer == 1:  # the output z
@@ -99,14 +99,15 @@ def test_walk_blocks_bookkeeping():
 
 
 def test_walk_blocks_drops_each_result():
-    """A block's result, which holds its accepted shift, is unreachable once
-    the next block's update starts: no shift outlives its update."""
+    """A block's result, which holds its accepted moved quantity, is
+    unreachable once the next block's update starts: a cache entry that the
+    next update replaces is not held through it."""
     refs = []
 
     def update(kind, layer, seed):
         assert [r() for r in refs] == [None] * len(refs)
         res = BacktrackResult(step=seed, candidate=None, trials=1, violation=0.0, move_sq=0.0,
-                              shift=np.zeros(3))
+                              moved=np.zeros(3))
         refs.append(weakref.ref(res))
         return res
 
@@ -207,7 +208,7 @@ def test_stationarity_linearity_in_u():
     y = np.zeros((2, 5))
     y[0] = 1.0
     data = Dataset(x, y)
-    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)
+    state = forward_init(arch, data, rng, rho=1.0, nu=1.0)[0]
     g = mean_risk(arch.risk, data.y).grad(state.z[-1])
     state.u = -g
     base = stationarity_residual(g, state.u)
@@ -250,7 +251,7 @@ def test_certified_where_it_learns():
 def test_dual_update_arithmetic():
     data = make_separable(10, rng=Rng(0))
     arch = MlpArchitecture(layer_dims=(4, 3, 2))
-    state = forward_init(arch, data, Rng(0), rho=2.0, nu=1.0)
+    state = forward_init(arch, data, Rng(0), rho=2.0, nu=1.0)[0]
     assert np.array_equal(dual_update(state, np.zeros_like(state.u)), state.u)
     r = np.ones_like(state.u) * 3.0
     assert np.allclose(dual_update(state, r) - state.u, 6.0)
@@ -282,14 +283,14 @@ def test_stationarity_residual_small(separable_run):
 def test_dual_residual_consistency(separable_run):
     arch, data, cfg, _ = separable_run
     # replay two iterations by hand and compare u increments to rho*r
-    state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
+    state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)[0]
     risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
     record = BlockRecord()
     for _ in range(2):
         record = BlockRecord(record.steps)
-        barred = backward_sweep(state, data, risk, reg, record, products(state, data))
-        new = forward_sweep(barred, data, risk, reg, record, products(barred, data))
-        r = objective.linear_residual(new, arch.n_layers - 1, products(new, data))
+        barred = backward_sweep(state, data, risk, reg, record, residuals(state, data))
+        new = forward_sweep(barred, data, risk, reg, record, residuals(barred, data))
+        r = objective.linear_residual(new, data, arch.n_layers - 1)
         u_prev = new.u.copy()
         new.u = dual_update(new, r)
         assert np.array_equal(new.u, u_prev + cfg.rho * r)
@@ -362,8 +363,8 @@ def test_stationary_point_is_fixed():
     state = result.state
     risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
     record = BlockRecord()
-    barred = backward_sweep(state, data, risk, reg, record, products(state, data))
-    new = forward_sweep(barred, data, risk, reg, record, products(barred, data))
+    barred = backward_sweep(state, data, risk, reg, record, residuals(state, data))
+    new = forward_sweep(barred, data, risk, reg, record, residuals(barred, data))
     move = block_move_sq_sum(state, barred, new)
     assert move < 0.01 * result.traces[0].block_move_sq_sum
     assert move < 1e-4
@@ -373,15 +374,15 @@ def test_each_sweep_decreases_lagrangian():
     data = make_separable(40, rng=Rng(2))
     arch = MlpArchitecture(layer_dims=(4, 8, 2))
     cfg = TrainConfig(rho=2.0, nu=1.0, epochs=1, seed=0)
-    state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
+    state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)[0]
     risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
     record = BlockRecord()
-    before = lagrangian(state, risk, reg, products(state, data))
-    barred = backward_sweep(state, data, risk, reg, record, products(state, data))
-    mid = lagrangian(barred, risk, reg, products(barred, data))
+    before = lagrangian(state, risk, reg, residuals(state, data))
+    barred = backward_sweep(state, data, risk, reg, record, residuals(state, data))
+    mid = lagrangian(barred, risk, reg, residuals(barred, data))
     assert mid <= before + 1e-9
-    new = forward_sweep(barred, data, risk, reg, record, products(barred, data))
-    after = lagrangian(new, risk, reg, products(new, data))
+    new = forward_sweep(barred, data, risk, reg, record, residuals(barred, data))
+    after = lagrangian(new, risk, reg, residuals(new, data))
     assert after <= mid + 1e-9
 
 
@@ -390,19 +391,19 @@ def test_index_discipline_backward_sweep(monkeypatch):
     layers above l and untouched blocks for layers at or below l."""
     data = make_separable(20, rng=Rng(4))
     arch = MlpArchitecture(layer_dims=(4, 5, 5, 2))
-    state = forward_init(arch, data, Rng(0), rho=1.0, nu=1.0)
+    state = forward_init(arch, data, Rng(0), rho=1.0, nu=1.0)[0]
     orig_W = [w.copy() for w in state.W]
 
     seen = {}
     real = objective.grad_a
 
-    def spy(st, layer, fz, P):
+    def spy(st, layer, fz, R):
         seen[layer] = [w.copy() for w in st.W]
-        return real(st, layer, fz, P)
+        return real(st, layer, fz, R)
 
     monkeypatch.setattr(objective, "grad_a", spy)
     risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
-    backward_sweep(state, data, risk, reg, BlockRecord(), products(state, data))
+    backward_sweep(state, data, risk, reg, BlockRecord(), residuals(state, data))
 
     # backward order is l = L-1 .. 0; at the a-update of hidden layer 1 the
     # last layer's W must already be barred (changed), W[0..1] untouched
@@ -472,39 +473,62 @@ def test_traced_moves_match_fresh(reg, monkeypatch):
 
 @pytest.mark.parametrize("reg", [NO_REG, Regularizer("l2", 1e-3), Regularizer("l1", 1e-3)],
                          ids=["affine", "prox", "prox-l1"])
-def test_cached_products_match_fresh(reg, monkeypatch):
-    """train() reads residuals from cached products W_l a_{l-1}; its traced
-    Lagrangian and objective_F must agree with fresh evaluations at every
-    iteration, and the cache must end equal to the fresh products."""
+def test_cached_residuals_match_fresh(reg, monkeypatch):
+    """train() reads its layer residuals R_l = z_l - W_l a_{l-1} - b_l from
+    a cache that every block update sets; the cache must match the fresh
+    residuals after every iteration, to 1e-10 of the largest product
+    W_l a_{l-1}, and the traced Lagrangian and objective_F must agree with
+    fresh evaluations."""
     data = make_separable(50, rng=Rng(3))
     arch = MlpArchitecture(layer_dims=(4, 8, 2), regularizer=reg)
     cfg = TrainConfig(rho=1.0, nu=1.0, epochs=200, seed=0)
     seen = {}
     real = training.forward_sweep
-
     risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
 
-    def spy(barred, dat, rsk, rg, record, P):
-        out = real(barred, dat, rsk, rg, record, P)
-        seen["state"], seen["P"] = out, P
+    def sweep(barred, dat, rsk, rg, record, R):
+        out = real(barred, dat, rsk, rg, record, R)
+        seen["state"], seen["R"] = out, R
         return out
 
     def check(trace):
         state = seen["state"]  # its dual is updated before the trace is made
-        P = products(state, data)
-        assert trace.lagrangian == pytest.approx(lagrangian(state, risk, reg, P), rel=1e-10)
-        assert trace.objective_F == pytest.approx(objective.objective_F(state, risk, reg, P),
+        fresh = residuals(state, data)
+        for l, (cached, want) in enumerate(zip(seen["R"], fresh)):
+            scale = np.max(np.abs(state.W[l] @ (data.x if l == 0 else state.a[l - 1])))
+            assert np.max(np.abs(cached - want)) <= 1e-10 * scale
+        assert trace.lagrangian == pytest.approx(lagrangian(state, risk, reg, fresh), rel=1e-10)
+        assert trace.objective_F == pytest.approx(objective.objective_F(state, risk, reg, fresh),
                                                   rel=1e-10)
         seen["checked"] = seen.get("checked", 0) + 1
 
-    monkeypatch.setattr(training, "forward_sweep", spy)
+    monkeypatch.setattr(training, "forward_sweep", sweep)
     result = train(arch, data, cfg, trace_sink=check)
     assert seen["checked"] == cfg.epochs
-    state = result.state
-    assert state is seen["state"]
-    for l, cached in enumerate(seen["P"]):
-        fresh = state.W[l] @ (data.x if l == 0 else state.a[l - 1])
-        assert np.max(np.abs(cached - fresh)) <= 1e-10 * max(1.0, np.max(np.abs(fresh)))
+    assert result.state is seen["state"]
+
+
+def test_cached_train_accuracy_is_the_forward_pass(monkeypatch):
+    """train() scores the training data from its cached first layer,
+    relu(z_0 - R_0); at every iteration of a run that learns, that must
+    equal the accuracy of the exact forward pass of W and b."""
+    data, _ = make_image_classes(1000, rng=Rng(1))
+    arch = MlpArchitecture(layer_dims=(784, 64, 64, 10))
+    cfg = TrainConfig(rho=1.5e-3, nu=1.5e-3, epochs=10, seed=0)
+    seen = {}
+    real = training.forward_sweep
+
+    def sweep(*args):
+        seen["state"] = real(*args)
+        return seen["state"]
+
+    def check(trace):
+        W, b = seen["state"].W, seen["state"].b
+        assert trace.train_acc == objective.accuracy(forward_logits(W, b, data.x), data.y)
+
+    monkeypatch.setattr(training, "forward_sweep", sweep)
+    traces = train(arch, data, cfg, trace_sink=check).traces
+    assert traces[-1].train_acc > traces[0].train_acc + 0.2  # it learns
 
 
 def test_divergence_abort_keeps_traces():
@@ -528,15 +552,15 @@ def test_boundedness_plateau():
         return tr.lagrangian  # proxy: full states not stored per-iteration
 
     # explicit norm tracking over a manual replay
-    state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)
+    state = forward_init(arch, data, Rng(cfg.seed), rho=cfg.rho, nu=cfg.nu)[0]
     risk, reg = mean_risk(arch.risk, data.y), arch.regularizer
     record = BlockRecord()
     norm_hist = []
     for _ in range(60):
         record = BlockRecord(record.steps)
-        barred = backward_sweep(state, data, risk, reg, record, products(state, data))
-        new = forward_sweep(barred, data, risk, reg, record, products(barred, data))
-        r = objective.linear_residual(new, arch.n_layers - 1, products(new, data))
+        barred = backward_sweep(state, data, risk, reg, record, residuals(state, data))
+        new = forward_sweep(barred, data, risk, reg, record, residuals(barred, data))
+        r = objective.linear_residual(new, data, arch.n_layers - 1)
         new.u = dual_update(new, r)
         state = new
         total = sum(l2sq(w) for w in state.W) + sum(l2sq(b) for b in state.b)
