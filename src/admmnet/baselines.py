@@ -13,7 +13,7 @@ import numpy as np
 
 from . import objective
 from .errors import DivergenceError
-from .linalg import Matrix, Rng, require_finite
+from .linalg import Matrix, Rng, require_epochs_seed, require_finite
 from .objective import Dataset, MlpArchitecture, Regularizer, Risk, accuracy
 
 
@@ -34,10 +34,7 @@ class BaselineConfig:
         require_finite(learning_rate=self.learning_rate)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_epochs_seed(self.epochs, self.seed)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .data_io import (_read_text, load_graph, load_idx_dataset, save_graph, subs
 from .errors import DataError, DivergenceError, FormatError, TrainingAborted
 from .gcn import GcnConfig, gcn_train
 from .linalg import Rng
-from .objective import MlpArchitecture, Regularizer, NO_REG, check_fit
+from .objective import MlpArchitecture, Regularizer, check_fit
 from .synth import make_image_classes, make_sbm_graph, make_separable
 from .training import BlockRecord, TrainConfig, train
 
@@ -114,7 +114,7 @@ def _cmd_train(args) -> int:
         try:
             arch = MlpArchitecture(
                 layer_dims=dims,
-                regularizer=Regularizer("l2", args.lam) if args.lam else NO_REG,
+                regularizer=Regularizer("l2", args.lam),
             )
             check_fit(arch, train_data, test_data)
             if args.optimizer == "admm":
@@ -310,7 +310,7 @@ def selfcheck(quick: bool = False) -> int:
     for model, risks, z in (("", mlp_risks, state.z[-1]), ("gcn ", [risk], gstate.Z[-1])):
         ratio = max(_top_eigenvalue(r.grad, at, Rng(5)) / r.curvature
                     for r in risks for at in (z, np.zeros_like(z)))
-        check(f"{model}output-risk curvature <= FISTA step constant", ratio <= 1.0 + 1e-6)
+        check(f"{model}output-risk curvature <= H", ratio <= 1.0 + 1e-6)
 
     # Newton direction d: (Hessian + rho I) d = g, Hessian times d by central differences
     risk, z, g = objective.mean_risk("cross_entropy", y), state.z[-1], Rng(19).normal(0.0, 1.0, y.shape)

@@ -72,12 +72,12 @@ trainer's cache forms fresh with ``propagations``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import Matrix, Rng, l2sq, require_finite
+from .linalg import Matrix, Rng, is_index, l2sq, require_epochs_seed, require_finite
 from .objective import Risk, _memo_last, glorot, mean_risk, relu, relu_deriv
 # fista_minimize is unused here: perfbench/tracer.py wraps it on this module
 from .solvers import backtrack_quadratic, fista_minimize, solve_z_last
@@ -152,14 +152,7 @@ class GcnState:
 
     def copy(self) -> "GcnState":
         """New block lists over the same arrays, which block updates never write into."""
-        return GcnState(
-            W=list(self.W),
-            Z=list(self.Z),
-            U=self.U,
-            A_norm=self.A_norm,
-            rho=self.rho,
-            mu=self.mu,
-        )
+        return replace(self, W=list(self.W), Z=list(self.Z))
 
 
 @dataclass
@@ -171,14 +164,11 @@ class GcnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_epochs_seed(self.epochs, self.seed)
         require_finite(rho=self.rho, mu=self.mu)
         if self.rho <= 0 or self.mu <= 0:
             raise ValueError("rho and mu must be positive")
-        if any(d < 1 for d in self.hidden_dims):
+        if not all(is_index(d, 1) for d in self.hidden_dims):
             raise ValueError("hidden widths must be >= 1")
 
 

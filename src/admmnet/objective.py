@@ -7,10 +7,12 @@ become n x m matrices.
 Each term of the objective has one owner here, for the MLP and GCN
 trainers and the baselines alike: a ``Risk`` (``mean_risk`` over columns,
 ``gcn.masked_ce`` over masked rows) holds R's value, gradient, H (the
-gradient's Lipschitz constant, read by the descent certificate and FISTA)
-and what an exact output solve needs; a ``Regularizer`` its value, gradient,
-prox and one on/off test, ``active``.  Each run builds one ``Risk``, and every
-formula that evaluates R takes it, so all share one cross-entropy memo.
+gradient's Lipschitz constant, read by the descent certificate and the
+GCN's FISTA) and what an exact output solve needs, and ``mean_risk`` alone
+tells the risk kinds apart; a ``Regularizer`` holds its value, gradient,
+prox and one on/off test, ``active``, which is its weight being positive.
+Each run builds one ``Risk``, and every formula that evaluates R takes it,
+so all share one cross-entropy memo.
 
 ReLU is the one activation of both models (the hidden ``z`` update has a
 closed form only for it, ``solvers.solve_z_relu``): ``relu`` and
@@ -25,13 +27,13 @@ hidden-layer terms) + output-layer terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import Matrix, Rng, l2sq, require_finite
+from .linalg import Matrix, Rng, is_index, l2sq, require_finite
 
 
 def relu(z: Matrix) -> Matrix:
@@ -46,13 +48,14 @@ def relu_deriv(z: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """lam ||W||_1 or lam ||W||_F^2; a "none" kind or a zero weight is off."""
+    """lam ||W||_1 or lam ||W||_F^2, off at weight 0: ``Regularizer()`` is
+    ``NO_REG``."""
 
-    kind: str = "none"  # "none", "l1" or "l2"
+    kind: str = "l2"  # "l1" or "l2"
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "l1", "l2"):
+        if self.kind not in ("l1", "l2"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
         require_finite(lam=self.lam)
         if self.lam < 0.0:
@@ -60,7 +63,7 @@ class Regularizer:
 
     @property
     def active(self) -> bool:
-        return self.kind != "none" and self.lam > 0.0
+        return self.lam > 0.0
 
     def value(self, w: Matrix) -> float:
         if not self.active:
@@ -90,12 +93,11 @@ class MlpArchitecture:
     risk: str = "cross_entropy"  # or "squared"
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
-        object.__setattr__(self, "layer_dims", dims)
-        if len(dims) < 3:
+        if len(self.layer_dims) < 3:
             raise ValueError("need at least two layers (three dimension entries)")
-        if any(d < 1 for d in dims):
+        if not all(is_index(d, 1) for d in self.layer_dims):
             raise ValueError("all layer dimensions must be >= 1")
+        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
         if self.risk not in ("cross_entropy", "squared"):
             raise ValueError(f"unknown risk kind {self.risk!r}")
 
@@ -154,15 +156,7 @@ class MlpState:
         """New block lists over the same arrays.  Block updates rebind list
         entries and never write into an array, so a copy can be updated
         while the original keeps its values."""
-        return MlpState(
-            W=list(self.W),
-            b=list(self.b),
-            z=list(self.z),
-            a=list(self.a),
-            u=self.u,
-            rho=self.rho,
-            nu=self.nu,
-        )
+        return replace(self, W=list(self.W), b=list(self.b), z=list(self.z), a=list(self.a))
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +166,6 @@ class MlpState:
 def _log_softmax(z: Matrix) -> Matrix:
     shifted = z - np.max(z, axis=0, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=0, keepdims=True))
-
-
-def _ce_value(logp: Matrix, y: Matrix, count: int) -> float:
-    """Mean cross-entropy over ``count`` samples from their log-softmax."""
-    return float(-np.sum(y * logp) / count)
-
-
-def _ce_grad(logp: Matrix, y: Matrix, count: int) -> Matrix:
-    """Gradient of ``_ce_value`` with respect to the logits."""
-    return (np.exp(logp) - y) / count
 
 
 def _memo_last(fn):
@@ -202,18 +186,6 @@ def _memo_last(fn):
     return memoized
 
 
-def risk_curvature(kind: str, count: int) -> float:
-    """Lipschitz constant of the gradient of a risk averaged over ``count``
-    samples: 1/(2 count) for cross-entropy, by Boehning's bound
-    (I - 11^T/K)/2 on the softmax Hessian, and 1/count for the squared risk.
-    """
-    if kind == "squared":
-        return 1.0 / count
-    if kind == "cross_entropy":
-        return 0.5 / count
-    raise ValueError(f"unknown risk kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class Risk:
     """R(z) of the output block z, with H = ``curvature``.  ``minimizer(w_aff,
@@ -228,15 +200,19 @@ class Risk:
 
 
 def mean_risk(kind: str, y: Matrix) -> Risk:
-    """The risk of ``kind`` averaged over the columns of y; cross-entropy's
-    oracles share their last point's log-softmax.  Its Hessian + rho I, per
-    column D - p p^T/m (p = softmax, D = p/m + rho), has Sherman-Morrison's
-    inverse, whose m - p^T (p/D) is m rho sum(p/D) as sum(p) = 1."""
+    """The risk of ``kind`` averaged over the m columns of y: the one place
+    that tells the kinds apart.  The squared risk has H = 1/m and a closed-form
+    output minimizer.  Cross-entropy has H = 1/(2m), by Boehning's bound
+    (I - 11^T/K)/2 on the softmax Hessian, and its oracles share their last
+    point's log-softmax.  Its Hessian + rho I, per column D - p p^T/m
+    (p = softmax, D = p/m + rho), has Sherman-Morrison's inverse, whose
+    m - p^T (p/D) is m rho sum(p/D) as sum(p) = 1."""
     m = y.shape[1]
-    h = risk_curvature(kind, m)
     if kind == "squared":
-        return Risk(lambda z: 0.5 * l2sq(z - y) / m, lambda z: (z - y) / m, h,
+        return Risk(lambda z: 0.5 * l2sq(z - y) / m, lambda z: (z - y) / m, 1.0 / m,
                     lambda w_aff, u, rho: (y / m + rho * w_aff - u) / (1.0 / m + rho))
+    if kind != "cross_entropy":
+        raise ValueError(f"unknown risk kind {kind!r}")
     logp = _memo_last(_log_softmax)
 
     def newton(z, g, rho):
@@ -244,7 +220,8 @@ def mean_risk(kind: str, y: Matrix) -> Risk:
         q, s = g / (p / m + rho), p / (p / m + rho)
         return q + s * (np.sum(p * q, axis=0) / (m * rho * np.sum(s, axis=0)))
 
-    return Risk(lambda z: _ce_value(logp(z), y, m), lambda z: _ce_grad(logp(z), y, m), h, newton=newton)
+    return Risk(lambda z: float(-np.sum(y * logp(z)) / m), lambda z: (np.exp(logp(z)) - y) / m,
+                0.5 / m, newton=newton)
 
 
 # ---------------------------------------------------------------------------
@@ -329,25 +306,24 @@ def lagrangian(state: MlpState, risk: Risk, regularizer: Regularizer, R: list) -
     return objective_and_lagrangian(state, risk, regularizer, R)[1]
 
 
-def grad_W(state: MlpState, data: Dataset, layer: int, R: list):
-    """Gradient of phi in W_l, and the layer residual r_l it reads.  Below
-    the output layer nu scales the n_{l+1} x n_l product, not r_l."""
+def grad_W(state: MlpState, data: Dataset, layer: int, R: list) -> Matrix:
+    """Gradient of phi in W_l.  Below the output layer nu scales the
+    n_{l+1} x n_l product, not r_l."""
     r, a_prev = R[layer], _a_prev(state, data, layer)
     if layer < state.n_layers - 1:
-        return -state.nu * (r @ a_prev.T), r
-    return -(_slope(state, layer, r) @ a_prev.T), r
+        return -state.nu * (r @ a_prev.T)
+    return -(_slope(state, layer, r) @ a_prev.T)
 
 
-def grad_a(state: MlpState, layer: int, fz: Matrix, R: list):
-    """Gradient of phi in a_l given f(z_l), the layer l+1 residual it reads,
-    and phi's activation term (nu/2)||a_l - f(z_l)||^2 from the same
-    difference (``activation_term`` of a_l)."""
-    lin = R[layer + 1]
+def grad_a(state: MlpState, layer: int, fz: Matrix, R: list) -> tuple:
+    """Gradient of phi in a_l given f(z_l), and phi's activation term
+    (nu/2)||a_l - f(z_l)||^2 from the same difference (``activation_term``
+    of a_l)."""
     grad = state.a[layer] - fz
     act = 0.5 * state.nu * l2sq(grad)
     grad *= state.nu
-    grad -= state.W[layer + 1].T @ _slope(state, layer + 1, lin)
-    return grad, lin, act
+    grad -= state.W[layer + 1].T @ _slope(state, layer + 1, R[layer + 1])
+    return grad, act
 
 
 def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int, R: list) -> Matrix:
@@ -362,7 +338,7 @@ def grad_phi_block(state: MlpState, data: Dataset, block: str, layer: int, R: li
     if not 0 <= layer <= (last - 1 if block == "a" else last):
         raise IndexError(f"layer {layer} out of range for block {block}")
     if block == "W":
-        return grad_W(state, data, layer, R)[0]
+        return grad_W(state, data, layer, R)
     if block == "b":
         if layer < last:  # nu scales the n_{l+1} x 1 sum, not r_l
             return -state.nu * np.sum(R[layer], axis=1, keepdims=True)
@@ -391,7 +367,8 @@ def forward(W: list, b: list, x: Matrix) -> tuple:
     and the activations of the hidden ones, as ``MlpState`` holds them."""
     z, a = [], []
     for l in range(len(W)):
-        z.append(W[l] @ (x if l == 0 else a[-1]) + b[l])
+        z.append(W[l] @ (x if l == 0 else a[-1]))
+        z[-1] += b[l]  # in place: the product is a new array
         if l < len(W) - 1:
             a.append(relu(z[-1]))
     return z, a
@@ -416,10 +393,8 @@ def forward_init(arch: MlpArchitecture, data: Dataset, rng: Rng, rho: float, nu:
 
 
 def forward_logits(W: list, b: list, x: Matrix) -> Matrix:
-    cur = x
-    for l in range(len(W) - 1):
-        cur = relu(W[l] @ cur + b[l])
-    return W[-1] @ cur + b[-1]
+    """The output layer's pre-activations of ``forward``."""
+    return forward(W, b, x)[0][-1]
 
 
 def accuracy(logits: Matrix, y: Matrix) -> float:

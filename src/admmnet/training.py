@@ -82,7 +82,7 @@ import numpy as np
 
 from . import objective
 from .errors import DivergenceError, TrainingAborted
-from .linalg import Matrix, Rng, l2sq, require_finite
+from .linalg import Matrix, Rng, l2sq, require_epochs_seed, require_finite
 from .objective import Dataset, MlpArchitecture, MlpState, Regularizer, Risk, _a_prev
 from .solvers import (
     SEED_FLOOR,
@@ -110,10 +110,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        require_epochs_seed(self.epochs, self.seed)
         require_finite(rho=self.rho, nu=self.nu)
         if self.rho <= 0 or self.nu <= 0:
             raise ValueError("rho and nu must be positive")
@@ -258,16 +255,16 @@ def _update_W(work: MlpState, R: list, data: Dataset, regularizer: Regularizer, 
               seed: float) -> BacktrackResult:
     a_prev = _a_prev(work, data, layer)
     anchor = work.W[layer]
-    grad, lin0 = objective.grad_W(work, data, layer, R)
+    grad = objective.grad_W(work, data, layer, R)
     is_last = layer == work.n_layers - 1
     prox = regularizer.prox if regularizer.active else None
     if prox is not None:
         shift_of = lambda cand, step: (anchor - cand) @ a_prev  # a prox trial is not affine
     else:
-        grad_a = grad @ a_prev  # trial residual is lin0 + grad_a / step
+        grad_a = grad @ a_prev  # trial residual is R_l + grad_a / step
         shift_of = lambda cand, step: grad_a / step
     res = backtrack_quadratic(lambda x, moved: objective.linear_term(work, moved, is_last),
-                              lin0, shift_of, grad, anchor, seed, prox)
+                              R[layer], shift_of, grad, anchor, seed, prox)
     work.W[layer] = res.candidate
     R[layer] = res.moved
     return res
@@ -277,15 +274,15 @@ def _update_a(work: MlpState, R: list, layer: int, seed: float) -> BacktrackResu
     nxt = layer + 1
     anchor = work.a[layer]
     fz = objective.relu(work.z[layer])
-    grad, lin0, act0 = objective.grad_a(work, layer, fz, R)
-    w_grad = work.W[nxt] @ grad  # trial residual is lin0 + w_grad / step
+    grad, act0 = objective.grad_a(work, layer, fz, R)
+    w_grad = work.W[nxt] @ grad  # trial residual is R_{l+1} + w_grad / step
     is_last = nxt == work.n_layers - 1
 
     def terms(x, moved):
         act = act0 if x is anchor else objective.activation_term(work, x, fz)  # act0: from grad_a
         return act + objective.linear_term(work, moved, is_last)
 
-    res = backtrack_quadratic(terms, lin0, lambda x, t: w_grad / t, grad, anchor, seed)
+    res = backtrack_quadratic(terms, R[nxt], lambda x, t: w_grad / t, grad, anchor, seed)
     work.a[layer] = res.candidate
     R[nxt] = res.moved
     return res

@@ -148,11 +148,19 @@ class TestRunBaseline:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             BaselineConfig(optimizer="adam", learning_rate=0.1, epochs=1, seed=-1)
 
+    @pytest.mark.parametrize("counts, message", [
+        (dict(epochs=1, seed=0.9), "seed must be >= 0"),
+        (dict(epochs=2.5, seed=0), "epochs must be >= 1"),
+    ])
+    def test_config_rejects_a_non_integer(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            BaselineConfig(optimizer="adam", learning_rate=0.1, **counts)
+
 
 def test_inactive_regularizer_is_off_for_every_consumer():
     """``Regularizer.active`` is the one on/off test: an inactive regularizer,
-    a "none" kind with a weight included, leaves the baselines' gradient and
-    run, the ADMM trace and the reported value as without it."""
+    of either kind at weight 0, leaves the baselines' gradient and run, the
+    ADMM trace and the reported value as without it."""
     data = make_separable(40, rng=Rng(3))
     plain = MlpArchitecture(layer_dims=(4, 8, 2))
     gd = BaselineConfig(optimizer="gd", learning_rate=0.05, epochs=1)
@@ -160,7 +168,7 @@ def test_inactive_regularizer_is_off_for_every_consumer():
     W0, b0 = random_params(plain, 1)
     (W_plain, _), _ = run_baseline(gd, plain, data)
     lagr_plain = [t.lagrangian for t in train(plain, data, admm).traces]
-    for reg in (Regularizer("none", 0.5), Regularizer("l1", 0.0), Regularizer("l2", 0.0)):
+    for reg in (Regularizer("l1", 0.0), Regularizer("l2", 0.0)):
         arch = MlpArchitecture(layer_dims=(4, 8, 2), regularizer=reg)
         assert not reg.active and reg.value(W0[0]) == 0.0
         fwd, risk = forward(W0, b0, data.x), mean_risk(plain.risk, data.y)

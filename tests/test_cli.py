@@ -160,8 +160,7 @@ def test_selfcheck_detects_injected_gradient_bug(monkeypatch, capsys):
     real = objective.grad_W
 
     def scaled(*args, **kwargs):
-        grad, r = real(*args, **kwargs)
-        return 1.5 * grad, r
+        return 1.5 * real(*args, **kwargs)
 
     monkeypatch.setattr(objective, "grad_W", scaled)
     assert selfcheck(quick=True) == 3
@@ -199,11 +198,12 @@ def test_selfcheck_detects_wrong_gcn_gradient(block, monkeypatch, capsys):
 def test_selfcheck_detects_understated_risk_curvature(monkeypatch, capsys):
     import admmnet.objective as objective
 
-    line = "output-risk curvature <= FISTA step constant"
+    line = "output-risk curvature <= H"
     assert selfcheck(quick=True) == 0
     assert f"PASS  {line}" in capsys.readouterr().out
-    real = objective.risk_curvature
-    monkeypatch.setattr(objective, "risk_curvature", lambda kind, count: 0.9 * real(kind, count))
+    real = objective.mean_risk
+    monkeypatch.setattr(objective, "mean_risk", lambda kind, y: replace(
+        real(kind, y), curvature=0.9 * real(kind, y).curvature))
     assert selfcheck(quick=True) == 3
     assert f"FAIL  {line}" in capsys.readouterr().out
 
@@ -217,7 +217,7 @@ def test_selfcheck_detects_understated_masked_curvature(monkeypatch, capsys):
     assert selfcheck(quick=True) == 3
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("FAIL")] == [
-        "FAIL  gcn output-risk curvature <= FISTA step constant"]
+        "FAIL  gcn output-risk curvature <= H"]
 
 
 def test_selfcheck_detects_wrong_newton_direction(monkeypatch, capsys):

@@ -449,6 +449,28 @@ def test_gcn_config_takes_no_activation_and_no_negative_seed():
         GcnConfig(hidden_dims=(8,), rho=1.0, mu=1.0, epochs=1, seed=-1)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(hidden_dims=(4.5,), epochs=1), "hidden widths must be >= 1"),  # once a TypeError
+    (dict(hidden_dims=(8,), epochs=2.5), "epochs must be >= 1"),
+    (dict(hidden_dims=(8,), epochs=1, seed=0.9), "seed must be >= 0"),
+])
+def test_gcn_config_rejects_a_non_integer(fields, message):
+    with pytest.raises(ValueError, match=message):
+        GcnConfig(rho=1.0, mu=1.0, **fields)
+
+
+def test_state_copy_has_new_block_lists_over_the_same_arrays():
+    """``GcnState.copy`` gives new W and Z lists holding the same arrays, and
+    keeps U, A_norm, rho and mu by identity."""
+    state = random_gcn_state(make_sbm_graph(30, rng=Rng(1)), (2, 4, 2), seed=5)
+    new = state.copy()
+    for name in ("W", "Z"):
+        old_list, new_list = getattr(state, name), getattr(new, name)
+        assert new_list is not old_list
+        assert all(x is y for x, y in zip(new_list, old_list)) and len(new_list) == len(old_list)
+    assert all(getattr(new, f) is getattr(state, f) for f in ("U", "A_norm", "rho", "mu"))
+
+
 def _with_fresh_cache(fn, graph):
     """fn with its propagations argument ``props`` replaced by fresh
     propagations of its ``state`` on ``graph``."""

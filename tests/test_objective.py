@@ -21,7 +21,6 @@ from admmnet.objective import (
     mean_risk,
     relu,
     relu_deriv,
-    risk_curvature,
 )
 from admmnet.gcn import masked_ce
 
@@ -318,7 +317,7 @@ def test_risk_curvature_bounds_hessian(kind):
         risk_m = mean_risk(kind, y)
         lam = top_hessian_eigenvalue(risk_m.grad, z, rng)
         bound = risk_m.curvature
-        assert bound == risk_curvature(kind, m)
+        assert bound == (1.0 / m if kind == "squared" else 0.5 / m)
         assert lam <= bound * (1.0 + 1e-6)
         if scale == 0.0 or kind == "squared":
             # uniform two-class logits attain Boehning's bound; the squared
@@ -336,7 +335,7 @@ def test_risk_curvature_bounds_masked_gcn_hessian():
         risk_m = masked_ce(labels, mask)
         lam = top_hessian_eigenvalue(risk_m.grad, z, rng)
         bound = risk_m.curvature
-        assert bound == risk_curvature("cross_entropy", int(np.sum(mask)))
+        assert bound == 0.5 / int(np.sum(mask))  # 0.5/n_train
         assert lam <= bound * (1.0 + 1e-6)
         if scale == 0.0:
             assert lam >= bound * (1.0 - 1e-6)
@@ -344,6 +343,37 @@ def test_risk_curvature_bounds_masked_gcn_hessian():
 
 def test_risk_curvature_unknown_kind():
     with pytest.raises(ValueError):
-        risk_curvature("hinge", 10)
-    with pytest.raises(ValueError):
         mean_risk("hinge", np.zeros((2, 10)))
+
+
+def test_regularizer_has_no_none_kind():
+    """A zero weight is the one off state: there is no "none" kind, and
+    ``Regularizer()``, l2 at weight 0, is off and the architecture's
+    default."""
+    with pytest.raises(ValueError, match="unknown regularizer kind"):
+        Regularizer("none", 0.5)
+    assert not Regularizer().active and Regularizer() == Regularizer("l2", 0.0)
+    assert MlpArchitecture(layer_dims=(2, 3, 2)).regularizer == Regularizer()
+
+
+@pytest.mark.parametrize("dims", [(4.7, 6, 2), (4, 6.0, 2), (4, "6", 2), (4, 0, 2)])
+def test_architecture_rejects_a_width_that_is_no_positive_integer(dims):
+    with pytest.raises(ValueError, match="all layer dimensions must be >= 1"):
+        MlpArchitecture(layer_dims=dims)
+
+
+def test_architecture_takes_numpy_integer_widths():
+    dims = MlpArchitecture(layer_dims=np.array([4, 6, 2])).layer_dims
+    assert dims == (4, 6, 2) and all(type(d) is int for d in dims)
+
+
+def test_state_copy_has_new_block_lists_over_the_same_arrays():
+    """``MlpState.copy`` gives new W, b, z, a lists holding the same arrays,
+    and keeps u, rho and nu by identity."""
+    state = random_state(MlpArchitecture(layer_dims=(3, 4, 2)), 5, seed=3)[0]
+    new = state.copy()
+    for name in ("W", "b", "z", "a"):
+        old_list, new_list = getattr(state, name), getattr(new, name)
+        assert new_list is not old_list
+        assert all(x is y for x, y in zip(new_list, old_list)) and len(new_list) == len(old_list)
+    assert new.u is state.u and new.rho is state.rho and new.nu is state.nu

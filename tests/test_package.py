@@ -189,6 +189,31 @@ def test_only_the_runs_build_risks():
     assert callers == {"train", "run_baseline", "gcn_train", "selfcheck", "masked_ce"}
 
 
+def test_one_switch_over_risk_kinds():
+    """``objective.mean_risk`` is the one place that tells the risk kinds
+    apart, and ``MlpArchitecture.__post_init__`` the one that checks a kind
+    name: no other comparison in the package has "squared" or
+    "cross_entropy" as an operand, alone or in a tuple."""
+    kinds = {"squared", "cross_entropy"}
+
+    def literals(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {n.value for n in items if isinstance(n, ast.Constant)}
+
+    def switches(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Compare) and any(
+                literals(op) & kinds for op in (node.left, *node.comparators)):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from switches(child, scope)
+
+    found = {f"{path.stem}.{scope}" for path in SOURCES
+             for scope in switches(ast.parse(path.read_text()), "")}
+    assert found == {"objective.mean_risk", "objective.MlpArchitecture.__post_init__"}
+
+
 def test_readme_code_map_names_every_module():
     """README's code map names exactly the package's modules, so none is
     added or deleted without it."""

@@ -250,7 +250,7 @@ class TestProxRegularizer:
     def test_none_identity(self):
         # an inactive regularizer is off: the W update takes no prox step and
         # the objective holds no term of it
-        for reg in (Regularizer("none", 0.0), Regularizer("none", 0.5), Regularizer("l1", 0.0)):
+        for reg in (Regularizer(), Regularizer("l1", 0.0)):
             assert not reg.active
             assert reg.value(np.array([[3.0, -0.5]])) == 0.0
         assert Regularizer("l1", 0.5).active and Regularizer("l2", 0.5).active

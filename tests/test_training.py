@@ -602,3 +602,12 @@ def test_epochs_validated():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         TrainConfig(rho=1.0, nu=1.0, epochs=1, seed=-1)
+
+
+@pytest.mark.parametrize("counts, message", [
+    (dict(epochs=1, seed=0.9), "seed must be >= 0"),  # once trained as seed 0
+    (dict(epochs=2.5, seed=0), "epochs must be >= 1"),  # once a TypeError in train
+])
+def test_non_integer_count_rejected(counts, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(rho=1.0, nu=1.0, **counts)
